@@ -1,14 +1,13 @@
 //! Unified table construction: one builder for the whole
 //! scheme × hash × capacity × seed × SIMD × growth grid.
 //!
-//! PR-1 grew a constructor per cell — `with_seed`, `with_seed_simd`,
-//! `with_hash`, `with_budget`, one [`TableFactory`] type per scheme, and
-//! `PointIndex::for_profile` — which forced every consumer (workload
-//! drivers, figure binaries, the query layer) to re-implement the same
-//! dispatch match. [`TableBuilder`] replaces that: describe the table
-//! once, then [`TableBuilder::build`] it as a `Box<dyn HashTable>`
-//! (static or growing), or hand the builder itself to
-//! [`DynamicTable`] — it *is* a [`TableFactory`].
+//! A typed constructor per cell (`with_seed`, `with_seed_simd`,
+//! `with_hash`, `with_budget`) forces every consumer (workload drivers,
+//! figure binaries, the query layer) to re-implement the same dispatch
+//! match. [`TableBuilder`] replaces that: describe the table once, then
+//! [`TableBuilder::build`] it as a `Box<dyn HashTable>` (static or
+//! growing), or hand the builder itself to [`DynamicTable`] — it is the
+//! [`TableFactory`] growth and migration run on.
 //!
 //! ```
 //! use sevendim_core::{HashKind, HashTable, TableBuilder, TableScheme};
@@ -181,7 +180,6 @@ pub struct TableBuilder {
     growth_policy: GrowthPolicy,
     chained_budget: Option<usize>,
     shard_bits: u8,
-    prefetch_batch: Option<usize>,
     optimistic_reads: bool,
     wal_dir: Option<PathBuf>,
     fsync_policy: FsyncPolicy,
@@ -209,7 +207,6 @@ impl TableBuilder {
             growth_policy: GrowthPolicy::AllAtOnce,
             chained_budget: None,
             shard_bits: 0,
-            prefetch_batch: None,
             optimistic_reads: true,
             wal_dir: None,
             fsync_policy: FsyncPolicy::Always,
@@ -337,16 +334,6 @@ impl TableBuilder {
     /// restores lock-only reads and immediate frees.
     pub fn optimistic_reads(mut self, on: bool) -> Self {
         self.optimistic_reads = on;
-        self
-    }
-
-    /// Set the hash-and-prefetch window of the batched operations on
-    /// open-addressing tables (default
-    /// [`PREFETCH_BATCH`](crate::simd::PREFETCH_BATCH) = 16, clamped to
-    /// `1..=`[`MAX_PREFETCH_BATCH`](crate::simd::MAX_PREFETCH_BATCH)).
-    /// Chained schemes take no prefetch window and ignore the knob.
-    pub fn prefetch_batch(mut self, window: usize) -> Self {
-        self.prefetch_batch = Some(window);
         self
     }
 
@@ -578,7 +565,7 @@ impl TableBuilder {
 
     fn build_with_hash<H: HashFamily>(&self) -> Result<BoxedTable, TableError> {
         let (bits, seed) = (self.bits, self.seed);
-        let pb = self.prefetch_batch;
+        let kind = if self.simd { ProbeKind::Simd } else { ProbeKind::Scalar };
         Ok(match self.scheme {
             TableScheme::Chained8 => match self.chained_budget {
                 Some(n) => Box::new(ChainedTable8::<H>::with_budget(bits, n, seed)?),
@@ -590,73 +577,28 @@ impl TableBuilder {
             },
             TableScheme::LinearProbing => {
                 let mut t = LinearProbing::<H>::with_seed(bits, seed);
-                if self.simd {
-                    t.set_probe_kind(ProbeKind::Simd);
-                }
-                if let Some(w) = pb {
-                    t.set_prefetch_batch(w);
-                }
+                t.set_probe_kind(kind);
                 Box::new(t)
             }
             TableScheme::LinearProbingSoA => {
                 let mut t = LinearProbingSoA::<H>::with_seed(bits, seed);
-                if self.simd {
-                    t.set_probe_kind(ProbeKind::Simd);
-                }
-                if let Some(w) = pb {
-                    t.set_prefetch_batch(w);
-                }
+                t.set_probe_kind(kind);
                 Box::new(t)
             }
-            TableScheme::Quadratic => {
-                let mut t = QuadraticProbing::<H>::with_seed(bits, seed);
-                if let Some(w) = pb {
-                    t.set_prefetch_batch(w);
-                }
-                Box::new(t)
-            }
-            TableScheme::RobinHood => {
-                let mut t = RobinHood::<H>::with_seed(bits, seed);
-                if let Some(w) = pb {
-                    t.set_prefetch_batch(w);
-                }
-                Box::new(t)
-            }
-            TableScheme::Cuckoo2 => {
-                let mut t = Cuckoo::<H, 2>::with_seed(bits, seed);
-                if let Some(w) = pb {
-                    t.set_prefetch_batch(w);
-                }
-                Box::new(t)
-            }
-            TableScheme::Cuckoo3 => {
-                let mut t = Cuckoo::<H, 3>::with_seed(bits, seed);
-                if let Some(w) = pb {
-                    t.set_prefetch_batch(w);
-                }
-                Box::new(t)
-            }
-            TableScheme::Cuckoo4 => {
-                let mut t = Cuckoo::<H, 4>::with_seed(bits, seed);
-                if let Some(w) = pb {
-                    t.set_prefetch_batch(w);
-                }
-                Box::new(t)
-            }
+            TableScheme::Quadratic => Box::new(QuadraticProbing::<H>::with_seed(bits, seed)),
+            TableScheme::RobinHood => Box::new(RobinHood::<H>::with_seed(bits, seed)),
+            TableScheme::Cuckoo2 => Box::new(Cuckoo::<H, 2>::with_seed(bits, seed)),
+            TableScheme::Cuckoo3 => Box::new(Cuckoo::<H, 3>::with_seed(bits, seed)),
+            TableScheme::Cuckoo4 => Box::new(Cuckoo::<H, 4>::with_seed(bits, seed)),
             TableScheme::Fingerprint => {
                 let mut t = FingerprintTable::<H>::with_seed(bits, seed);
-                if self.simd {
-                    t.set_probe_kind(ProbeKind::Simd);
-                }
-                if let Some(w) = pb {
-                    t.set_prefetch_batch(w);
-                }
+                t.set_probe_kind(kind);
                 Box::new(t)
             }
         })
     }
 
-    /// Unbudgeted chained table sized like the dynamic factories of §6: a
+    /// Unbudgeted chained table sized by the dynamic convention of §6: a
     /// `2^(bits-1)` directory tracked against a `2^bits` nominal capacity,
     /// keeping its footprint comparable to the open-addressing schemes.
     fn unbudgeted_chained8<H: HashFamily>(&self) -> ChainedTable8<H> {
@@ -732,17 +674,13 @@ impl TableFactory for TableBuilder {
         .expect("unbudgeted static build cannot fail")
     }
 
-    fn scheme_name(&self) -> &'static str {
-        self.scheme.name()
-    }
-
     /// The same description re-homed onto the scheme backing `choice` —
     /// how [`DynamicTable::switch_to`] obtains the target generation's
     /// factory. Mirrors [`TableBuilder::for_profile`]'s choice → scheme
     /// mapping: the fingerprint table is built with its SIMD tag scan on
     /// (the graph recommends FP *for* that filter), every other target
-    /// keeps the builder's SIMD toggle, and the hash family, seed, and
-    /// prefetch window carry over unchanged.
+    /// keeps the builder's SIMD toggle, and the hash family and seed carry
+    /// over unchanged.
     fn for_choice(&self, choice: TableChoice) -> Option<Self> {
         let (scheme, simd) = match choice {
             TableChoice::LPMult => (TableScheme::LinearProbing, self.simd),
@@ -780,7 +718,7 @@ impl TableFactory for TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests_common::{check_against_model, check_batch_matches_single};
+    use crate::tests_common::check_against_model;
     use crate::InsertOutcome;
 
     #[test]
@@ -1025,16 +963,6 @@ mod tests {
         assert_eq!(TableBuilder::new(TableScheme::LinearProbing).concurrency(1).shard_bits(), 2);
         assert_eq!(TableBuilder::new(TableScheme::LinearProbing).concurrency(4).shard_bits(), 4);
         assert_eq!(TableBuilder::new(TableScheme::LinearProbing).concurrency(999).shard_bits(), 8);
-    }
-
-    #[test]
-    fn prefetch_batch_knob_reaches_open_addressing_schemes() {
-        // The knob must not change observable behaviour, only the window.
-        for scheme in TableScheme::ALL {
-            let mut narrow = TableBuilder::new(scheme).bits(10).seed(2).prefetch_batch(4).build();
-            let mut wide = TableBuilder::new(scheme).bits(10).seed(2).prefetch_batch(64).build();
-            check_batch_matches_single(&mut narrow, &mut wide, 0x9F37);
-        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! four ≈ 97% (Fotakis et al.), and the paper needs load factors up to
 //! 90%. The `K = 2, 3` variants back the threshold ablation.
 
-use crate::simd::{clamp_prefetch_batch, prefetch_read, MAX_PREFETCH_BATCH, PREFETCH_BATCH};
+use crate::open_addressing::two_pass;
+use crate::simd::prefetch_read;
 use crate::{check_capacity_bits, is_reserved_key, HashTable, InsertOutcome, Pair, TableError};
 use hashfn::HashFamily;
 use rand::{rngs::StdRng, SeedableRng};
@@ -42,11 +43,22 @@ pub struct Cuckoo<H: HashFamily, const K: usize> {
     max_kicks: usize,
     max_rehash_attempts: usize,
     rehash_count: usize,
-    prefetch_batch: usize,
     rng: StdRng,
     /// Scratch trace of kick-chain positions, so a failed chain can be
     /// unwound to restore the exact pre-insert placement.
     kick_trace: Vec<usize>,
+}
+
+/// A key's candidate slot per sub-table, as the batch driver carries it
+/// from the prefetch pass to the probe pass (`[usize; K]` has no `Default`
+/// for a generic `K`).
+#[derive(Clone, Copy)]
+struct Candidates<const K: usize>([usize; K]);
+
+impl<const K: usize> Default for Candidates<K> {
+    fn default() -> Self {
+        Self([0; K])
+    }
 }
 
 /// Cuckoo hashing on two sub-tables (stable only below ~50% load).
@@ -78,7 +90,6 @@ impl<H: HashFamily, const K: usize> Cuckoo<H, K> {
             max_kicks: DEFAULT_MAX_KICKS,
             max_rehash_attempts: DEFAULT_MAX_REHASH_ATTEMPTS,
             rehash_count: 0,
-            prefetch_batch: PREFETCH_BATCH,
             rng,
             kick_trace: Vec::with_capacity(DEFAULT_MAX_KICKS),
         }
@@ -92,17 +103,6 @@ impl<H: HashFamily, const K: usize> Cuckoo<H, K> {
     /// Override the rehash-attempt bound.
     pub fn set_max_rehash_attempts(&mut self, attempts: usize) {
         self.max_rehash_attempts = attempts;
-    }
-
-    /// Set the hash-and-prefetch window of the batch operations (clamped
-    /// to `1..=`[`MAX_PREFETCH_BATCH`]; default [`PREFETCH_BATCH`]).
-    pub fn set_prefetch_batch(&mut self, window: usize) {
-        self.prefetch_batch = clamp_prefetch_batch(window);
-    }
-
-    /// The batch prefetch window in use.
-    pub fn prefetch_batch(&self) -> usize {
-        self.prefetch_batch
     }
 
     /// How many full-table rehashes (function resamplings) have happened.
@@ -122,6 +122,17 @@ impl<H: HashFamily, const K: usize> Cuckoo<H, K> {
         let h = self.hashes[t].hash(key);
         let idx = ((h as u128 * self.sub_size as u128) >> 64) as usize;
         t * self.sub_size + idx
+    }
+
+    /// Pass 1 of the batch operations: `key`'s candidate slot in every
+    /// sub-table, each prefetched.
+    #[inline(always)]
+    fn prefetch_candidates(&self, key: u64) -> Candidates<K> {
+        Candidates(std::array::from_fn(|t| {
+            let slot = self.slot_of(t, key);
+            prefetch_read(&self.slots[slot] as *const Pair);
+            slot
+        }))
     }
 
     /// Direct slot access for statistics and tests.
@@ -290,7 +301,6 @@ impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
     }
 
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        assert_eq!(keys.len(), out.len(), "lookup_batch: keys and out lengths differ");
         // Cuckoo is where batching shines brightest: each key has K
         // *independent* candidate lines. Pass 1 hashes the window and
         // prefetches the primary bucket (sub-table 0) *and* every
@@ -299,35 +309,18 @@ impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
         // primary-only prefetch would serialize exactly the misses that
         // dominate at high load, where most entries sit in sub-tables
         // 1..K after kick-outs.)
-        let window = self.prefetch_batch;
-        let mut cand = [[0usize; K]; MAX_PREFETCH_BATCH];
-        for (kc, oc) in keys.chunks(window).zip(out.chunks_mut(window)) {
-            for (c, &k) in cand.iter_mut().zip(kc) {
-                for (t, slot) in c.iter_mut().enumerate() {
-                    *slot = self.slot_of(t, k);
-                    prefetch_read(&self.slots[*slot] as *const Pair);
-                }
+        two_pass(self, keys, out, Self::prefetch_candidates, |t, k, cand| {
+            if is_reserved_key(k) {
+                return None;
             }
-            for ((o, &k), c) in oc.iter_mut().zip(kc).zip(&cand) {
-                if is_reserved_key(k) {
-                    *o = None;
-                    continue;
-                }
-                // Primary bucket first — inserts try sub-table 0 before
-                // kicking, so it resolves the majority of hits...
-                let primary = &self.slots[c[0]];
-                *o = if primary.key == k {
-                    Some(primary.value)
-                } else {
-                    // ...and the second hop walks the (already prefetched)
-                    // alternates.
-                    c[1..].iter().find_map(|&pos| {
-                        let slot = &self.slots[pos];
-                        (slot.key == k).then_some(slot.value)
-                    })
-                };
-            }
-        }
+            // Primary bucket first — inserts try sub-table 0 before
+            // kicking, so it resolves the majority of hits — then the
+            // (already prefetched) alternates.
+            cand.0.iter().find_map(|&pos| {
+                let slot = &t.slots[pos];
+                (slot.key == k).then_some(slot.value)
+            })
+        });
     }
 
     fn insert_batch(
@@ -335,43 +328,22 @@ impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
         items: &[(u64, u64)],
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        assert_eq!(items.len(), out.len(), "insert_batch: items and out lengths differ");
         // Prefetch-only pass: an insert can resample every hash function
         // (full rehash on a cycle), so candidate slots cannot be reused
         // across elements — but warming the K lines each insert touches
         // first still overlaps the misses of the common no-kick case.
-        let window = self.prefetch_batch;
-        let mut ichunks = items.chunks(window);
-        let mut ochunks = out.chunks_mut(window);
-        while let (Some(ic), Some(oc)) = (ichunks.next(), ochunks.next()) {
-            for &(k, _) in ic {
-                for t in 0..K {
-                    prefetch_read(&self.slots[self.slot_of(t, k)] as *const Pair);
-                }
-            }
-            for (o, &(k, v)) in oc.iter_mut().zip(ic) {
-                *o = self.insert(k, v);
-            }
-        }
+        two_pass(
+            self,
+            items,
+            out,
+            |t, (k, _)| t.prefetch_candidates(k),
+            |t, (k, v), _| t.insert(k, v),
+        );
     }
 
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        // Deletes never rehash, so candidates stay valid across the
-        // window; prefetch all K lines per key, then delete.
-        assert_eq!(keys.len(), out.len(), "delete_batch: keys and out lengths differ");
-        let window = self.prefetch_batch;
-        let mut kchunks = keys.chunks(window);
-        let mut ochunks = out.chunks_mut(window);
-        while let (Some(kc), Some(oc)) = (kchunks.next(), ochunks.next()) {
-            for &k in kc {
-                for t in 0..K {
-                    prefetch_read(&self.slots[self.slot_of(t, k)] as *const Pair);
-                }
-            }
-            for (o, &k) in oc.iter_mut().zip(kc) {
-                *o = self.delete(k);
-            }
-        }
+        // Deletes never rehash; prefetch all K lines per key, then delete.
+        two_pass(self, keys, out, Self::prefetch_candidates, |t, k, _| t.delete(k));
     }
 
     fn len(&self) -> usize {

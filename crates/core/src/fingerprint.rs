@@ -38,11 +38,8 @@
 //! groups probe more often, larger ones scan scalar (no single-register
 //! compare) and evict more payload per miss.
 
-use crate::linear_probing::{two_pass_batch, two_pass_insert_batch};
-use crate::simd::{
-    clamp_prefetch_batch, prefetch_read, scan_tags, ProbeKind, TagScan, EMPTY_TAG, PREFETCH_BATCH,
-    TOMBSTONE_TAG,
-};
+use crate::open_addressing::{two_pass, LoadMode, Plain, Volatile};
+use crate::simd::{prefetch_read, scan_tags, ProbeKind, TagScan, EMPTY_TAG, TOMBSTONE_TAG};
 use crate::{
     check_capacity_bits, is_reserved_key, HashTable, InsertOutcome, TableError, EMPTY_KEY,
 };
@@ -84,7 +81,6 @@ pub struct FingerprintTable<H: HashFn64, const GROUP: usize = GROUP_SLOTS> {
     len: usize,
     tombstones: usize,
     probe_kind: ProbeKind,
-    pub(crate) prefetch_batch: usize,
 }
 
 impl<H: HashFamily, const GROUP: usize> FingerprintTable<H, GROUP> {
@@ -122,7 +118,6 @@ impl<H: HashFn64, const GROUP: usize> FingerprintTable<H, GROUP> {
             len: 0,
             tombstones: 0,
             probe_kind: ProbeKind::Scalar,
-            prefetch_batch: PREFETCH_BATCH,
         }
     }
 
@@ -134,18 +129,6 @@ impl<H: HashFn64, const GROUP: usize> FingerprintTable<H, GROUP> {
     /// The probe kind in use.
     pub fn probe_kind(&self) -> ProbeKind {
         self.probe_kind
-    }
-
-    /// Set the hash-and-prefetch window of the batch operations (clamped
-    /// to `1..=`[`crate::simd::MAX_PREFETCH_BATCH`]; default
-    /// [`PREFETCH_BATCH`]).
-    pub fn set_prefetch_batch(&mut self, window: usize) {
-        self.prefetch_batch = clamp_prefetch_batch(window);
-    }
-
-    /// The batch prefetch window in use.
-    pub fn prefetch_batch(&self) -> usize {
-        self.prefetch_batch
     }
 
     /// The hash function in use.
@@ -174,17 +157,13 @@ impl<H: HashFn64, const GROUP: usize> FingerprintTable<H, GROUP> {
         (fold_to_bits(h, group_bits), (h & 0x7F) as u8)
     }
 
-    /// Packed form of [`FingerprintTable::home`] for the batch macros:
-    /// `group << 7 | fingerprint` (the tag is 7 bits), so one
-    /// precomputed `usize` carries everything pass 2 needs. The group
-    /// index needs `bits - log2(GROUP)` bits, so the packing fits any
-    /// table constructible on the target — even 32-bit address spaces
-    /// run out of memory for the payload long before `group << 7` can
-    /// overflow `usize`.
+    /// Pass 1 of the batch operations: hash `key` and prefetch its home
+    /// group's tag line (harmless for the never-probed reserved keys).
     #[inline(always)]
-    fn packed_home(&self, key: u64) -> usize {
+    fn prepare(&self, key: u64) -> (usize, u8) {
         let (group, tag) = self.home(key);
-        group << 7 | tag as usize
+        prefetch_read(&self.tags[group * GROUP] as *const u8);
+        (group, tag)
     }
 
     #[inline(always)]
@@ -267,15 +246,16 @@ impl<H: HashFn64, const GROUP: usize> FingerprintTable<H, GROUP> {
         self.len += 1;
     }
 
-    /// [`HashTable::insert`] body with a precomputed home group and
-    /// fingerprint; `key` must not be reserved.
+    /// [`HashTable::insert`] with a precomputed home group and fingerprint.
     fn insert_from(
         &mut self,
-        home_group: usize,
-        tag: u8,
+        (home_group, tag): (usize, u8),
         key: u64,
         value: u64,
     ) -> Result<InsertOutcome, TableError> {
+        if is_reserved_key(key) {
+            return Err(TableError::ReservedKey);
+        }
         match self.probe(home_group, tag, key) {
             Probe::Found { slot, .. } => {
                 let old = std::mem::replace(&mut self.values[slot], value);
@@ -303,19 +283,90 @@ impl<H: HashFn64, const GROUP: usize> FingerprintTable<H, GROUP> {
         }
     }
 
-    /// [`HashTable::lookup`] body with a precomputed home group and
-    /// fingerprint.
-    #[inline]
-    fn lookup_from(&self, home_group: usize, tag: u8, key: u64) -> Option<u64> {
-        match self.probe(home_group, tag, key) {
-            Probe::Found { slot, .. } => Some(self.values[slot]),
-            _ => None,
+    /// The lookup kernel: probe group by group from `home_group` until
+    /// `key`, a group with an EMPTY tag, or every group has been scanned.
+    /// Returns the value if found, and the number of *groups* examined —
+    /// one tag scan is one step, matching what a miss actually costs.
+    ///
+    /// Tag, key and value are loaded at different instants, so under
+    /// [`Volatile`] any torn combination implies a racing writer, which
+    /// the caller's seqlock validation detects.
+    ///
+    /// # Safety
+    /// `home_group <= group_mask`. Under [`Volatile`] the arrays may be
+    /// concurrently written (the answer is then only a candidate for the
+    /// caller's validation); under [`Plain`] they must not be.
+    #[inline(always)]
+    unsafe fn lookup_kernel<M: LoadMode>(
+        &self,
+        (home_group, tag): (usize, u8),
+        key: u64,
+    ) -> (Option<u64>, usize) {
+        let (tags, keys, values) = (self.tags.as_ptr(), self.keys.as_ptr(), self.values.as_ptr());
+        let mut group = home_group;
+        for examined in 1..=self.group_mask + 1 {
+            let base = group * GROUP;
+            // SAFETY: in-bounds — `group <= group_mask`, so the GROUP tags
+            // from `base` lie inside the arrays (none of which is ever
+            // reallocated), and `lane < GROUP` because `scan_tags` sets
+            // one bit per scanned tag. Termination — the loop is bounded
+            // by the group count, not by "some group has an EMPTY".
+            // Raced data is only compared and returned.
+            let group_tags: [u8; GROUP] = unsafe { M::load(tags.add(base).cast()) };
+            let scan = scan_tags(&group_tags, tag, self.probe_kind);
+            // Tag matches are candidates; the key array arbitrates.
+            let mut m = scan.matches;
+            while m != 0 {
+                let slot = base + m.trailing_zeros() as usize;
+                // SAFETY: `slot < base + GROUP`, see above.
+                if unsafe { M::load(keys.add(slot)) } == key {
+                    // SAFETY: same slot.
+                    return (Some(unsafe { M::load(values.add(slot)) }), examined);
+                }
+                m &= m - 1;
+            }
+            if scan.empties != 0 {
+                return (None, examined);
+            }
+            group = (group + 1) & self.group_mask;
         }
+        (None, self.group_mask + 1)
     }
 
-    /// [`HashTable::delete`] body with a precomputed home group and
-    /// fingerprint.
-    fn delete_from(&mut self, home_group: usize, tag: u8, key: u64) -> Option<u64> {
+    /// [`HashTable::lookup`] with a precomputed home group and fingerprint,
+    /// in load mode `M`. Reserved keys miss without a probe.
+    ///
+    /// # Safety
+    /// As [`FingerprintTable::lookup_kernel`]; `home` must come from
+    /// [`FingerprintTable::home`].
+    #[inline(always)]
+    unsafe fn lookup_from<M: LoadMode>(&self, home: (usize, u8), key: u64) -> Option<u64> {
+        if is_reserved_key(key) {
+            return None;
+        }
+        // SAFETY: the caller's contract, passed through.
+        unsafe { self.lookup_kernel::<M>(home, key).0 }
+    }
+
+    /// [`HashTable::lookup_batch`] in load mode `M`: the locked and the
+    /// lock-free batch are this one function.
+    ///
+    /// # Safety
+    /// As [`FingerprintTable::lookup_kernel`].
+    #[inline(always)]
+    unsafe fn lookup_batch_in<M: LoadMode>(&self, keys: &[u64], out: &mut [Option<u64>]) {
+        two_pass(self, keys, out, Self::prepare, |t, k, home| {
+            // SAFETY: `prepare` returns `home(k)`; the rest is the caller's
+            // contract.
+            unsafe { t.lookup_from::<M>(home, k) }
+        });
+    }
+
+    /// [`HashTable::delete`] with a precomputed home group and fingerprint.
+    fn delete_from(&mut self, (home_group, tag): (usize, u8), key: u64) -> Option<u64> {
+        if is_reserved_key(key) {
+            return None;
+        }
         let Probe::Found { slot, group_empties } = self.probe(home_group, tag, key) else {
             return None;
         };
@@ -340,70 +391,30 @@ impl<H: HashFn64, const GROUP: usize> FingerprintTable<H, GROUP> {
 
 impl<H: HashFn64, const GROUP: usize> HashTable for FingerprintTable<H, GROUP> {
     fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        if is_reserved_key(key) {
-            return Err(TableError::ReservedKey);
-        }
-        let (group, tag) = self.home(key);
-        self.insert_from(group, tag, key, value)
+        self.insert_from(self.home(key), key, value)
     }
 
     #[inline]
     fn lookup(&self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        let (group, tag) = self.home(key);
-        self.lookup_from(group, tag, key)
+        // SAFETY: `&self` — no writer.
+        unsafe { self.lookup_from::<Plain>(self.home(key), key) }
     }
 
     fn lookup_probed(&self, key: u64) -> (Option<u64>, usize) {
         if is_reserved_key(key) {
             return (None, 1);
         }
-        // Probe unit here is 16-slot *groups*, not slots — one tag scan
-        // is one step, matching what a miss actually costs.
-        let (home_group, tag) = self.home(key);
-        let mut group = home_group;
-        for i in 0..=self.group_mask {
-            let base = group * GROUP;
-            let scan = self.group_scan(group, tag);
-            let mut m = scan.matches;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                if self.keys[base + lane] == key {
-                    return (Some(self.values[base + lane]), i + 1);
-                }
-                m &= m - 1;
-            }
-            if scan.empties != 0 {
-                return (None, i + 1);
-            }
-            group = (group + 1) & self.group_mask;
-        }
-        (None, self.group_mask + 1)
+        // SAFETY: `&self` — no writer.
+        unsafe { self.lookup_kernel::<Plain>(self.home(key), key) }
     }
 
     fn delete(&mut self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        let (group, tag) = self.home(key);
-        self.delete_from(group, tag, key)
+        self.delete_from(self.home(key), key)
     }
 
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.packed_home(k),
-            |t: &Self, h: usize| &t.tags[(h >> 7) * GROUP] as *const u8,
-            |t: &Self, h: usize, k| if is_reserved_key(k) {
-                None
-            } else {
-                t.lookup_from(h >> 7, (h & 0x7F) as u8, k)
-            }
-        );
+        // SAFETY: `&self` — no writer.
+        unsafe { self.lookup_batch_in::<Plain>(keys, out) }
     }
 
     fn insert_batch(
@@ -411,29 +422,12 @@ impl<H: HashFn64, const GROUP: usize> HashTable for FingerprintTable<H, GROUP> {
         items: &[(u64, u64)],
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        two_pass_insert_batch!(
-            self,
-            items,
-            out,
-            |t: &Self, k| t.packed_home(k),
-            |t: &Self, h: usize| &t.tags[(h >> 7) * GROUP] as *const u8,
-            |t: &mut Self, h: usize, k, v| t.insert_from(h >> 7, (h & 0x7F) as u8, k, v)
-        );
+        let prepare = |t: &Self, (k, _)| t.prepare(k);
+        two_pass(self, items, out, prepare, |t, (k, v), home| t.insert_from(home, k, v));
     }
 
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.packed_home(k),
-            |t: &Self, h: usize| &t.tags[(h >> 7) * GROUP] as *const u8,
-            |t: &mut Self, h: usize, k| if is_reserved_key(k) {
-                None
-            } else {
-                t.delete_from(h >> 7, (h & 0x7F) as u8, k)
-            }
-        );
+        two_pass(self, keys, out, Self::prepare, |t, k, home| t.delete_from(home, k));
     }
 
     fn len(&self) -> usize {
@@ -469,49 +463,17 @@ impl<H: HashFn64, const GROUP: usize> HashTable for FingerprintTable<H, GROUP> {
 }
 
 /// None of the three arrays moves after construction (`rehash_in_place`
-/// rebuilds inside the existing allocations). The optimistic probe
-/// volatile-copies each group's tags to a stack buffer, classifies the
-/// copy with the configured [`scan_tags`] kernel (SSE2 or scalar), then
-/// arbitrates candidate lanes with volatile key reads — tag, key and
-/// value are read at different instants, so any torn combination implies
-/// a racing writer, which the caller's seqlock validation detects. The
-/// loop is bounded by the group count, never by the "some group has an
-/// empty" invariant.
+/// rebuilds inside the existing allocations), so the lock-free batch is
+/// the locked one with volatile loads in the group kernel.
 impl<H: HashFn64, const GROUP: usize> crate::optimistic::ReadView for FingerprintTable<H, GROUP> {
     fn supports_optimistic(&self) -> bool {
         true
     }
 
-    unsafe fn lookup_optimistic(&self, key: u64) -> Option<Option<u64>> {
-        if is_reserved_key(key) {
-            return Some(None);
-        }
-        let (home_group, tag) = self.home(key);
-        let tags_base = self.tags.as_ptr();
-        let keys_base = self.keys.as_ptr();
-        let values_base = self.values.as_ptr();
-        let mut buf = [EMPTY_TAG; 32]; // GROUP is const-asserted ≤ 32
-        let mut group = home_group;
-        for _ in 0..=self.group_mask {
-            let base = group * GROUP;
-            for (i, b) in buf[..GROUP].iter_mut().enumerate() {
-                *b = std::ptr::read_volatile(tags_base.add(base + i));
-            }
-            let scan = scan_tags(&buf[..GROUP], tag, self.probe_kind);
-            let mut m = scan.matches;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                if std::ptr::read_volatile(keys_base.add(base + lane)) == key {
-                    return Some(Some(std::ptr::read_volatile(values_base.add(base + lane))));
-                }
-                m &= m - 1;
-            }
-            if scan.empties != 0 {
-                return Some(None);
-            }
-            group = (group + 1) & self.group_mask;
-        }
-        Some(None)
+    unsafe fn lookup_batch_optimistic(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
+        // SAFETY: the caller keeps the table alive and validates.
+        unsafe { self.lookup_batch_in::<Volatile>(keys, out) };
+        true
     }
 }
 

@@ -8,9 +8,9 @@
 //! |---|---|---|
 //! | [`ChainedTable8`]  | ChainedH8  | directory of 8-byte links; all entries in a slab |
 //! | [`ChainedTable24`] | ChainedH24 | 24-byte directory entries with inline first element |
-//! | [`LinearProbing`]  | LP | open addressing, step 1, optimized tombstones |
-//! | [`LinearProbingSoA`] | LP (SoA layout) | as LP, keys/values in split arrays |
-//! | [`QuadraticProbing`] | QP | triangular probing `h + i(i+1)/2`, full slot coverage |
+//! | [`LinearProbing`]  | LP | [`OpenAddressing`]`<H, Aos, Linear>`: step 1, optimized tombstones |
+//! | [`LinearProbingSoA`] | LP (SoA layout) | [`OpenAddressing`]`<H, Soa, Linear>`: as LP, keys/values in split arrays |
+//! | [`QuadraticProbing`] | QP | [`OpenAddressing`]`<H, Aos, Triangular>`: `h + i(i+1)/2`, full slot coverage, always-tombstone deletes |
 //! | [`RobinHood`] | RH | LP + displacement-ordered clusters, cache-line early abort, backward-shift deletes |
 //! | [`Cuckoo`] | CuckooH2/3/4 | k independently hashed sub-tables, kick-out chains, rehash on failure |
 //! | [`FingerprintTable`] | FP (beyond the paper) | bucketized 16-slot groups over a 1-byte tag array, SSE2 group probing |
@@ -31,9 +31,12 @@
 //!
 //! Open-addressing tables default to array-of-structs (AoS) — interleaved
 //! 16-byte key/value pairs — which the paper found superior in most cases
-//! (§7). [`LinearProbingSoA`] provides the struct-of-arrays alternative,
-//! and both layouts have AVX2-accelerated probing variants (see [`simd`])
-//! used by the Figure 7 reproduction.
+//! (§7). Layout and probe sequence are independent type parameters of
+//! [`OpenAddressing`] ([`open_addressing::Aos`] / [`open_addressing::Soa`]
+//! × [`open_addressing::Linear`] / [`open_addressing::Triangular`]);
+//! [`LinearProbingSoA`] names the struct-of-arrays cell, and both linear
+//! layouts have AVX2-accelerated probing variants (see [`simd`]) used by
+//! the Figure 7 reproduction.
 
 pub mod budget;
 pub mod builder;
@@ -45,6 +48,7 @@ pub mod entries;
 pub mod fingerprint;
 pub mod linear_probing;
 pub mod lp_soa;
+pub mod open_addressing;
 pub mod optimistic;
 pub mod quadratic;
 pub mod robin_hood;
@@ -60,14 +64,12 @@ pub use builder::{profile_choice, BoxedTable, FsyncPolicy, HashKind, TableBuilde
 pub use chained::{ChainedTable24, ChainedTable8};
 pub use cuckoo::Cuckoo;
 pub use decision::{recommend, TableChoice, WorkloadProfile};
-pub use dynamic::{
-    AdaptiveConfig, Chained24Factory, Chained8Factory, CuckooFactory, DynamicTable, GrowthPolicy,
-    LpFactory, LpSoAFactory, MigrationPolicy, QpFactory, RhFactory, TableFactory,
-};
+pub use dynamic::{AdaptiveConfig, DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};
 pub use entries::EntrySnapshot;
 pub use fingerprint::{FingerprintTable, GROUP_SLOTS};
-pub use linear_probing::{DeleteStrategy, LinearProbing};
+pub use linear_probing::LinearProbing;
 pub use lp_soa::LinearProbingSoA;
+pub use open_addressing::OpenAddressing;
 pub use optimistic::{ReadView, OPTIMISTIC_RETRIES};
 pub use quadratic::QuadraticProbing;
 pub use robin_hood::{RhLookupMode, RobinHood};

@@ -7,566 +7,23 @@
 //! factors; primary clustering makes it degrade beyond ~60–70%, and
 //! unsuccessful lookups must scan whole clusters.
 //!
-//! Deletion follows the paper's tuned strategy: a tombstone is placed
-//! *only if the next slot is occupied* — i.e. only when removing the entry
-//! would otherwise disconnect a cluster; if the next slot is empty the slot
-//! is simply cleared. Inserts recycle the first tombstone found on their
-//! probe path after confirming the key is absent.
+//! The implementation is the [`Aos`] × [`Linear`] cell of
+//! [`OpenAddressing`] — see [`crate::open_addressing`] for the probe
+//! kernel and the deletion rule.
 
-use crate::simd::{
-    clamp_prefetch_batch, prefetch_read, scan_pairs, ProbeKind, ScanOutcome, PREFETCH_BATCH,
-};
-use crate::{
-    check_capacity_bits, home_slot, is_reserved_key, HashTable, InsertOutcome, Pair, TableError,
-};
-use hashfn::{HashFamily, HashFn64};
-
-/// How [`HashTable::delete`] removes an entry from a linear-probing table
-/// (paper §2.2 evaluates both).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DeleteStrategy {
-    /// Optimized tombstones — the strategy the paper selected for its
-    /// experiments: tombstone only when the cluster continues past the
-    /// deleted slot, clear otherwise.
-    #[default]
-    Tombstone,
-    /// Partial cluster rehash: clear the slot, then re-insert every
-    /// following entry of the cluster. Slower per delete but leaves the
-    /// table tombstone-free, so it never degrades future lookups. Backs
-    /// the deletion-strategy ablation.
-    Rehash,
-}
+use crate::open_addressing::{Aos, Linear, OpenAddressing};
 
 /// Linear probing over an array-of-structs slot array.
 ///
 /// `LPMult` in the paper is `LinearProbing<MultShift>`, `LPMurmur` is
 /// `LinearProbing<Murmur>`.
-#[derive(Clone)]
-pub struct LinearProbing<H: HashFn64> {
-    pub(crate) slots: Box<[Pair]>,
-    pub(crate) bits: u8,
-    pub(crate) mask: usize,
-    pub(crate) hash: H,
-    len: usize,
-    tombstones: usize,
-    probe_kind: ProbeKind,
-    delete_strategy: DeleteStrategy,
-    pub(crate) prefetch_batch: usize,
-}
-
-impl<H: HashFamily> LinearProbing<H> {
-    /// Create a table with `2^bits` slots and a hash function drawn from
-    /// seed `seed`.
-    pub fn with_seed(bits: u8, seed: u64) -> Self {
-        Self::with_hash(bits, H::from_seed(seed))
-    }
-
-    /// Like [`LinearProbing::with_seed`], but probing compares four keys
-    /// per step with AVX2 where available (paper §7, "LPAoSMultSIMD").
-    pub fn with_seed_simd(bits: u8, seed: u64) -> Self {
-        let mut t = Self::with_hash(bits, H::from_seed(seed));
-        t.probe_kind = ProbeKind::Simd;
-        t
-    }
-}
-
-impl<H: HashFn64> LinearProbing<H> {
-    /// Create a table with `2^bits` slots using an explicit hash function.
-    pub fn with_hash(bits: u8, hash: H) -> Self {
-        let cap = check_capacity_bits(bits);
-        Self {
-            slots: vec![Pair::empty(); cap].into_boxed_slice(),
-            bits,
-            mask: cap - 1,
-            hash,
-            len: 0,
-            tombstones: 0,
-            probe_kind: ProbeKind::Scalar,
-            delete_strategy: DeleteStrategy::default(),
-            prefetch_batch: PREFETCH_BATCH,
-        }
-    }
-
-    /// Switch between scalar and SIMD probing.
-    pub fn set_probe_kind(&mut self, kind: ProbeKind) {
-        self.probe_kind = kind;
-    }
-
-    /// Set the hash-and-prefetch window of the batch operations (clamped
-    /// to `1..=`[`crate::simd::MAX_PREFETCH_BATCH`]; default
-    /// [`PREFETCH_BATCH`]).
-    pub fn set_prefetch_batch(&mut self, window: usize) {
-        self.prefetch_batch = clamp_prefetch_batch(window);
-    }
-
-    /// The batch prefetch window in use.
-    pub fn prefetch_batch(&self) -> usize {
-        self.prefetch_batch
-    }
-
-    /// The probe kind in use.
-    pub fn probe_kind(&self) -> ProbeKind {
-        self.probe_kind
-    }
-
-    /// Choose how [`HashTable::delete`] removes entries (default:
-    /// optimized tombstones, the paper's pick).
-    pub fn set_delete_strategy(&mut self, strategy: DeleteStrategy) {
-        self.delete_strategy = strategy;
-    }
-
-    /// The deletion strategy in use.
-    pub fn delete_strategy(&self) -> DeleteStrategy {
-        self.delete_strategy
-    }
-
-    /// The hash function in use.
-    #[inline]
-    pub fn hash_fn(&self) -> &H {
-        &self.hash
-    }
-
-    /// Home slot of `key`.
-    #[inline(always)]
-    pub(crate) fn home(&self, key: u64) -> usize {
-        home_slot(&self.hash, key, self.bits)
-    }
-
-    /// Number of tombstone slots currently in the table.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones
-    }
-
-    /// Direct slot access for statistics and tests.
-    pub fn raw_slots(&self) -> &[Pair] {
-        &self.slots
-    }
-
-    /// Rebuild the table in place (same capacity, same hash function),
-    /// dropping all tombstones — the paper's "shrink ... and perform a
-    /// rehash anyway" remedy after heavy deletion.
-    ///
-    /// Literally in place: live entries are snapshotted, the *existing*
-    /// slot array is cleared and refilled. The allocation never moves, so
-    /// optimistic readers (see [`crate::optimistic`]) holding a pointer
-    /// into it stay in-bounds for the table's whole lifetime.
-    pub fn rehash_in_place(&mut self) {
-        let live: Vec<Pair> = self.slots.iter().filter(|p| p.is_occupied()).copied().collect();
-        self.slots.fill(Pair::empty());
-        self.len = 0;
-        self.tombstones = 0;
-        for p in live {
-            // Re-inserting distinct keys into an equally-sized empty table
-            // cannot fail or replace.
-            let _ = self.insert(p.key, p.value);
-        }
-    }
-
-    /// Delete by **partial cluster rehash** (see
-    /// [`DeleteStrategy::Rehash`]); reached through the trait after
-    /// `set_delete_strategy(DeleteStrategy::Rehash)`. `home` must be
-    /// `self.home(key)` and `key` must not be reserved.
-    fn delete_rehash_from(&mut self, home: usize, key: u64) -> Option<u64> {
-        let pos = self.probe_from(home, key).ok()?;
-        let value = self.slots[pos].value;
-        self.slots[pos] = Pair::empty();
-        self.len -= 1;
-        // Re-place every entry between the hole and the end of the
-        // cluster. Tombstones encountered on the way can be dropped too —
-        // re-insertion rebuilds the chains they were keeping alive.
-        let mut cur = (pos + 1) & self.mask;
-        while !self.slots[cur].is_empty() {
-            let entry = self.slots[cur];
-            self.slots[cur] = Pair::empty();
-            if entry.is_tombstone() {
-                self.tombstones -= 1;
-            } else {
-                self.len -= 1;
-                let _ = self.insert(entry.key, entry.value);
-            }
-            cur = (cur + 1) & self.mask;
-        }
-        Some(value)
-    }
-
-    /// Insert via the full probe: used by the SIMD path and by the
-    /// boundary case where only one empty slot remains (a fresh key may
-    /// then only take a tombstone). `home` must be `self.home(key)`.
-    fn insert_slow(
-        &mut self,
-        home: usize,
-        key: u64,
-        value: u64,
-    ) -> Result<InsertOutcome, TableError> {
-        match self.probe_from(home, key) {
-            Ok(pos) => {
-                let old = std::mem::replace(&mut self.slots[pos].value, value);
-                Ok(InsertOutcome::Replaced(old))
-            }
-            // Scan exhausted the whole table (unreachable while the
-            // one-empty-slot invariant holds, kept defensively).
-            Err(usize::MAX) => self.reclaim_or_full(home, key, value),
-            Err(pos) => {
-                if self.slots[pos].is_tombstone() {
-                    self.tombstones -= 1;
-                } else if self.len + self.tombstones >= self.mask {
-                    // Filling the last empty slot would leave no probe
-                    // terminator; keep one slot free, as open-addressing
-                    // tables must. Tombstones elsewhere in the table are
-                    // reclaimable capacity, though: rehash them away and
-                    // retry before declaring the table full.
-                    return self.reclaim_or_full(home, key, value);
-                }
-                self.slots[pos] = Pair { key, value };
-                self.len += 1;
-                Ok(InsertOutcome::Inserted)
-            }
-        }
-    }
-
-    /// Blocked-insert remedy: if tombstones exist they are the reason the
-    /// probe found no usable slot — drop them all via
-    /// [`LinearProbing::rehash_in_place`] and retry (at most once, since
-    /// the rebuilt table is tombstone-free). Only a table genuinely full
-    /// of live keys reports [`TableError::TableFull`]. `home` stays valid
-    /// across the rehash: capacity and hash function are unchanged.
-    fn reclaim_or_full(
-        &mut self,
-        home: usize,
-        key: u64,
-        value: u64,
-    ) -> Result<InsertOutcome, TableError> {
-        if self.tombstones == 0 {
-            return Err(TableError::TableFull);
-        }
-        self.rehash_in_place();
-        self.insert_slow(home, key, value)
-    }
-
-    /// Probe for `key` starting at its home slot `home`: returns
-    /// `Ok(slot)` if found, or `Err(first_free)` where `first_free` is the
-    /// slot an insert should use (first tombstone on the path if any, else
-    /// the terminating empty slot).
-    ///
-    /// Returns `Err(usize::MAX)` if the probe wrapped the entire table
-    /// without finding key or empty slot (table saturated with
-    /// entries/tombstones and key absent).
-    #[inline]
-    fn probe_from(&self, home: usize, key: u64) -> Result<usize, usize> {
-        if self.probe_kind == ProbeKind::Simd {
-            let r = scan_pairs(&self.slots, home, key, ProbeKind::Simd);
-            return match r.outcome {
-                ScanOutcome::FoundKey(pos) => Ok(pos),
-                ScanOutcome::FoundEmpty(pos) => Err(r.first_tombstone.unwrap_or(pos)),
-                ScanOutcome::Exhausted => Err(r.first_tombstone.unwrap_or(usize::MAX)),
-            };
-        }
-        // Termination: `insert` maintains len + tombstones ≤ capacity − 1
-        // (non-empty slots never reach capacity), so an EMPTY slot always
-        // exists and the unguarded loop is safe.
-        let mut pos = home;
-        let mut first_tombstone = usize::MAX;
-        loop {
-            let slot = &self.slots[pos];
-            if slot.key == key {
-                return Ok(pos);
-            }
-            if slot.is_empty() {
-                return Err(if first_tombstone != usize::MAX { first_tombstone } else { pos });
-            }
-            if slot.is_tombstone() && first_tombstone == usize::MAX {
-                first_tombstone = pos;
-            }
-            pos = (pos + 1) & self.mask;
-        }
-    }
-
-    /// [`HashTable::insert`] body with a precomputed `home` slot; `key`
-    /// must not be reserved.
-    fn insert_from(
-        &mut self,
-        home: usize,
-        key: u64,
-        value: u64,
-    ) -> Result<InsertOutcome, TableError> {
-        if self.probe_kind == ProbeKind::Simd || self.len + self.tombstones >= self.mask {
-            return self.insert_slow(home, key, value);
-        }
-        // Hot path — more than one empty slot remains, so storing into an
-        // empty slot cannot violate the one-empty-terminator invariant and
-        // no capacity check is needed per probe. Empty-first ordering:
-        // fresh keys dominate insert workloads and usually land in or near
-        // their home slot ("low code complexity which allows for fast
-        // execution", §2.2).
-        let mut pos = home;
-        let mut first_tombstone = usize::MAX;
-        loop {
-            let slot = &self.slots[pos];
-            if slot.is_empty() {
-                if first_tombstone != usize::MAX {
-                    self.tombstones -= 1;
-                    pos = first_tombstone;
-                }
-                self.slots[pos] = Pair { key, value };
-                self.len += 1;
-                return Ok(InsertOutcome::Inserted);
-            }
-            if slot.key == key {
-                let old = std::mem::replace(&mut self.slots[pos].value, value);
-                return Ok(InsertOutcome::Replaced(old));
-            }
-            if slot.is_tombstone() && first_tombstone == usize::MAX {
-                first_tombstone = pos;
-            }
-            pos = (pos + 1) & self.mask;
-        }
-    }
-
-    /// [`HashTable::lookup`] body with a precomputed `home` slot; `key`
-    /// must not be reserved.
-    #[inline]
-    fn lookup_from(&self, home: usize, key: u64) -> Option<u64> {
-        if self.probe_kind == ProbeKind::Simd {
-            return match scan_pairs(&self.slots, home, key, ProbeKind::Simd).outcome {
-                ScanOutcome::FoundKey(pos) => Some(self.slots[pos].value),
-                _ => None,
-            };
-        }
-        let mut pos = home;
-        loop {
-            let slot = &self.slots[pos];
-            if slot.key == key {
-                return Some(slot.value);
-            }
-            if slot.is_empty() {
-                return None;
-            }
-            pos = (pos + 1) & self.mask;
-        }
-    }
-
-    /// [`HashTable::delete`] body with a precomputed `home` slot; `key`
-    /// must not be reserved. Dispatches on the configured
-    /// [`DeleteStrategy`].
-    fn delete_from(&mut self, home: usize, key: u64) -> Option<u64> {
-        if self.delete_strategy == DeleteStrategy::Rehash {
-            return self.delete_rehash_from(home, key);
-        }
-        let pos = self.probe_from(home, key).ok()?;
-        let value = self.slots[pos].value;
-        let next = (pos + 1) & self.mask;
-        // Optimized tombstones (§2.2): only keep the cluster connected when
-        // it actually continues past the deleted slot.
-        if self.slots[next].is_empty() {
-            self.slots[pos] = Pair::empty();
-        } else {
-            self.slots[pos] = Pair::tombstone();
-            self.tombstones += 1;
-        }
-        self.len -= 1;
-        Some(value)
-    }
-}
-
-/// Two-pass batch driver shared by the open-addressing tables: pass 1
-/// hashes a window of keys and prefetches each home cache line, pass 2
-/// probes from the precomputed homes — the misses of a whole window are
-/// then resolved in parallel by the memory subsystem instead of serially
-/// by the probe loop.
-///
-/// `$home(key)` must be pure and stay valid across `$op` (all LP/QP/RH
-/// remedies — tombstone writes, in-place rehashes — preserve the hash
-/// function and capacity, so it does).
-macro_rules! two_pass_batch {
-    ($self:ident, $keys:ident, $out:ident, $home:expr, $line:expr, $op:expr) => {{
-        assert_eq!($keys.len(), $out.len(), "batch: keys and out lengths differ");
-        let window = $self.prefetch_batch;
-        let mut homes = [0usize; crate::simd::MAX_PREFETCH_BATCH];
-        let mut kchunks = $keys.chunks(window);
-        let mut ochunks = $out.chunks_mut(window);
-        while let (Some(kc), Some(oc)) = (kchunks.next(), ochunks.next()) {
-            for (h, &k) in homes.iter_mut().zip(kc) {
-                // Reserved keys hash like any other; prefetching their
-                // (never probed) home line is harmless.
-                *h = $home($self, k);
-                prefetch_read($line($self, *h));
-            }
-            for ((o, &k), &h) in oc.iter_mut().zip(kc).zip(&homes) {
-                *o = $op($self, h, k);
-            }
-        }
-    }};
-}
-
-/// The insert twin of [`two_pass_batch`]: same hash-prefetch window, but
-/// items are `(key, value)` pairs and reserved keys report
-/// [`TableError::ReservedKey`] instead of `None`.
-macro_rules! two_pass_insert_batch {
-    ($self:ident, $items:ident, $out:ident, $home:expr, $line:expr, $op:expr) => {{
-        assert_eq!($items.len(), $out.len(), "insert_batch: items and out lengths differ");
-        let window = $self.prefetch_batch;
-        let mut homes = [0usize; crate::simd::MAX_PREFETCH_BATCH];
-        let mut ichunks = $items.chunks(window);
-        let mut ochunks = $out.chunks_mut(window);
-        while let (Some(ic), Some(oc)) = (ichunks.next(), ochunks.next()) {
-            for (h, &(k, _)) in homes.iter_mut().zip(ic) {
-                *h = $home($self, k);
-                prefetch_read($line($self, *h));
-            }
-            for ((o, &(k, v)), &h) in oc.iter_mut().zip(ic).zip(&homes) {
-                *o = if is_reserved_key(k) {
-                    Err(TableError::ReservedKey)
-                } else {
-                    $op($self, h, k, v)
-                };
-            }
-        }
-    }};
-}
-
-pub(crate) use {two_pass_batch, two_pass_insert_batch};
-
-impl<H: HashFn64> HashTable for LinearProbing<H> {
-    fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        if is_reserved_key(key) {
-            return Err(TableError::ReservedKey);
-        }
-        self.insert_from(self.home(key), key, value)
-    }
-
-    #[inline]
-    fn lookup(&self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        self.lookup_from(self.home(key), key)
-    }
-
-    fn lookup_probed(&self, key: u64) -> (Option<u64>, usize) {
-        if is_reserved_key(key) {
-            return (None, 1);
-        }
-        // Sampled instrumentation path: always the scalar walk (the SIMD
-        // kernel resolves whole windows, hiding per-slot steps), counting
-        // slots examined including the terminating one.
-        let mut pos = self.home(key);
-        let mut steps = 1usize;
-        loop {
-            let slot = &self.slots[pos];
-            if slot.key == key {
-                return (Some(slot.value), steps);
-            }
-            if slot.is_empty() {
-                return (None, steps);
-            }
-            pos = (pos + 1) & self.mask;
-            steps += 1;
-        }
-    }
-
-    fn delete(&mut self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        self.delete_from(self.home(key), key)
-    }
-
-    fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &Self, h, k| if is_reserved_key(k) { None } else { t.lookup_from(h, k) }
-        );
-    }
-
-    fn insert_batch(
-        &mut self,
-        items: &[(u64, u64)],
-        out: &mut [Result<InsertOutcome, TableError>],
-    ) {
-        two_pass_insert_batch!(
-            self,
-            items,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &mut Self, h, k, v| t.insert_from(h, k, v)
-        );
-    }
-
-    fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &mut Self, h, k| if is_reserved_key(k) { None } else { t.delete_from(h, k) }
-        );
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Pair>()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        for p in self.slots.iter().filter(|p| p.is_occupied()) {
-            f(p.key, p.value);
-        }
-    }
-
-    fn display_name(&self) -> String {
-        match self.probe_kind {
-            ProbeKind::Scalar => format!("LP{}", H::name()),
-            ProbeKind::Simd => format!("LP{}SIMD", H::name()),
-        }
-    }
-}
-
-/// The slot array never moves after construction (`rehash_in_place`
-/// rebuilds inside the existing allocation), so a lock-free reader's
-/// pointer into it stays valid; slot *contents* race and are read
-/// volatile, with garbage discarded by the caller's seqlock validation.
-impl<H: HashFn64> crate::optimistic::ReadView for LinearProbing<H> {
-    fn supports_optimistic(&self) -> bool {
-        true
-    }
-
-    unsafe fn lookup_optimistic(&self, key: u64) -> Option<Option<u64>> {
-        if is_reserved_key(key) {
-            return Some(None);
-        }
-        Some(crate::optimistic::probe_pairs_volatile(
-            &self.slots,
-            self.mask,
-            self.home(key),
-            key,
-            self.probe_kind,
-        ))
-    }
-}
-
-/// Make the lookup loop's termination explicit for the `EMPTY`-free edge
-/// case: `insert` always keeps at least one empty slot (see `TableFull`
-/// handling), so `lookup`'s unguarded loop always terminates.
-#[allow(dead_code)]
-const LOOKUP_TERMINATION_NOTE: () = ();
+pub type LinearProbing<H> = OpenAddressing<H, Aos, Linear>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests_common::*;
+    use crate::{HashTable, InsertOutcome, TableError};
     use hashfn::{MultShift, Murmur};
 
     fn table(bits: u8) -> LinearProbing<Murmur> {
@@ -765,86 +222,5 @@ mod tests {
         let mut a: LinearProbing<Murmur> = LinearProbing::with_seed_simd(9, 42);
         let mut b: LinearProbing<Murmur> = LinearProbing::with_seed_simd(9, 42);
         check_batch_matches_single(&mut a, &mut b, 0xBA7D);
-    }
-
-    #[test]
-    fn delete_rehash_leaves_no_tombstones() {
-        let mut t = table(8);
-        t.set_delete_strategy(DeleteStrategy::Rehash);
-        assert_eq!(t.delete_strategy(), DeleteStrategy::Rehash);
-        for k in 1..=150u64 {
-            t.insert(k, k).unwrap();
-        }
-        for k in (1..=150u64).step_by(3) {
-            assert_eq!(t.delete(k), Some(k));
-            assert_eq!(t.delete(k), None);
-        }
-        assert_eq!(t.tombstone_count(), 0, "rehash deletes never tombstone");
-        for k in 1..=150u64 {
-            let expect = if k % 3 == 1 { None } else { Some(k) };
-            assert_eq!(t.lookup(k), expect, "key {k}");
-        }
-    }
-
-    #[test]
-    fn delete_rehash_repairs_clusters() {
-        // All keys collide into one cluster (multiplier 1, small keys).
-        let mut t: LinearProbing<MultShift> = LinearProbing::with_hash(5, MultShift::new(1));
-        t.set_delete_strategy(DeleteStrategy::Rehash);
-        for k in 1..=10u64 {
-            t.insert(k, k * 10).unwrap();
-        }
-        // Delete from the middle: the cluster must close up and every
-        // remaining key stay reachable.
-        assert_eq!(t.delete(4), Some(40));
-        assert_eq!(t.delete(7), Some(70));
-        for k in [1u64, 2, 3, 5, 6, 8, 9, 10] {
-            assert_eq!(t.lookup(k), Some(k * 10), "key {k}");
-        }
-        assert_eq!(t.len(), 8);
-        assert_eq!(t.tombstone_count(), 0);
-    }
-
-    #[test]
-    fn delete_rehash_clears_existing_tombstones_in_cluster() {
-        let mut t: LinearProbing<MultShift> = LinearProbing::with_hash(5, MultShift::new(1));
-        for k in 1..=8u64 {
-            t.insert(k, k).unwrap();
-        }
-        t.delete(2); // tombstone (cluster continues)
-        assert_eq!(t.tombstone_count(), 1);
-        // A rehash-delete sweeping the cluster drops the tombstone too.
-        t.set_delete_strategy(DeleteStrategy::Rehash);
-        assert_eq!(t.delete(1), Some(1));
-        assert_eq!(t.tombstone_count(), 0);
-        for k in 3..=8u64 {
-            assert_eq!(t.lookup(k), Some(k));
-        }
-    }
-
-    #[test]
-    fn delete_rehash_matches_model_semantics() {
-        // Differential: tombstone-delete table vs rehash-delete table must
-        // agree on every observable.
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut a = table(8);
-        let mut b = table(8);
-        b.set_delete_strategy(DeleteStrategy::Rehash);
-        for step in 0..4000 {
-            let k = rng.gen_range(1..120u64);
-            match rng.gen_range(0..3u8) {
-                0 => {
-                    assert_eq!(a.insert(k, k), b.insert(k, k), "step {step}");
-                }
-                1 => {
-                    assert_eq!(a.delete(k), b.delete(k), "step {step}");
-                }
-                _ => {
-                    assert_eq!(a.lookup(k), b.lookup(k), "step {step}");
-                }
-            }
-            assert_eq!(a.len(), b.len(), "step {step}");
-        }
     }
 }

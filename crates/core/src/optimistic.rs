@@ -7,14 +7,32 @@
 //! unchanged and still even. A probe that raced a writer is simply
 //! discarded and retried (bounded), then falls back to the locked path.
 //!
-//! [`ReadView`] is what a table must provide for that to be sound:
-//! a probe that can run concurrently with a writer mutating the same
+//! [`ReadView`] is what a table must provide for that to be sound: a
+//! batch probe that can run concurrently with a writer mutating the same
 //! table, reading slot contents through [`std::ptr::read_volatile`] so a
 //! torn slot is only ever *data the validation step throws away*, never a
 //! pointer that gets dereferenced. The trait is a supertrait of
 //! [`HashTable`](crate::HashTable), with conservative defaults — a scheme
 //! that doesn't opt in simply reports `supports_optimistic() == false`
-//! and every read of it goes through the lock, exactly as before.
+//! and every read of it goes through the lock.
+//!
+//! The lock-free probe is not a second algorithm. The tombstone-discipline
+//! tables and Robin Hood instantiate the one capacity-bounded lookup
+//! kernel of [`crate::open_addressing`] with volatile loads, through the
+//! same hash-prefetch-probe batch driver their locked `lookup_batch`
+//! uses; the fingerprint table does the same with its group kernel. Whether
+//! a shard's reads are optimistic decides whether its mutex is taken, not
+//! which probe code runs.
+//!
+//! # Statistics
+//!
+//! A [`DynamicTable`](crate::DynamicTable) counts optimistic lookups in
+//! its [`TableStats`](crate::TableStats) like locked ones: once per
+//! sub-batch (two relaxed `fetch_add`s), after both generations were
+//! probed. The count is made before the caller validates, so an attempt
+//! the seqlock rejects is counted, and its retry — optimistic or locked —
+//! is counted again; in a quiescent table the counts are exact. Sampled
+//! probe lengths come from locked reads only.
 //!
 //! # What makes an implementation sound
 //!
@@ -52,141 +70,18 @@
 //! compromise: the values are discarded unless validation proves the race
 //! did not happen.
 
-use crate::simd::{scan_pairs, ProbeKind, ScanOutcome};
-use crate::Pair;
-
 /// Number of optimistic attempts before a reader falls back to the lock.
 pub const OPTIMISTIC_RETRIES: usize = 2;
-
-/// Slots copied per volatile window. A power of two, so every window
-/// slice handed to the scan kernels keeps their power-of-two length
-/// contract, and small enough to live on the stack (32 × 16 B = 512 B).
-const WINDOW: usize = 32;
-
-/// Slots copied in the *first* window. At moderate load almost every
-/// probe terminates within a handful of slots of home, so the first copy
-/// is kept small (8 × 16 B = 128 B) and only the rare long probe pays for
-/// full windows. Subsequent windows may re-cover up to
-/// `WINDOW - FIRST_WINDOW` already-scanned slots after wrapping — benign
-/// for a circular scan, and the stride still grows by ≥ `FIRST_WINDOW`
-/// per iteration, so termination stays capacity-bounded.
-const FIRST_WINDOW: usize = 8;
-
-/// Capacity-bounded optimistic probe over an AoS pair array (LP-family
-/// probe order: `home, home+1, …` circular): volatile-copy windows of
-/// slots into a stack buffer, then run the configured scan kernel —
-/// scalar or SIMD — on the private copy. Returns the candidate value if
-/// the snapshot contains `key`, `None` if the probe hit an empty slot or
-/// exhausted the table.
-///
-/// # Safety
-///
-/// `slots` may alias a concurrently mutating table (see the module docs);
-/// the caller must validate via the seqlock stamp before trusting the
-/// answer. `mask + 1` must equal `slots.len()` (a power of two).
-pub(crate) unsafe fn probe_pairs_volatile(
-    slots: &[Pair],
-    mask: usize,
-    home: usize,
-    key: u64,
-    kind: ProbeKind,
-) -> Option<u64> {
-    let cap = mask + 1;
-    let base = slots.as_ptr();
-    // First window: constant-size copy, fully overwritten before use, so
-    // the compiler unrolls it and elides any buffer initialization — the
-    // common short probe never touches the big staging buffer below.
-    let mut scanned = 0usize;
-    if cap >= FIRST_WINDOW {
-        let mut first = [Pair::empty(); FIRST_WINDOW];
-        for (i, b) in first.iter_mut().enumerate() {
-            *b = std::ptr::read_volatile(base.add((home + i) & mask));
-        }
-        // A circular scan of the private copy from 0 is a straight scan:
-        // the copy already starts at the probe position.
-        match scan_pairs(&first, 0, key, kind).outcome {
-            ScanOutcome::FoundKey(pos) => return Some(first[pos].value),
-            ScanOutcome::FoundEmpty(_) => return None,
-            ScanOutcome::Exhausted => {}
-        }
-        scanned = FIRST_WINDOW;
-    }
-    let w = WINDOW.min(cap);
-    let mut buf = [Pair::empty(); WINDOW];
-    // The loop advances by `w` masked slots per iteration and stops once
-    // `cap` slots are covered (the last window may re-cover up to
-    // `WINDOW - FIRST_WINDOW` already-scanned slots after wrapping —
-    // benign for a circular scan) — termination never depends on table
-    // invariants a racing writer could break.
-    while scanned < cap {
-        for (i, b) in buf[..w].iter_mut().enumerate() {
-            *b = std::ptr::read_volatile(base.add((home + scanned + i) & mask));
-        }
-        match scan_pairs(&buf[..w], 0, key, kind).outcome {
-            ScanOutcome::FoundKey(pos) => return Some(buf[pos].value),
-            ScanOutcome::FoundEmpty(_) => return None,
-            ScanOutcome::Exhausted => {}
-        }
-        scanned += w;
-    }
-    None
-}
-
-/// The SoA twin of [`probe_pairs_volatile`]: scans a dense key array and
-/// returns the *slot index* where the snapshot contains `key` (the caller
-/// volatile-reads the value array itself), or `None` for absent /
-/// exhausted.
-///
-/// # Safety
-///
-/// As [`probe_pairs_volatile`].
-pub(crate) unsafe fn probe_keys_volatile(
-    keys: &[u64],
-    mask: usize,
-    home: usize,
-    key: u64,
-    kind: ProbeKind,
-) -> Option<usize> {
-    use crate::simd::scan_keys;
-    let cap = mask + 1;
-    let base = keys.as_ptr();
-    let mut scanned = 0usize;
-    if cap >= FIRST_WINDOW {
-        let mut first = [0u64; FIRST_WINDOW];
-        for (i, b) in first.iter_mut().enumerate() {
-            *b = std::ptr::read_volatile(base.add((home + i) & mask));
-        }
-        match scan_keys(&first, 0, key, kind).outcome {
-            ScanOutcome::FoundKey(pos) => return Some((home + pos) & mask),
-            ScanOutcome::FoundEmpty(_) => return None,
-            ScanOutcome::Exhausted => {}
-        }
-        scanned = FIRST_WINDOW;
-    }
-    let w = WINDOW.min(cap);
-    let mut buf = [0u64; WINDOW];
-    while scanned < cap {
-        for (i, b) in buf[..w].iter_mut().enumerate() {
-            *b = std::ptr::read_volatile(base.add((home + scanned + i) & mask));
-        }
-        match scan_keys(&buf[..w], 0, key, kind).outcome {
-            ScanOutcome::FoundKey(pos) => return Some((home + scanned + pos) & mask),
-            ScanOutcome::FoundEmpty(_) => return None,
-            ScanOutcome::Exhausted => {}
-        }
-        scanned += w;
-    }
-    None
-}
 
 /// A racy, validated-later read view over a hash table — the read side of
 /// the seqlock protocol (see the [module docs](self)).
 ///
 /// Every method has a conservative default, so implementing the trait is
 /// opt-in per scheme: `supports_optimistic()` defaults to `false` and
-/// [`ReadView::lookup_optimistic`] to "bail to the locked path".
+/// [`ReadView::lookup_batch_optimistic`] to "bail to the locked path".
 pub trait ReadView {
-    /// Whether [`ReadView::lookup_optimistic`] can do better than bailing.
+    /// Whether [`ReadView::lookup_batch_optimistic`] can do better than
+    /// bailing.
     ///
     /// For growing tables this is dynamic: a
     /// [`DynamicTable`](crate::DynamicTable) only supports optimistic
@@ -196,12 +91,13 @@ pub trait ReadView {
         false
     }
 
-    /// Probe for `key` without any synchronization, tolerating a racing
-    /// writer.
+    /// Probe for `keys[i]` into `out[i]` for every `i` without any
+    /// synchronization, tolerating a racing writer.
     ///
-    /// Returns `None` to bail (the caller must use the locked path), or
-    /// `Some(answer)` — a *candidate* answer that is only correct if the
-    /// caller's seqlock validation proves no writer ran during the probe.
+    /// Returns `false` to bail (`out` is then unspecified and the caller
+    /// must use the locked path), or `true` with *candidate* answers that
+    /// are only correct if the caller's seqlock validation proves no
+    /// writer ran during the probe.
     ///
     /// # Safety
     ///
@@ -216,9 +112,12 @@ pub trait ReadView {
     /// Implementations must uphold the soundness rules in the
     /// [module docs](self): in-bounds reads only, capacity-bounded loops,
     /// volatile slot reads, and no dereference of raced data.
-    unsafe fn lookup_optimistic(&self, key: u64) -> Option<Option<u64>> {
-        let _ = key;
-        None
+    ///
+    /// # Panics
+    /// Panics if `keys.len() != out.len()`.
+    unsafe fn lookup_batch_optimistic(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
+        let _ = (keys, out);
+        false
     }
 
     /// Enable (or disable) retention of retired allocations.
@@ -253,8 +152,8 @@ impl<T: ReadView + ?Sized> ReadView for Box<T> {
         (**self).supports_optimistic()
     }
 
-    unsafe fn lookup_optimistic(&self, key: u64) -> Option<Option<u64>> {
-        (**self).lookup_optimistic(key)
+    unsafe fn lookup_batch_optimistic(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
+        (**self).lookup_batch_optimistic(keys, out)
     }
 
     fn retain_retired_allocations(&mut self, on: bool) {
@@ -306,7 +205,7 @@ mod tests {
     fn defaults_are_conservative() {
         let mut p = Plain;
         assert!(!p.supports_optimistic());
-        assert_eq!(unsafe { p.lookup_optimistic(7) }, None);
+        assert!(!unsafe { p.lookup_batch_optimistic(&[7], &mut [None]) });
         assert_eq!(p.retired_bytes(), 0);
         p.retain_retired_allocations(true);
         p.reclaim_retired();
@@ -316,6 +215,6 @@ mod tests {
     fn boxed_view_forwards() {
         let b: Box<dyn HashTable + Send> = Box::new(Plain);
         assert!(!b.supports_optimistic());
-        assert_eq!(unsafe { b.lookup_optimistic(7) }, None);
+        assert!(!unsafe { b.lookup_batch_optimistic(&[7], &mut [None]) });
     }
 }

@@ -17,8 +17,8 @@
 //! (partial cluster rehash): tombstones are unusable here because they
 //! carry no displacement information.
 
-use crate::linear_probing::{two_pass_batch, two_pass_insert_batch};
-use crate::simd::{clamp_prefetch_batch, prefetch_read, PREFETCH_BATCH};
+use crate::open_addressing::{lookup_kernel, two_pass, Aos, Linear, Volatile};
+use crate::simd::prefetch_read;
 use crate::{
     check_capacity_bits, home_slot, is_reserved_key, HashTable, InsertOutcome, Pair, TableError,
 };
@@ -63,7 +63,6 @@ pub struct RobinHood<H: HashFn64> {
     /// impractical, §2.4). Backs [`RhLookupMode::DmaxBound`].
     dmax: usize,
     lookup_mode: RhLookupMode,
-    pub(crate) prefetch_batch: usize,
 }
 
 impl<H: HashFamily> RobinHood<H> {
@@ -86,7 +85,6 @@ impl<H: HashFn64> RobinHood<H> {
             len: 0,
             dmax: 0,
             lookup_mode: RhLookupMode::default(),
-            prefetch_batch: PREFETCH_BATCH,
         }
     }
 
@@ -94,18 +92,6 @@ impl<H: HashFn64> RobinHood<H> {
     /// cache-line check).
     pub fn set_lookup_mode(&mut self, mode: RhLookupMode) {
         self.lookup_mode = mode;
-    }
-
-    /// Set the hash-and-prefetch window of the batch operations (clamped
-    /// to `1..=`[`crate::simd::MAX_PREFETCH_BATCH`]; default
-    /// [`PREFETCH_BATCH`]).
-    pub fn set_prefetch_batch(&mut self, window: usize) {
-        self.prefetch_batch = clamp_prefetch_batch(window);
-    }
-
-    /// The batch prefetch window in use.
-    pub fn prefetch_batch(&self) -> usize {
-        self.prefetch_batch
     }
 
     /// The lookup abort criterion in use.
@@ -128,6 +114,15 @@ impl<H: HashFn64> RobinHood<H> {
     #[inline(always)]
     fn home(&self, key: u64) -> usize {
         home_slot(&self.hash, key, self.bits)
+    }
+
+    /// Pass 1 of the batch operations: hash `key` and prefetch its home
+    /// line (harmless for the never-probed reserved keys).
+    #[inline(always)]
+    fn prepare(&self, key: u64) -> usize {
+        let home = self.home(key);
+        prefetch_read(&self.slots[home] as *const Pair);
+        home
     }
 
     /// Displacement of the entry at `pos`: how far it sits from its home
@@ -176,14 +171,16 @@ impl<H: HashFn64> RobinHood<H> {
 }
 
 impl<H: HashFn64> RobinHood<H> {
-    /// [`HashTable::insert`] body with a precomputed `home` slot; `key`
-    /// must not be reserved.
+    /// [`HashTable::insert`] with a precomputed `home` slot.
     fn insert_from(
         &mut self,
         home: usize,
         key: u64,
         value: u64,
     ) -> Result<InsertOutcome, TableError> {
+        if is_reserved_key(key) {
+            return Err(TableError::ReservedKey);
+        }
         if self.len >= self.mask {
             // Table would lose its last empty probe terminator. Updates of
             // existing keys are still allowed.
@@ -245,10 +242,13 @@ impl<H: HashFn64> RobinHood<H> {
         }
     }
 
-    /// [`HashTable::lookup`] body with a precomputed `home` slot,
-    /// dispatching on the configured [`RhLookupMode`].
+    /// [`HashTable::lookup`] with a precomputed `home` slot, dispatching
+    /// on the configured [`RhLookupMode`].
     #[inline]
     fn lookup_from(&self, home: usize, key: u64) -> Option<u64> {
+        if is_reserved_key(key) {
+            return None;
+        }
         match self.lookup_mode {
             RhLookupMode::CacheLine => {
                 self.lookup_slot_from(home, key).map(|pos| self.slots[pos].value)
@@ -258,11 +258,14 @@ impl<H: HashFn64> RobinHood<H> {
         }
     }
 
-    /// [`HashTable::delete`] body with a precomputed `home` slot. Always
+    /// [`HashTable::delete`] with a precomputed `home` slot. Always
     /// locates the victim with the exact tuned probe, whatever the lookup
     /// mode — the rejected abort criteria are lookup ablations, not
     /// deletion semantics.
     fn delete_from(&mut self, home: usize, key: u64) -> Option<u64> {
+        if is_reserved_key(key) {
+            return None;
+        }
         let pos = self.lookup_slot_from(home, key)?;
         let value = self.slots[pos].value;
         // Backward shift ("partial cluster rehash"): pull successors one
@@ -286,17 +289,11 @@ impl<H: HashFn64> RobinHood<H> {
 
 impl<H: HashFn64> HashTable for RobinHood<H> {
     fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        if is_reserved_key(key) {
-            return Err(TableError::ReservedKey);
-        }
         self.insert_from(self.home(key), key, value)
     }
 
     #[inline]
     fn lookup(&self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
         self.lookup_from(self.home(key), key)
     }
 
@@ -325,21 +322,11 @@ impl<H: HashFn64> HashTable for RobinHood<H> {
     }
 
     fn delete(&mut self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
         self.delete_from(self.home(key), key)
     }
 
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &Self, h, k| if is_reserved_key(k) { None } else { t.lookup_from(h, k) }
-        );
+        two_pass(self, keys, out, Self::prepare, |t, k, home| t.lookup_from(home, k));
     }
 
     fn insert_batch(
@@ -347,25 +334,12 @@ impl<H: HashFn64> HashTable for RobinHood<H> {
         items: &[(u64, u64)],
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        two_pass_insert_batch!(
-            self,
-            items,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &mut Self, h, k, v| t.insert_from(h, k, v)
-        );
+        let prepare = |t: &Self, (k, _)| t.prepare(k);
+        two_pass(self, items, out, prepare, |t, (k, v), home| t.insert_from(home, k, v));
     }
 
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &mut Self, h, k| if is_reserved_key(k) { None } else { t.delete_from(h, k) }
-        );
+        two_pass(self, keys, out, Self::prepare, |t, k, home| t.delete_from(home, k));
     }
 
     fn len(&self) -> usize {
@@ -393,9 +367,10 @@ impl<H: HashFn64> HashTable for RobinHood<H> {
 
 /// Robin Hood never reallocates (backward-shift deletes, no rehash), so
 /// the slot array trivially satisfies the in-bounds rule. The optimistic
-/// probe is the plain linear scan to the first empty slot — correct
-/// because RH places every key within the contiguous run from its home
-/// slot (displacement ordering and the early-abort modes are pure
+/// probe is the plain linear scan to the first empty slot — the
+/// [`Linear`] lookup kernel shared with linear probing — correct because
+/// RH places every key within the contiguous run from its home slot
+/// (displacement ordering and the early-abort modes are pure
 /// optimizations, unsafe to trust while a racing writer may leave
 /// displacements transiently non-monotone, so they are not used here).
 impl<H: HashFn64> crate::optimistic::ReadView for RobinHood<H> {
@@ -403,17 +378,19 @@ impl<H: HashFn64> crate::optimistic::ReadView for RobinHood<H> {
         true
     }
 
-    unsafe fn lookup_optimistic(&self, key: u64) -> Option<Option<u64>> {
-        if is_reserved_key(key) {
-            return Some(None);
-        }
-        Some(crate::optimistic::probe_pairs_volatile(
-            &self.slots,
-            self.mask,
-            self.home(key),
-            key,
-            crate::simd::ProbeKind::Scalar,
-        ))
+    unsafe fn lookup_batch_optimistic(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
+        let raw = self.slots.as_ptr();
+        two_pass(self, keys, out, Self::prepare, |t, k, home| {
+            if is_reserved_key(k) {
+                return None;
+            }
+            // SAFETY: `raw` addresses the `mask + 1` slots of an array that
+            // is never reallocated and that the caller keeps alive;
+            // `home <= mask`. The kernel is capacity-bounded and
+            // dereferences nothing it loaded.
+            unsafe { lookup_kernel::<Aos, Linear, Volatile>(raw, t.mask, home, k).0 }
+        });
+        true
     }
 }
 
@@ -755,6 +732,24 @@ mod tests {
         for &k in &live {
             assert_eq!(t.lookup_dmax(k), Some(k + 5));
             assert_eq!(t.lookup_checked(k), Some(k + 5));
+        }
+    }
+
+    #[test]
+    fn optimistic_scan_is_capacity_bounded_on_a_saturated_table() {
+        use crate::optimistic::ReadView;
+        use crate::{EMPTY_KEY, TOMBSTONE_KEY};
+        // Zero empty slots — a state only a racing writer can produce.
+        for bits in [1u8, 6] {
+            let mut t: RobinHood<MultShift> = RobinHood::with_seed(bits, 3);
+            for (i, slot) in t.slots.iter_mut().enumerate() {
+                *slot = Pair { key: 1000 + i as u64, value: 0 };
+            }
+            let keys = [1, EMPTY_KEY, 7, TOMBSTONE_KEY, 999];
+            let mut out = [Some(0); 5];
+            // SAFETY: no writer exists; the table outlives the call.
+            assert!(unsafe { t.lookup_batch_optimistic(&keys, &mut out) });
+            assert_eq!(out, [None; 5], "bits {bits}");
         }
     }
 

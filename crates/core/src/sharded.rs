@@ -151,10 +151,12 @@ pub trait ConcurrentTable: Send + Sync {
     /// reference — counters summed over shards, the miss EWMA
     /// lookup-weighted. Defaults to zeros for tables that do not track
     /// runtime stats (only [`DynamicTable`](crate::DynamicTable)-wrapped
-    /// shards do). Reads that commit on the lock-free optimistic path are
-    /// *not* counted: a seqlock probe must not write table-side state, so
-    /// only locked reads feed the counters (mutations always lock, so
-    /// write counts are exact).
+    /// shards do). Lookups are counted once per per-shard sub-batch on
+    /// the locked and the lock-free path alike (relaxed atomics, so a
+    /// lock-free reader writing them races nothing); an optimistic attempt
+    /// that the seqlock rejects was already counted and is counted again
+    /// by its retry, so under write contention `lookups` can overstate.
+    /// Mutations always lock, so write counts are exact.
     fn stats_shared(&self) -> crate::TableStats {
         crate::TableStats::default()
     }
@@ -181,7 +183,7 @@ struct Shard<T> {
 /// ([`Shard::write`]); shared access is either mutex-protected
 /// ([`Shard::read_locked`]) or an optimistic probe whose result is
 /// discarded unless the generation counter proves no writer ran
-/// ([`ReadView::lookup_optimistic`]'s contract).
+/// ([`ReadView::lookup_batch_optimistic`]'s contract).
 unsafe impl<T: Send> Sync for Shard<T> {}
 
 impl<T: HashTable> Shard<T> {
@@ -209,43 +211,16 @@ impl<T: HashTable> Shard<T> {
         WriteGuard { shard: self, _lock: guard }
     }
 
-    /// One bounded run of optimistic lookup attempts. `Some(answer)` is a
-    /// *validated* answer (as good as a locked read); `None` means the
-    /// caller must take the lock — the table doesn't support optimistic
+    /// One bounded run of optimistic attempts at a sub-batch: probe it under
+    /// one stamp — one [`ReadView`] call — and validate once. `true` means
+    /// `out` holds *validated* answers (as good as locked reads); `false`
+    /// (with `out` in an unspecified state) means the caller must redo the
+    /// sub-batch under the lock — the table doesn't support optimistic
     /// probing, the probe bailed, or a writer raced every attempt.
-    fn try_optimistic_lookup(&self, key: u64) -> Option<Option<u64>> {
+    fn try_optimistic_batch(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
         // SAFETY: `supports_optimistic` only reads state that is never
         // written during a shared phase (scheme constants, the retention
         // flag, a published generation pointer).
-        let data = unsafe { &*self.data.get() };
-        if !data.supports_optimistic() {
-            return None;
-        }
-        for _ in 0..OPTIMISTIC_RETRIES {
-            let stamp = self.seq.load(Ordering::Acquire);
-            if stamp & 1 == 1 {
-                continue; // writer mid-flight; this attempt is spent
-            }
-            // SAFETY: the probe tolerates a racing writer (the ReadView
-            // contract); its answer is discarded unless validation below
-            // proves the race did not happen. The shard outlives the call.
-            let Some(answer) = (unsafe { data.lookup_optimistic(key) }) else {
-                return None; // table-level bail: the lock is the only path
-            };
-            fence(Ordering::Acquire);
-            if self.seq.load(Ordering::Relaxed) == stamp {
-                return Some(answer);
-            }
-        }
-        None
-    }
-
-    /// Batch twin of [`Shard::try_optimistic_lookup`]: probe a whole
-    /// sub-batch under one stamp and validate once. Returns `false` (with
-    /// `out` in an unspecified state) if the caller must redo the
-    /// sub-batch under the lock.
-    fn try_optimistic_batch(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
-        // SAFETY: as in `try_optimistic_lookup`.
         let data = unsafe { &*self.data.get() };
         if !data.supports_optimistic() {
             return false;
@@ -253,21 +228,13 @@ impl<T: HashTable> Shard<T> {
         for _ in 0..OPTIMISTIC_RETRIES {
             let stamp = self.seq.load(Ordering::Acquire);
             if stamp & 1 == 1 {
-                continue;
+                continue; // writer mid-flight; this attempt is spent
             }
-            let mut bailed = false;
-            for (&key, slot) in keys.iter().zip(out.iter_mut()) {
-                // SAFETY: as in `try_optimistic_lookup`.
-                match unsafe { data.lookup_optimistic(key) } {
-                    Some(answer) => *slot = answer,
-                    None => {
-                        bailed = true;
-                        break;
-                    }
-                }
-            }
-            if bailed {
-                return false;
+            // SAFETY: the probe tolerates a racing writer (the ReadView
+            // contract); its answers are discarded unless validation below
+            // proves the race did not happen. The shard outlives the call.
+            if !unsafe { data.lookup_batch_optimistic(keys, out) } {
+                return false; // table-level bail: the lock is the only path
             }
             fence(Ordering::Acquire);
             if self.seq.load(Ordering::Relaxed) == stamp {
@@ -275,6 +242,13 @@ impl<T: HashTable> Shard<T> {
             }
         }
         false
+    }
+
+    /// The one-key case of [`Shard::try_optimistic_batch`]: `Some(answer)`
+    /// is validated, `None` sends the caller to the lock.
+    fn try_optimistic_lookup(&self, key: u64) -> Option<Option<u64>> {
+        let mut out = [None];
+        self.try_optimistic_batch(&[key], &mut out).then_some(out[0])
     }
 }
 
@@ -955,6 +929,11 @@ mod tests {
         let mut out = [None; 3];
         t.lookup_batch_shared(&keys, &mut out);
         assert_eq!(t.shards[0].seq.load(Ordering::SeqCst), after, "reads bumped the counter");
+        // Quiescent, so the lock-free path itself must commit — the reads
+        // above did not quietly fall back to the lock.
+        assert!(t.shards[0].try_optimistic_batch(&keys, &mut out));
+        assert_eq!(out, [Some(1), None, None]);
+        assert_eq!(t.shards[0].try_optimistic_lookup(1), Some(Some(1)));
     }
 
     #[test]

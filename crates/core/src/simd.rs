@@ -51,28 +51,13 @@ pub struct ScanResult {
     pub first_tombstone: Option<usize>,
 }
 
-/// Default number of keys the batched table operations hash-and-prefetch
-/// ahead of probing (see [`crate::HashTable::lookup_batch`]).
+/// Number of keys the batched table operations hash-and-prefetch ahead of
+/// probing (see [`crate::HashTable::lookup_batch`]).
 ///
 /// Sized to cover memory latency with independent in-flight misses
 /// without overflowing the line-fill buffers (~10–16 outstanding loads on
-/// contemporary x86-64) or evicting its own prefetches. Every
-/// open-addressing table carries the window as a runtime field
-/// (`set_prefetch_batch`, or `TableBuilder::prefetch_batch`), defaulting
-/// to this value.
+/// contemporary x86-64) or evicting its own prefetches.
 pub const PREFETCH_BATCH: usize = 16;
-
-/// Upper bound on the configurable prefetch window: the per-batch scratch
-/// arrays are stack-allocated at this size, and windows beyond it only
-/// thrash the line-fill buffers anyway.
-pub const MAX_PREFETCH_BATCH: usize = 64;
-
-/// Clamp a requested prefetch window into the supported
-/// `1..=`[`MAX_PREFETCH_BATCH`] range.
-#[inline]
-pub fn clamp_prefetch_batch(window: usize) -> usize {
-    window.clamp(1, MAX_PREFETCH_BATCH)
-}
 
 /// Best-effort prefetch of the cache line holding `*p` into all cache
 /// levels.

@@ -26,7 +26,8 @@
 //! migration controller in [`crate::dynamic`] feeds back into the paper's
 //! Figure 8 decision graph.
 
-use crate::{HashTable, LinearProbing, Pair, QuadraticProbing, RobinHood};
+use crate::open_addressing::{Aos, OpenAddressing, Step};
+use crate::{Pair, RobinHood};
 use hashfn::HashFn64;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -125,14 +126,24 @@ pub fn cluster_stats(slots: &[Pair]) -> ClusterStats {
     ClusterStats { clusters, max_len, mean_len, non_empty, tombstones }
 }
 
-impl<H: HashFn64> LinearProbing<H> {
-    /// Displacement statistics (linear distance from home slot).
+impl<H: HashFn64, S: Step> OpenAddressing<H, Aos, S> {
+    /// Displacement statistics, where displacement is the number of probe
+    /// steps of `S` from the home slot to the entry's position (the linear
+    /// distance under linear probing, triangular steps under quadratic).
     pub fn displacement_stats(&self) -> DisplacementStats {
-        let mask = self.capacity() - 1;
         let slots = self.raw_slots();
-        displacement_stats_with(slots, |i, k| {
-            let home = crate::home_slot(&self.hash, k, self.bits);
-            (i + mask + 1 - home) & mask
+        let mask = slots.len() - 1;
+        let bits = slots.len().trailing_zeros() as u8;
+        displacement_stats_with(slots, |target, k| {
+            let mut pos = crate::home_slot(self.hash_fn(), k, bits);
+            // Follow the probe sequence until we reach the slot.
+            for i in 1..=mask + 1 {
+                if pos == target {
+                    return i - 1;
+                }
+                pos = S::advance(pos, i) & mask;
+            }
+            unreachable!("entry not on its own probe sequence");
         })
     }
 
@@ -153,26 +164,6 @@ impl<H: HashFn64> RobinHood<H> {
     /// Cluster statistics.
     pub fn cluster_stats(&self) -> ClusterStats {
         cluster_stats(self.raw_slots())
-    }
-}
-
-impl<H: HashFn64> QuadraticProbing<H> {
-    /// Displacement statistics, where displacement is the number of
-    /// triangular probe steps from the home slot to the entry's position.
-    pub fn displacement_stats(&self) -> DisplacementStats {
-        let slots = self.raw_slots();
-        let mask = slots.len() - 1;
-        displacement_stats_with(slots, |target, k| {
-            let mut pos = crate::home_slot(self.hash_fn(), k, (mask + 1).trailing_zeros() as u8);
-            // Follow the triangular sequence until we reach the slot.
-            for i in 1..=(mask as u64 + 1) {
-                if pos == target {
-                    return (i - 1) as usize;
-                }
-                pos = (pos + i as usize) & mask;
-            }
-            unreachable!("entry not on its own probe sequence");
-        })
     }
 }
 
@@ -398,7 +389,7 @@ impl std::fmt::Debug for RuntimeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HashTable, EMPTY_KEY, TOMBSTONE_KEY};
+    use crate::{HashTable, LinearProbing, QuadraticProbing, EMPTY_KEY, TOMBSTONE_KEY};
     use hashfn::{MultShift, Murmur};
 
     fn pair(k: u64) -> Pair {

@@ -567,8 +567,7 @@ pub fn run_concurrent<T: ConcurrentTable>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hashfn::MultShift;
-    use sevendim_core::{DynamicTable, HashTable, LpFactory, TableBuilder, TableScheme};
+    use sevendim_core::{DynamicTable, HashTable, TableBuilder, TableScheme};
     use std::collections::HashSet;
 
     fn cfg(update_pct: u8) -> RwConfig {
@@ -623,7 +622,8 @@ mod tests {
     #[test]
     fn instrumented_chunk_records_insert_latencies() {
         let mut s = RwStream::new(cfg(50));
-        let mut table = DynamicTable::new(LpFactory::<MultShift>::new(), 11, 3, 0.7);
+        let mut table =
+            DynamicTable::new(TableBuilder::new(TableScheme::LinearProbing), 11, 3, 0.7);
         for k in s.initial_keys() {
             table.insert(k, k).unwrap();
         }
@@ -706,7 +706,8 @@ mod tests {
         // every Delete/LookupHit must hit, every LookupMiss must miss
         // (enforced by debug_assert! inside run_chunk).
         let mut s = RwStream::new(cfg(50));
-        let mut table = DynamicTable::new(LpFactory::<MultShift>::new(), 11, 3, 0.7);
+        let mut table =
+            DynamicTable::new(TableBuilder::new(TableScheme::LinearProbing), 11, 3, 0.7);
         for k in s.initial_keys() {
             table.insert(k, k).unwrap();
         }

@@ -89,11 +89,11 @@
 //! |---|---|
 //! | `LinearProbing::<MultShift>::with_seed(bits, seed)` | `TableBuilder::new(TableScheme::LinearProbing).bits(bits).seed(seed).build()` |
 //! | `LinearProbingSoA::with_seed_simd(bits, seed)` | `TableBuilder::new(TableScheme::LinearProbingSoA).simd(true)…` |
-//! | `DynamicTable::new(LpFactory::new(), bits, seed, 0.7)` | `TableBuilder::new(TableScheme::LinearProbing).bits(bits).seed(seed).grow_at(0.7).build()` |
+//! | `DynamicTable::new(LpFactory::new(), bits, seed, 0.7)` (the typed factories are gone) | `TableBuilder::new(TableScheme::LinearProbing).bits(bits).seed(seed).grow_at(0.7).build()`, or `DynamicTable::new(TableBuilder::new(TableScheme::LinearProbing), bits, seed, 0.7)` for the concrete type |
 //! | `ChainedTable24::with_budget(bits, n, seed)` | `TableBuilder::new(TableScheme::Chained24).chained_budget(n)….try_build()` |
 //! | `PointIndex::for_profile(&p, bits, seed)` | unchanged, or `TableBuilder::for_profile(&p, bits, seed).build()` |
 //! | `PointIndex::{get, remove}` | `HashTable::{lookup, delete}` (the deprecated aliases were removed in PR 4) |
-//! | `LinearProbing::delete_rehash(k)` | `set_delete_strategy(DeleteStrategy::Rehash)` + trait `delete` |
+//! | `LinearProbing::delete_rehash(k)` | removed with its strategy switch (no caller set it); deletes use optimized tombstones, `rehash_in_place()` drops them |
 //! | `RobinHood::{lookup_dmax, lookup_checked}` | `set_lookup_mode(RhLookupMode::{DmaxBound, CheckedEveryProbe})` + trait `lookup` |
 
 pub use hashfn as hash;
@@ -118,11 +118,10 @@ pub mod prelude {
     pub use sevendim_core::cuckoo::{CuckooH2, CuckooH3, CuckooH4};
     pub use sevendim_core::{
         decision::Mutability, recommend, AdaptiveConfig, BoxedTable, ChainedTable24, ChainedTable8,
-        ConcurrentTable, Cuckoo, DeleteStrategy, DynamicTable, EntrySnapshot, FingerprintTable,
-        FsyncPolicy, GrowthPolicy, HashKind, HashTable, InsertOutcome, LinearProbing,
-        LinearProbingSoA, MigrationPolicy, QuadraticProbing, ReadView, RhLookupMode, RobinHood,
-        ShardedTable, TableBuilder, TableChoice, TableError, TableScheme, TableStats,
-        WorkloadProfile,
+        ConcurrentTable, Cuckoo, DynamicTable, EntrySnapshot, FingerprintTable, FsyncPolicy,
+        GrowthPolicy, HashKind, HashTable, InsertOutcome, LinearProbing, LinearProbingSoA,
+        MigrationPolicy, QuadraticProbing, ReadView, RhLookupMode, RobinHood, ShardedTable,
+        TableBuilder, TableChoice, TableError, TableScheme, TableStats, WorkloadProfile,
     };
     pub use sevendim_durable::{DurableSharded, DurableTable, RecoveryReport, WalError};
     #[cfg(target_os = "linux")]

@@ -367,6 +367,115 @@ fn optimistic_readers_race_inserting_deleting_growing_writers() {
     assert_eq!(table.retired_bytes(), 0);
 }
 
+/// The state a sharded table is brought to before its locked and lock-free
+/// reads are compared.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum ReadState {
+    /// Fixed-capacity shards: no `DynamicTable`, so no runtime stats.
+    Static,
+    /// Every shard a `DynamicTable` with a growth drain in flight.
+    MidGrowth,
+    /// Every shard a `DynamicTable` with a cross-scheme drain in flight.
+    MidSwitch,
+}
+
+/// Look `keys` up with the lock-free path on, then off. The answers must
+/// be element-wise identical (and the model's), and each call must advance
+/// `lookups` by exactly `keys.len()` and `misses` by the exact miss count —
+/// or, for shards that keep no stats, leave both at zero.
+fn assert_optimistic_flag_only_skips_the_mutex<T: HashTable + Send>(
+    table: &mut ShardedTable<T>,
+    keys: &[u64],
+    counted: bool,
+    label: &str,
+) {
+    let mut model = std::collections::HashMap::new();
+    table.for_each_shared(&mut |k, v| {
+        model.insert(k, v);
+    });
+    let expect: Vec<Option<u64>> = keys.iter().map(|k| model.get(k).copied()).collect();
+    let misses = expect.iter().filter(|v| v.is_none()).count() as u64;
+    assert!(misses > 0 && misses < keys.len() as u64, "{label}: the mix must hit and miss");
+    let (lookups, misses) = if counted { (keys.len() as u64, misses) } else { (0, 0) };
+    for optimistic in [true, false] {
+        table.set_optimistic_reads(optimistic);
+        let before = table.stats_shared();
+        let mut got = vec![Some(u64::MAX); keys.len()];
+        table.lookup_batch_shared(keys, &mut got);
+        assert_eq!(got, expect, "{label}, optimistic {optimistic}");
+        let after = table.stats_shared();
+        assert_eq!(after.lookups - before.lookups, lookups, "{label}, optimistic {optimistic}");
+        assert_eq!(after.misses - before.misses, misses, "{label}, optimistic {optimistic}");
+    }
+}
+
+#[test]
+fn optimistic_flag_changes_neither_answers_nor_stats() {
+    const RESIDENT: u64 = 600;
+    // 1 000 keys: residents, absent keys and both reserved keys, mixed.
+    let keys: Vec<u64> = (0..1000u64)
+        .map(|i| match i % 50 {
+            0 => EMPTY_KEY,
+            25 => TOMBSTONE_KEY,
+            _ if i % 2 == 0 => 1 + i * 7 % RESIDENT,
+            _ => 1_000_000 + i,
+        })
+        .collect();
+    // Routing depends on the shard count and seed only, so a throwaway
+    // table tells which shard to preload a key into.
+    let router =
+        TableBuilder::new(TableScheme::LinearProbing).bits(8).shards(SHARD_BITS).build_sharded();
+    for scheme in TableScheme::ALL {
+        for state in [ReadState::Static, ReadState::MidGrowth, ReadState::MidSwitch] {
+            let label = format!("{scheme:?} {state:?}");
+            let desc = TableBuilder::new(scheme).bits(BITS).seed(0xF02C);
+            if state == ReadState::Static {
+                let mut table = desc.shards(SHARD_BITS).build_sharded();
+                for k in 1..=RESIDENT {
+                    table.insert(k, k * 3).unwrap();
+                }
+                assert_optimistic_flag_only_skips_the_mutex(&mut table, &keys, false, &label);
+                continue;
+            }
+            let target = if scheme == TableScheme::RobinHood {
+                TableChoice::LPMult
+            } else {
+                TableChoice::RHMult
+            };
+            let mut table = ShardedTable::new(SHARD_BITS, 0, |shard| {
+                // Growth starts from 2^6 slots and stops mid-drain; a
+                // switch drains 2^9 slots a third full.
+                let bits = if state == ReadState::MidGrowth { 6 } else { 9 };
+                let mut t = DynamicTable::with_policy(
+                    desc.clone(),
+                    bits,
+                    shard as u64,
+                    0.5,
+                    GrowthPolicy::Incremental { step: 1 },
+                );
+                let mut mine = (1..).filter(|&k| router.shard_of(k) == shard);
+                for k in mine.by_ref().take_while(|&k| k <= RESIDENT) {
+                    t.insert(k, k * 3).unwrap();
+                }
+                match state {
+                    ReadState::MidGrowth => {
+                        while !t.is_migrating() {
+                            let k = mine.next().expect("an endless key supply");
+                            t.insert(k, k * 3).unwrap();
+                        }
+                    }
+                    _ => assert_eq!(t.switch_to(target), Ok(true), "{label}"),
+                }
+                assert!(t.is_migrating() && t.migration_backlog() > 0, "{label}: not mid-drain");
+                t
+            });
+            // What the builder does for growing optimistic shards.
+            table.retain_retired_allocations(true);
+            assert_optimistic_flag_only_skips_the_mutex(&mut table, &keys, true, &label);
+        }
+    }
+}
+
 /// Measure shared-lookup throughput (M ops/s) of `table` at `threads`
 /// workers: a coordinator-clocked barrier region, each worker probing a
 /// strided permutation of `keys` in 1024-key `lookup_batch_shared`

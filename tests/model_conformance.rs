@@ -112,36 +112,41 @@ conformance_suite!(chained8_murmur, ChainedTable8<Murmur>, ChainedTable8::with_s
 conformance_suite!(chained24_mult, ChainedTable24<MultShift>, ChainedTable24::with_seed(BITS, 20));
 conformance_suite!(chained24_murmur, ChainedTable24<Murmur>, ChainedTable24::with_seed(BITS, 21));
 
+/// The growth host's one factory, pinned to a scheme × hash cell.
+fn factory(scheme: TableScheme, hash: HashKind) -> TableBuilder {
+    TableBuilder::new(scheme).hash(hash)
+}
+
 #[test]
 fn dynamic_tables_conform_while_growing() {
     // Start tiny so the test exercises many growth generations.
     let keys = Distribution::Sparse.generate(600, 5);
     conformance(
-        DynamicTable::new(sevendim_core::LpFactory::<MultShift>::new(), 4, 1, 0.7),
+        DynamicTable::new(factory(TableScheme::LinearProbing, HashKind::Mult), 4, 1, 0.7),
         &keys,
         OPS,
         42,
     );
     conformance(
-        DynamicTable::new(sevendim_core::QpFactory::<Murmur>::new(), 4, 2, 0.5),
+        DynamicTable::new(factory(TableScheme::Quadratic, HashKind::Murmur), 4, 2, 0.5),
         &keys,
         OPS,
         43,
     );
     conformance(
-        DynamicTable::new(sevendim_core::RhFactory::<Murmur>::new(), 4, 3, 0.7),
+        DynamicTable::new(factory(TableScheme::RobinHood, HashKind::Murmur), 4, 3, 0.7),
         &keys,
         OPS,
         44,
     );
     conformance(
-        DynamicTable::new(sevendim_core::CuckooFactory::<Murmur, 4>::new(), 4, 4, 0.65),
+        DynamicTable::new(factory(TableScheme::Cuckoo4, HashKind::Murmur), 4, 4, 0.65),
         &keys,
         OPS,
         45,
     );
     conformance(
-        DynamicTable::new(sevendim_core::Chained24Factory::<MultShift>::new(), 4, 5, 0.7),
+        DynamicTable::new(factory(TableScheme::Chained24, HashKind::Mult), 4, 5, 0.7),
         &keys,
         OPS,
         46,
@@ -150,7 +155,7 @@ fn dynamic_tables_conform_while_growing() {
 
 #[test]
 fn dynamic_table_capacity_is_unbounded_by_initial_size() {
-    let mut t = DynamicTable::new(sevendim_core::LpFactory::<Murmur>::new(), 4, 9, 0.9);
+    let mut t = DynamicTable::new(factory(TableScheme::LinearProbing, HashKind::Murmur), 4, 9, 0.9);
     for k in 1..=50_000u64 {
         t.insert(k, k).unwrap();
     }

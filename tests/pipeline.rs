@@ -3,7 +3,6 @@
 //! compose the crates.
 
 use seven_dim_hashing::prelude::*;
-use seven_dim_hashing::tables::LpFactory;
 use seven_dim_hashing::workload::{rw, worm};
 
 #[test]
@@ -56,7 +55,7 @@ fn worm_chained_respects_budget_boundary() {
 fn rw_pipeline_grows_and_verifies() {
     let cfg = RwConfig { initial_keys: 3000, operations: 60_000, update_pct: 50, seed: 77 };
     let mut stream = RwStream::new(cfg);
-    let mut table = DynamicTable::new(LpFactory::<MultShift>::new(), 13, 5, 0.7);
+    let mut table = DynamicTable::new(TableBuilder::new(TableScheme::LinearProbing), 13, 5, 0.7);
     for k in stream.initial_keys() {
         table.insert(k, k).unwrap();
     }
