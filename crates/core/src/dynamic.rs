@@ -23,9 +23,10 @@
 //! * [`GrowthPolicy::Incremental`] keeps **two generations** alive during
 //!   a growth step: the doubling allocates the next generation and takes
 //!   over all inserts, while up to `step` old-generation entries migrate
-//!   per subsequent mutating operation (`step × batch_len` per batch
-//!   call). Lookups and deletes consult both generations, so the table
-//!   stays element-wise identical to an `AllAtOnce` twin at every
+//!   per subsequent mutating operation (a batch call pays `step × len`
+//!   in one step: `delete_batch` for the batch, `insert_batch` for each
+//!   headroom run). Lookups and deletes consult both generations, so the
+//!   table stays element-wise identical to an `AllAtOnce` twin at every
 //!   intermediate state. With `step ≥ 1` the old generation always drains
 //!   before the new one can reach its own threshold, so at most two
 //!   generations ever exist. This is the bounded-pause design of the
@@ -39,6 +40,28 @@
 //! is evaluated as a `u128` product — exact at every capacity up to
 //! `2^MAX_BITS`, where `f64` comparisons can misplace the trigger by an
 //! entry.
+//!
+//! # Batched inserts: headroom runs
+//!
+//! An insert is the one operation that can grow the table, and a growth
+//! step invalidates whatever a batch kernel precomputed. But the trigger
+//! is a count: with `h = floor(threshold × capacity) − len` entries of
+//! *headroom*, no sequence of `h` inserts can cross the threshold — a
+//! fresh key uses one entry, a replacement none. So
+//! [`HashTable::insert_batch`] cuts a batch into **headroom runs** of
+//! `min(h, remaining)` items. A run pays its policy tick and drain budget
+//! once, goes to the current generation's `insert_batch` (the
+//! hash-then-prefetch kernels) in one call, and claims replaced values
+//! from the draining generation with one `delete_batch` over the keys
+//! that came back `Inserted`. The element that meets `h == 0` takes the
+//! single-key `insert`, which does the replacement check and may grow;
+//! the next run is cut against the new generation. Growth therefore
+//! fires on exactly the element it fires on one key at a time, and
+//! outcomes, `len`, `capacity` and the rehash count after a batch equal
+//! those of single-key calls. (One exception, for capacity and rehash
+//! count only: a cuckoo table pushed past its load limit rebuilds when a
+//! kick chain fails, which depends on the slot layout, and paying the
+//! drain up front lays slots out in a different order.)
 //!
 //! # Migration policies: generations beyond growth
 //!
@@ -117,10 +140,12 @@ pub enum GrowthPolicy {
     AllAtOnce,
     /// Two-generation migration: the doubling allocates the next
     /// generation, then every mutating operation drains up to `step`
-    /// old-generation entries (`step × batch_len` per batch call) until
-    /// the old generation is empty. `step` must be ≥ 1 — that rate
-    /// already guarantees the drain finishes before the next doubling
-    /// can trigger.
+    /// old-generation entries until the old generation is empty; a batch
+    /// call pays for its elements in one step (`step × len` per
+    /// `delete_batch`, per headroom run of an `insert_batch`). `step`
+    /// must be ≥ 1 — that rate already guarantees the drain finishes
+    /// before the next doubling can trigger, and a run never holds more
+    /// inserts than the threshold leaves room for.
     Incremental {
         /// Old-generation entries migrated per operation.
         step: usize,
@@ -181,13 +206,20 @@ const PROBE_SAMPLE_EVERY: u64 = 64;
 /// Fixed-point bits of the growth-threshold representation (Q32).
 const THRESHOLD_FP_BITS: u32 = 32;
 
-/// Exact integer form of the trigger `len_after > threshold × cap`,
-/// with the threshold in Q32 fixed point. `u128` products keep it exact
-/// for every `cap ≤ 2^MAX_BITS`, where the former `f64` comparison
-/// could round the trigger point by an entry.
+/// Most entries a `cap`-slot generation holds before a fresh key must
+/// grow it: `floor(threshold × cap)`, with the threshold in Q32 fixed
+/// point. The `u128` product keeps it exact for every
+/// `cap ≤ 2^MAX_BITS`, where the former `f64` comparison could round the
+/// trigger point by an entry.
+#[inline]
+fn growth_limit(threshold_fp: u64, cap: usize) -> usize {
+    ((threshold_fp as u128 * cap as u128) >> THRESHOLD_FP_BITS) as usize
+}
+
+/// The trigger `len_after > threshold × cap`, in exact integer form.
 #[inline]
 fn crosses_threshold(threshold_fp: u64, len_after: usize, cap: usize) -> bool {
-    (len_after as u128) << THRESHOLD_FP_BITS > threshold_fp as u128 * cap as u128
+    len_after > growth_limit(threshold_fp, cap)
 }
 
 /// The draining generation of an in-flight incremental migration.
@@ -381,6 +413,22 @@ impl<F: TableFactory> DynamicTable<F> {
         self.inner.len() + self.old.as_ref().map_or(0, |g| g.table.len())
     }
 
+    /// Fresh keys the table can still take before one would cross the
+    /// growth threshold. While this is `n`, no run of `n` inserts — fresh
+    /// keys or replacements — can trigger growth, which is what lets
+    /// [`HashTable::insert_batch`] hand whole runs to the inner kernel.
+    fn headroom(&self) -> usize {
+        growth_limit(self.threshold_fp, self.inner.capacity()).saturating_sub(self.total_len())
+    }
+
+    /// Whether `key` is live in either generation — the replacement check
+    /// of an insert that meets the threshold. Not a user lookup, so it
+    /// bypasses the runtime counters.
+    fn contains(&self, key: u64) -> bool {
+        self.inner.lookup(key).is_some()
+            || self.old.as_ref().is_some_and(|g| g.table.lookup(key).is_some())
+    }
+
     /// Seed for a generation rebuilt at `bits` on retry `attempt`.
     fn generation_seed(&self, bits: u8, attempt: u64) -> u64 {
         self.seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(bits as u64 + attempt))
@@ -487,10 +535,14 @@ impl<F: TableFactory> DynamicTable<F> {
         Ok(true)
     }
 
-    /// Per-mutating-operation policy hook: consume a one-shot pending
-    /// [`MigrationPolicy::Switch`], or run the adaptive controller every
-    /// [`AdaptiveConfig::check_every`] ops.
-    fn policy_tick(&mut self) -> Result<(), TableError> {
+    /// Policy hook for `ops` mutating operations (1 from the single-key
+    /// paths, the run length from the batch paths): consume a one-shot
+    /// pending [`MigrationPolicy::Switch`], or advance the adaptive
+    /// controller's clock and evaluate it once if the clock passed an
+    /// [`AdaptiveConfig::check_every`] boundary. Whole periods are burnt
+    /// and the remainder carried, so `ops` single ticks and one tick of
+    /// `ops` leave the clock — and the cooldown — at the same point.
+    fn policy_tick(&mut self, ops: u64) -> Result<(), TableError> {
         if let Some(choice) = self.pending_switch.take() {
             self.switch_to(choice)?;
             return Ok(());
@@ -498,12 +550,13 @@ impl<F: TableFactory> DynamicTable<F> {
         let MigrationPolicy::Adaptive(cfg) = self.migration else {
             return Ok(());
         };
-        self.ops_since_check += 1;
-        if self.ops_since_check < cfg.check_every.max(1) {
+        let every = cfg.check_every.max(1);
+        self.ops_since_check += ops;
+        if self.ops_since_check < every {
             return Ok(());
         }
-        let ticks = self.ops_since_check;
-        self.ops_since_check = 0;
+        let ticks = self.ops_since_check - self.ops_since_check % every;
+        self.ops_since_check %= every;
         if self.cooldown_left > 0 {
             self.cooldown_left = self.cooldown_left.saturating_sub(ticks);
             return Ok(());
@@ -645,6 +698,151 @@ impl<F: TableFactory> DynamicTable<F> {
             GrowthPolicy::Incremental { step } => step,
         }
     }
+
+    /// What `ops` inserts owe before they touch the table: the policy
+    /// tick and `step × ops` of the incremental drain.
+    fn pay_for_inserts(&mut self, ops: usize) -> Result<(), TableError> {
+        self.policy_tick(ops as u64)?;
+        if self.old.is_some() {
+            self.migrate_step(self.step_budget().saturating_mul(ops))?;
+        }
+        Ok(())
+    }
+
+    /// The insert proper, for a non-reserved key whose tick and drain
+    /// step are already paid: grow if this key would cross the threshold,
+    /// insert into the current generation (rebuilding on capacity pressure
+    /// the threshold missed), and claim any draining-generation copy.
+    fn insert_paid(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
+        // Grow *before* the threshold is crossed. Lookups of existing keys
+        // (replacements) never trigger growth, matching the paper's
+        // element-count-based rehash policy.
+        if crosses_threshold(self.threshold_fp, self.total_len() + 1, self.inner.capacity())
+            && !self.contains(key)
+        {
+            self.grow()?;
+        }
+        // Insert into the current generation *first*: if it fails, the
+        // table is untouched (claiming the key from the draining
+        // generation before a fallible insert would lose the entry on the
+        // error path). Only on success is any old-generation copy of the
+        // key claimed, restoring generation disjointness and supplying
+        // the replaced value.
+        let outcome = loop {
+            match self.inner.insert(key, value) {
+                Ok(outcome) => break outcome,
+                Err(TableError::TableFull) | Err(TableError::CuckooFailure) => {
+                    // Capacity pressure the threshold missed (e.g. cuckoo
+                    // cycles below threshold): rebuild and retry. The
+                    // rebuild merges any draining generation, so a retried
+                    // insert reports replacements naturally.
+                    self.rebuild(self.bits + 1, 0)?;
+                }
+                // A reserved key was rejected above; a memory budget that
+                // refuses the insert must reach the caller — growing on
+                // it would allocate more while already over budget.
+                Err(e) => return Err(e),
+            }
+        };
+        let prev_old = self.old.as_mut().and_then(|g| g.table.delete(key));
+        Ok(match prev_old {
+            Some(prev) => {
+                debug_assert_eq!(
+                    outcome,
+                    InsertOutcome::Inserted,
+                    "key was in both generations at once"
+                );
+                InsertOutcome::Replaced(prev)
+            }
+            None => outcome,
+        })
+    }
+
+    /// Insert a *headroom run*: at most [`DynamicTable::headroom`] items
+    /// with no [`MigrationPolicy::Switch`] pending, so no element can
+    /// cross the growth threshold and the whole run goes to the current
+    /// generation's (prefetching) `insert_batch` in one call, after the
+    /// run's tick and drain budget are paid in one step.
+    fn insert_run(&mut self, items: &[(u64, u64)], out: &mut [Result<InsertOutcome, TableError>]) {
+        // Reserved keys are inert in the single-key path: they owe nothing.
+        let ops = items.iter().filter(|&&(k, _)| !is_reserved_key(k)).count();
+        if self.pay_for_inserts(ops).is_err() {
+            // The drain or a policy switch met a factory memory budget.
+            // Cold: let every element meet it on its own.
+            for (o, &(k, v)) in out.iter_mut().zip(items) {
+                *o = self.insert(k, v);
+            }
+            return;
+        }
+        self.stats.record_inserts(ops as u64);
+        debug_assert!(items.len() <= self.headroom(), "run longer than its headroom");
+        let mut from = 0;
+        while from < items.len() {
+            let (items, out) = (&items[from..], &mut out[from..]);
+            self.inner.insert_batch(items, out);
+            // Capacity pressure below the threshold (a cuckoo cycle): the
+            // single-key path rebuilds and retries at that element, and
+            // everything after it lands in the rebuilt table.
+            let failed = out
+                .iter()
+                .position(|o| matches!(o, Err(TableError::TableFull | TableError::CuckooFailure)));
+            let done = failed.unwrap_or(items.len());
+            // Before any rebuild: it merges the generations, which must
+            // be disjoint.
+            self.claim_replaced(&items[..done], &mut out[..done]);
+            let Some(at) = failed else { break };
+            // The kernel ran on past the failure. Take those elements
+            // back out, newest first, so the retry and the rest of the
+            // run replay in order (a later duplicate of the failed key
+            // must replace it, not be replaced by it).
+            for (&(key, _), o) in items[at + 1..].iter().zip(&out[at + 1..]).rev() {
+                match *o {
+                    Ok(InsertOutcome::Inserted) => {
+                        self.inner.delete(key);
+                    }
+                    Ok(InsertOutcome::Replaced(prev)) => {
+                        let restored = self.inner.insert(key, prev);
+                        debug_assert!(matches!(restored, Ok(InsertOutcome::Replaced(_))));
+                    }
+                    Err(_) => {}
+                }
+            }
+            out[at] = self.insert_paid(items[at].0, items[at].1);
+            from += at + 1;
+        }
+    }
+
+    /// Second-generation pass of a run of inserts: a key the current
+    /// generation reported `Inserted` may still have a copy in the
+    /// draining one. One `delete_batch` over those keys claims the copies
+    /// (restoring generation disjointness) and turns their outcomes into
+    /// `Replaced(prev)` — [`retry_misses`] for inserts.
+    fn claim_replaced(
+        &mut self,
+        items: &[(u64, u64)],
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) {
+        let Some(gen) = self.old.as_mut() else { return };
+        const CHUNK: usize = 64;
+        const FRESH: Result<InsertOutcome, TableError> = Ok(InsertOutcome::Inserted);
+        let (mut keys, mut prev) = ([0u64; CHUNK], [None; CHUNK]);
+        for (ic, oc) in items.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+            let mut n = 0;
+            for (&(k, _), _) in ic.iter().zip(oc.iter()).filter(|(_, o)| **o == FRESH) {
+                keys[n] = k;
+                n += 1;
+            }
+            if n == 0 {
+                continue;
+            }
+            gen.table.delete_batch(&keys[..n], &mut prev[..n]);
+            for (o, p) in oc.iter_mut().filter(|o| **o == FRESH).zip(&prev[..n]) {
+                if let Some(p) = *p {
+                    *o = Ok(InsertOutcome::Replaced(p));
+                }
+            }
+        }
+    }
 }
 
 /// Second-generation pass of a batch read or delete: run `probe` over the
@@ -757,52 +955,8 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
             return Err(TableError::ReservedKey);
         }
         self.stats.record_inserts(1);
-        self.policy_tick()?;
-        if self.old.is_some() {
-            self.migrate_step(self.step_budget())?;
-        }
-        // Grow *before* the threshold is crossed. Lookups of existing keys
-        // (replacements) never trigger growth, matching the paper's
-        // element-count-based rehash policy.
-        if crosses_threshold(self.threshold_fp, self.total_len() + 1, self.inner.capacity())
-            && self.lookup(key).is_none()
-        {
-            self.grow()?;
-        }
-        // Insert into the current generation *first*: if it fails, the
-        // table is untouched (claiming the key from the draining
-        // generation before a fallible insert would lose the entry on the
-        // error path). Only on success is any old-generation copy of the
-        // key claimed, restoring generation disjointness and supplying
-        // the replaced value.
-        let outcome = loop {
-            match self.inner.insert(key, value) {
-                Ok(outcome) => break outcome,
-                Err(TableError::TableFull) | Err(TableError::CuckooFailure) => {
-                    // Capacity pressure the threshold missed (e.g. cuckoo
-                    // cycles below threshold): rebuild and retry. The
-                    // rebuild merges any draining generation, so a retried
-                    // insert reports replacements naturally.
-                    self.rebuild(self.bits + 1, 0)?;
-                }
-                // A reserved key was rejected above; a memory budget that
-                // refuses the insert must reach the caller — growing on
-                // it would allocate more while already over budget.
-                Err(e) => return Err(e),
-            }
-        };
-        let prev_old = self.old.as_mut().and_then(|g| g.table.delete(key));
-        Ok(match prev_old {
-            Some(prev) => {
-                debug_assert_eq!(
-                    outcome,
-                    InsertOutcome::Inserted,
-                    "key was in both generations at once"
-                );
-                InsertOutcome::Replaced(prev)
-            }
-            None => outcome,
-        })
+        self.pay_for_inserts(1)?;
+        self.insert_paid(key, value)
     }
 
     fn lookup(&self, key: u64) -> Option<u64> {
@@ -825,7 +979,7 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
         self.stats.record_deletes(1);
         // A failed policy tick or drain step (factory budget) leaves both
         // generations consistent; the delete itself still proceeds.
-        let _ = self.policy_tick();
+        let _ = self.policy_tick(1);
         if self.old.is_some() {
             let _ = self.migrate_step(self.step_budget());
         }
@@ -839,10 +993,8 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
     // straight to the inner table's (prefetching) overrides whenever no
     // migration is in flight; mid-migration they run the two-pass on the
     // new generation and re-probe only the misses against the old one.
-    // `insert_batch` deliberately keeps the element-by-element default:
-    // each insert must re-check the growth threshold (and pay its own
-    // drain step), and a mid-batch doubling invalidates any precomputed
-    // home slots.
+    // Inserts can grow it, so `insert_batch` cuts the batch into headroom
+    // runs first (see its comment).
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
         // Stats cost per *batch*, not per key: one sampled probe when the
         // batch straddles a sampling point, plus two fetch_adds at the
@@ -864,10 +1016,37 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
         self.stats.record_lookups(keys.len() as u64, misses_in(out));
     }
 
+    fn insert_batch(
+        &mut self,
+        items: &[(u64, u64)],
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) {
+        assert_eq!(items.len(), out.len(), "insert_batch: items and out lengths differ");
+        // Cut the batch into headroom runs (module docs): with `h`
+        // entries of headroom no `h` inserts can cross the growth
+        // threshold, so the per-key check is a no-op for a whole run and
+        // the inner kernel takes it in one call. Only the element that
+        // meets `h == 0` needs the single-key path's replacement check —
+        // it may grow the table, and the next run is cut against the new
+        // generation — as does the one that begins a pending switch.
+        let mut at = 0;
+        while at < items.len() {
+            let headroom = self.headroom();
+            if headroom == 0 || self.pending_switch.is_some() {
+                out[at] = self.insert(items[at].0, items[at].1);
+                at += 1;
+            } else {
+                let end = items.len().min(at + headroom);
+                self.insert_run(&items[at..end], &mut out[at..end]);
+                at = end;
+            }
+        }
+    }
+
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
         assert_eq!(keys.len(), out.len(), "delete_batch: keys and out lengths differ");
         self.stats.record_deletes(keys.len() as u64);
-        let _ = self.policy_tick();
+        let _ = self.policy_tick(keys.len() as u64);
         if self.old.is_some() {
             let budget = self.step_budget().saturating_mul(keys.len().max(1));
             let _ = self.migrate_step(budget);
@@ -1680,6 +1859,356 @@ mod tests {
         for k in 1..=key {
             assert_eq!(t.lookup(k), Some(k));
         }
+    }
+
+    /// Feed `items` to `batched` in one `insert_batch` and to `single`
+    /// key by key; outcomes, `len`, `capacity` and the rehash count must
+    /// agree. Returns the outcomes.
+    fn insert_both<F: TableFactory>(
+        batched: &mut DynamicTable<F>,
+        single: &mut DynamicTable<F>,
+        items: &[(u64, u64)],
+    ) -> Vec<Result<InsertOutcome, TableError>> {
+        let out = insert_both_unshaped(batched, single, items);
+        assert_eq!(batched.capacity(), single.capacity(), "capacity");
+        assert_eq!(batched.rehash_count(), single.rehash_count(), "rehashes");
+        out
+    }
+
+    /// [`insert_both`] without the capacity and rehash-count comparison.
+    fn insert_both_unshaped<F: TableFactory>(
+        batched: &mut DynamicTable<F>,
+        single: &mut DynamicTable<F>,
+        items: &[(u64, u64)],
+    ) -> Vec<Result<InsertOutcome, TableError>> {
+        let mut out = vec![Ok(InsertOutcome::Inserted); items.len()];
+        batched.insert_batch(items, &mut out);
+        for (i, &(k, v)) in items.iter().enumerate() {
+            assert_eq!(out[i], single.insert(k, v), "element {i} (key {k})");
+        }
+        assert_eq!(batched.len(), single.len(), "len");
+        out
+    }
+
+    const POLICIES: [GrowthPolicy; 3] = [
+        GrowthPolicy::AllAtOnce,
+        GrowthPolicy::Incremental { step: 1 },
+        GrowthPolicy::Incremental { step: 64 },
+    ];
+
+    #[test]
+    fn batches_match_single_key_path_across_growth_for_every_scheme() {
+        // From 16 slots over a 4096-key universe: seven doublings, and
+        // under the incremental policies most batches start mid-drain.
+        // Two-way cuckoo gets a threshold under its 50 % load limit, so
+        // that its growth too is the threshold's doing (see the cuckoo
+        // test below for what holds past the limit).
+        for (i, scheme) in TableScheme::ALL.into_iter().enumerate() {
+            let threshold = if scheme == TableScheme::Cuckoo2 { 0.45 } else { 0.7 };
+            for policy in POLICIES {
+                let table = || {
+                    let f = factory(scheme, HashKind::Murmur);
+                    DynamicTable::with_policy(f, 4, 11, threshold, policy)
+                };
+                let (mut batched, mut single) = (table(), table());
+                check_batch_matches_single_over(&mut batched, &mut single, 0xBA7 + i as u64, 4096);
+                assert!(single.rehash_count() >= 5, "{scheme:?} {policy:?}: stream never grew");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_may_end_exactly_at_headroom() {
+        for policy in POLICIES {
+            let table = || {
+                DynamicTable::with_policy(
+                    factory(TableScheme::LinearProbing, HashKind::Murmur),
+                    4,
+                    1,
+                    0.5,
+                    policy,
+                )
+            };
+            let (mut batched, mut single) = (table(), table());
+            assert_eq!(batched.headroom(), 8);
+            // Eight fresh keys use the headroom up and not one entry more.
+            let fill: Vec<(u64, u64)> = (1..=8u64).map(|k| (k, k)).collect();
+            insert_both(&mut batched, &mut single, &fill);
+            assert_eq!(
+                (batched.headroom(), batched.capacity(), batched.rehash_count()),
+                (0, 16, 0)
+            );
+            // At the threshold a replacement stays put; the fresh key
+            // behind it grows the table, and the rest of the batch runs
+            // in the new generation's headroom.
+            let out = insert_both(&mut batched, &mut single, &[(3, 30), (9, 9), (10, 10), (3, 31)]);
+            assert_eq!(out[0], Ok(InsertOutcome::Replaced(3)));
+            assert_eq!(out[3], Ok(InsertOutcome::Replaced(30)));
+            assert_eq!((batched.capacity(), batched.rehash_count()), (32, 1));
+        }
+    }
+
+    #[test]
+    fn replacements_at_the_threshold_never_grow() {
+        let table =
+            || DynamicTable::new(factory(TableScheme::RobinHood, HashKind::Murmur), 4, 1, 0.5);
+        let (mut batched, mut single) = (table(), table());
+        let fill: Vec<(u64, u64)> = (1..=8u64).map(|k| (k, k)).collect();
+        insert_both(&mut batched, &mut single, &fill);
+        for round in 1..=10u64 {
+            let again: Vec<(u64, u64)> = (1..=8u64).map(|k| (k, k + round)).collect();
+            let out = insert_both(&mut batched, &mut single, &again);
+            assert!(out.iter().all(|o| matches!(o, Ok(InsertOutcome::Replaced(_)))));
+        }
+        assert_eq!((batched.capacity(), batched.rehash_count()), (16, 0));
+    }
+
+    #[test]
+    fn a_key_twice_in_one_run_claims_its_draining_copy_once() {
+        let table = || {
+            DynamicTable::with_policy(
+                factory(TableScheme::LinearProbing, HashKind::Murmur),
+                6,
+                3,
+                0.5,
+                GrowthPolicy::Incremental { step: 1 },
+            )
+        };
+        let (mut batched, mut single) = (table(), table());
+        let fill: Vec<(u64, u64)> = (1..=33u64).map(|k| (k, k * 10)).collect();
+        insert_both(&mut batched, &mut single, &fill);
+        // The drain pops from the back, so the front of the pending list
+        // outlives the two steps this batch pays for.
+        let old = batched.old.as_ref().expect("the 33rd insert opens a migration");
+        let key = old.pending.as_slice()[0];
+        assert_eq!(old.table.lookup(key), Some(key * 10));
+        let out = insert_both(&mut batched, &mut single, &[(key, 1), (key, 2)]);
+        assert_eq!(out, [Ok(InsertOutcome::Replaced(key * 10)), Ok(InsertOutcome::Replaced(1))]);
+        assert_eq!(batched.old.as_ref().unwrap().table.lookup(key), None, "copy claimed");
+        assert_eq!(batched.lookup(key), Some(2));
+        assert_eq!(batched.len(), 33);
+    }
+
+    #[test]
+    fn reserved_keys_inside_a_run_are_inert() {
+        let table =
+            || DynamicTable::new(factory(TableScheme::LinearProbing, HashKind::Murmur), 6, 1, 0.5);
+        let (mut batched, mut single) = (table(), table());
+        let items = [(1, 1), (crate::EMPTY_KEY, 0), (2, 2), (crate::TOMBSTONE_KEY, 0), (1, 3)];
+        let out = insert_both(&mut batched, &mut single, &items);
+        assert_eq!(out[1], Err(TableError::ReservedKey));
+        assert_eq!(out[3], Err(TableError::ReservedKey));
+        assert_eq!(out[4], Ok(InsertOutcome::Replaced(1)));
+        assert_eq!(batched.len(), 2);
+        // They owe no tick and count as no insert, batched or not.
+        assert_eq!(batched.table_stats().unwrap().inserts, 3);
+        assert_eq!(single.table_stats().unwrap().inserts, 3);
+    }
+
+    #[test]
+    fn a_cuckoo_failure_inside_a_run_replays_the_rest_in_order() {
+        // Two-way cuckoo at a 90 % threshold fails kick chains long before
+        // the threshold. Every key comes twice per batch, so whenever the
+        // first copy is the one that fails, the second must still replace
+        // it (not the other way round) once the rebuild has made room.
+        // Outcomes, `len` and contents are compared; capacity is not:
+        // which element's kick chain fails is a property of the slot
+        // layout, and a batch that pays its drain up front (or runs past
+        // a failure and takes those elements back out) lays slots out
+        // differently from the one-key path.
+        let mut below_threshold_rebuilds = 0;
+        for policy in POLICIES {
+            let table = || {
+                DynamicTable::with_policy(
+                    factory(TableScheme::Cuckoo2, HashKind::Murmur),
+                    5,
+                    3,
+                    0.9,
+                    policy,
+                )
+            };
+            let (mut batched, mut single) = (table(), table());
+            for round in 0..40u64 {
+                let keys = round * 12 + 1..=round * 12 + 12;
+                let items: Vec<(u64, u64)> =
+                    keys.clone().map(|k| (k, k)).chain(keys.map(|k| (k, k + 1))).collect();
+                let capacity = batched.capacity();
+                let out = insert_both_unshaped(&mut batched, &mut single, &items);
+                assert!(out[..12].iter().all(|o| *o == Ok(InsertOutcome::Inserted)));
+                for (&(k, _), o) in items[12..].iter().zip(&out[12..]) {
+                    assert_eq!(*o, Ok(InsertOutcome::Replaced(k)), "round {round} key {k}");
+                }
+                // Grown, yet still within the old capacity's limit: not the
+                // threshold's doing.
+                let limit = growth_limit(batched.threshold_fp, capacity);
+                if batched.capacity() > capacity && batched.len() <= limit {
+                    below_threshold_rebuilds += 1;
+                }
+            }
+            assert_eq!(batched.len(), 480);
+            for k in 1..=480u64 {
+                assert_eq!(batched.lookup(k), Some(k + 1), "key {k}");
+            }
+        }
+        assert!(below_threshold_rebuilds > 0, "no run ever met a cuckoo failure");
+    }
+
+    /// Linear probing that refuses one key with `CuckooFailure` in every
+    /// generation of up to 32 slots — capacity pressure below the
+    /// threshold, on demand.
+    struct Jinxed(crate::LinearProbing<Murmur>);
+
+    const JINXED_KEY: u64 = 777;
+
+    impl crate::ReadView for Jinxed {}
+
+    impl HashTable for Jinxed {
+        fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
+            if key == JINXED_KEY && self.0.capacity() <= 32 {
+                return Err(TableError::CuckooFailure);
+            }
+            self.0.insert(key, value)
+        }
+        fn lookup(&self, key: u64) -> Option<u64> {
+            self.0.lookup(key)
+        }
+        fn delete(&mut self, key: u64) -> Option<u64> {
+            self.0.delete(key)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn capacity(&self) -> usize {
+            self.0.capacity()
+        }
+        fn memory_bytes(&self) -> usize {
+            self.0.memory_bytes()
+        }
+        fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
+            self.0.for_each(f)
+        }
+        fn display_name(&self) -> String {
+            self.0.display_name()
+        }
+    }
+
+    #[derive(Clone)]
+    struct JinxedFactory;
+
+    impl TableFactory for JinxedFactory {
+        type Table = Jinxed;
+
+        fn build(&self, bits: u8, seed: u64) -> Jinxed {
+            Jinxed(crate::LinearProbing::with_seed(bits, seed))
+        }
+    }
+
+    #[test]
+    fn a_failure_inside_a_run_mid_drain_keeps_claims_and_order() {
+        let table = || {
+            DynamicTable::with_policy(
+                JinxedFactory,
+                4,
+                5,
+                0.5,
+                GrowthPolicy::Incremental { step: 1 },
+            )
+        };
+        let (mut batched, mut single) = (table(), table());
+        let fill: Vec<(u64, u64)> = (1..=9u64).map(|k| (k, k * 10)).collect();
+        insert_both(&mut batched, &mut single, &fill);
+        let old = batched.old.as_ref().expect("the 9th insert opens a migration");
+        assert!(old.pending.len() > 4, "the batch below must not drain everything");
+        let unmoved = old.pending.as_slice()[0];
+        // One run, 32 slots: the jinxed key fails in it, after an element
+        // whose draining copy must be claimed before the rebuild merges
+        // the generations, and before duplicates of both keys.
+        let items = [(unmoved, 1), (JINXED_KEY, 2), (JINXED_KEY, 3), (unmoved, 4)];
+        assert!(batched.headroom() >= items.len());
+        let out = insert_both(&mut batched, &mut single, &items);
+        let expect = [
+            InsertOutcome::Replaced(unmoved * 10),
+            InsertOutcome::Inserted,
+            InsertOutcome::Replaced(2),
+            InsertOutcome::Replaced(1),
+        ];
+        assert_eq!(out, expect.map(Ok));
+        assert_eq!((batched.capacity(), batched.len()), (64, 10));
+        assert_eq!(batched.lookup(unmoved), Some(4));
+        assert_eq!(batched.lookup(JINXED_KEY), Some(3));
+    }
+
+    #[test]
+    fn a_pending_switch_is_consumed_by_the_first_batched_insert() {
+        for policy in [GrowthPolicy::AllAtOnce, GrowthPolicy::Incremental { step: 2 }] {
+            let table = || {
+                builder_table(
+                    TableScheme::LinearProbing,
+                    8,
+                    policy,
+                    MigrationPolicy::Switch(TableChoice::FpMult),
+                )
+            };
+            let (mut batched, mut single) = (table(), table());
+            // A reserved key does not count as the first mutation.
+            let items: Vec<(u64, u64)> =
+                std::iter::once((crate::EMPTY_KEY, 0)).chain((1..=40u64).map(|k| (k, k))).collect();
+            insert_both(&mut batched, &mut single, &items);
+            assert!(batched.inner().display_name().starts_with("FP"));
+            assert_eq!((batched.scheme_switches(), single.scheme_switches()), (1, 1));
+            for k in 1..=40u64 {
+                assert_eq!(batched.lookup(k), Some(k));
+            }
+        }
+    }
+
+    #[test]
+    fn an_insert_only_stream_counts_no_lookups() {
+        // The replacement check of an insert that meets the threshold is
+        // not a user lookup: it must not reach the counters (or the miss
+        // EWMA the adaptive controller reads).
+        let mut t =
+            DynamicTable::new(factory(TableScheme::LinearProbing, HashKind::Murmur), 4, 1, 0.5);
+        for k in 1..=500u64 {
+            t.insert(k, k).unwrap();
+        }
+        let items: Vec<(u64, u64)> = (400..=900u64).map(|k| (k, k)).collect();
+        t.insert_batch(&items, &mut vec![Ok(InsertOutcome::Inserted); items.len()]);
+        assert!(t.rehash_count() >= 6, "the stream must have met the threshold repeatedly");
+        let s = t.table_stats().unwrap();
+        assert_eq!((s.lookups, s.misses, s.inserts), (0, 0, 1001));
+        assert_eq!(s.miss_ewma, 0.0);
+    }
+
+    #[test]
+    fn a_batch_advances_the_adaptive_clock_by_its_length() {
+        // `check_every` and `cooldown` are documented in mutating
+        // operations: N of them move the controller to the same tick
+        // whether they arrive one by one or as one batch.
+        let cfg = AdaptiveConfig { check_every: 8, min_lookups: 1 << 40, cooldown: 0 };
+        let table = || {
+            let mut t = builder_table(
+                TableScheme::LinearProbing,
+                10,
+                GrowthPolicy::Incremental { step: 4 },
+                MigrationPolicy::Adaptive(cfg),
+            );
+            t.cooldown_left = 1000;
+            t
+        };
+        let clock = |t: &DynamicTable<TableBuilder>| (t.ops_since_check, t.cooldown_left);
+        let (mut batched, mut single) = (table(), table());
+        let items: Vec<(u64, u64)> = (1..=100u64).map(|k| (k, k)).collect();
+        insert_both(&mut batched, &mut single, &items);
+        assert_eq!(clock(&single), (4, 1000 - 96));
+        assert_eq!(clock(&batched), clock(&single), "after 100 inserts");
+        let keys: Vec<u64> = (1..=99u64).collect();
+        batched.delete_batch(&keys, &mut vec![None; keys.len()]);
+        for &k in &keys {
+            single.delete(k);
+        }
+        assert_eq!(clock(&single), (7, 1000 - 192));
+        assert_eq!(clock(&batched), clock(&single), "after 99 deletes");
     }
 
     #[test]

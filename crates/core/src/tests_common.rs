@@ -75,10 +75,25 @@ pub fn check_for_each<T: HashTable>(t: &mut T) {
 ///
 /// Drives two identically seeded tables through the same randomized
 /// mixed stream — one via `*_batch` (random batch sizes, reserved keys
-/// sprinkled in), one key by key — and checks every outcome pairwise.
+/// sprinkled in), one key by key — and checks every outcome pairwise,
+/// and after every round `len`, `capacity` and the rehash count (a
+/// growing table must grow on the same element either way). Keys come
+/// from a universe of half the starting capacity.
 pub fn check_batch_matches_single<T: HashTable>(batched: &mut T, single: &mut T, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
     let universe = (batched.capacity() / 2).max(16) as u64;
+    check_batch_matches_single_over(batched, single, seed, universe);
+}
+
+/// [`check_batch_matches_single`] over keys `1..=universe` — pick one far
+/// above a growing table's starting capacity and growth steps (and their
+/// mid-drain states) fall inside batches.
+pub fn check_batch_matches_single_over<T: HashTable>(
+    batched: &mut T,
+    single: &mut T,
+    seed: u64,
+    universe: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut keybuf = Vec::new();
     let mut items = Vec::new();
     for round in 0..200 {
@@ -119,6 +134,12 @@ pub fn check_batch_matches_single<T: HashTable>(batched: &mut T, single: &mut T,
             }
         }
         assert_eq!(batched.len(), single.len(), "round {round} len");
+        assert_eq!(batched.capacity(), single.capacity(), "round {round} capacity");
+        assert_eq!(
+            batched.table_stats().map(|s| s.rehashes),
+            single.table_stats().map(|s| s.rehashes),
+            "round {round} rehashes"
+        );
     }
 }
 

@@ -55,6 +55,14 @@
 //! from "disk ate my log". Either way the new epoch appends to a *fresh*
 //! segment, so damaged bytes are never appended after.
 //!
+//! Replay is **batched**: [`replay_into`] gathers consecutive puts (or
+//! consecutive deletes) across records into runs of up to 256 and applies
+//! each with one `insert_batch_shared` / `delete_batch_shared`, cutting a
+//! run where the op kind changes and flushing the pending one when
+//! decoding stops — so per-key order is the log's, the ops of every
+//! record decoded before a tear or a bad checksum are applied, and
+//! recovery runs on the same batch kernels the write path does.
+//!
 //! A dirty recovery also **quarantines the damage before accepting new
 //! appends** — the "never replay past it" rule would otherwise eat the
 //! new epoch: the next open would stop at the same damaged record and
@@ -131,10 +139,71 @@ impl RecoveryReport {
     }
 }
 
+/// Longest run of consecutive same-kind ops replay applies with one
+/// batch call: long enough that every shard of a sharded table gets a
+/// sub-batch the prefetching kernels can overlap, short enough that the
+/// ignored outcomes fit a stack array.
+const REPLAY_RUN: usize = 256;
+
+/// Replay's pending run: consecutive logged ops of one kind, gathered
+/// across record boundaries. At most one of the two is non-empty.
+#[derive(Default)]
+struct ReplayRun {
+    puts: Vec<(u64, u64)>,
+    dels: Vec<u64>,
+}
+
+impl ReplayRun {
+    fn push<T: ConcurrentTable + ?Sized>(&mut self, op: WalOp, table: &T) {
+        match op {
+            WalOp::Put { key, value } => {
+                if !self.dels.is_empty() {
+                    self.flush(table);
+                }
+                self.puts.push((key, value));
+            }
+            WalOp::Del { key } => {
+                if !self.puts.is_empty() {
+                    self.flush(table);
+                }
+                self.dels.push(key);
+            }
+        }
+        if self.puts.len() + self.dels.len() == REPLAY_RUN {
+            self.flush(table);
+        }
+    }
+
+    /// Apply the pending run. Outcomes are ignored (see [`replay_into`]).
+    fn flush<T: ConcurrentTable + ?Sized>(&mut self, table: &T) {
+        if !self.puts.is_empty() {
+            let mut out = [Ok(InsertOutcome::Inserted); REPLAY_RUN];
+            table.insert_batch_shared(&self.puts, &mut out[..self.puts.len()]);
+            self.puts.clear();
+        }
+        if !self.dels.is_empty() {
+            let mut out = [None; REPLAY_RUN];
+            table.delete_batch_shared(&self.dels, &mut out[..self.dels.len()]);
+            self.dels.clear();
+        }
+    }
+}
+
 /// Decode `bytes` as a `7DWL` record stream and apply every op with
 /// `seq > covered_seq` to `table`, in order, stopping at the first
 /// truncated or damaged frame. This is the whole recovery kernel — the
 /// crash-recovery oracle drives it directly over torn byte streams.
+///
+/// Ops reach the table in **runs**: consecutive puts (or consecutive
+/// deletes), across record boundaries, are gathered up to 256
+/// (`REPLAY_RUN`) and applied with one `insert_batch_shared` /
+/// `delete_batch_shared`, so replay gets the sharded fan-out and the
+/// prefetching batch kernels instead of one lock, one virtual call and
+/// one cache miss per logged op. A run is flushed when the op kind
+/// changes and when decoding stops — at the end of the stream or at a
+/// torn or damaged frame — and the batch calls are element-wise
+/// identical to their single-key forms, so the table sees exactly the
+/// ops of every whole valid record before the stop, in log order.
 ///
 /// Replay outcomes are deliberately ignored: the log holds only ops
 /// that *took effect* originally (a refused insert or a not-found
@@ -150,6 +219,7 @@ pub fn replay_into<T: ConcurrentTable + ?Sized>(
     covered_seq: u64,
 ) -> RecoveryReport {
     let mut report = RecoveryReport { last_seq: covered_seq, ..Default::default() };
+    let mut run = ReplayRun::default();
     let mut at = 0usize;
     loop {
         report.valid_prefix_bytes = at as u64;
@@ -159,20 +229,13 @@ pub fn replay_into<T: ConcurrentTable + ?Sized>(
                 break;
             }
             Ok(Some((rec, used))) => {
-                for (i, op) in rec.ops.iter().enumerate() {
+                for (i, &op) in rec.ops.iter().enumerate() {
                     let seq = rec.seq.wrapping_add(i as u64);
                     if seq <= covered_seq {
                         report.skipped_ops += 1;
                         continue;
                     }
-                    match *op {
-                        WalOp::Put { key, value } => {
-                            let _ = table.insert_shared(key, value);
-                        }
-                        WalOp::Del { key } => {
-                            let _ = table.delete_shared(key);
-                        }
-                    }
+                    run.push(op, table);
                     report.replayed_ops += 1;
                     report.last_seq = report.last_seq.max(seq);
                 }
@@ -185,6 +248,7 @@ pub fn replay_into<T: ConcurrentTable + ?Sized>(
             }
         }
     }
+    run.flush(table);
     report
 }
 
@@ -253,6 +317,9 @@ struct LogState {
     writer: WalWriter,
     seg_no: u64,
     records_since_snapshot: u64,
+    /// The mutation paths gather their effective ops here, so a commit
+    /// allocates nothing while it holds the log mutex.
+    ops: Vec<WalOp>,
 }
 
 struct Core<T> {
@@ -407,7 +474,12 @@ impl DurableTable<ShardedTable<BoxedTable>> {
             inner,
             dir: Some(dir),
             snapshot_every: builder.snapshot_threshold(),
-            log: Mutex::new(LogState { writer, seg_no, records_since_snapshot: 0 }),
+            log: Mutex::new(LogState {
+                writer,
+                seg_no,
+                records_since_snapshot: 0,
+                ops: Vec::new(),
+            }),
             snap_mutex: Mutex::new(()),
             snap_pending: AtomicBool::new(false),
             snapshots_taken: AtomicU64::new(0),
@@ -431,6 +503,7 @@ impl<T: ConcurrentTable + 'static> DurableTable<T> {
                 writer: WalWriter::new(wal, 1, policy),
                 seg_no: 0,
                 records_since_snapshot: 0,
+                ops: Vec::new(),
             }),
             snap_mutex: Mutex::new(()),
             snap_pending: AtomicBool::new(false),
@@ -489,27 +562,31 @@ impl<T: ConcurrentTable + 'static> DurableTable<T> {
     /// record appended past them would be acknowledged yet unrecoverable
     /// (replay stops at the tear), so a fail-stopped table refuses every
     /// further mutation — including from threads that survive the
-    /// original panic through the poison-recovering [`lock`].
+    /// original panic through the poison-recovering [`lock`]. The guard
+    /// comes back with `ops` empty, for the mutation to fill.
     fn begin(&self) -> MutexGuard<'_, LogState> {
-        let log = lock(&self.core.log);
+        let mut log = lock(&self.core.log);
         if self.core.wal_failed.load(Ordering::Relaxed) {
             panic!("{}", WalError::FailStopped);
         }
+        log.ops.clear();
         log
     }
 
-    /// Log the ops that took effect — still inside the critical section
-    /// their apply ran in — then hand off to the snapshot cadence. An
-    /// append failure flips the sticky `wal_failed` flag *before*
-    /// panicking (flag store and flag check both happen under the log
-    /// lock, so the ordering is free), fail-stopping the whole table.
-    fn commit(&self, mut log: MutexGuard<'_, LogState>, ops: &[WalOp]) {
+    /// Log the ops that took effect (the mutation gathered them in
+    /// `log.ops`) — still inside the critical section their apply ran in
+    /// — then hand off to the snapshot cadence. An append failure flips
+    /// the sticky `wal_failed` flag *before* panicking (flag store and
+    /// flag check both happen under the log lock, so the ordering is
+    /// free), fail-stopping the whole table.
+    fn commit(&self, mut log: MutexGuard<'_, LogState>) {
+        let LogState { writer, ops, records_since_snapshot, .. } = &mut *log;
         if !ops.is_empty() {
-            if let Err(e) = log.writer.log(ops) {
+            if let Err(e) = writer.log(ops) {
                 self.core.wal_failed.store(true, Ordering::Relaxed);
                 panic!("WAL append failed — cannot acknowledge unlogged mutations: {e}");
             }
-            log.records_since_snapshot += 1;
+            *records_since_snapshot += 1;
         }
         self.maybe_snapshot(log);
     }
@@ -547,10 +624,10 @@ impl<T: ConcurrentTable + 'static> DurableTable<T> {
 
 impl<T: ConcurrentTable + 'static> ConcurrentTable for DurableTable<T> {
     fn insert_shared(&self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        let log = self.begin();
+        let mut log = self.begin();
         let out = self.core.inner.insert_shared(key, value);
-        let op = [WalOp::Put { key, value }];
-        self.commit(log, if out.is_ok() { &op } else { &[] });
+        log.ops.extend(out.is_ok().then_some(WalOp::Put { key, value }));
+        self.commit(log);
         out
     }
 
@@ -559,10 +636,10 @@ impl<T: ConcurrentTable + 'static> ConcurrentTable for DurableTable<T> {
     }
 
     fn delete_shared(&self, key: u64) -> Option<u64> {
-        let log = self.begin();
+        let mut log = self.begin();
         let out = self.core.inner.delete_shared(key);
-        let op = [WalOp::Del { key }];
-        self.commit(log, if out.is_some() { &op } else { &[] });
+        log.ops.extend(out.map(|_| WalOp::Del { key }));
+        self.commit(log);
         out
     }
 
@@ -578,30 +655,22 @@ impl<T: ConcurrentTable + 'static> ConcurrentTable for DurableTable<T> {
         if items.is_empty() {
             return self.core.inner.insert_batch_shared(items, out);
         }
-        let log = self.begin();
+        let mut log = self.begin();
         self.core.inner.insert_batch_shared(items, out);
-        let ops: Vec<WalOp> = items
-            .iter()
-            .zip(out.iter())
-            .filter(|&(_, r)| r.is_ok())
-            .map(|(&(key, value), _)| WalOp::Put { key, value })
-            .collect();
-        self.commit(log, &ops);
+        let effective = items.iter().zip(out.iter()).filter(|&(_, r)| r.is_ok());
+        log.ops.extend(effective.map(|(&(key, value), _)| WalOp::Put { key, value }));
+        self.commit(log);
     }
 
     fn delete_batch_shared(&self, keys: &[u64], out: &mut [Option<u64>]) {
         if keys.is_empty() {
             return self.core.inner.delete_batch_shared(keys, out);
         }
-        let log = self.begin();
+        let mut log = self.begin();
         self.core.inner.delete_batch_shared(keys, out);
-        let ops: Vec<WalOp> = keys
-            .iter()
-            .zip(out.iter())
-            .filter(|&(_, r)| r.is_some())
-            .map(|(&key, _)| WalOp::Del { key })
-            .collect();
-        self.commit(log, &ops);
+        let effective = keys.iter().zip(out.iter()).filter(|&(_, r)| r.is_some());
+        log.ops.extend(effective.map(|(&key, _)| WalOp::Del { key }));
+        self.commit(log);
     }
 
     fn len_shared(&self) -> usize {

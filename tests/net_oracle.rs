@@ -445,34 +445,3 @@ fn shutdown_drains_buffered_responses_to_concurrent_readers() {
     assert_eq!(stats.protocol_closes, 0);
     assert_eq!(stats.io_closes, 0);
 }
-
-#[test]
-fn spawn_serve_shutdown_cycle_leaks_no_file_descriptors() {
-    // Every fd the server opens (epoll instances, wake pipes, listeners,
-    // accepted sockets) must be closed by shutdown. Other tests in this
-    // binary run concurrently and may open fds between our snapshots, so
-    // retry a few times — a genuine leak fails every attempt.
-    fn count_fds() -> usize {
-        std::fs::read_dir("/proc/self/fd").expect("procfs").count()
-    }
-    let mut last = (0, 0);
-    for attempt in 0..3 {
-        let before = count_fds();
-        let table: Arc<dyn ConcurrentTable> = Arc::new(
-            TableBuilder::new(TableScheme::LinearProbing).bits(8).shards(2).build_sharded(),
-        );
-        let server =
-            KvServer::builder().threads(3).spawn("127.0.0.1:0", table).expect("spawn server");
-        let mut client = KvClient::connect(server.addr()).expect("connect");
-        assert!(client.put(1, 1).expect("put").is_ok());
-        drop(client);
-        server.shutdown().expect("shutdown");
-        let after = count_fds();
-        if before == after {
-            return;
-        }
-        last = (before, after);
-        let _ = attempt;
-    }
-    panic!("fd count changed across every spawn/shutdown cycle: {} -> {}", last.0, last.1);
-}

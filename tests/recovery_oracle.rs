@@ -26,7 +26,9 @@
 mod tests_common;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use seven_dim_hashing::durable::{replay_into, MemWal, RecoveryReport};
+use seven_dim_hashing::durable::{
+    decode_record, encode_record, replay_into, MemWal, RecoveryReport, WalOp,
+};
 use seven_dim_hashing::prelude::*;
 use std::collections::HashMap;
 use tests_common::all_schemes;
@@ -151,6 +153,73 @@ fn assert_matches_twin(table: &dyn ConcurrentTable, twin: &HashMap<u64, u64>, co
     }
 }
 
+/// The reference replayer: what [`replay_into`] did before it gathered
+/// ops into runs — every logged op applied on its own, in log order,
+/// through the single-key calls.
+fn replay_op_at_a_time(
+    bytes: &[u8],
+    table: &dyn ConcurrentTable,
+    covered_seq: u64,
+) -> RecoveryReport {
+    let mut report = RecoveryReport { last_seq: covered_seq, ..Default::default() };
+    let mut at = 0usize;
+    loop {
+        report.valid_prefix_bytes = at as u64;
+        match decode_record(&bytes[at..]) {
+            Ok(None) => {
+                report.truncated_tail_bytes = (bytes.len() - at) as u64;
+                return report;
+            }
+            Ok(Some((rec, used))) => {
+                for (i, op) in rec.ops.iter().enumerate() {
+                    let seq = rec.seq.wrapping_add(i as u64);
+                    if seq <= covered_seq {
+                        report.skipped_ops += 1;
+                        continue;
+                    }
+                    match *op {
+                        WalOp::Put { key, value } => drop(table.insert_shared(key, value)),
+                        WalOp::Del { key } => drop(table.delete_shared(key)),
+                    }
+                    report.replayed_ops += 1;
+                    report.last_seq = report.last_seq.max(seq);
+                }
+                report.records += 1;
+                at += used;
+            }
+            Err(e) => {
+                report.tail_error = Some(e);
+                return report;
+            }
+        }
+    }
+}
+
+fn sorted_entries(table: &dyn ConcurrentTable) -> Vec<(u64, u64)> {
+    let mut entries = EntrySnapshot::pairs_of_shared(table).into_vec();
+    entries.sort_unstable();
+    entries
+}
+
+/// [`replay_into`] a fresh table built from `builder`, and prove the
+/// batched replay indistinguishable from the op-at-a-time reference on a
+/// second fresh table: same contents, and every [`RecoveryReport`] field
+/// the same (compared through `Debug`, which prints them all, the typed
+/// tail error included).
+fn replay_checked(
+    builder: &TableBuilder,
+    bytes: &[u8],
+    covered_seq: u64,
+    context: &str,
+) -> (ShardedTable<BoxedTable>, RecoveryReport) {
+    let (fresh, reference) = (builder.build_sharded(), builder.build_sharded());
+    let report = replay_into(bytes, &fresh, covered_seq);
+    let expect = replay_op_at_a_time(bytes, &reference, covered_seq);
+    assert_eq!(format!("{report:?}"), format!("{expect:?}"), "{context}: report vs reference");
+    assert_eq!(sorted_entries(&fresh), sorted_entries(&reference), "{context}: table vs reference");
+    (fresh, report)
+}
+
 /// The builder grid: every scheme × {unsharded, 4-way sharded} ×
 /// {fixed capacity, incremental growth from a deliberately small table}.
 fn grid() -> Vec<(TableBuilder, String)> {
@@ -182,10 +251,9 @@ fn check_tear(
     t: usize,
     label: &str,
 ) -> RecoveryReport {
-    let fresh = builder.build_sharded();
-    let report = replay_into(&bytes[..t], &fresh, 0);
-    let (twin, surviving_ops) = twin_at(groups, t);
     let context = format!("{label} tear@{t}");
+    let (fresh, report) = replay_checked(builder, &bytes[..t], 0, &context);
+    let (twin, surviving_ops) = twin_at(groups, t);
     assert!(
         report.clean(),
         "{context}: truncation must be a clean stop, got {:?}",
@@ -253,10 +321,9 @@ fn corrupted_log_stops_at_the_damaged_record_and_reports_it() {
             let p = rng.gen_range(0..bytes.len());
             let mut bad = bytes.clone();
             bad[p] ^= 1 << rng.gen_range(0..8u8);
-            let fresh = builder.build_sharded();
-            let report = replay_into(&bad, &fresh, 0);
-            let (twin, surviving_ops) = twin_at(&groups, p);
             let context = format!("{label} flip@{p}");
+            let (fresh, report) = replay_checked(&builder, &bad, 0, &context);
+            let (twin, surviving_ops) = twin_at(&groups, p);
             // The flip either fails a checksum (tail_error) or inflates
             // a declared length past the buffer (a truncated-tail stop);
             // silently decoding damaged bytes is the one forbidden move.
@@ -266,6 +333,135 @@ fn corrupted_log_stops_at_the_damaged_record_and_reports_it() {
             );
             assert_eq!(report.replayed_ops, surviving_ops, "{context}: replayed ops");
             assert_matches_twin(&fresh, &twin, &context);
+        }
+    }
+}
+
+/// Encode `records` (each a group commit) back to back, numbering ops
+/// from 1.
+fn encode_log(records: &[Vec<WalOp>]) -> Vec<u8> {
+    let (mut bytes, mut seq) = (Vec::new(), 1u64);
+    for ops in records {
+        encode_record(seq, ops, &mut bytes);
+        seq += ops.len() as u64;
+    }
+    bytes
+}
+
+/// A small growing stack: two shards from 16 slots each, so runs also
+/// cross growth steps and shard boundaries.
+fn small_growing() -> TableBuilder {
+    TableBuilder::new(TableScheme::LinearProbing).bits(5).shards(1).grow_at(0.7).incremental(4)
+}
+
+const fn put(key: u64, value: u64) -> WalOp {
+    WalOp::Put { key, value }
+}
+
+const fn del(key: u64) -> WalOp {
+    WalOp::Del { key }
+}
+
+/// Runs are cut where the op kind changes, and only there or at 256 ops:
+/// put → del → put of one key must come out as the last put, whether the
+/// three share a record or straddle records, and a `covered_seq` landing
+/// mid-record must skip exactly the ops at or before it.
+#[test]
+fn batched_replay_keeps_per_key_order_within_and_across_records() {
+    let b = small_growing();
+    // Inside one record, between other keys' ops.
+    let one =
+        encode_log(&[vec![put(5, 1), put(9, 1), del(5), del(8), put(5, 2), put(5, 3), del(9)]]);
+    let (t, report) = replay_checked(&b, &one, 0, "one record");
+    assert_eq!(sorted_entries(&t), [(5, 3)]);
+    assert_eq!((report.records, report.replayed_ops, report.last_seq), (1, 7, 7));
+    // The same ops as one record each, then as ragged records: a run
+    // gathers across record boundaries, a kind change still cuts it.
+    let ops = [put(5, 1), put(9, 1), del(5), del(8), put(5, 2), put(5, 3), del(9)];
+    let each = encode_log(&ops.iter().map(|&op| vec![op]).collect::<Vec<_>>());
+    let (t, report) = replay_checked(&b, &each, 0, "record per op");
+    assert_eq!(sorted_entries(&t), [(5, 3)]);
+    assert_eq!((report.records, report.replayed_ops), (7, 7));
+    let ragged = encode_log(&[ops[..3].to_vec(), ops[3..4].to_vec(), ops[4..].to_vec()]);
+    let (t, _) = replay_checked(&b, &ragged, 0, "ragged records");
+    assert_eq!(sorted_entries(&t), [(5, 3)]);
+    // `covered_seq` inside the middle of a record: every split point.
+    for covered in 0..=8u64 {
+        let (t, report) = replay_checked(&b, &one, covered, &format!("covered_seq {covered}"));
+        assert_eq!(report.skipped_ops, covered.min(7));
+        assert_eq!(report.replayed_ops, 7 - covered.min(7));
+        assert_eq!(report.last_seq, covered.max(7));
+        // Skipping the first put of 5 changes nothing; skipping past the
+        // last one leaves 5 absent.
+        let five = t.lookup_shared(5);
+        assert_eq!(five, if covered >= 6 { None } else { Some(3) }, "covered_seq {covered}");
+    }
+}
+
+/// Runs longer than the 256-op window: a long stretch of puts with keys
+/// recurring inside it, a long stretch of deletes, and the tail after
+/// them, in records that do not divide the window.
+#[test]
+fn batched_replay_matches_reference_across_run_windows() {
+    let mut rng = StdRng::seed_from_u64(0x256);
+    let mut ops: Vec<WalOp> = (0..700).map(|i| put(rng.gen_range(2..200u64), i)).collect();
+    ops.extend((0..300).map(|_| del(rng.gen_range(2..200u64))));
+    ops.extend((0..10u64).flat_map(|i| [put(i + 2, 9000 + i), del(i + 3)]));
+    let records: Vec<Vec<WalOp>> = ops.chunks(7).map(<[WalOp]>::to_vec).collect();
+    let bytes = encode_log(&records);
+    for covered in [0, 255, 256, 699, 700, 1019] {
+        let (_, report) = replay_checked(&small_growing(), &bytes, covered, "long runs");
+        assert_eq!(report.replayed_ops, 1020 - covered);
+        assert!(report.clean());
+    }
+}
+
+/// Every tear offset and every single-byte flip of a multi-record log:
+/// ops of the records decoded before the stop are applied — the pending
+/// run is flushed, not dropped — and nothing after it is.
+#[test]
+fn batched_replay_matches_reference_at_every_tear_and_flip() {
+    let b = small_growing();
+    let records = vec![
+        vec![put(2, 1), put(3, 1), put(4, 1)],
+        vec![put(5, 1)],
+        vec![put(2, 2), del(3), del(9)],
+        vec![del(4)],
+        vec![put(3, 3), put(6, 1), put(7, 1), put(8, 1)],
+        vec![put(9, 1), del(2)],
+        vec![put(2, 4)],
+    ];
+    let bytes = encode_log(&records);
+    let mut ends = Vec::new();
+    for ops in &records {
+        let mut one = Vec::new();
+        encode_record(1, ops, &mut one);
+        ends.push(ends.last().copied().unwrap_or(0) + one.len());
+    }
+    assert_eq!(*ends.last().unwrap(), bytes.len());
+    let ops_before = |offset: usize| -> u64 {
+        records
+            .iter()
+            .zip(&ends)
+            .filter(|(_, &end)| end <= offset)
+            .map(|(r, _)| r.len() as u64)
+            .sum()
+    };
+    for t in 0..=bytes.len() {
+        let (_, report) = replay_checked(&b, &bytes[..t], 0, &format!("tear@{t}"));
+        assert!(report.clean(), "tear@{t}: truncation is a clean stop");
+        assert_eq!(report.replayed_ops, ops_before(t), "tear@{t}");
+    }
+    for p in 0..bytes.len() {
+        for bit in [0u8, 7] {
+            let mut bad = bytes.clone();
+            bad[p] ^= 1 << bit;
+            let (_, report) = replay_checked(&b, &bad, 0, &format!("flip@{p}.{bit}"));
+            assert!(
+                report.tail_error.is_some() || report.truncated_tail_bytes > 0,
+                "flip@{p}.{bit}: damage went unnoticed"
+            );
+            assert_eq!(report.replayed_ops, ops_before(p), "flip@{p}.{bit}");
         }
     }
 }
