@@ -25,9 +25,8 @@
 //! Per-worker latencies land in private `LatencyHistogram`s and are
 //! merged for reporting (`LatencyHistogram::merged` — identical to one
 //! histogram recording every sample). `--json` additionally writes
-//! `BENCH_net.json` (schema v3: stamped with `schema_version`,
-//! `server_threads`, `accept_mode`, and `warmup_ops`) for trend
-//! tracking.
+//! `BENCH_net.json` (schema v4: stamped with `schema_version`,
+//! `server_threads`, and `warmup_ops`) for trend tracking.
 //!
 //! Every measured window is preceded by an **untimed warm-up**: the
 //! preload plus a few thousand throwaway ops in the measured panel's
@@ -67,7 +66,7 @@ mod linux {
     use rand::{Rng, SeedableRng};
     use sevendim_core::{ConcurrentTable, TableBuilder, TableScheme};
     use sevendim_net::protocol::{Op, Request};
-    use sevendim_net::{AcceptMode, KvClient, KvServer, ServerHandle};
+    use sevendim_net::{KvClient, KvServer, ServerHandle};
     use std::collections::VecDeque;
     use std::io::Write as _;
     use std::net::SocketAddr;
@@ -117,7 +116,6 @@ mod linux {
         /// Worker event loops for the in-process server (None = one per
         /// core) and the ceiling of the thread-sweep panel.
         server_threads: Option<usize>,
-        accept: AcceptMode,
         json: bool,
         addr: Option<String>,
     }
@@ -175,7 +173,6 @@ mod linux {
             get_ratio: 80,
             rate: 0,
             server_threads: None,
-            accept: AcceptMode::Auto,
             json: false,
             addr: None,
         };
@@ -210,14 +207,6 @@ mod linux {
                 "--server-threads" => {
                     args.server_threads =
                         Some(parse_num(&value_for("--server-threads"), "--server-threads"))
-                }
-                "--accept" => {
-                    args.accept = match value_for("--accept").as_str() {
-                        "auto" => AcceptMode::Auto,
-                        "reuseport" => AcceptMode::ReusePort,
-                        "mailbox" => AcceptMode::Mailbox,
-                        v => usage(&format!("unknown accept mode '{v}'")),
-                    }
                 }
                 "--json" => args.json = true,
                 "--addr" => args.addr = Some(value_for("--addr")),
@@ -279,18 +268,9 @@ mod linux {
         eprintln!(
             "usage: kv_loadgen [--scale smoke|default|paper] [--conns N] [--pipeline N] \
              [--ops N] [--keys N] [--get-ratio PCT] [--rate OPS_PER_SEC] \
-             [--server-threads N] [--accept auto|reuseport|mailbox] [--addr HOST:PORT] \
-             [--json]"
+             [--server-threads N] [--addr HOST:PORT] [--json]"
         );
         std::process::exit(if err.is_empty() { 0 } else { 2 })
-    }
-
-    fn accept_name(mode: AcceptMode) -> &'static str {
-        match mode {
-            AcceptMode::Auto => "auto",
-            AcceptMode::ReusePort => "reuseport",
-            AcceptMode::Mailbox => "mailbox",
-        }
     }
 
     struct PanelResult {
@@ -446,11 +426,7 @@ mod linux {
             .optimistic_reads(true)
             .build_sharded();
         let table: Arc<dyn ConcurrentTable> = Arc::new(table);
-        KvServer::builder()
-            .threads(threads)
-            .accept(args.accept)
-            .spawn("127.0.0.1:0", table)
-            .expect("spawn server")
+        KvServer::builder().threads(threads).spawn("127.0.0.1:0", table).expect("spawn server")
     }
 
     struct SweepPoint {
@@ -533,15 +509,9 @@ mod linux {
             }
         };
 
-        // The accept path the server actually resolved to (Auto becomes
-        // reuseport or mailbox at spawn); external targets report the
-        // flag as requested since we can't introspect them.
-        let resolved_accept =
-            server.as_ref().map_or(args.accept, sevendim_net::ServerHandle::accept_mode);
-
         println!(
             "kv_loadgen — {} conns × pipeline {}, {} ops/panel, {} keys, {}, \
-             {} server threads ({} accept)",
+             {} server threads",
             args.conns(),
             args.pipeline(),
             args.ops(),
@@ -552,7 +522,6 @@ mod linux {
                 format!("open loop at {} ops/s", args.rate)
             },
             args.server_threads(),
-            accept_name(resolved_accept),
         );
 
         preload(addr, keys as u64).expect("preload");
@@ -606,7 +575,7 @@ mod linux {
         let sweep = if args.addr.is_none() { run_sweep(&args) } else { Vec::new() };
         if !sweep.is_empty() {
             let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            println!("\nserver-thread sweep — GET panel, {} accept:", accept_name(resolved_accept));
+            println!("\nserver-thread sweep — GET panel:");
             println!(
                 "{:<8} {:>8} {:>8} {:>10} {:>10}",
                 "threads", "M ops/s", "speedup", "p50 us", "p99 us"
@@ -633,17 +602,16 @@ mod linux {
 
         if args.json {
             let mut out =
-                String::from("{\n  \"bench\": \"kv_loadgen\",\n  \"schema_version\": 3,\n");
+                String::from("{\n  \"bench\": \"kv_loadgen\",\n  \"schema_version\": 4,\n");
             out.push_str(&format!(
                 "  \"conns\": {}, \"pipeline\": {}, \"keys\": {}, \"rate\": {},\n  \
-                 \"server_threads\": {}, \"accept_mode\": \"{}\", \"warmup_ops\": {},\n  \
+                 \"server_threads\": {}, \"warmup_ops\": {},\n  \
                  \"panels\": [\n",
                 args.conns(),
                 args.pipeline(),
                 keys,
                 args.rate,
                 args.server_threads(),
-                accept_name(resolved_accept),
                 warmed,
             ));
             for (i, p) in panels.iter().enumerate() {

@@ -386,7 +386,7 @@ impl TableBuilder {
 
     /// Shorthand for `migration(MigrationPolicy::Adaptive(AdaptiveConfig::default()))`.
     pub fn adaptive(self) -> Self {
-        self.migration(MigrationPolicy::Adaptive(crate::dynamic::AdaptiveConfig::default()))
+        self.migration(MigrationPolicy::Adaptive(crate::AdaptiveConfig::default()))
     }
 
     /// Write a snapshot (and truncate the log) after every `records`

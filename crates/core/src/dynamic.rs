@@ -94,7 +94,8 @@
 //! implements; a factory fixed to one table type keeps the default and
 //! simply refuses to re-target.
 
-use crate::decision::{Mutability, TableChoice, WorkloadProfile};
+use crate::adaptive::{AdaptiveConfig, AdaptiveController};
+use crate::decision::TableChoice;
 use crate::entries::EntrySnapshot;
 use crate::stats::{RuntimeStats, TableStats};
 use crate::{is_reserved_key, HashTable, InsertOutcome, TableError};
@@ -170,33 +171,6 @@ pub enum MigrationPolicy {
     /// current scheme.
     Adaptive(AdaptiveConfig),
 }
-
-/// Tuning for [`MigrationPolicy::Adaptive`]. The defaults re-evaluate
-/// every 4 Ki mutating ops, demand 1 Ki fresh lookups of evidence, and
-/// hold 16 Ki ops of hysteresis after each switch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptiveConfig {
-    /// Mutating operations between controller evaluations.
-    pub check_every: u64,
-    /// Minimum lookups observed since the previous evaluation before the
-    /// miss signal is trusted — the controller must not switch without
-    /// evidence.
-    pub min_lookups: u64,
-    /// Mutating operations after a switch during which the controller
-    /// stays quiet (hysteresis against flapping on a boundary profile).
-    pub cooldown: u64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self { check_every: 4096, min_lookups: 1024, cooldown: 16_384 }
-    }
-}
-
-/// A write ratio below this is treated as an *effectively static* phase:
-/// the paper's static bands (where FP, chained and cuckoo live) apply to
-/// a probe-dominated stream even though the table remains writable.
-const ADAPTIVE_STATIC_WRITE_RATIO: f64 = 0.05;
 
 /// Every Nth single-key lookup runs the instrumented probe
 /// ([`HashTable::lookup_probed`]) instead of the plain one, feeding the
@@ -281,13 +255,9 @@ pub struct DynamicTable<F: TableFactory> {
     stats: RuntimeStats,
     /// Cross-scheme migrations begun so far.
     scheme_switches: usize,
-    /// Mutating ops since the adaptive controller last evaluated.
-    ops_since_check: u64,
-    /// Mutating ops of post-switch hysteresis still to burn.
-    cooldown_left: u64,
-    /// Stats snapshot at the last controller evaluation; deltas against
-    /// it form the observed workload profile.
-    last_eval: TableStats,
+    /// The [`MigrationPolicy::Adaptive`] controller's clock and memory
+    /// (idle under the other policies).
+    controller: AdaptiveController,
     rehash_count: usize,
 }
 
@@ -340,9 +310,7 @@ impl<F: TableFactory> DynamicTable<F> {
             pending_switch: None,
             stats: RuntimeStats::new(),
             scheme_switches: 0,
-            ops_since_check: 0,
-            cooldown_left: 0,
-            last_eval: TableStats::default(),
+            controller: AdaptiveController::default(),
             rehash_count: 0,
         }
     }
@@ -537,11 +505,9 @@ impl<F: TableFactory> DynamicTable<F> {
 
     /// Policy hook for `ops` mutating operations (1 from the single-key
     /// paths, the run length from the batch paths): consume a one-shot
-    /// pending [`MigrationPolicy::Switch`], or advance the adaptive
-    /// controller's clock and evaluate it once if the clock passed an
-    /// [`AdaptiveConfig::check_every`] boundary. Whole periods are burnt
-    /// and the remainder carried, so `ops` single ticks and one tick of
-    /// `ops` leave the clock — and the cooldown — at the same point.
+    /// pending [`MigrationPolicy::Switch`], or tick the adaptive
+    /// controller and act on its verdict — a switch that starts also
+    /// starts the controller's cooldown.
     fn policy_tick(&mut self, ops: u64) -> Result<(), TableError> {
         if let Some(choice) = self.pending_switch.take() {
             self.switch_to(choice)?;
@@ -550,49 +516,14 @@ impl<F: TableFactory> DynamicTable<F> {
         let MigrationPolicy::Adaptive(cfg) = self.migration else {
             return Ok(());
         };
-        let every = cfg.check_every.max(1);
-        self.ops_since_check += ops;
-        if self.ops_since_check < every {
-            return Ok(());
-        }
-        let ticks = self.ops_since_check - self.ops_since_check % every;
-        self.ops_since_check %= every;
-        if self.cooldown_left > 0 {
-            self.cooldown_left = self.cooldown_left.saturating_sub(ticks);
-            return Ok(());
-        }
-        if self.is_migrating() {
-            // Let the in-flight drain finish before re-deciding: a verdict
-            // mid-drain would be judged on a half-moved table.
-            return Ok(());
-        }
-        let snap = self.stats.snapshot();
-        let lookups = snap.lookups.saturating_sub(self.last_eval.lookups);
-        let writes = (snap.inserts + snap.deletes)
-            .saturating_sub(self.last_eval.inserts + self.last_eval.deletes);
-        self.last_eval = snap;
-        if lookups < cfg.min_lookups {
-            return Ok(());
-        }
-        let write_ratio = writes as f64 / (writes + lookups) as f64;
-        let mutability = if write_ratio < ADAPTIVE_STATIC_WRITE_RATIO {
-            Mutability::Static
-        } else {
-            Mutability::Dynamic
-        };
-        let observed = WorkloadProfile {
-            load_factor: self.load_factor(),
-            successful_ratio: 1.0 - snap.miss_ewma,
-            write_ratio,
-            dense_keys: false,
-            mutability,
-        };
-        // The same graph walk `TableBuilder::for_profile` uses offline,
-        // including its feasibility fallbacks (chained past its §4.5
-        // budget falls to FP/RH) — here fed by *observed* signals.
-        let desired = crate::builder::profile_choice(&observed, self.bits);
-        if self.factory.current_choice() != Some(desired) && self.switch_to(desired)? {
-            self.cooldown_left = cfg.cooldown;
+        // `observe` only runs with no drain in flight, when the current
+        // generation is the whole table and its load factor the table's.
+        let observe = || (self.stats.snapshot(), self.inner.load_factor());
+        let verdict = self.controller.tick(&cfg, ops, self.is_migrating(), observe, self.bits);
+        if let Some(desired) = verdict {
+            if self.switch_to(desired)? {
+                self.controller.cooldown_left = cfg.cooldown;
+            }
         }
         Ok(())
     }
@@ -2193,10 +2124,12 @@ mod tests {
                 GrowthPolicy::Incremental { step: 4 },
                 MigrationPolicy::Adaptive(cfg),
             );
-            t.cooldown_left = 1000;
+            t.controller.cooldown_left = 1000;
             t
         };
-        let clock = |t: &DynamicTable<TableBuilder>| (t.ops_since_check, t.cooldown_left);
+        let clock = |t: &DynamicTable<TableBuilder>| {
+            (t.controller.ops_since_check, t.controller.cooldown_left)
+        };
         let (mut batched, mut single) = (table(), table());
         let items: Vec<(u64, u64)> = (1..=100u64).map(|k| (k, k)).collect();
         insert_both(&mut batched, &mut single, &items);

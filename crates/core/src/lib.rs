@@ -38,6 +38,7 @@
 //! layouts have AVX2-accelerated probing variants (see [`simd`]) used by
 //! the Figure 7 reproduction.
 
+pub mod adaptive;
 pub mod budget;
 pub mod builder;
 pub mod chained;
@@ -59,12 +60,13 @@ pub mod stats;
 #[cfg(test)]
 pub(crate) mod tests_common;
 
+pub use adaptive::AdaptiveConfig;
 pub use budget::MemoryBudget;
 pub use builder::{profile_choice, BoxedTable, FsyncPolicy, HashKind, TableBuilder, TableScheme};
 pub use chained::{ChainedTable24, ChainedTable8};
 pub use cuckoo::Cuckoo;
 pub use decision::{recommend, TableChoice, WorkloadProfile};
-pub use dynamic::{AdaptiveConfig, DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};
+pub use dynamic::{DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};
 pub use entries::EntrySnapshot;
 pub use fingerprint::{FingerprintTable, GROUP_SLOTS};
 pub use linear_probing::LinearProbing;

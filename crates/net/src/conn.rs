@@ -12,8 +12,8 @@
 //!   `insert_batch_shared` / `delete_batch_shared`). Run segmentation —
 //!   not sorting — is what preserves the wire contract: a `PUT` followed
 //!   by a `GET` of the same key must observe the `PUT`, so frames are
-//!   never reordered, only grouped where adjacent. `BATCH` frames get
-//!   the same treatment internally over their ops.
+//!   never reordered, only grouped where adjacent. The ops of a `BATCH`
+//!   frame go through the same run executor ([`execute_runs`]).
 //! * **Write side** — responses are encoded into `wbuf` in frame order
 //!   and flushed opportunistically. Partial writes keep their offset;
 //!   `EAGAIN` arms `EPOLLOUT`; `EINTR` retries. The queue is **bounded**:
@@ -58,14 +58,80 @@ pub(crate) enum Close {
     Io(io::Error),
 }
 
-/// Reusable buffers for one connection's request execution.
+/// Plain frames queue up to this many before they are executed, which
+/// bounds the queue and re-checks backpressure at that interval.
+const MAX_QUEUED: usize = 1024;
+
+/// Reusable buffers one run is gathered into and answered from.
 #[derive(Default)]
-struct ExecScratch {
-    frames: Vec<(u64, Request)>,
+struct RunScratch {
     keys: Vec<u64>,
     values: Vec<Option<u64>>,
     items: Vec<(u64, u64)>,
     outcomes: Vec<Result<InsertOutcome, sevendim_core::TableError>>,
+}
+
+/// One connection's request execution: the plain (`GET`/`PUT`/`DEL`)
+/// frames decoded but not yet executed, as the [`Op`]s they carry, so
+/// that adjacent frames of one kind share one batch call.
+#[derive(Default)]
+struct Executor {
+    /// Request ids of the queued frames, index-aligned with `ops`.
+    ids: Vec<u64>,
+    ops: Vec<Op>,
+    run: RunScratch,
+}
+
+impl Executor {
+    /// Take one decoded frame and encode into `out` whatever responses
+    /// fall due. A plain frame queues behind its neighbours; a `BATCH`
+    /// first answers the queue (responses leave in frame order), then
+    /// executes its own ops.
+    fn frame(
+        &mut self,
+        id: u64,
+        req: Request,
+        table: &dyn ConcurrentTable,
+        out: &mut Vec<u8>,
+        stats: &mut PumpStats,
+    ) {
+        stats.frames += 1;
+        let op = match req {
+            Request::Get(k) => Op::Get(k),
+            Request::Put(k, v) => Op::Put(k, v),
+            Request::Del(k) => Op::Del(k),
+            Request::Batch(ops) => {
+                self.finish(table, out, stats);
+                stats.ops += ops.len() as u64;
+                let mut results = Vec::with_capacity(ops.len());
+                execute_runs(table, &ops, &mut self.run, |r| results.push(r));
+                encode_response(id, &Response::Batch(results), out);
+                return;
+            }
+        };
+        self.ids.push(id);
+        self.ops.push(op);
+        if self.ops.len() >= MAX_QUEUED {
+            self.finish(table, out, stats);
+        }
+    }
+
+    /// Execute the queued frames and encode one response per frame.
+    fn finish(&mut self, table: &dyn ConcurrentTable, out: &mut Vec<u8>, stats: &mut PumpStats) {
+        stats.ops += self.ops.len() as u64;
+        let mut ids = self.ids.iter();
+        execute_runs(table, &self.ops, &mut self.run, |r| {
+            let id = *ids.next().expect("one id per queued op");
+            let response = match r {
+                OpResponse::Get(v) => Response::Get(v),
+                OpResponse::Put(o) => Response::Put(o),
+                OpResponse::Del(v) => Response::Del(v),
+            };
+            encode_response(id, &response, out);
+        });
+        self.ids.clear();
+        self.ops.clear();
+    }
 }
 
 /// Counters one pump reports up to the server's totals.
@@ -93,7 +159,7 @@ pub(crate) struct Connection {
     /// server syncs it against [`Connection::interest`] after each
     /// event).
     pub registered: u32,
-    scratch: ExecScratch,
+    exec: Executor,
 }
 
 impl Connection {
@@ -106,7 +172,7 @@ impl Connection {
             paused: false,
             peer_eof: false,
             registered: EPOLLIN,
-            scratch: ExecScratch::default(),
+            exec: Executor::default(),
         }
     }
 
@@ -183,30 +249,23 @@ impl Connection {
     /// allows, then flush and update the pause state.
     fn pump(&mut self, table: &dyn ConcurrentTable, stats: &mut PumpStats) -> Result<(), Close> {
         let mut consumed = 0;
-        self.scratch.frames.clear();
         while self.pending_out() < WBUF_HIGH {
-            // Gather a contiguous stretch of decoded frames, then execute
-            // them together so adjacent same-op frames share one batch
-            // call.
             match decode_request(&self.rbuf[consumed..]) {
                 Ok(Some((id, req, used))) => {
                     consumed += used;
-                    self.scratch.frames.push((id, req));
-                    if self.scratch.frames.len() >= 1024 {
-                        self.execute_pending(table, stats);
-                    }
+                    self.exec.frame(id, req, table, &mut self.wbuf, stats);
                 }
                 Ok(None) => break,
                 Err(e) => {
                     // Answer everything decoded before the poison so the
                     // peer can match responses to requests, then close.
-                    self.execute_pending(table, stats);
+                    self.exec.finish(table, &mut self.wbuf, stats);
                     let _ = self.flush();
                     return Err(Close::Protocol(e));
                 }
             }
         }
-        self.execute_pending(table, stats);
+        self.exec.finish(table, &mut self.wbuf, stats);
         if consumed > 0 {
             self.rbuf.drain(..consumed);
         }
@@ -217,87 +276,6 @@ impl Connection {
             self.pending_out() > WBUF_HIGH
         };
         Ok(())
-    }
-
-    /// Execute the gathered frames (run-segmented) and encode their
-    /// responses into `wbuf`.
-    fn execute_pending(&mut self, table: &dyn ConcurrentTable, stats: &mut PumpStats) {
-        let frames = std::mem::take(&mut self.scratch.frames);
-        if frames.is_empty() {
-            self.scratch.frames = frames;
-            return;
-        }
-        stats.frames += frames.len() as u64;
-        let mut i = 0;
-        while i < frames.len() {
-            let j = end_of_run(&frames, i);
-            match frames[i].1 {
-                Request::Get(_) => {
-                    self.scratch.keys.clear();
-                    self.scratch.keys.extend(frames[i..j].iter().map(|(_, r)| match r {
-                        Request::Get(k) => *k,
-                        _ => unreachable!("run of GETs"),
-                    }));
-                    self.scratch.values.clear();
-                    self.scratch.values.resize(j - i, None);
-                    table.lookup_batch_shared(&self.scratch.keys, &mut self.scratch.values);
-                    for (t, (id, _)) in frames[i..j].iter().enumerate() {
-                        encode_response(
-                            *id,
-                            &Response::Get(self.scratch.values[t]),
-                            &mut self.wbuf,
-                        );
-                    }
-                }
-                Request::Put(..) => {
-                    self.scratch.items.clear();
-                    self.scratch.items.extend(frames[i..j].iter().map(|(_, r)| match r {
-                        Request::Put(k, v) => (*k, *v),
-                        _ => unreachable!("run of PUTs"),
-                    }));
-                    self.scratch.outcomes.clear();
-                    self.scratch.outcomes.resize(j - i, Ok(InsertOutcome::Inserted));
-                    table.insert_batch_shared(&self.scratch.items, &mut self.scratch.outcomes);
-                    for (t, (id, _)) in frames[i..j].iter().enumerate() {
-                        encode_response(
-                            *id,
-                            &Response::Put(self.scratch.outcomes[t]),
-                            &mut self.wbuf,
-                        );
-                    }
-                }
-                Request::Del(_) => {
-                    self.scratch.keys.clear();
-                    self.scratch.keys.extend(frames[i..j].iter().map(|(_, r)| match r {
-                        Request::Del(k) => *k,
-                        _ => unreachable!("run of DELs"),
-                    }));
-                    self.scratch.values.clear();
-                    self.scratch.values.resize(j - i, None);
-                    table.delete_batch_shared(&self.scratch.keys, &mut self.scratch.values);
-                    for (t, (id, _)) in frames[i..j].iter().enumerate() {
-                        encode_response(
-                            *id,
-                            &Response::Del(self.scratch.values[t]),
-                            &mut self.wbuf,
-                        );
-                    }
-                }
-                Request::Batch(_) => {
-                    debug_assert_eq!(j, i + 1, "batch frames execute one at a time");
-                    let (id, Request::Batch(ops)) = &frames[i] else { unreachable!("batch run") };
-                    stats.ops += ops.len() as u64;
-                    let results = execute_ops(table, ops, &mut self.scratch);
-                    encode_response(*id, &Response::Batch(results), &mut self.wbuf);
-                }
-            }
-            if !matches!(frames[i].1, Request::Batch(_)) {
-                stats.ops += (j - i) as u64;
-            }
-            i = j;
-        }
-        self.scratch.frames = frames;
-        self.scratch.frames.clear();
     }
 
     /// Write as much of `wbuf` as the socket accepts right now.
@@ -324,39 +302,26 @@ impl Connection {
     }
 }
 
-/// End of the maximal run starting at `i`: same opcode kind, with
-/// `BATCH` frames always alone (their internal ops are segmented
-/// instead).
-fn end_of_run(frames: &[(u64, Request)], i: usize) -> usize {
-    fn kind(r: &Request) -> u8 {
-        match r {
-            Request::Get(_) => 0,
-            Request::Put(..) => 1,
-            Request::Del(_) => 2,
-            Request::Batch(_) => 3,
-        }
+/// Which of the three batch calls an op belongs to.
+fn kind(op: &Op) -> u8 {
+    match op {
+        Op::Get(_) => 0,
+        Op::Put(..) => 1,
+        Op::Del(_) => 2,
     }
-    let k = kind(&frames[i].1);
-    if k == 3 {
-        return i + 1;
-    }
-    let mut j = i + 1;
-    while j < frames.len() && kind(&frames[j].1) == k {
-        j += 1;
-    }
-    j
 }
 
-/// Execute one `BATCH` frame's ops, run-segmented like top-level frames.
-fn execute_ops(table: &dyn ConcurrentTable, ops: &[Op], s: &mut ExecScratch) -> Vec<OpResponse> {
-    fn kind(op: &Op) -> u8 {
-        match op {
-            Op::Get(_) => 0,
-            Op::Put(..) => 1,
-            Op::Del(_) => 2,
-        }
-    }
-    let mut results = Vec::with_capacity(ops.len());
+/// Execute `ops` in order, cut into maximal runs of one kind: each run
+/// is one call into the table's batch API, and every op's answer goes
+/// to `emit`, in op order. The one place the server turns a request
+/// stream into table calls — top-level frames and the ops of a `BATCH`
+/// both come through here.
+fn execute_runs(
+    table: &dyn ConcurrentTable,
+    ops: &[Op],
+    s: &mut RunScratch,
+    mut emit: impl FnMut(OpResponse),
+) {
     let mut i = 0;
     while i < ops.len() {
         let k = kind(&ops[i]);
@@ -364,57 +329,61 @@ fn execute_ops(table: &dyn ConcurrentTable, ops: &[Op], s: &mut ExecScratch) -> 
         while j < ops.len() && kind(&ops[j]) == k {
             j += 1;
         }
-        match k {
-            0 => {
+        let run = &ops[i..j];
+        match run[0] {
+            Op::Get(_) => {
                 s.keys.clear();
-                s.keys.extend(ops[i..j].iter().map(|op| match op {
+                s.keys.extend(run.iter().map(|op| match op {
                     Op::Get(key) => *key,
                     _ => unreachable!("run of GETs"),
                 }));
                 s.values.clear();
-                s.values.resize(j - i, None);
+                s.values.resize(run.len(), None);
                 table.lookup_batch_shared(&s.keys, &mut s.values);
-                results.extend(s.values.iter().map(|v| OpResponse::Get(*v)));
+                s.values.iter().for_each(|v| emit(OpResponse::Get(*v)));
             }
-            1 => {
+            Op::Put(..) => {
                 s.items.clear();
-                s.items.extend(ops[i..j].iter().map(|op| match op {
+                s.items.extend(run.iter().map(|op| match op {
                     Op::Put(key, value) => (*key, *value),
                     _ => unreachable!("run of PUTs"),
                 }));
                 s.outcomes.clear();
-                s.outcomes.resize(j - i, Ok(InsertOutcome::Inserted));
+                s.outcomes.resize(run.len(), Ok(InsertOutcome::Inserted));
                 table.insert_batch_shared(&s.items, &mut s.outcomes);
-                results.extend(s.outcomes.iter().map(|o| OpResponse::Put(*o)));
+                s.outcomes.iter().for_each(|o| emit(OpResponse::Put(*o)));
             }
-            _ => {
+            Op::Del(_) => {
                 s.keys.clear();
-                s.keys.extend(ops[i..j].iter().map(|op| match op {
+                s.keys.extend(run.iter().map(|op| match op {
                     Op::Del(key) => *key,
                     _ => unreachable!("run of DELs"),
                 }));
                 s.values.clear();
-                s.values.resize(j - i, None);
+                s.values.resize(run.len(), None);
                 table.delete_batch_shared(&s.keys, &mut s.values);
-                results.extend(s.values.iter().map(|v| OpResponse::Del(*v)));
+                s.values.iter().for_each(|v| emit(OpResponse::Del(*v)));
             }
         }
         i = j;
     }
-    results
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sevendim_core::{TableBuilder, TableScheme};
+    use crate::protocol::decode_response;
+    use sevendim_core::{TableBuilder, TableError, TableScheme};
+    use std::sync::Mutex;
+
+    fn table() -> Box<dyn ConcurrentTable> {
+        Box::new(TableBuilder::new(TableScheme::LinearProbing).bits(8).shards(1).build_sharded())
+    }
 
     #[test]
     fn batch_ops_execute_in_order_with_run_segmentation() {
         // PUT then GET of the same key inside one batch must observe the
         // PUT — segmentation may group, never reorder.
-        let table = TableBuilder::new(TableScheme::LinearProbing).bits(8).shards(1).build_sharded();
-        let mut scratch = ExecScratch::default();
         let ops = vec![
             Op::Put(1, 10),
             Op::Put(2, 20),
@@ -425,7 +394,8 @@ mod tests {
             Op::Put(1, 11),
             Op::Get(1),
         ];
-        let results = execute_ops(&table, &ops, &mut scratch);
+        let mut results = Vec::new();
+        execute_runs(&*table(), &ops, &mut RunScratch::default(), |r| results.push(r));
         assert_eq!(
             results,
             vec![
@@ -441,6 +411,49 @@ mod tests {
         );
     }
 
+    /// A table that logs every batch call it receives as `(kind, len)`.
+    struct Recording(Box<dyn ConcurrentTable>, Mutex<Vec<(char, usize)>>);
+
+    impl Recording {
+        fn log(&self, kind: char, len: usize) {
+            self.1.lock().expect("not poisoned").push((kind, len));
+        }
+    }
+
+    impl ConcurrentTable for Recording {
+        fn insert_shared(&self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
+            self.0.insert_shared(key, value)
+        }
+        fn lookup_shared(&self, key: u64) -> Option<u64> {
+            self.0.lookup_shared(key)
+        }
+        fn delete_shared(&self, key: u64) -> Option<u64> {
+            self.0.delete_shared(key)
+        }
+        fn lookup_batch_shared(&self, keys: &[u64], out: &mut [Option<u64>]) {
+            self.log('G', keys.len());
+            self.0.lookup_batch_shared(keys, out)
+        }
+        fn insert_batch_shared(
+            &self,
+            items: &[(u64, u64)],
+            out: &mut [Result<InsertOutcome, TableError>],
+        ) {
+            self.log('P', items.len());
+            self.0.insert_batch_shared(items, out)
+        }
+        fn delete_batch_shared(&self, keys: &[u64], out: &mut [Option<u64>]) {
+            self.log('D', keys.len());
+            self.0.delete_batch_shared(keys, out)
+        }
+        fn len_shared(&self) -> usize {
+            self.0.len_shared()
+        }
+        fn for_each_shared(&self, f: &mut dyn FnMut(u64, u64)) {
+            self.0.for_each_shared(f)
+        }
+    }
+
     #[test]
     fn run_boundaries_split_on_kind_and_isolate_batches() {
         let frames = vec![
@@ -448,13 +461,29 @@ mod tests {
             (2, Request::Get(2)),
             (3, Request::Put(1, 1)),
             (4, Request::Batch(vec![])),
-            (5, Request::Batch(vec![])),
+            (5, Request::Batch(vec![Op::Get(1), Op::Get(3), Op::Del(1)])),
             (6, Request::Del(1)),
+            (7, Request::Del(2)),
         ];
-        assert_eq!(end_of_run(&frames, 0), 2);
-        assert_eq!(end_of_run(&frames, 2), 3);
-        assert_eq!(end_of_run(&frames, 3), 4, "batches never merge");
-        assert_eq!(end_of_run(&frames, 4), 5);
-        assert_eq!(end_of_run(&frames, 5), 6);
+        let table = Recording(table(), Mutex::new(Vec::new()));
+        let (mut exec, mut out, mut stats) =
+            (Executor::default(), Vec::new(), PumpStats::default());
+        for (id, req) in frames {
+            exec.frame(id, req, &table, &mut out, &mut stats);
+        }
+        exec.finish(&table, &mut out, &mut stats);
+        // Adjacent same-kind frames share a call; a BATCH neither joins
+        // its neighbours' runs nor lets them join across it.
+        let calls = table.1.into_inner().expect("not poisoned");
+        assert_eq!(calls, vec![('G', 2), ('P', 1), ('G', 2), ('D', 1), ('D', 2)]);
+        assert_eq!((stats.frames, stats.ops), (7, 8));
+        // One response per frame, in frame order.
+        let mut ids = Vec::new();
+        let mut rest = &out[..];
+        while let Some((id, _, used)) = decode_response(rest).expect("valid response bytes") {
+            ids.push(id);
+            rest = &rest[used..];
+        }
+        assert_eq!(ids, (1..=7).collect::<Vec<u64>>());
     }
 }

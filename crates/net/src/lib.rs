@@ -9,16 +9,17 @@
 //! * [`protocol`] — the `7DKV` wire format: checksummed 24-byte
 //!   headers, `GET`/`PUT`/`DEL`/`BATCH` frames, streaming decode with
 //!   typed errors.
-//! * `sys` (Linux) — the crate's only unsafe code: raw `epoll` +
-//!   `pipe2` + `SO_REUSEPORT` socket FFI (the workspace builds offline,
-//!   so no `libc` crate), plus the one shared `EINTR` retry policy.
+//! * `sys` (Linux) — the crate's only unsafe code (every other module
+//!   is compiled under `deny(unsafe_code)`): raw `epoll` + `pipe2` +
+//!   `SO_REUSEPORT` socket FFI (the workspace builds offline, so no
+//!   `libc` crate), plus the one shared `EINTR` retry policy.
 //! * `conn`/`server` (Linux) — a **thread-per-core**, level-triggered
 //!   event loop fleet over non-blocking sockets: one worker per core
 //!   (knob: [`KvServer::builder`]`.threads(n)`), each with its own
-//!   epoll instance, wake pipe, and connections, all serving one
-//!   shared table. New connections reach workers either through
-//!   per-worker `SO_REUSEPORT` listeners (kernel flow-hash balancing)
-//!   or a least-loaded lock-free mailbox hand-off ([`AcceptMode`]).
+//!   epoll instance, wake pipe, `SO_REUSEPORT` listener and
+//!   connections, all serving one shared table. The kernel spreads new
+//!   connections over the listeners by flow hash — statistically, so a
+//!   handful of long-lived connections may share a worker.
 //!   Pipelined frames that accumulate in a connection's read buffer
 //!   are split into runs of the same opcode and executed through
 //!   [`ConcurrentTable`](sevendim_core::ConcurrentTable)'s prefetching
@@ -53,19 +54,20 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod client;
 #[cfg(target_os = "linux")]
 mod conn;
-#[cfg(target_os = "linux")]
-mod mailbox;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 mod server;
 #[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
 mod sys;
 
 pub use client::KvClient;
 #[cfg(target_os = "linux")]
 pub use conn::{WBUF_HIGH, WBUF_LOW};
 #[cfg(target_os = "linux")]
-pub use server::{AcceptMode, KvServer, KvServerBuilder, ServerHandle, ServerStats, DRAIN_TIMEOUT};
+pub use server::{KvServer, KvServerBuilder, ServerHandle, ServerStats, DRAIN_TIMEOUT};

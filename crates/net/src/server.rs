@@ -1,35 +1,24 @@
 //! The thread-per-core epoll server: N workers, each running its own
 //! event loop over one shared [`ConcurrentTable`].
 //!
-//! PR 7's server was a single event-loop thread — correct, but it left
-//! every other core idle and never exercised the table's lock-free read
-//! path under real concurrency. This version spawns one worker per core
-//! (default `std::thread::available_parallelism()`, knob
-//! [`KvServerBuilder::threads`]); each worker owns its epoll instance,
-//! its wake pipe, and its connections — **per-connection state never
-//! migrates across workers**, so the hot path has no cross-worker
-//! synchronization at all. The only shared object is the table, whose
-//! seqlock optimistic reads ([`lookup_batch_shared`]) are exactly what
-//! lets N workers serve GET traffic without shard mutex contention.
+//! One worker per core (default `std::thread::available_parallelism()`,
+//! knob [`KvServerBuilder::threads`]); each worker owns its epoll
+//! instance, its wake pipe, its listener and its connections —
+//! **per-connection state never migrates across workers**, so the hot
+//! path has no cross-worker synchronization at all. The only shared
+//! object is the table, whose seqlock optimistic reads
+//! ([`lookup_batch_shared`]) are what let N workers serve GET traffic
+//! without shard mutex contention.
 //!
 //! [`lookup_batch_shared`]: sevendim_core::ConcurrentTable::lookup_batch_shared
 //!
-//! **Accept balancing** comes in two flavors ([`AcceptMode`]):
-//!
-//! * [`AcceptMode::ReusePort`] — every worker binds its own
-//!   `SO_REUSEPORT` listener on the same port
-//!   ([`sys::reuseport_listener`]); the kernel hashes each incoming
-//!   flow to one listener. No acceptor thread, no handoff, no shared
-//!   accept state — the classic thread-per-core shape.
-//! * [`AcceptMode::Mailbox`] — a portable fallback: one acceptor thread
-//!   accepts and hands each socket to the **least-loaded** worker
-//!   (fewest live connections) through a lock-free
-//!   [`Mailbox`](crate::mailbox::Mailbox), then wakes that worker's
-//!   pipe. Deterministic balancing, at the cost of one handoff per
-//!   connection (never per request).
-//!
-//! [`AcceptMode::Auto`] (the default) tries `ReusePort` and falls back
-//! to `Mailbox` if the reuseport bind fails.
+//! **Accept:** every worker binds its own `SO_REUSEPORT` listener on the
+//! one port ([`sys::reuseport_listener`]) and the kernel hashes each
+//! incoming flow to one of them — no acceptor thread, no hand-off, no
+//! shared accept state. The balancing is statistical, not exact: a
+//! handful of long-lived connections may land on the same worker while
+//! another idles; many short or many concurrent connections spread
+//! evenly.
 //!
 //! **Stats** are per-worker [`WorkerCounters`] — plain `AtomicU64`s
 //! bumped with `Relaxed` stores by their owning worker only, so the hot
@@ -44,18 +33,16 @@
 //! clean EOF.
 
 use crate::conn::{Close, Connection, PumpStats};
-use crate::mailbox::Mailbox;
 use crate::protocol::ProtoError;
 use crate::sys::{
     self, retry_eintr, Epoll, EpollEvent, WakePipe, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
 };
 use sevendim_core::ConcurrentTable;
-use sevendim_durable::DurableSharded;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -70,23 +57,6 @@ const TOKEN_WAKE: u64 = u64::MAX - 1;
 /// The wait is spent *blocked* in `epoll_wait` with a deadline-derived
 /// timeout, not polling — see [`ServerStats::drain_rounds`].
 pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// How new connections are distributed across workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AcceptMode {
-    /// Try [`AcceptMode::ReusePort`], fall back to
-    /// [`AcceptMode::Mailbox`] if the reuseport bind fails (default).
-    Auto,
-    /// One `SO_REUSEPORT` listener per worker; the kernel balances by
-    /// flow hash. Zero shared accept state, but distribution is only
-    /// statistical.
-    ReusePort,
-    /// One acceptor thread hands each accepted socket to the
-    /// least-loaded worker through a lock-free mailbox plus a wake.
-    /// Deterministic balancing; portable to kernels without
-    /// `SO_REUSEPORT`.
-    Mailbox,
-}
 
 /// Counters the server accumulates, returned by [`ServerHandle::stats`]
 /// (live snapshot) and [`ServerHandle::shutdown`] (final totals) so
@@ -187,8 +157,8 @@ pub struct KvServer;
 
 impl KvServer {
     /// Bind `addr` and spawn the server with default settings (one
-    /// worker per core, [`AcceptMode::Auto`]). Pass port 0 to let the
-    /// OS pick; the actual address is [`ServerHandle::addr`].
+    /// worker per core). Pass port 0 to let the OS pick; the actual
+    /// address is [`ServerHandle::addr`].
     pub fn spawn<A: ToSocketAddrs>(
         addr: A,
         table: Arc<dyn ConcurrentTable>,
@@ -196,25 +166,23 @@ impl KvServer {
         Self::builder().spawn(addr, table)
     }
 
-    /// Configure worker count and accept mode before spawning.
+    /// Configure worker count and drain deadline before spawning.
     pub fn builder() -> KvServerBuilder {
         KvServerBuilder::default()
     }
 }
 
-/// Configuration for [`KvServer`]: worker thread count, accept path,
-/// drain deadline, and (optionally) a durable table to serve.
+/// Configuration for [`KvServer`]: worker thread count and drain
+/// deadline.
 #[derive(Clone, Debug)]
 pub struct KvServerBuilder {
     threads: usize,
-    accept: AcceptMode,
     drain_timeout: Duration,
-    durable: Option<Arc<DurableSharded>>,
 }
 
 impl Default for KvServerBuilder {
     fn default() -> Self {
-        Self { threads: 0, accept: AcceptMode::Auto, drain_timeout: DRAIN_TIMEOUT, durable: None }
+        Self { threads: 0, drain_timeout: DRAIN_TIMEOUT }
     }
 }
 
@@ -226,12 +194,6 @@ impl KvServerBuilder {
         self
     }
 
-    /// How connections reach workers; see [`AcceptMode`].
-    pub fn accept(mut self, mode: AcceptMode) -> Self {
-        self.accept = mode;
-        self
-    }
-
     /// How long shutdown keeps flushing buffered responses to slow
     /// peers before closing them as-is (default [`DRAIN_TIMEOUT`]).
     pub fn drain_timeout(mut self, timeout: Duration) -> Self {
@@ -239,33 +201,18 @@ impl KvServerBuilder {
         self
     }
 
-    /// Serve `table` — a write-ahead-logged
-    /// [`DurableTable`](sevendim_durable::DurableTable) — via
-    /// [`KvServerBuilder::spawn_durable`]. Every PUT/DEL a client sees
-    /// acknowledged is then group-committed to the WAL *before* the
-    /// response frame is even encoded: the worker calls the table's
-    /// `insert_batch_shared`/`delete_batch_shared` (which log, fsync per
-    /// policy, and apply) and only then builds the responses.
-    pub fn durable(mut self, table: Arc<DurableSharded>) -> Self {
-        self.durable = Some(table);
-        self
-    }
-
-    /// Bind `addr` and spawn the server over the table given to
-    /// [`KvServerBuilder::durable`].
+    /// Bind one `SO_REUSEPORT` listener per worker on `addr`, spawn the
+    /// workers, and return the owner handle. The first error (a bind
+    /// refused, an fd limit reached, a thread that would not start) is
+    /// returned as it is; workers already started are shut down by the
+    /// partial handle's drop.
     ///
-    /// # Panics
-    ///
-    /// When no durable table was configured — that is a
-    /// misconfiguration, not a runtime condition.
-    pub fn spawn_durable<A: ToSocketAddrs>(mut self, addr: A) -> io::Result<ServerHandle> {
-        let table =
-            self.durable.take().expect("spawn_durable wants a table: call .durable(table) first");
-        self.spawn(addr, table)
-    }
-
-    /// Bind `addr`, spawn the workers (and the acceptor, in mailbox
-    /// mode), and return the owner handle.
+    /// Any table serves: an `Arc<DurableSharded>` coerces to
+    /// `Arc<dyn ConcurrentTable>`, and then every PUT/DEL a client sees
+    /// acknowledged was group-committed to the WAL *before* its response
+    /// frame was encoded — the worker calls the table's
+    /// `insert_batch_shared`/`delete_batch_shared` (which apply, log and
+    /// fsync per policy) and only then builds the responses.
     pub fn spawn<A: ToSocketAddrs>(
         self,
         addr: A,
@@ -280,15 +227,46 @@ impl KvServerBuilder {
         } else {
             self.threads
         };
-        let drain = self.drain_timeout;
-        match self.accept {
-            AcceptMode::ReusePort => spawn_reuseport(addr, threads, table, drain),
-            AcceptMode::Mailbox => spawn_mailbox(addr, threads, table, drain),
-            AcceptMode::Auto => match spawn_reuseport(addr, threads, Arc::clone(&table), drain) {
-                Ok(handle) => Ok(handle),
-                Err(_) => spawn_mailbox(addr, threads, table, drain),
-            },
+        // The first bind may use port 0; every subsequent listener joins
+        // the concrete port the kernel assigned.
+        let first = sys::reuseport_listener(addr)?;
+        let local = first.local_addr()?;
+        let mut listeners = vec![first];
+        for _ in 1..threads {
+            listeners.push(sys::reuseport_listener(local)?);
         }
+        let mut handle = ServerHandle {
+            addr: local,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            wakes: Vec::new(),
+            counters: Vec::new(),
+            joins: Vec::new(),
+            table: Arc::clone(&table),
+        };
+        for (i, listener) in listeners.into_iter().enumerate() {
+            let epoll = Epoll::new()?;
+            let wake = Arc::new(WakePipe::new()?);
+            epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+            epoll.add(wake.read_fd(), EPOLLIN, TOKEN_WAKE)?;
+            let mut worker = Worker {
+                epoll,
+                wake: Arc::clone(&wake),
+                listener: Some(listener),
+                table: Arc::clone(&table),
+                conns: HashMap::new(),
+                counters: Arc::new(WorkerCounters::default()),
+                drain_timeout: self.drain_timeout,
+            };
+            handle.wakes.push(wake);
+            handle.counters.push(Arc::clone(&worker.counters));
+            let flag = Arc::clone(&handle.shutdown);
+            handle.joins.push(
+                std::thread::Builder::new()
+                    .name(format!("kv-worker-{i}"))
+                    .spawn(move || worker.run(&flag))?,
+            );
+        }
+        Ok(handle)
     }
 }
 
@@ -296,146 +274,12 @@ impl KvServerBuilder {
 struct Worker {
     epoll: Epoll,
     wake: Arc<WakePipe>,
-    /// `ReusePort` mode: this worker's own listener.
+    /// This worker's own listener; `None` once shutdown has closed it.
     listener: Option<TcpListener>,
-    /// `Mailbox` mode: where the acceptor parks sockets for this worker.
-    mailbox: Option<Arc<Mailbox<TcpStream>>>,
-    /// Live-connection count, maintained for least-loaded accept
-    /// decisions (incremented where the connection enters the server,
-    /// decremented at close).
-    load: Arc<AtomicUsize>,
     table: Arc<dyn ConcurrentTable>,
     conns: HashMap<RawFd, Connection>,
     counters: Arc<WorkerCounters>,
     drain_timeout: Duration,
-}
-
-/// The acceptor thread of [`AcceptMode::Mailbox`]: one tiny event loop
-/// over the listener and a wake pipe, handing sockets to the
-/// least-loaded worker.
-struct Acceptor {
-    epoll: Epoll,
-    wake: Arc<WakePipe>,
-    listener: TcpListener,
-    mailboxes: Vec<Arc<Mailbox<TcpStream>>>,
-    worker_wakes: Vec<Arc<WakePipe>>,
-    loads: Vec<Arc<AtomicUsize>>,
-}
-
-fn spawn_reuseport(
-    addr: SocketAddr,
-    threads: usize,
-    table: Arc<dyn ConcurrentTable>,
-    drain_timeout: Duration,
-) -> io::Result<ServerHandle> {
-    // The first bind may use port 0; every subsequent listener joins the
-    // concrete port the kernel assigned.
-    let first = sys::reuseport_listener(addr)?;
-    let local = first.local_addr()?;
-    let mut listeners = vec![first];
-    for _ in 1..threads {
-        listeners.push(sys::reuseport_listener(local)?);
-    }
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let mut handle = ServerHandle {
-        addr: local,
-        accept: AcceptMode::ReusePort,
-        shutdown: Arc::clone(&shutdown),
-        wakes: Vec::new(),
-        counters: Vec::new(),
-        joins: Vec::new(),
-        table: Arc::clone(&table),
-    };
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let worker = build_worker(Some(listener), None, &table, drain_timeout)?;
-        handle.wakes.push(Arc::clone(&worker.wake));
-        handle.counters.push(Arc::clone(&worker.counters));
-        handle.joins.push(spawn_worker(i, worker, &shutdown)?);
-    }
-    Ok(handle)
-}
-
-fn spawn_mailbox(
-    addr: SocketAddr,
-    threads: usize,
-    table: Arc<dyn ConcurrentTable>,
-    drain_timeout: Duration,
-) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let mut handle = ServerHandle {
-        addr: local,
-        accept: AcceptMode::Mailbox,
-        shutdown: Arc::clone(&shutdown),
-        wakes: Vec::new(),
-        counters: Vec::new(),
-        joins: Vec::new(),
-        table: Arc::clone(&table),
-    };
-    let mut acceptor = Acceptor {
-        epoll: Epoll::new()?,
-        wake: Arc::new(WakePipe::new()?),
-        listener,
-        mailboxes: Vec::new(),
-        worker_wakes: Vec::new(),
-        loads: Vec::new(),
-    };
-    acceptor.epoll.add(acceptor.listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-    acceptor.epoll.add(acceptor.wake.read_fd(), EPOLLIN, TOKEN_WAKE)?;
-    for i in 0..threads {
-        let mailbox = Arc::new(Mailbox::new());
-        let worker = build_worker(None, Some(Arc::clone(&mailbox)), &table, drain_timeout)?;
-        acceptor.mailboxes.push(mailbox);
-        acceptor.worker_wakes.push(Arc::clone(&worker.wake));
-        acceptor.loads.push(Arc::clone(&worker.load));
-        handle.wakes.push(Arc::clone(&worker.wake));
-        handle.counters.push(Arc::clone(&worker.counters));
-        handle.joins.push(spawn_worker(i, worker, &shutdown)?);
-    }
-    handle.wakes.push(Arc::clone(&acceptor.wake));
-    let flag = Arc::clone(&shutdown);
-    handle.joins.push(
-        std::thread::Builder::new()
-            .name("kv-acceptor".into())
-            .spawn(move || acceptor.run(&flag))?,
-    );
-    Ok(handle)
-}
-
-fn build_worker(
-    listener: Option<TcpListener>,
-    mailbox: Option<Arc<Mailbox<TcpStream>>>,
-    table: &Arc<dyn ConcurrentTable>,
-    drain_timeout: Duration,
-) -> io::Result<Worker> {
-    let epoll = Epoll::new()?;
-    let wake = Arc::new(WakePipe::new()?);
-    if let Some(listener) = &listener {
-        epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-    }
-    epoll.add(wake.read_fd(), EPOLLIN, TOKEN_WAKE)?;
-    Ok(Worker {
-        epoll,
-        wake,
-        listener,
-        mailbox,
-        load: Arc::new(AtomicUsize::new(0)),
-        table: Arc::clone(table),
-        conns: HashMap::new(),
-        counters: Arc::new(WorkerCounters::default()),
-        drain_timeout,
-    })
-}
-
-fn spawn_worker(
-    index: usize,
-    mut worker: Worker,
-    shutdown: &Arc<AtomicBool>,
-) -> io::Result<JoinHandle<io::Result<()>>> {
-    let flag = Arc::clone(shutdown);
-    std::thread::Builder::new().name(format!("kv-worker-{index}")).spawn(move || worker.run(&flag))
 }
 
 /// Owner handle for a running server. Dropping it shuts the server
@@ -443,7 +287,6 @@ fn spawn_worker(
 /// aggregated [`ServerStats`].
 pub struct ServerHandle {
     addr: SocketAddr,
-    accept: AcceptMode,
     shutdown: Arc<AtomicBool>,
     wakes: Vec<Arc<WakePipe>>,
     counters: Vec<Arc<WorkerCounters>>,
@@ -460,12 +303,6 @@ impl ServerHandle {
     /// Number of worker event loops serving connections.
     pub fn threads(&self) -> usize {
         self.counters.len()
-    }
-
-    /// The accept path the server actually resolved to
-    /// ([`AcceptMode::Auto`] never appears here).
-    pub fn accept_mode(&self) -> AcceptMode {
-        self.accept
     }
 
     /// A live aggregate snapshot of every worker's counters.
@@ -540,47 +377,6 @@ impl Drop for ServerHandle {
     }
 }
 
-impl Acceptor {
-    fn run(&mut self, shutdown: &AtomicBool) -> io::Result<()> {
-        let mut events = [EpollEvent::default(); 64];
-        loop {
-            self.epoll.wait(&mut events, -1)?;
-            // Two possible sources, both idempotent to over-check:
-            // drain the wake pipe and accept whatever is pending.
-            self.wake.drain();
-            if shutdown.load(Ordering::Acquire) {
-                return Ok(()); // dropping the listener refuses new peers
-            }
-            loop {
-                match retry_eintr(|| self.listener.accept()) {
-                    Ok((stream, _)) => self.hand_off(stream),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    // Transient per-connection failures (e.g. the peer
-                    // reset between ready and accept) must not kill the
-                    // acceptor.
-                    Err(_) => break,
-                }
-            }
-        }
-    }
-
-    /// Give `stream` to the worker with the fewest live connections.
-    /// The load is bumped *here*, before the push, so a burst of
-    /// accepts spreads even though no worker has adopted yet.
-    fn hand_off(&self, stream: TcpStream) {
-        let w = self
-            .loads
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.load(Ordering::Relaxed))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        self.loads[w].fetch_add(1, Ordering::Relaxed);
-        self.mailboxes[w].push(stream);
-        self.worker_wakes[w].wake();
-    }
-}
-
 impl Worker {
     fn run(&mut self, shutdown: &AtomicBool) -> io::Result<()> {
         let mut events = [EpollEvent::default(); 256];
@@ -591,11 +387,10 @@ impl Worker {
                 let (token, ready) = ({ ev.data }, { ev.events });
                 match token {
                     TOKEN_WAKE => self.wake.drain(),
-                    TOKEN_LISTENER => self.accept_ready()?,
+                    TOKEN_LISTENER => self.accept_ready(),
                     _ => self.conn_ready(token as RawFd, ready),
                 }
             }
-            self.adopt_handoffs();
             if shutdown.load(Ordering::Acquire) {
                 self.drain_connections();
                 return Ok(());
@@ -603,21 +398,16 @@ impl Worker {
         }
     }
 
-    /// Accept every pending connection on this worker's own listener
+    /// Accept every pending connection on this worker's listener
     /// (level-triggered: stop at `EAGAIN`, the kernel re-reports
     /// anything left).
-    fn accept_ready(&mut self) -> io::Result<()> {
+    fn accept_ready(&mut self) {
         // Take the listener out for the duration so `register` can
         // borrow `self` mutably; it goes straight back.
-        let Some(listener) = self.listener.take() else {
-            return Ok(()); // spurious: no listener in mailbox mode
-        };
+        let Some(listener) = self.listener.take() else { return };
         loop {
             match retry_eintr(|| listener.accept()) {
-                Ok((stream, _)) => {
-                    self.load.fetch_add(1, Ordering::Relaxed);
-                    self.register(stream);
-                }
+                Ok((stream, _)) => self.register(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 // Transient per-connection failures (e.g. the peer reset
                 // between ready and accept) must not kill the loop.
@@ -625,28 +415,13 @@ impl Worker {
             }
         }
         self.listener = Some(listener);
-        Ok(())
     }
 
-    /// Adopt sockets the acceptor parked in this worker's mailbox
-    /// (their loads were already bumped at hand-off time).
-    fn adopt_handoffs(&mut self) {
-        let Some(mailbox) = &self.mailbox else { return };
-        if mailbox.is_empty() {
-            return;
-        }
-        for stream in mailbox.take_all() {
-            self.register(stream);
-        }
-    }
-
-    /// Register a new connection with this worker's epoll. The load was
-    /// already counted (at accept or at hand-off); a registration
-    /// failure uncounts it.
+    /// Register a new connection with this worker's epoll; one that
+    /// cannot be registered is dropped, which closes it.
     fn register(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
-            self.load.fetch_sub(1, Ordering::Relaxed);
-            return; // dropping the stream closes it
+            return;
         }
         // Latency over throughput for small pipelined frames.
         let _ = stream.set_nodelay(true);
@@ -655,8 +430,6 @@ impl Worker {
         if self.epoll.add(fd, conn.registered, fd as u64).is_ok() {
             self.conns.insert(fd, conn);
             self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.load.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -695,9 +468,7 @@ impl Worker {
         // it from the epoll set; the explicit delete just keeps the
         // interest list tight if anything else holds the fd open.
         let _ = self.epoll.delete(fd);
-        if self.conns.remove(&fd).is_some() {
-            self.load.fetch_sub(1, Ordering::Relaxed);
-        }
+        self.conns.remove(&fd);
     }
 
     /// Graceful shutdown: answer every frame already received, then
@@ -710,14 +481,6 @@ impl Worker {
         // level-triggered loop.
         if let Some(listener) = self.listener.take() {
             let _ = self.epoll.delete(listener.as_raw_fd());
-        }
-        // Hand-offs that raced the shutdown flag close unanswered (they
-        // never reached a worker's event loop).
-        if let Some(mailbox) = &self.mailbox {
-            for stream in mailbox.take_all() {
-                self.load.fetch_sub(1, Ordering::Relaxed);
-                drop(stream);
-            }
         }
         // One pass to decode + answer buffered request bytes and flush
         // what fits; connections that finish close immediately.
@@ -803,40 +566,44 @@ mod tests {
     fn builder_defaults_resolve_to_auto_and_per_core_threads() {
         let b = KvServer::builder();
         assert_eq!(b.threads, 0);
-        assert_eq!(b.accept, AcceptMode::Auto);
         let handle = b.spawn("127.0.0.1:0", table()).expect("spawn");
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         assert_eq!(handle.threads(), cores);
-        assert_ne!(handle.accept_mode(), AcceptMode::Auto, "auto resolves to a concrete mode");
         handle.shutdown().expect("shutdown");
     }
 
     #[test]
-    fn both_accept_modes_serve_requests_across_multiple_workers() {
-        for mode in [AcceptMode::ReusePort, AcceptMode::Mailbox] {
-            let handle = KvServer::builder()
-                .threads(3)
-                .accept(mode)
-                .spawn("127.0.0.1:0", table())
-                .expect("spawn");
-            assert_eq!(handle.threads(), 3);
-            assert_eq!(handle.accept_mode(), mode);
-            let mut clients: Vec<KvClient> =
-                (0..4).map(|_| KvClient::connect(handle.addr()).expect("connect")).collect();
-            for (i, c) in clients.iter_mut().enumerate() {
-                let k = 100 + i as u64;
-                assert!(c.put(k, k * 2).expect("put").is_ok(), "{mode:?}");
-                assert_eq!(c.get(k).expect("get"), Some(k * 2), "{mode:?}");
-            }
-            // All four clients hit the same table regardless of which
-            // worker owns their socket.
-            assert_eq!(clients[0].get(103).expect("get"), Some(206), "{mode:?}");
-            drop(clients);
-            let stats = handle.shutdown().expect("shutdown");
-            assert_eq!(stats.accepted, 4, "{mode:?}");
-            assert_eq!(stats.frames, 9, "{mode:?}");
-            assert_eq!(stats.protocol_closes, 0, "{mode:?}");
+    fn spawn_reports_a_port_it_cannot_share_as_addr_in_use() {
+        // A plain listener never joined a reuseport group, so no worker
+        // can bind beside it — and the caller must hear exactly that.
+        let holder = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let err = KvServer::builder()
+            .threads(2)
+            .spawn(holder.local_addr().expect("addr"), table())
+            .err()
+            .expect("the port is taken");
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
+    }
+
+    #[test]
+    fn serves_requests_across_multiple_workers() {
+        let handle = KvServer::builder().threads(3).spawn("127.0.0.1:0", table()).expect("spawn");
+        assert_eq!(handle.threads(), 3);
+        let mut clients: Vec<KvClient> =
+            (0..4).map(|_| KvClient::connect(handle.addr()).expect("connect")).collect();
+        for (i, c) in clients.iter_mut().enumerate() {
+            let k = 100 + i as u64;
+            assert!(c.put(k, k * 2).expect("put").is_ok());
+            assert_eq!(c.get(k).expect("get"), Some(k * 2));
         }
+        // All four clients hit the same table regardless of which
+        // worker owns their socket.
+        assert_eq!(clients[0].get(103).expect("get"), Some(206));
+        drop(clients);
+        let stats = handle.shutdown().expect("shutdown");
+        assert_eq!(stats.accepted, 4);
+        assert_eq!(stats.frames, 9);
+        assert_eq!(stats.protocol_closes, 0);
     }
 
     #[test]
@@ -916,26 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_accept_spreads_connections_least_loaded() {
-        let handle = KvServer::builder()
-            .threads(2)
-            .accept(AcceptMode::Mailbox)
-            .spawn("127.0.0.1:0", table())
-            .expect("spawn");
-        // Connect 4 and keep them open: least-loaded assignment must
-        // alternate 2/2 (each PUT also proves the conn was adopted).
-        let mut clients: Vec<KvClient> =
-            (0..4).map(|_| KvClient::connect(handle.addr()).expect("connect")).collect();
-        for (i, c) in clients.iter_mut().enumerate() {
-            assert!(c.put(i as u64, 1).expect("put").is_ok());
-        }
-        let per: Vec<u64> = handle.stats_per_worker().iter().map(|s| s.accepted).collect();
-        assert_eq!(per, vec![2, 2], "least-loaded hand-off balances exactly");
-        drop(clients);
-        handle.shutdown().expect("shutdown");
-    }
-
-    #[test]
     fn durable_server_recovers_acknowledged_mutations_after_restart() {
         let dir = std::env::temp_dir().join(format!("sevendim-net-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -946,11 +693,8 @@ mod tests {
             .wal(&dir);
         let (durable, report) = DurableTable::open(&builder).expect("open");
         assert!(report.clean());
-        let handle = KvServer::builder()
-            .threads(2)
-            .durable(Arc::new(durable))
-            .spawn_durable("127.0.0.1:0")
-            .expect("spawn");
+        let handle =
+            KvServer::builder().threads(2).spawn("127.0.0.1:0", Arc::new(durable)).expect("spawn");
         let mut client = KvClient::connect(handle.addr()).expect("connect");
         for i in 0..50u64 {
             assert!(client.put(i, i * 3).expect("put").is_ok());
@@ -978,7 +722,6 @@ mod tests {
 
         let handle = KvServer::builder()
             .threads(1)
-            .accept(AcceptMode::ReusePort)
             .drain_timeout(Duration::from_millis(300))
             .spawn("127.0.0.1:0", table())
             .expect("spawn");
@@ -1026,20 +769,13 @@ mod tests {
 
     #[test]
     fn single_worker_still_works_end_to_end() {
-        // threads(1) degrades to PR 7's shape: one loop, same semantics.
-        for mode in [AcceptMode::ReusePort, AcceptMode::Mailbox] {
-            let handle = KvServer::builder()
-                .threads(1)
-                .accept(mode)
-                .spawn("127.0.0.1:0", table())
-                .expect("spawn");
-            let mut client = KvClient::connect(handle.addr()).expect("connect");
-            assert!(client.put(5, 55).expect("put").is_ok());
-            assert_eq!(client.del(5).expect("del"), Some(55));
-            assert_eq!(client.get(5).expect("get"), None);
-            drop(client);
-            let stats = handle.shutdown().expect("shutdown");
-            assert_eq!(stats.frames, 3, "{mode:?}");
-        }
+        let handle = KvServer::builder().threads(1).spawn("127.0.0.1:0", table()).expect("spawn");
+        let mut client = KvClient::connect(handle.addr()).expect("connect");
+        assert!(client.put(5, 55).expect("put").is_ok());
+        assert_eq!(client.del(5).expect("del"), Some(55));
+        assert_eq!(client.get(5).expect("get"), None);
+        drop(client);
+        let stats = handle.shutdown().expect("shutdown");
+        assert_eq!(stats.frames, 3);
     }
 }

@@ -23,7 +23,7 @@
 //!   let the kernel spread incoming connections across them.
 //!
 //! [`retry_eintr`] is the one EINTR policy for the whole crate: every
-//! loop (worker or acceptor, read or write or wait) retries interrupted
+//! loop (accept, read, write or wait) retries interrupted
 //! syscalls through it instead of hand-rolling the match per call site.
 //!
 //! Everything here is Linux-specific and gated accordingly; the rest of
@@ -39,8 +39,8 @@ use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 /// Run `op` until it returns anything but `EINTR`.
 ///
 /// Signals can interrupt any blocking syscall; none of the event-loop
-/// code ever wants to observe that. Workers, the acceptor, and the
-/// connection pumps all share this helper so spurious-wakeup tolerance
+/// code ever wants to observe that. The workers and the connection
+/// pumps all share this helper so spurious-wakeup tolerance
 /// is one policy, not N copies ([`Epoll::wait`] and [`WakePipe::drain`]
 /// route through it too).
 pub fn retry_eintr<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {

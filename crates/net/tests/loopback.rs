@@ -61,6 +61,62 @@ fn batch_frames_execute_in_op_order() {
 }
 
 #[test]
+fn pipelined_frames_and_one_batch_answer_the_same_sequence_identically() {
+    // Both framings of an op stream go through one run executor; the
+    // wire must not be able to tell them apart. The stream has runs of
+    // every kind, duplicate keys inside a run, a PUT read back by the
+    // next op, and a reserved key the table refuses.
+    let ops = [
+        Op::Get(1),
+        Op::Put(1, 10),
+        Op::Put(2, 20),
+        Op::Put(1, 11),
+        Op::Get(1),
+        Op::Get(1),
+        Op::Get(3),
+        Op::Put(sevendim_core::EMPTY_KEY, 5),
+        Op::Get(sevendim_core::EMPTY_KEY),
+        Op::Del(2),
+        Op::Del(2),
+        Op::Del(sevendim_core::EMPTY_KEY),
+        Op::Put(2, 21),
+        Op::Get(2),
+        Op::Del(1),
+        Op::Get(1),
+    ];
+    let batched = {
+        let server = spawn_server();
+        let mut client = KvClient::connect(server.addr()).expect("connect");
+        client.batch(&ops).expect("batch")
+    };
+    let server = spawn_server();
+    let mut client = KvClient::connect(server.addr()).expect("connect");
+    for op in &ops {
+        client.enqueue(&match *op {
+            Op::Get(k) => Request::Get(k),
+            Op::Put(k, v) => Request::Put(k, v),
+            Op::Del(k) => Request::Del(k),
+        });
+    }
+    client.flush().expect("flush");
+    let pipelined: Vec<OpResponse> = ops
+        .iter()
+        .map(|_| match client.recv().expect("recv").1 {
+            Response::Get(v) => OpResponse::Get(v),
+            Response::Put(o) => OpResponse::Put(o),
+            Response::Del(v) => OpResponse::Del(v),
+            Response::Batch(_) => panic!("no BATCH frame was sent"),
+        })
+        .collect();
+    assert_eq!(pipelined, batched);
+    // And the shared answer is the right one, not merely the same one.
+    assert_eq!(batched[4], OpResponse::Get(Some(11)), "a GET sees the PUT before it");
+    assert_eq!(batched[7], OpResponse::Put(Err(sevendim_core::TableError::ReservedKey)));
+    assert_eq!(batched[10], OpResponse::Del(None), "the second DEL of a key finds nothing");
+    assert_eq!(batched[13], OpResponse::Get(Some(21)));
+}
+
+#[test]
 fn pipelined_requests_answer_in_fifo_order() {
     let server = spawn_server();
     let mut client = KvClient::connect(server.addr()).expect("connect");

@@ -78,23 +78,6 @@
 //! assert_eq!(sharded.lookup_shared(17), Some(1700));
 //! assert_eq!(sharded.display_name(), "Sharded4xRHMult");
 //! ```
-//!
-//! ## Migration from the PR-1 constructors
-//!
-//! The typed constructors still exist (concrete table types remain the
-//! right tool when the scheme is fixed at compile time), but the ad-hoc
-//! construction surface is superseded:
-//!
-//! | PR-1 | now |
-//! |---|---|
-//! | `LinearProbing::<MultShift>::with_seed(bits, seed)` | `TableBuilder::new(TableScheme::LinearProbing).bits(bits).seed(seed).build()` |
-//! | `LinearProbingSoA::with_seed_simd(bits, seed)` | `TableBuilder::new(TableScheme::LinearProbingSoA).simd(true)…` |
-//! | `DynamicTable::new(LpFactory::new(), bits, seed, 0.7)` (the typed factories are gone) | `TableBuilder::new(TableScheme::LinearProbing).bits(bits).seed(seed).grow_at(0.7).build()`, or `DynamicTable::new(TableBuilder::new(TableScheme::LinearProbing), bits, seed, 0.7)` for the concrete type |
-//! | `ChainedTable24::with_budget(bits, n, seed)` | `TableBuilder::new(TableScheme::Chained24).chained_budget(n)….try_build()` |
-//! | `PointIndex::for_profile(&p, bits, seed)` | unchanged, or `TableBuilder::for_profile(&p, bits, seed).build()` |
-//! | `PointIndex::{get, remove}` | `HashTable::{lookup, delete}` (the deprecated aliases were removed in PR 4) |
-//! | `LinearProbing::delete_rehash(k)` | removed with its strategy switch (no caller set it); deletes use optimized tombstones, `rehash_in_place()` drops them |
-//! | `RobinHood::{lookup_dmax, lookup_checked}` | `set_lookup_mode(RhLookupMode::{DmaxBound, CheckedEveryProbe})` + trait `lookup` |
 
 pub use hashfn as hash;
 pub use metrics as measure;
@@ -125,7 +108,7 @@ pub mod prelude {
     };
     pub use sevendim_durable::{DurableSharded, DurableTable, RecoveryReport, WalError};
     #[cfg(target_os = "linux")]
-    pub use sevendim_net::{AcceptMode, KvServer, KvServerBuilder, ServerHandle, ServerStats};
+    pub use sevendim_net::{KvServer, KvServerBuilder, ServerHandle, ServerStats};
     // The client and full wire protocol are portable; the protocol
     // module stays namespaced (`seven_dim_hashing::net::protocol`) so
     // its `Op`/`Request` names don't shadow user types on glob import.

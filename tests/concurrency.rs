@@ -22,6 +22,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use seven_dim_hashing::prelude::*;
 use seven_dim_hashing::tables::{EMPTY_KEY, TOMBSTONE_KEY};
 use seven_dim_hashing::workload::rw::run_concurrent;
+use std::time::{Duration, Instant};
 
 /// Capacity exponent of the *unsharded* table; the sharded twin splits
 /// the same total across 4 shards. The 640-key universe tops out at ~31%
@@ -271,6 +272,11 @@ fn concurrent_rw_driver_sweeps_threads() {
 /// must observe either `None` or exactly that value — anything else is
 /// a torn read the seqlock validation failed to discard — and a key no
 /// writer ever inserts must never be observed present.
+///
+/// The overlap is forced, not hoped for: readers publish their hits as
+/// they go, and each writer holds at its half-way key until some reader
+/// has scored one — so the second half of every writer's work (growth
+/// included) runs against readers known to be live.
 #[test]
 fn optimistic_readers_race_inserting_deleting_growing_writers() {
     const WRITERS: u64 = 2;
@@ -295,10 +301,20 @@ fn optimistic_readers_race_inserting_deleting_growing_writers() {
     std::thread::scope(|scope| {
         let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
-                let table = &table;
+                let (table, hits) = (&table, &hits);
                 scope.spawn(move || {
                     let base = 1 + w * PER_WRITER;
                     for k in base..base + PER_WRITER {
+                        if k == base + PER_WRITER / 2 {
+                            let deadline = Instant::now() + Duration::from_secs(60);
+                            while hits.load(std::sync::atomic::Ordering::Acquire) == 0 {
+                                assert!(
+                                    Instant::now() < deadline,
+                                    "writer {w}: half its keys are in and no reader has seen one"
+                                );
+                                std::thread::yield_now();
+                            }
+                        }
                         table.insert_shared(k, committed(k)).unwrap();
                         // Churn: delete an earlier stripe so readers race
                         // tombstones too, not just fresh inserts.
@@ -315,8 +331,10 @@ fn optimistic_readers_race_inserting_deleting_growing_writers() {
                 let mut rng = StdRng::seed_from_u64(0xEAD + r as u64);
                 let mut batch = vec![0u64; 256];
                 let mut values = vec![None; 256];
-                let mut seen = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                // Always one full pass, so a reader scheduled late still
+                // reads; `stop` is only checked between passes.
+                loop {
+                    let mut seen = 0u64;
                     let k = rng.gen_range(1..=UNIVERSE_TOP);
                     if let Some(v) = table.lookup_shared(k) {
                         assert!(k <= WRITERS * PER_WRITER, "reader {r}: phantom key {k}");
@@ -334,8 +352,11 @@ fn optimistic_readers_race_inserting_deleting_growing_writers() {
                             seen += 1;
                         }
                     }
+                    hits.fetch_add(seen, std::sync::atomic::Ordering::AcqRel);
+                    if stop.load(std::sync::atomic::Ordering::Acquire) {
+                        break;
+                    }
                 }
-                hits.fetch_add(seen, std::sync::atomic::Ordering::AcqRel);
             });
         }
         for w in writers {

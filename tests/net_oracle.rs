@@ -326,21 +326,14 @@ fn client_stream(addr: SocketAddr, client_idx: u64, seed: u64) -> HashMap<u64, u
 fn multi_worker_concurrent_streams_match_per_client_models_for_every_scheme() {
     for (i, scheme) in all_schemes().into_iter().enumerate() {
         for (j, optimistic) in [true, false].into_iter().enumerate() {
-            // Alternate the accept path across the grid so both the
-            // SO_REUSEPORT and the mailbox hand-off get scheme-wide
-            // coverage without doubling the runtime.
-            let accept = if (i + j) % 2 == 0 { AcceptMode::ReusePort } else { AcceptMode::Mailbox };
             let builder = TableBuilder::new(scheme)
                 .bits(10)
                 .seed(0xA11 + i as u64)
                 .shards(2)
                 .optimistic_reads(optimistic);
             let served: Arc<dyn ConcurrentTable> = Arc::new(builder.build_sharded());
-            let server = KvServer::builder()
-                .threads(2)
-                .accept(accept)
-                .spawn("127.0.0.1:0", served)
-                .expect("spawn server");
+            let server =
+                KvServer::builder().threads(2).spawn("127.0.0.1:0", served).expect("spawn server");
             assert_eq!(server.threads(), 2);
             let addr = server.addr();
 
@@ -366,12 +359,12 @@ fn multi_worker_concurrent_streams_match_per_client_models_for_every_scheme() {
                 assert_eq!(
                     got,
                     OpResponse::Get(union.get(&k).copied()),
-                    "{scheme:?} optimistic={optimistic} {accept:?}: key {k} diverged"
+                    "{scheme:?} optimistic={optimistic}: key {k} diverged"
                 );
             }
 
             let stats = server.shutdown().expect("shutdown");
-            let label = format!("{scheme:?} optimistic={optimistic} {accept:?}");
+            let label = format!("{scheme:?} optimistic={optimistic}");
             assert_eq!(stats.accepted, CLIENTS as u64 + 1, "{label}");
             assert_eq!(stats.protocol_closes, 0, "{label}: well-formed stream closed a conn");
             assert_eq!(stats.io_closes, 0, "{label}");
