@@ -25,9 +25,9 @@
 //! (log-linear buckets, ≤ 12.5% error). The stream executes through the
 //! single-key API: per-op latency needs per-op boundaries.
 
-use bench::{emit, parse_args, HashId, Scheme};
+use bench::{emit, grid_builder, parse_args};
 use metrics::{LatencyHistogram, ReportTable, Series, Throughput};
-use sevendim_core::{DynamicTable, GrowthPolicy, HashTable, TableBuilder};
+use sevendim_core::{DynamicTable, GrowthPolicy, HashKind, HashTable, TableBuilder, TableScheme};
 use workloads::{
     rw::{run_chunk_instrumented, RwStream},
     RwConfig,
@@ -44,7 +44,8 @@ const POLICIES: [(&str, GrowthPolicy); 3] = [
     ("Incr(step=64)", GrowthPolicy::Incremental { step: 64 }),
 ];
 
-const TABLES: [(Scheme, HashId); 2] = [(Scheme::LP, HashId::Mult), (Scheme::RH, HashId::Mult)];
+/// Compared under Mult.
+const SCHEMES: [TableScheme; 2] = [TableScheme::LinearProbing, TableScheme::RobinHood];
 
 struct CellOut {
     growth: LatencyHistogram,
@@ -57,14 +58,13 @@ struct CellOut {
 /// Run one growing RW stream through
 /// [`run_chunk_instrumented`], classifying each insert as growth-phase
 /// when a rehash fired during it or a migration is in flight after it.
-fn run_cell(scheme: Scheme, h: HashId, policy: GrowthPolicy, cfg: RwConfig) -> CellOut {
+fn run_cell(factory: TableBuilder, policy: GrowthPolicy, cfg: RwConfig) -> CellOut {
     // Initial size: smallest power of two keeping the initial load under
     // the growth threshold (the rule `rw_cell` uses).
     let mut bits = 10u8;
     while (cfg.initial_keys as f64) > GROW_THRESHOLD * (1u64 << bits) as f64 {
         bits += 1;
     }
-    let factory = TableBuilder::new(scheme.table_scheme()).hash(h.hash_kind());
     let mut table =
         DynamicTable::with_policy(factory, bits, cfg.seed ^ 0xD14_7AB1E, GROW_THRESHOLD, policy);
     let mut stream = RwStream::new(cfg);
@@ -125,22 +125,23 @@ fn main() {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    for &(scheme, h) in &TABLES {
+    for scheme in SCHEMES {
+        let factory = grid_builder(scheme, HashKind::Mult);
         let mut panel = ReportTable::new(
-            format!("growth_tail — {} insert latency", scheme.label(h)),
+            format!("growth_tail — {} insert latency", factory.label()),
             "policy",
             ticks.clone(),
             "µs",
         );
         let mut tp = ReportTable::new(
-            format!("growth_tail — {} stream throughput", scheme.label(h)),
+            format!("growth_tail — {} stream throughput", factory.label()),
             "policy",
             vec!["M ops/s".into(), "rehashes".into(), "final slots".into()],
             "mixed",
         );
         let mut headline: Vec<(String, u64, f64)> = Vec::new();
         for &(name, policy) in &POLICIES {
-            let out = run_cell(scheme, h, policy, cfg);
+            let out = run_cell(factory.clone(), policy, cfg);
             panel.push(Series::new(
                 name,
                 vec![

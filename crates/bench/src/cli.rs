@@ -1,5 +1,5 @@
 //! Scale configuration and a dependency-free argument parser for the
-//! figure binaries.
+//! figure and ablation binaries.
 //!
 //! The paper's capacities are 2^16 (small, 1 MB), 2^27 (medium, 2 GB) and
 //! 2^30 (large, 16 GB), with 100 M-scale probe streams and 1000 M-op RW
@@ -7,7 +7,7 @@
 //! every figure within laptop budgets; `paper` uses the original sizes
 //! (bring RAM and patience); `smoke` exists for CI. Every knob can be
 //! overridden individually (`--log2-capacity`, `--probes`, `--ops`,
-//! `--seeds`) or via `SEVENDIM_LOG2_{SMALL,MEDIUM,LARGE}`.
+//! `--seeds`).
 
 /// Preset experiment sizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,16 +32,11 @@ impl Scale {
 
     /// Capacity exponents `(small, medium, large)`.
     pub fn capacity_bits(&self) -> (u8, u8, u8) {
-        let base = match self {
+        match self {
             Scale::Smoke => (12, 14, 16),
             Scale::Default => (16, 19, 22),
             Scale::Paper => (16, 27, 30),
-        };
-        (
-            env_override("SEVENDIM_LOG2_SMALL", base.0),
-            env_override("SEVENDIM_LOG2_MEDIUM", base.1),
-            env_override("SEVENDIM_LOG2_LARGE", base.2),
-        )
+        }
     }
 
     /// Lookups per probe stream.
@@ -81,10 +76,6 @@ impl Scale {
     }
 }
 
-fn env_override(name: &str, default: u8) -> u8 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 /// Parsed command line of a figure binary.
 #[derive(Clone, Debug)]
 pub struct Args {
@@ -98,8 +89,6 @@ pub struct Args {
     pub ops: Option<usize>,
     /// Override: number of seeds.
     pub seeds: Option<usize>,
-    /// Override: maximum worker threads for the scaling binaries.
-    pub threads: Option<usize>,
     /// Also print CSV blocks after the text tables.
     pub csv: bool,
 }
@@ -120,35 +109,6 @@ impl Args {
     pub fn op_count(&self) -> usize {
         self.ops.unwrap_or_else(|| self.scale.rw_operations())
     }
-
-    /// Maximum worker threads: `--threads` if given, else the machine's
-    /// parallelism capped at 8 (2 under `--scale smoke` — CI runners are
-    /// small and the smoke run only needs to *exercise* the parallel
-    /// path).
-    pub fn max_threads(&self) -> usize {
-        self.threads
-            .unwrap_or_else(|| {
-                let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-                match self.scale {
-                    Scale::Smoke => avail.min(2),
-                    _ => avail.min(8),
-                }
-            })
-            .max(1)
-    }
-
-    /// Thread counts for a scaling sweep: powers of two up to
-    /// [`Args::max_threads`], plus the maximum itself if it is not a
-    /// power of two.
-    pub fn thread_sweep(&self) -> Vec<usize> {
-        let max = self.max_threads();
-        let mut sweep: Vec<usize> =
-            std::iter::successors(Some(1usize), |&t| (t * 2 <= max).then_some(t * 2)).collect();
-        if *sweep.last().expect("sweep starts at 1") != max {
-            sweep.push(max);
-        }
-        sweep
-    }
 }
 
 impl Default for Args {
@@ -159,7 +119,6 @@ impl Default for Args {
             probes: None,
             ops: None,
             seeds: None,
-            threads: None,
             csv: false,
         }
     }
@@ -208,13 +167,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
                         .unwrap_or_else(|_| usage("--seeds must be an integer")),
                 )
             }
-            "--threads" => {
-                args.threads = Some(
-                    value_for("--threads")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--threads must be an integer")),
-                )
-            }
             "--csv" => args.csv = true,
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag '{other}'")),
@@ -223,13 +175,16 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
     args
 }
 
-fn usage(err: &str) -> ! {
+/// Print `err` (if any) and the usage line, then exit: 2 on an error, 0
+/// for `--help`.
+pub fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: <fig-binary> [--scale smoke|default|paper] [--log2-capacity N] \
-         [--probes N] [--ops N] [--seeds N] [--threads N] [--csv]"
+        "usage: figures <2..8|all> [FLAGS] | <ablation_*|growth_tail|adaptive> [FLAGS]\n\
+         FLAGS: [--scale smoke|default|paper] [--log2-capacity N] [--probes N] [--ops N] \
+         [--seeds N] [--csv]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 })
 }
@@ -263,8 +218,6 @@ mod tests {
             "5000",
             "--seeds",
             "4",
-            "--threads",
-            "6",
             "--csv",
         ]));
         assert_eq!(a.scale, Scale::Smoke);
@@ -272,18 +225,7 @@ mod tests {
         assert_eq!(a.probe_count(), 1000);
         assert_eq!(a.op_count(), 5000);
         assert_eq!(a.seed_list().len(), 4);
-        assert_eq!(a.max_threads(), 6);
         assert!(a.csv);
-    }
-
-    #[test]
-    fn thread_sweep_covers_powers_of_two_up_to_max() {
-        let a = parse_args(argv(&["--threads", "8"]));
-        assert_eq!(a.thread_sweep(), vec![1, 2, 4, 8]);
-        let a = parse_args(argv(&["--threads", "6"]));
-        assert_eq!(a.thread_sweep(), vec![1, 2, 4, 6]);
-        let a = parse_args(argv(&["--threads", "1"]));
-        assert_eq!(a.thread_sweep(), vec![1]);
     }
 
     #[test]

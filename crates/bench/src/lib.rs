@@ -1,16 +1,20 @@
-//! Benchmark harness for the seven-dimensional hashing study.
+//! Regenerates the paper's figures and the policy ablations.
 //!
-//! Each figure and table of the paper has a binary in `src/bin/` that
-//! regenerates it (`fig2` … `fig8`, plus ablations); this library holds
-//! what they share: the scale configuration ([`cli`]), and the
-//! scheme × hash-function dispatch with multi-seed averaging
-//! ([`runner`]).
+//! `figures <2..8|all>` prints the paper's figures; `ablation_alloc`,
+//! `ablation_cuckoo`, `ablation_fp` and `ablation_rh` each vary one design
+//! choice the paper fixes; `growth_tail` (stop-the-world vs incremental
+//! growth) and `adaptive` (static vs adaptive scheme) compare two
+//! policies. This library holds what they share: the scale configuration
+//! and flag parser ([`cli`]), and the scheme × hash-function dispatch,
+//! multi-seed averaging and panel grid ([`runner`]).
 //!
-//! Run, e.g.:
+//! Measuring the served stack — threads, the network path, durability —
+//! is not this crate's job: `benchmark/` at the repository root does that,
+//! end to end and per layer.
 //!
 //! ```text
-//! cargo run --release -p bench --bin fig4 -- --scale default
-//! cargo run --release -p bench --bin fig7 -- --log2-capacity 20 --seeds 3
+//! cargo run --release -p bench --bin figures -- 4 --scale default
+//! cargo run --release -p bench --bin figures -- 7 --log2-capacity 20 --seeds 3
 //! ```
 
 pub mod cli;
@@ -18,8 +22,7 @@ pub mod runner;
 
 pub use cli::{parse_args, Args, Scale};
 pub use runner::{
-    lookup_scale_cell, readonly_scale_cell, rw_cell, rw_scale_cell, worm_cell, worm_cell_with,
-    HashId, LookupScale, RwCellOut, ScalePoint, Scheme, WormCellOut,
+    grid_builder, rw_cell, worm_cell, worm_cell_with, worm_grid, RwCellOut, WormCellOut, WormGrid,
 };
 
 /// Print a report panel as text, plus CSV when requested.

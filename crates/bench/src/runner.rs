@@ -1,79 +1,19 @@
-//! Scheme × hash-function dispatch and multi-seed measurement.
+//! Scheme × hash-function dispatch, multi-seed measurement and the panel
+//! grid the WORM figures share.
 //!
-//! The figure binaries iterate over the paper's table grid; this module
-//! turns a `(Scheme, HashId)` pair into a concrete table, drives the WORM
-//! or RW workload against it, and averages throughput over the configured
-//! seeds (§4.2: three independent runs per data point).
+//! This module turns a `(TableScheme, HashKind)` pair into a concrete
+//! table, drives the WORM or RW workload against it, and averages
+//! throughput over the configured seeds (§4.2: three independent runs per
+//! data point). [`worm_grid`] runs one figure's series × load-factor cells
+//! and renders them as the paper's insertion and lookup panels.
 
-use metrics::{SeedStats, Throughput};
-use sevendim_core::{
-    ConcurrentTable, DynamicTable, HashKind, HashTable, InsertOutcome, TableBuilder, TableError,
-    TableScheme,
-};
+use metrics::{ReportTable, SeedStats, Series, Throughput};
+use sevendim_core::{DynamicTable, HashKind, HashTable, TableBuilder, TableError, TableScheme};
 use workloads::{
-    rw::{run_chunk, run_concurrent, RwStream},
+    rw::{run_chunk, RwStream},
     worm::{run_cell, WormKeys},
-    Distribution, RwConfig, WormConfig,
+    RwConfig, WormConfig,
 };
-
-/// Hashing schemes of the study.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Scheme {
-    /// ChainedH8 (8-byte directory links).
-    Chained8,
-    /// ChainedH24 (24-byte inline directory entries).
-    Chained24,
-    /// Linear probing, AoS.
-    LP,
-    /// Quadratic (triangular) probing.
-    QP,
-    /// Robin Hood on LP, tuned.
-    RH,
-    /// Cuckoo hashing on four sub-tables.
-    Cuckoo4,
-    /// Bucketized fingerprint probing (16-slot groups, tag array).
-    Fingerprint,
-}
-
-/// Hash functions presented in the paper's figures (§4.4 narrows the four
-/// functions down to these two).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum HashId {
-    /// Multiply-shift.
-    Mult,
-    /// Murmur3 64-bit finalizer.
-    Murmur,
-}
-
-impl Scheme {
-    /// The [`TableBuilder`] scheme this grid position maps to.
-    pub fn table_scheme(&self) -> TableScheme {
-        match self {
-            Scheme::Chained8 => TableScheme::Chained8,
-            Scheme::Chained24 => TableScheme::Chained24,
-            Scheme::LP => TableScheme::LinearProbing,
-            Scheme::QP => TableScheme::Quadratic,
-            Scheme::RH => TableScheme::RobinHood,
-            Scheme::Cuckoo4 => TableScheme::Cuckoo4,
-            Scheme::Fingerprint => TableScheme::Fingerprint,
-        }
-    }
-
-    /// Paper-style label, e.g. `"RHMult"`.
-    pub fn label(&self, h: HashId) -> String {
-        format!("{}{}", self.table_scheme().name(), h.hash_kind().name())
-    }
-}
-
-impl HashId {
-    /// The [`TableBuilder`] hash family this grid position maps to.
-    pub fn hash_kind(&self) -> HashKind {
-        match self {
-            HashId::Mult => HashKind::Mult,
-            HashId::Murmur => HashKind::Murmur,
-        }
-    }
-}
 
 /// Multi-seed WORM result for one cell of a figure.
 #[derive(Clone, Debug)]
@@ -153,24 +93,95 @@ fn cfg_pcts(keys: &WormKeys) -> Vec<(u8, Option<f64>)> {
     keys.probe_streams.iter().map(|(pct, _, _)| (*pct, None)).collect()
 }
 
+/// The [`TableBuilder`] of one `(scheme, hash)` grid position; its
+/// [`TableBuilder::label`] is the series label.
+///
+/// The fingerprint scheme is built with its SSE2 tag scan: group
+/// probing *is* the scheme (the scalar fallback only exists for non-x86
+/// targets), whereas the LP layouts stay scalar here because SIMD key
+/// scanning is its own dimension (Figure 7).
+pub fn grid_builder(scheme: TableScheme, h: HashKind) -> TableBuilder {
+    TableBuilder::new(scheme).hash(h).simd(scheme == TableScheme::Fingerprint)
+}
+
 /// Run one WORM cell for a `(scheme, hash)` pair, averaging over `seeds`.
 ///
 /// One [`TableBuilder`] covers the whole grid — chained schemes get the
 /// §4.5 memory budget applied (an infeasible budget makes the cell
 /// absent, matching the paper's removed chained curves at high load).
-/// The fingerprint scheme is built with its SSE2 tag scan: group
-/// probing *is* the scheme (the scalar fallback only exists for non-x86
-/// targets), whereas the LP layouts stay scalar here because SIMD key
-/// scanning is its own dimension (Figure 7).
-pub fn worm_cell(scheme: Scheme, h: HashId, cfg: &WormConfig, seeds: &[u64]) -> WormCellOut {
-    let mut builder = TableBuilder::new(scheme.table_scheme())
-        .hash(h.hash_kind())
-        .bits(cfg.capacity_bits)
-        .simd(scheme == Scheme::Fingerprint);
-    if matches!(scheme, Scheme::Chained8 | Scheme::Chained24) {
+pub fn worm_cell(scheme: TableScheme, h: HashKind, cfg: &WormConfig, seeds: &[u64]) -> WormCellOut {
+    let mut builder = grid_builder(scheme, h).bits(cfg.capacity_bits);
+    if matches!(scheme, TableScheme::Chained8 | TableScheme::Chained24) {
         builder = builder.chained_budget(cfg.n_keys());
     }
     worm_cell_with(|s| builder.clone().seed(s).try_build(), cfg, seeds)
+}
+
+/// The cells of one WORM figure at one key distribution and capacity:
+/// a series per table, a cell per load factor.
+pub struct WormGrid {
+    labels: Vec<String>,
+    load_factors: Vec<f64>,
+    /// `cells[series][load factor]`.
+    cells: Vec<Vec<WormCellOut>>,
+}
+
+/// Measure `cell(series, load factor)` for every series × load factor.
+pub fn worm_grid(
+    labels: Vec<String>,
+    load_factors: &[f64],
+    mut cell: impl FnMut(usize, f64) -> WormCellOut,
+) -> WormGrid {
+    let cells = (0..labels.len())
+        .map(|series| load_factors.iter().map(|&lf| cell(series, lf)).collect())
+        .collect();
+    WormGrid { labels, load_factors: load_factors.to_vec(), cells }
+}
+
+impl WormGrid {
+    /// One panel: a series per table, its values drawn from that table's
+    /// row of cells.
+    fn report(
+        &self,
+        title: String,
+        x_name: &str,
+        ticks: Vec<String>,
+        unit: &str,
+        values: impl Fn(&[WormCellOut]) -> Vec<Option<f64>>,
+    ) -> ReportTable {
+        let mut panel = ReportTable::new(title, x_name, ticks, unit);
+        for (label, row) in self.labels.iter().zip(&self.cells) {
+            panel.push(Series::new(label.as_str(), values(row)));
+        }
+        panel
+    }
+
+    /// One panel with the load factor on the x axis and `value` of each
+    /// cell on the y axis.
+    pub fn panel(
+        &self,
+        title: String,
+        unit: &str,
+        value: impl Fn(&WormCellOut) -> Option<f64>,
+    ) -> ReportTable {
+        let ticks = self.load_factors.iter().map(|lf| format!("{:.0}", lf * 100.0)).collect();
+        self.report(title, "load factor %", ticks, unit, |row| row.iter().map(&value).collect())
+    }
+
+    /// The paper's throughput panels: insertions over the load factor,
+    /// then one lookup panel per load factor over the unsuccessful-query
+    /// percentage, titled `"{prefix}lookups at N% load factor"`.
+    pub fn throughput_panels(&self, insert_title: String, prefix: &str) -> Vec<ReportTable> {
+        let mut panels = vec![self.panel(insert_title, "M inserts/s", |c| c.insert_mops)];
+        for (li, lf) in self.load_factors.iter().enumerate() {
+            let title = format!("{prefix}lookups at {:.0}% load factor", lf * 100.0);
+            let ticks = self.cells[0][li].lookup_mops.iter().map(|(p, _)| p.to_string()).collect();
+            panels.push(self.report(title, "unsuccessful %", ticks, "M lookups/s", |row| {
+                row[li].lookup_mops.iter().map(|&(_, v)| v).collect()
+            }));
+        }
+        panels
+    }
 }
 
 /// RW result for one cell of Figure 5.
@@ -189,14 +200,11 @@ pub struct RwCellOut {
 /// The [`TableBuilder`] doubles as the [`DynamicTable`]'s factory: every
 /// growth step re-invokes it with one more capacity bit and a fresh seed.
 pub fn rw_cell(
-    scheme: Scheme,
-    h: HashId,
+    scheme: TableScheme,
+    h: HashKind,
     grow_threshold: f64,
     cfg: RwConfig,
 ) -> Result<RwCellOut, TableError> {
-    if scheme == Scheme::Chained8 {
-        unimplemented!("the paper's RW comparison does not include ChainedH8")
-    }
     // Initial size: the paper starts 16 M keys in a 2^25 table ≈ 47% load;
     // generalized: the smallest power of two that keeps the initial load
     // under the growth threshold.
@@ -204,9 +212,7 @@ pub fn rw_cell(
     while (cfg.initial_keys as f64) > grow_threshold * (1u64 << bits) as f64 {
         bits += 1;
     }
-    let factory = TableBuilder::new(scheme.table_scheme())
-        .hash(h.hash_kind())
-        .simd(scheme == Scheme::Fingerprint);
+    let factory = grid_builder(scheme, h);
     let mut stream = RwStream::new(cfg);
     let mut table = DynamicTable::new(factory, bits, cfg.seed ^ 0xD14_7AB1E, grow_threshold);
     for k in stream.initial_keys() {
@@ -228,205 +234,10 @@ pub fn rw_cell(
     })
 }
 
-/// One point of a thread-scaling curve.
-#[derive(Clone, Copy, Debug)]
-pub struct ScalePoint {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Aggregate throughput (M ops/s) across all threads.
-    pub mops: f64,
-}
-
-/// Shape of a lookup-scaling cell: the table and probe-stream dimensions
-/// that stay fixed while `threads` sweeps.
-#[derive(Clone, Copy, Debug)]
-pub struct LookupScale {
-    /// Total capacity exponent (`2^bits` slots across all shards).
-    pub bits: u8,
-    /// Shard-count exponent, fixed across the sweep.
-    pub shard_bits: u8,
-    /// Fill fraction before probing.
-    pub load: f64,
-    /// Total lookups, split across threads.
-    pub probes: usize,
-    /// Seed for table hashes and key generation.
-    pub seed: u64,
-    /// Whether readers may take the lock-free seqlock path
-    /// ([`TableBuilder::optimistic_reads`]); `false` measures the
-    /// mutex-per-shard baseline.
-    pub optimistic: bool,
-}
-
-/// Build the sharded table of a scaling cell and fill it to `cell.load`
-/// with sparse keys (value = `key ^ 0xFF`), returning the table and the
-/// inserted keys.
-fn build_scale_table(
-    scheme: Scheme,
-    h: HashId,
-    cell: &LookupScale,
-) -> (sevendim_core::ShardedTable<sevendim_core::BoxedTable>, Vec<u64>) {
-    let mut table = TableBuilder::new(scheme.table_scheme())
-        .hash(h.hash_kind())
-        .bits(cell.bits)
-        .seed(cell.seed)
-        .shards(cell.shard_bits)
-        .optimistic_reads(cell.optimistic)
-        .build_sharded();
-    let n_keys = ((1usize << cell.bits) as f64 * cell.load) as usize;
-    let keys = Distribution::Sparse.generate(n_keys, cell.seed ^ 0x5CA1E);
-    let items: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k ^ 0xFF)).collect();
-    let mut outcomes = vec![Ok(InsertOutcome::Inserted); items.len()];
-    table.insert_batch(&items, &mut outcomes);
-    assert!(outcomes.iter().all(|o| o.is_ok()), "scale cell build failed for {}", scheme.label(h));
-    (table, keys)
-}
-
-/// Measure successful-lookup throughput of one sharded `(scheme, hash)`
-/// cell at `threads` worker threads.
-///
-/// The table is built once via [`TableBuilder::shards`] at
-/// `2^bits` total slots, filled to `load` with sparse keys through the
-/// batch API, then `probes` lookups (split across threads, each thread
-/// probing a strided permutation of the inserted keys in 4096-key batches
-/// through `lookup_batch_shared`) are timed from a barrier; throughput is
-/// total probes over the slowest thread's wall clock. Keeping
-/// `shard_bits` fixed while sweeping `threads` measures scaling of the
-/// *same* table.
-pub fn lookup_scale_cell(
-    scheme: Scheme,
-    h: HashId,
-    cell: &LookupScale,
-    threads: usize,
-) -> ScalePoint {
-    let probes = cell.probes;
-    let (table, keys) = build_scale_table(scheme, h, cell);
-    // Per-thread probe streams, prepared outside the timed region: each
-    // thread walks the key set from its own offset with a large co-prime
-    // stride, so all probes hit but no two threads share an access
-    // pattern.
-    let threads = threads.max(1);
-    let per_thread = probes / threads;
-    // Coordinator-timed parallel region (extra barrier participant): one
-    // wall clock across all workers, immune to per-thread scheduling
-    // skew on oversubscribed machines.
-    let barrier = std::sync::Barrier::new(threads + 1);
-    let (total_ops, elapsed) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let (table, keys, barrier) = (&table, &keys, &barrier);
-                scope.spawn(move || {
-                    let stride = (2_654_435_761usize % keys.len()) | 1;
-                    let mut pos = (t * keys.len()) / threads;
-                    let mut probe_keys = vec![0u64; 4096];
-                    let mut values = vec![None; 4096];
-                    barrier.wait();
-                    let mut done = 0usize;
-                    while done < per_thread {
-                        let batch = probe_keys.len().min(per_thread - done);
-                        for slot in probe_keys[..batch].iter_mut() {
-                            *slot = keys[pos];
-                            pos = (pos + stride) % keys.len();
-                        }
-                        table.lookup_batch_shared(&probe_keys[..batch], &mut values[..batch]);
-                        done += batch;
-                    }
-                    std::hint::black_box(&values);
-                    done as u64
-                })
-            })
-            .collect();
-        // Clock starts before the coordinator's barrier entry — workers
-        // cannot pass the barrier earlier, so the whole parallel region
-        // lies inside [start, join] regardless of scheduling.
-        let start = std::time::Instant::now();
-        barrier.wait();
-        let ops: u64 = handles.into_iter().map(|h| h.join().expect("probe thread panicked")).sum();
-        (ops, start.elapsed())
-    });
-    ScalePoint { threads, mops: Throughput::new(total_ops, elapsed).m_ops_per_sec() }
-}
-
-/// Measure *single-key* `lookup_shared` throughput of one sharded cell —
-/// the panel that isolates the seqlock read path from batch routing.
-///
-/// Where [`lookup_scale_cell`] amortizes shard selection and locking over
-/// 4096-key batches, this cell pays the per-key synchronization cost on
-/// every probe: with `cell.optimistic == false` that is a mutex
-/// lock/unlock per lookup (readers of the same shard serialize), with
-/// `true` it is two atomic loads of the shard's generation counter and no
-/// store at all — the contrast between the two runs is the direct
-/// measurement of what lock-free reads buy.
-pub fn readonly_scale_cell(
-    scheme: Scheme,
-    h: HashId,
-    cell: &LookupScale,
-    threads: usize,
-) -> ScalePoint {
-    let probes = cell.probes;
-    let (table, keys) = build_scale_table(scheme, h, cell);
-    let threads = threads.max(1);
-    let per_thread = probes / threads;
-    let barrier = std::sync::Barrier::new(threads + 1);
-    let (total_ops, elapsed) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let (table, keys, barrier) = (&table, &keys, &barrier);
-                scope.spawn(move || {
-                    let stride = (2_654_435_761usize % keys.len()) | 1;
-                    let mut pos = (t * keys.len()) / threads;
-                    barrier.wait();
-                    let mut hits = 0u64;
-                    for _ in 0..per_thread {
-                        let key = keys[pos];
-                        pos = (pos + stride) % keys.len();
-                        if table.lookup_shared(key).is_some() {
-                            hits += 1;
-                        }
-                    }
-                    assert_eq!(hits, per_thread as u64, "read-only probes must all hit");
-                    per_thread as u64
-                })
-            })
-            .collect();
-        let start = std::time::Instant::now();
-        barrier.wait();
-        let ops: u64 = handles.into_iter().map(|h| h.join().expect("probe thread panicked")).sum();
-        (ops, start.elapsed())
-    });
-    ScalePoint { threads, mops: Throughput::new(total_ops, elapsed).m_ops_per_sec() }
-}
-
-/// Measure RW-mix throughput of one sharded `(scheme, hash)` cell at
-/// `threads` worker threads: per-shard growing tables driven by
-/// [`run_concurrent`] over disjoint per-thread key regions.
-pub fn rw_scale_cell(
-    scheme: Scheme,
-    h: HashId,
-    shard_bits: u8,
-    grow_threshold: f64,
-    cfg: RwConfig,
-    threads: usize,
-) -> Result<ScalePoint, TableError> {
-    // Initial bits: hold the initial keys under the threshold (same rule
-    // as `rw_cell`), then split across shards.
-    let mut bits = 10u8.max(shard_bits + 2);
-    while (cfg.initial_keys as f64) > grow_threshold * (1u64 << bits) as f64 {
-        bits += 1;
-    }
-    let table = TableBuilder::new(scheme.table_scheme())
-        .hash(h.hash_kind())
-        .bits(bits)
-        .seed(cfg.seed ^ 0xD14_7AB1E)
-        .shards(shard_bits)
-        .grow_at(grow_threshold)
-        .build_sharded();
-    let t = run_concurrent(&table, &cfg, threads)?;
-    Ok(ScalePoint { threads, mops: t.m_ops_per_sec() })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::Distribution;
 
     fn tiny_cfg() -> WormConfig {
         WormConfig {
@@ -440,7 +251,7 @@ mod tests {
 
     #[test]
     fn worm_cell_produces_all_pcts() {
-        let out = worm_cell(Scheme::LP, HashId::Mult, &tiny_cfg(), &[1, 2]);
+        let out = worm_cell(TableScheme::LinearProbing, HashKind::Mult, &tiny_cfg(), &[1, 2]);
         assert!(out.insert_mops.unwrap() > 0.0);
         assert_eq!(out.lookup_mops.len(), 5);
         assert!(out.lookup_mops.iter().all(|(_, v)| v.unwrap() > 0.0));
@@ -450,25 +261,18 @@ mod tests {
     #[test]
     fn chained_cell_absent_at_high_load() {
         let cfg = WormConfig { load_factor: 0.9, ..tiny_cfg() };
-        let out = worm_cell(Scheme::Chained24, HashId::Mult, &cfg, &[1]);
+        let out = worm_cell(TableScheme::Chained24, HashKind::Mult, &cfg, &[1]);
         assert!(out.insert_mops.is_none(), "chained must not fit 90% load");
         assert!(out.lookup_mops.iter().all(|(_, v)| v.is_none()));
     }
 
     #[test]
     fn all_pairs_run_at_fifty_percent() {
-        for scheme in [
-            Scheme::Chained8,
-            Scheme::Chained24,
-            Scheme::LP,
-            Scheme::QP,
-            Scheme::RH,
-            Scheme::Cuckoo4,
-            Scheme::Fingerprint,
-        ] {
-            for h in [HashId::Mult, HashId::Murmur] {
+        for scheme in TableScheme::ALL {
+            for h in HashKind::ALL {
                 let out = worm_cell(scheme, h, &tiny_cfg(), &[3]);
-                assert!(out.insert_mops.is_some(), "{} failed at 50% load", scheme.label(h));
+                let label = grid_builder(scheme, h).label();
+                assert!(out.insert_mops.is_some(), "{label} failed at 50% load");
             }
         }
     }
@@ -476,66 +280,18 @@ mod tests {
     #[test]
     fn rw_cell_runs_all_schemes() {
         let cfg = RwConfig { initial_keys: 2000, operations: 20_000, update_pct: 50, seed: 1 };
-        for scheme in [
-            Scheme::LP,
-            Scheme::QP,
-            Scheme::RH,
-            Scheme::Cuckoo4,
-            Scheme::Chained24,
-            Scheme::Fingerprint,
-        ] {
-            let out = rw_cell(scheme, HashId::Mult, 0.7, cfg).unwrap();
+        for scheme in TableScheme::ALL {
+            let out = rw_cell(scheme, HashKind::Mult, 0.7, cfg).unwrap();
             assert!(out.mops > 0.0, "{:?}", scheme);
             assert!(out.memory_bytes > 0);
         }
     }
 
     #[test]
-    fn lookup_scale_cell_reports_positive_throughput() {
-        let cell = LookupScale {
-            bits: 12,
-            shard_bits: 2,
-            load: 0.5,
-            probes: 20_000,
-            seed: 3,
-            optimistic: true,
-        };
-        for threads in [1, 2] {
-            let p = lookup_scale_cell(Scheme::LP, HashId::Mult, &cell, threads);
-            assert_eq!(p.threads, threads);
-            assert!(p.mops > 0.0);
-        }
-    }
-
-    #[test]
-    fn readonly_scale_cell_runs_both_read_paths() {
-        for optimistic in [true, false] {
-            let cell = LookupScale {
-                bits: 12,
-                shard_bits: 2,
-                load: 0.5,
-                probes: 20_000,
-                seed: 3,
-                optimistic,
-            };
-            let p = readonly_scale_cell(Scheme::LP, HashId::Mult, &cell, 2);
-            assert_eq!(p.threads, 2);
-            assert!(p.mops > 0.0, "optimistic={optimistic}");
-        }
-    }
-
-    #[test]
-    fn rw_scale_cell_runs_sharded_growing_tables() {
-        let cfg = RwConfig { initial_keys: 2000, operations: 20_000, update_pct: 50, seed: 2 };
-        let p = rw_scale_cell(Scheme::RH, HashId::Mult, 2, 0.7, cfg, 2).unwrap();
-        assert_eq!(p.threads, 2);
-        assert!(p.mops > 0.0);
-    }
-
-    #[test]
     fn labels_match_paper_naming() {
-        assert_eq!(Scheme::Chained24.label(HashId::Murmur), "ChainedH24Murmur");
-        assert_eq!(Scheme::Cuckoo4.label(HashId::Mult), "CuckooH4Mult");
-        assert_eq!(Scheme::Fingerprint.label(HashId::Mult), "FPMult");
+        let label = |scheme, h| grid_builder(scheme, h).label();
+        assert_eq!(label(TableScheme::Chained24, HashKind::Murmur), "ChainedH24Murmur");
+        assert_eq!(label(TableScheme::Cuckoo4, HashKind::Mult), "CuckooH4Mult");
+        assert_eq!(label(TableScheme::Fingerprint, HashKind::Mult), "FPMult");
     }
 }

@@ -4,7 +4,7 @@
 //! unsuccessful-query percentage), one line per hash table, y in M ops/s
 //! or MB. [`Series`] is one such curve; [`ReportTable`] is one panel. The
 //! binaries print panels as aligned text (for reading) and CSV (for
-//! plotting), so `cargo run --bin fig4` reproduces Figure 4 row by row.
+//! plotting), so `figures 4` reproduces Figure 4 row by row.
 
 use serde::{Deserialize, Serialize};
 

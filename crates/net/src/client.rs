@@ -16,7 +16,8 @@
 //! event-loop machinery lives server-side, and test code stays
 //! straight-line. Callers that pipeline deeply enough to fill both
 //! socket buffers should interleave `recv` with `enqueue`/`flush`
-//! (see `kv_loadgen`), as with any windowed protocol.
+//! (as `benchmark/src/workloads/kv.rs` does, a window at a time), as with
+//! any windowed protocol.
 
 use crate::protocol::{
     decode_response, encode_request, Op, OpResponse, Request, Response, HEADER_LEN,
