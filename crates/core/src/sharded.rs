@@ -130,6 +130,42 @@ pub trait ConcurrentTable: Send + Sync {
     /// [`HashTable::delete_batch`] through a shared reference.
     fn delete_batch_shared(&self, keys: &[u64], out: &mut [Option<u64>]);
 
+    /// [`ConcurrentTable::insert_batch_shared`] with the durability wait
+    /// split off: the batch is applied and its outcomes are final when
+    /// this returns, but a table that logs its mutations may not have
+    /// logged them yet. Returns whether a flush is **owed**: `true` means
+    /// the caller must not acknowledge the batch to anyone until a later
+    /// [`ConcurrentTable::flush_shared`] has returned. A caller with
+    /// several batches in hand (a server worker with several connections
+    /// readable in one turn) issues them all and pays one flush — one
+    /// device wait — for the lot.
+    ///
+    /// The default is the blocking form, which owes nothing; only a
+    /// logging wrapper overrides it.
+    fn insert_batch_deferred(
+        &self,
+        items: &[(u64, u64)],
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) -> bool {
+        self.insert_batch_shared(items, out);
+        false
+    }
+
+    /// [`ConcurrentTable::delete_batch_shared`] with the durability wait
+    /// split off; see [`ConcurrentTable::insert_batch_deferred`].
+    fn delete_batch_deferred(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
+        self.delete_batch_shared(keys, out);
+        false
+    }
+
+    /// Block until every mutation issued through a `*_deferred` call that
+    /// returned before this call began is as durable as the table's
+    /// policy asks. The fence is the table's, not the thread's: it covers
+    /// what *any* thread deferred before the call, so it needs no
+    /// per-caller state. Nothing to do — the default — for a table whose
+    /// deferred calls never owe a flush.
+    fn flush_shared(&self) {}
+
     /// [`HashTable::len`] through a shared reference.
     fn len_shared(&self) -> usize;
 

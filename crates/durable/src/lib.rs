@@ -57,5 +57,7 @@ pub use record::{
     decode_record, encode_record, WalError, WalOp, WalRecord, MAX_RECORD_PAYLOAD,
     RECORD_HEADER_LEN, WAL_MAGIC, WAL_VERSION,
 };
-pub use storage::{FileWal, MemWal, MemWalState, WalFile, WalWriter};
-pub use table::{replay_into, DurableSharded, DurableTable, RecoveryReport, SnapshotStats};
+pub use storage::{FileWal, GatedWal, MemWal, MemWalState, WalFile, WalWriter};
+pub use table::{
+    replay_into, CommitStats, DurableSharded, DurableTable, RecoveryReport, SnapshotStats,
+};

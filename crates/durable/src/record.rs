@@ -13,11 +13,12 @@
 //! deserves more scrutiny than a frame that lived microseconds on a
 //! socket.
 //!
-//! One record is one *group commit*: every operation a single
+//! One record is one *batch*: every operation a single
 //! `insert_batch_shared`/`delete_batch_shared` call carries is framed
-//! (and later fsync'd) together, amortizing both the header overhead and
-//! the sync — the same run-segmenting economy the network layer applies
-//! to wire frames.
+//! together, amortizing the header — the same run-segmenting economy the
+//! network layer applies to wire frames — and recovered together or not
+//! at all. A *group commit* is one or more records, of one or more
+//! callers, appended at once and fsync'd once (see `table`'s "Logging").
 //!
 //! ```text
 //! offset  size  field
@@ -53,8 +54,8 @@ pub const WAL_VERSION: u8 = 1;
 /// Fixed header length in bytes.
 pub const RECORD_HEADER_LEN: usize = 28;
 
-/// Hard cap on a record's payload. A single group commit is one batch
-/// call's worth of ops (17 bytes each), so even pathological batches sit
+/// Hard cap on a record's payload. A record is one batch call's worth
+/// of ops (17 bytes each), so even pathological batches sit
 /// far below this; a corrupt length field past the cap is rejected from
 /// the (checksum-validated) header alone.
 pub const MAX_RECORD_PAYLOAD: usize = 1 << 26;
@@ -86,7 +87,7 @@ pub enum WalOp {
     },
 }
 
-/// One decoded group-commit record: `ops[i]` has sequence number
+/// One decoded record — one batch: `ops[i]` has sequence number
 /// `seq + i`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalRecord {
@@ -256,7 +257,7 @@ pub fn encode_record(seq: u64, ops: &[WalOp], out: &mut Vec<u8>) {
             }
         }
     }
-    assert!(payload.len() <= MAX_RECORD_PAYLOAD, "group commit exceeds the record payload cap");
+    assert!(payload.len() <= MAX_RECORD_PAYLOAD, "batch exceeds the record payload cap");
     let start = out.len();
     out.extend_from_slice(&WAL_MAGIC);
     out.push(WAL_VERSION);

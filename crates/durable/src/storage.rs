@@ -1,7 +1,8 @@
 //! WAL storage: the [`WalFile`] sink abstraction, its real
-//! ([`FileWal`]) and in-memory fault-injection ([`MemWal`]) backends,
-//! and the group-committing [`WalWriter`] that frames ops into records
-//! and decides when to fsync.
+//! ([`FileWal`]) and in-memory fault-injection ([`MemWal`], and
+//! [`GatedWal`] whose `sync` a test can hold) backends, and the
+//! group-committing [`WalWriter`] that frames batches into records and
+//! decides when to fsync.
 //!
 //! `WalFile` exists for exactly one reason beyond `File`: the
 //! crash-recovery oracle needs to *observe* the byte stream an
@@ -16,7 +17,7 @@ use sevendim_core::FsyncPolicy;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// An append-only record sink. Implementations must make `append`
 /// all-or-nothing *in memory* (a short write is an error), but bytes are
@@ -130,11 +131,84 @@ impl WalFile for MemWal {
     }
 }
 
+/// A [`MemWal`] behind a gate, for tests of who waits for whose sync:
+/// while the gate is held, `sync` parks until it is released, and
+/// [`GatedWal::wait_parked`] tells the test — without sleeping — that a
+/// committer has reached the device wait. Clones share the log and the
+/// gate.
+#[derive(Clone, Default)]
+pub struct GatedWal {
+    mem: MemWal,
+    gate: Arc<(Mutex<Gate>, Condvar)>,
+}
+
+#[derive(Default)]
+struct Gate {
+    held: bool,
+    parked: usize,
+}
+
+impl GatedWal {
+    /// A fresh, empty log with the gate open.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The log behind the gate: its bytes, synced prefix and sync count.
+    pub fn mem(&self) -> &MemWal {
+        &self.mem
+    }
+
+    /// Close the gate: every `sync` from now on parks until
+    /// [`GatedWal::release`].
+    pub fn hold(&self) {
+        self.lock().held = true;
+    }
+
+    /// Open the gate and let every parked `sync` through.
+    pub fn release(&self) {
+        self.lock().held = false;
+        self.gate.1.notify_all();
+    }
+
+    /// Block until a `sync` is parked at the gate.
+    pub fn wait_parked(&self) {
+        let mut g = self.lock();
+        while g.parked == 0 {
+            g = self.gate.1.wait(g).unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Gate> {
+        self.gate.0.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
+impl WalFile for GatedWal {
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.mem.append(bytes)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        let mut g = self.lock();
+        g.parked += 1;
+        self.gate.1.notify_all();
+        while g.held {
+            g = self.gate.1.wait(g).unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+        g.parked -= 1;
+        drop(g);
+        self.mem.sync()
+    }
+}
+
 /// Frames ops into `7DWL` records, appends them to a [`WalFile`], and
-/// applies the [`FsyncPolicy`]. One [`WalWriter::log`] call is one group
-/// commit: however many ops a batch carries, they cost one record frame
-/// and at most one fsync — the same amortization `conn.rs` gets from
-/// run-segmenting a pipelined connection into batch calls.
+/// applies the [`FsyncPolicy`]. One [`WalWriter::log_group`] call is one
+/// group commit: however many batches it carries — one record each, so a
+/// batch stays the all-or-nothing unit recovery sees — they cost one
+/// `append` and at most one fsync. That is the same amortization
+/// `conn.rs` gets from run-segmenting a pipelined connection into batch
+/// calls, taken one step further: across callers.
 pub struct WalWriter {
     file: Box<dyn WalFile>,
     next_seq: u64,
@@ -150,31 +224,48 @@ impl WalWriter {
         Self { file, next_seq, policy, records_since_sync: 0, records: 0, scratch: Vec::new() }
     }
 
-    /// Group-commit `ops` as one record. Returns the sequence number of
-    /// the first op (they number consecutively from there). Empty groups
-    /// append nothing.
+    /// Commit `ops` as one record: a group of one batch. Returns the
+    /// sequence number of the first op (they number consecutively from
+    /// there). An empty batch appends nothing.
     pub fn log(&mut self, ops: &[WalOp]) -> io::Result<u64> {
-        let seq = self.next_seq;
-        if ops.is_empty() {
-            return Ok(seq);
-        }
+        self.log_group(ops, &[ops.len()])
+    }
+
+    /// Group-commit `ops`, cut into batches: batch `i` is
+    /// `ops[cuts[i - 1]..cuts[i]]` (from 0 for the first) and becomes one
+    /// record. The records are encoded back to back, handed to the file
+    /// in **one** `append`, and followed by at most **one** `sync` —
+    /// [`FsyncPolicy::EveryN`] counts every record of the group and syncs
+    /// once if the count reached `n`. Returns the sequence number of the
+    /// first op. Empty batches, and so empty groups, append nothing.
+    pub fn log_group(&mut self, ops: &[WalOp], cuts: &[usize]) -> io::Result<u64> {
+        let first = self.next_seq;
         self.scratch.clear();
-        encode_record(seq, ops, &mut self.scratch);
-        self.file.append(&self.scratch)?;
-        self.next_seq += ops.len() as u64;
-        self.records += 1;
-        match self.policy {
-            FsyncPolicy::Always => self.file.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                self.records_since_sync += 1;
-                if self.records_since_sync >= n.max(1) {
-                    self.file.sync()?;
-                    self.records_since_sync = 0;
-                }
+        let (mut start, mut seq, mut records) = (0, first, 0);
+        for &end in cuts {
+            if end > start {
+                encode_record(seq, &ops[start..end], &mut self.scratch);
+                seq += (end - start) as u64;
+                records += 1;
             }
-            FsyncPolicy::Never => {}
+            start = end;
         }
-        Ok(seq)
+        if records == 0 {
+            return Ok(first);
+        }
+        self.file.append(&self.scratch)?;
+        self.next_seq = seq;
+        self.records += records;
+        self.records_since_sync += records;
+        let due = match self.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(n) => self.records_since_sync >= n.max(1),
+            FsyncPolicy::Never => false,
+        };
+        if due {
+            self.sync()?;
+        }
+        Ok(first)
     }
 
     /// Force an fsync regardless of policy.
@@ -241,6 +332,67 @@ mod tests {
         assert_eq!(mem.syncs(), 0);
         w.sync().unwrap();
         assert_eq!(mem.syncs(), 1);
+    }
+
+    #[test]
+    fn a_group_is_one_record_per_batch_one_append_and_one_sync() {
+        // Counts the `append` calls on top of what `MemWal` records.
+        struct Counting(MemWal, Arc<Mutex<u64>>);
+        impl WalFile for Counting {
+            fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+                *self.1.lock().unwrap() += 1;
+                self.0.append(bytes)
+            }
+            fn sync(&mut self) -> io::Result<()> {
+                self.0.sync()
+            }
+        }
+        let (mem, appends) = (MemWal::new(), Arc::new(Mutex::new(0)));
+        let file = Counting(mem.clone(), Arc::clone(&appends));
+        let mut w = WalWriter::new(Box::new(file), 1, FsyncPolicy::Always);
+        let ops: Vec<WalOp> = (0..6).map(|key| WalOp::Del { key }).collect();
+        // Batches of 2, 0, 3 and 1 ops: the empty one leaves no record.
+        assert_eq!(w.log_group(&ops, &[2, 2, 5, 6]).unwrap(), 1);
+        assert_eq!((*appends.lock().unwrap(), mem.syncs(), w.records()), (1, 1, 3));
+        assert_eq!(w.next_seq(), 7);
+        // Byte for byte what three single-batch commits write.
+        let twin = MemWal::new();
+        let mut one_by_one = WalWriter::new(Box::new(twin.clone()), 1, FsyncPolicy::Always);
+        for batch in [&ops[..2], &ops[2..5], &ops[5..]] {
+            one_by_one.log(batch).unwrap();
+        }
+        assert_eq!(mem.bytes(), twin.bytes());
+        assert_eq!(twin.syncs(), 3);
+    }
+
+    #[test]
+    fn every_n_counts_each_record_of_a_group_and_syncs_at_most_once() {
+        let mem = MemWal::new();
+        let mut w = WalWriter::new(Box::new(mem.clone()), 1, FsyncPolicy::EveryN(3));
+        let ops: Vec<WalOp> = (0..8).map(|key| WalOp::Del { key }).collect();
+        w.log_group(&ops[..2], &[1, 2]).unwrap();
+        assert_eq!(mem.syncs(), 0, "two records are under the cadence");
+        w.log_group(&ops[2..], &[1, 2, 3, 4, 5, 6]).unwrap();
+        assert_eq!(mem.syncs(), 1, "eight records in two groups: one sync, not two");
+        assert_eq!(mem.synced_len(), mem.len());
+        w.log(&ops[..1]).unwrap();
+        assert_eq!(mem.syncs(), 1, "the count restarts after a sync");
+    }
+
+    #[test]
+    fn gated_sync_parks_until_released() {
+        let wal = GatedWal::new();
+        wal.hold();
+        let mut dev = wal.clone();
+        dev.append(b"abc").unwrap();
+        std::thread::scope(|scope| {
+            let syncing = scope.spawn(move || dev.sync().unwrap());
+            wal.wait_parked();
+            assert_eq!((wal.mem().syncs(), wal.mem().synced_len()), (0, 0));
+            wal.release();
+            syncing.join().unwrap();
+        });
+        assert_eq!((wal.mem().syncs(), wal.mem().synced_len()), (1, 3));
     }
 
     #[test]

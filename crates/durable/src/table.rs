@@ -1,48 +1,94 @@
 //! [`DurableTable`]: a write-ahead-logged wrapper around any
 //! [`ConcurrentTable`], with recovery-on-open and non-stop snapshots.
 //!
-//! # Write path
+//! # Logging
 //!
-//! Every mutation takes the log mutex, applies the ops to the wrapped
-//! table, appends one group-commit record holding exactly the ops that
-//! *took effect* (framed and fsync'd per the [`FsyncPolicy`]), and only
-//! then returns — so by the time a caller sees an outcome, the op is in
-//! the log, and the log order **is** the apply order (apply and append
-//! share one critical section, so two racing PUTs to one key replay in
-//! the order they were applied, not some other order). Logging *after*
-//! the apply, and only on success, is what keeps replay honest: a
-//! refused insert ([`TableError::TableFull`] on a fixed-capacity build)
-//! or a delete of an absent key never enters the log, so recovery —
-//! which rebuilds from a snapshot whose slot layout differs from the
-//! original table — can never turn an acknowledged refusal into a
-//! phantom mutation. Reads never touch the mutex — `lookup_shared` and
-//! friends go straight to the wrapped table, so the lock-free seqlock
-//! read path stays lock-free.
+//! A mutation is two steps, **stage** and **commit**, and holds no lock
+//! across the device wait.
 //!
-//! WAL I/O failure on the write path **fail-stops the whole table**: a
-//! failed append may leave a torn record at the end of the log, and
-//! since recovery never replays past a tear, nothing appended after it
-//! could ever be recovered. The failing thread flips a sticky
-//! `wal_failed` flag *before* panicking, and every mutation checks it
-//! under the log lock — so threads that survive the panic (the log
-//! `lock()` deliberately recovers from poisoning) panic too instead of
-//! appending valid-looking records beyond the tear. Pretending otherwise
-//! (returning `Ok` without durability, or inventing a `TableError`)
-//! would corrupt the recovery contract.
+//! *Stage.* Under a short **ordering lock** the mutation applies its ops
+//! to the wrapped table, appends the ones that *took effect* to the
+//! staging buffer — cut off as one batch, which will be one `7DWL`
+//! record, the all-or-nothing unit recovery sees — and takes a
+//! **ticket**: the sequence number of its last op. Apply and stage share
+//! the lock, so stage order = apply order = log order: two racing PUTs to
+//! one key replay in the order they were applied, not some other order.
+//! Logging *after* the apply, and only on success, is what keeps replay
+//! honest: a refused insert ([`TableError::TableFull`] on a
+//! fixed-capacity build) or a delete of an absent key never enters the
+//! log, so recovery — which rebuilds from a snapshot whose slot layout
+//! differs from the original table — can never turn an acknowledged
+//! refusal into a phantom mutation.
+//!
+//! *Commit.* Whoever needs a ticket committed and finds the log at rest
+//! takes it and is the **leader**: it swaps out *everything* staged,
+//! encodes one record per staged batch, hands them to the [`WalFile`] in
+//! one `append` and at most one `sync` (as the [`FsyncPolicy`] says,
+//! counting every record), publishes the **committed** sequence number
+//! and wakes every waiter it covers. Whoever arrives while a group is
+//! being logged sleeps, and rides the next group. A writer alone leads
+//! every group it is in and pays what it always paid; two writers share
+//! a sync — the leader's *closing rule* (`closing`, below) holds a group
+//! open, for at most half of what a group costs, for a writer that rode
+//! one of the last two groups and has not staged again.
+//!
+//! The blocking calls ([`ConcurrentTable::insert_shared`],
+//! `delete_shared`, `*_batch_shared`) are stage + wait for my ticket, so
+//! by the time a caller sees an outcome the op is logged as the policy
+//! asks. [`ConcurrentTable::insert_batch_deferred`] /
+//! `delete_batch_deferred` are the stage alone and
+//! [`ConcurrentTable::flush_shared`] the wait alone — for everything
+//! staged before it was called, by anyone — for a caller (the KV
+//! server's worker) that has several batches in hand and wants one
+//! device wait for the lot. There is one pipeline: the blocking calls
+//! are built from the same two halves.
+//!
+//! WAL I/O failure **fail-stops the whole table**: a failed append may
+//! leave a torn record at the end of the log, and since recovery never
+//! replays past a tear, nothing appended after it could ever be
+//! recovered. The failing leader raises a sticky `wal_failed` flag
+//! before it returns the log; it and every waiter of its group panic
+//! without acknowledging, later stagers panic before they touch the
+//! table, and `sync` and snapshots return [`WalError::FailStopped`]. A
+//! leader that *unwinds* (a `WalFile` that panics) raises the flag and
+//! wakes its followers the same way — nobody stays parked behind a dead
+//! leader. Pretending otherwise (returning `Ok` without durability, or
+//! inventing a `TableError`) would corrupt the recovery contract.
+//!
+//! # Reads and crashes
+//!
+//! Reads never touch either lock — `lookup_shared` and friends go
+//! straight to the wrapped table, so the lock-free seqlock read path
+//! stays lock-free. The price is stated here rather than hidden: an op
+//! is visible to readers from the moment it is *applied*, which is
+//! before it is *committed*, so a reader may observe a value that a
+//! crash in that window then un-happens (**read uncommitted, with
+//! respect to crashes**; the writer itself is never told "done" before
+//! the commit). A reader that must not act on such a value reads
+//! [`DurableTable::next_seq`] after its lookup and waits until
+//! [`DurableTable::committed_seq`] has passed it — the fence — or simply
+//! calls `flush_shared`. The other direction is also allowed: a crash
+//! may *keep* an op whose writer was never acknowledged (its record
+//! reached the device, the acknowledgement did not get out).
 //!
 //! # Snapshots never stop the world
 //!
-//! A snapshot rotates the log (brief log-lock hold: fsync, note
-//! `covered_seq`, open a fresh segment), then scans the table through
-//! [`ConcurrentTable::for_each_shared`] — one shard locked at a time,
-//! both generations of a mid-growth shard included, exactly the
+//! A snapshot rotates the log from the leader's side (takes the log when
+//! it is at rest: fsync, note `covered_seq` — the last *logged* sequence
+//! number — open a fresh segment, return it), then scans the table
+//! through [`ConcurrentTable::for_each_shared`] — one shard locked at a
+//! time, both generations of a mid-growth shard included, exactly the
 //! incremental-drain iteration growth itself uses — while writers keep
-//! logging to the new segment. The scan may therefore observe effects of
-//! ops logged *after* `covered_seq`; that is sound because recovery
-//! replays every op with `seq > covered_seq` in log order on top of the
+//! staging, and committing to the new segment. The scan may therefore
+//! observe effects of ops numbered *after* `covered_seq`, logged or
+//! still only staged; that is sound because recovery replays every
+//! logged op with `seq > covered_seq` in log order on top of the
 //! snapshot, and per-key last-writer-wins makes the replayed tail
 //! converge to the true final state regardless of which tail effects the
-//! scan happened to catch.
+//! scan happened to catch. So a snapshot never misses an acknowledged op
+//! (acknowledged means logged, and logged ops are covered or replayed),
+//! but it may contain an unacknowledged one: an op the scan caught that
+//! a crash then kept from ever being logged.
 //!
 //! # Recovery
 //!
@@ -85,8 +131,9 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// The durable table the KV server serves: a WAL in front of the
 /// sharded dynamic table grid.
@@ -309,37 +356,272 @@ fn quarantine_damage(
 }
 
 /// Survives-poison lock (one panicking thread must not wedge the log).
+/// Sound for every mutex here: each update leaves its data valid at every
+/// step, and what a panicking leader may have left *in the file* is the
+/// fail-stop flag's business, not the mutex's.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// A writer, as the closing rule knows it: one number per thread, handed
+/// out the first time the thread stages.
+type WriterId = u64;
+
+fn writer_id() -> WriterId {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local!(static ID: WriterId = NEXT.fetch_add(1, Ordering::Relaxed));
+    ID.with(|id| *id)
+}
+
+/// Batches applied to the table, in apply order: the staged ones waiting
+/// for a leader, or the group a leader is logging.
+#[derive(Default)]
+struct Batches {
+    ops: Vec<WalOp>,
+    /// Where each batch ends in `ops`. A batch becomes one record.
+    cuts: Vec<usize>,
+    /// The threads whose batches these are, each once.
+    writers: Vec<WriterId>,
+}
+
+/// What the ordering lock guards.
+struct Stage {
+    staged: Batches,
+    /// Sequence number the next staged op gets: the next ticket.
+    next_seq: u64,
+}
+
+/// The log and everything only a leader touches. It sits in
+/// [`Commit::log`] while nobody leads and travels with the [`Lead`] that
+/// took it, so no lock is held across the device wait.
 struct LogState {
     writer: WalWriter,
     seg_no: u64,
     records_since_snapshot: u64,
-    /// The mutation paths gather their effective ops here, so a commit
-    /// allocates nothing while it holds the log mutex.
-    ops: Vec<WalOp>,
+    /// The group being logged. Closing a group swaps this with
+    /// [`Stage::staged`], so the two sets of buffers take turns and a
+    /// steady state allocates nothing.
+    group: Batches,
+    /// Who rode each of the last two groups, newest first.
+    riders: [Vec<WriterId>; 2],
+    /// Running mean (weight 1/8 on the newest) of what logging a group
+    /// has cost: its append and its sync, if the policy asked for one.
+    mean_cost: Duration,
+}
+
+impl LogState {
+    fn new(writer: WalWriter, seg_no: u64) -> Self {
+        Self {
+            writer,
+            seg_no,
+            records_since_snapshot: 0,
+            group: Batches::default(),
+            riders: Default::default(),
+            mean_cost: Duration::ZERO,
+        }
+    }
+}
+
+/// What the commit lock guards.
+struct Commit {
+    /// The log, while nobody leads: whoever takes it is the leader.
+    log: Option<LogState>,
+    /// Threads asleep on [`Core::log_returned`]. A leader with nobody to
+    /// wake — every group of a lone writer — skips the wake-up, which is
+    /// a system call whether or not anyone is listening.
+    sleepers: usize,
+    stats: CommitStats,
+}
+
+/// Counters of the commit pipeline, from [`DurableTable::commit_stats`].
+/// `records / groups` is how many batches share one device wait.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CommitStats {
+    /// Groups logged: one `append` and at most one `sync` each.
+    pub groups: u64,
+    /// Records logged: one per batch that had an effect.
+    pub records: u64,
+    /// Ops logged.
+    pub ops: u64,
+    /// Groups whose leader waited out the closing rule's whole bound for
+    /// a writer that did not come.
+    pub waits_expired: u64,
+}
+
+/// What the leader of a group does about the writers it expects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Closing {
+    /// Nobody is missing: close the group.
+    Close,
+    /// An expected writer has not staged yet and the bound has time left.
+    Wait,
+    /// An expected writer has not staged and the bound has run out.
+    Expired,
+}
+
+/// The closing rule. Two closed-loop writers never share a sync on their
+/// own — the first to stage starts its sync before the second has staged,
+/// the second then leads the next group alone, and they alternate for
+/// ever at one batch per sync — so a leader holds its group open for
+/// every *other* writer that rode either of the last two groups (`riders`)
+/// until it has `staged` again, but for no longer than half of what
+/// logging a group costs (`mean_cost`): a wait that long costs less than
+/// the second sync it saves. A lone writer expects nobody; a device that
+/// costs nothing bounds the wait at nothing; a writer that stops coming
+/// drops out of `riders` after two groups.
+fn closing(
+    riders: &[Vec<WriterId>; 2],
+    staged: &[WriterId],
+    leader: WriterId,
+    waited: Duration,
+    mean_cost: Duration,
+) -> Closing {
+    let missing = |w: &WriterId| *w != leader && !staged.contains(w);
+    if !riders.iter().flatten().any(missing) {
+        Closing::Close
+    } else if waited < mean_cost / 2 {
+        Closing::Wait
+    } else {
+        Closing::Expired
+    }
 }
 
 struct Core<T> {
     inner: T,
     dir: Option<PathBuf>,
     snapshot_every: Option<u64>,
-    log: Mutex<LogState>,
+    /// The **ordering lock**: a mutation applies to `inner` and stages
+    /// its effective ops under it, so stage order = apply order = log
+    /// order. Short: never held across log I/O.
+    stage: Mutex<Stage>,
+    /// The **commit lock**: hands the log to one leader at a time and
+    /// guards what leaders publish. Short: a leader takes the log *out*
+    /// and does its I/O with no lock held.
+    commit: Mutex<Commit>,
+    /// Signalled, with `commit`, whenever a leader returns the log:
+    /// followers re-check their ticket, the next leader steps up.
+    log_returned: Condvar,
+    /// Last sequence number logged as the policy asks. Stored (`Release`)
+    /// by the leader under `commit` after its append and sync returned;
+    /// an `Acquire` load that sees `s` therefore happens after every op
+    /// up to `s` reached the device.
+    committed: AtomicU64,
     /// Serializes snapshot bodies (explicit and background).
     snap_mutex: Mutex<()>,
     /// Set while a background snapshot is queued or running, so the
     /// write path spawns at most one.
     snap_pending: AtomicBool,
     snapshots_taken: AtomicU64,
-    /// Sticky fail-stop flag: set (under the log lock) when a WAL
-    /// append fails, possibly leaving torn bytes at the end of the log.
-    /// Every mutation/sync/snapshot checks it under the log lock, so a
-    /// thread that recovers the poisoned mutex after the panic can
-    /// never append a valid record past the tear (recovery stops at the
-    /// tear — anything after it would be acknowledged yet lost).
+    /// Sticky fail-stop flag: set when a leader's append fails or a
+    /// leader unwinds, either of which may leave torn bytes at the end of
+    /// the log. Set before the log is returned, so everyone that wakes —
+    /// the group's waiters, the next stager, `sync`, a snapshot — sees it
+    /// and refuses to go on: recovery stops at the tear, so anything
+    /// logged after it would be acknowledged yet lost.
     wal_failed: AtomicBool,
+}
+
+/// The leader's side of the pipeline: the log, out of [`Commit::log`]
+/// until this drops. The drop is the one place a leader publishes — it
+/// advances `committed` over the group it logged, returns the log and
+/// wakes everybody — so a leader that fails or *unwinds* wakes its
+/// followers exactly as one that succeeds does, only with the fail-stop
+/// flag up and `committed` where it was.
+struct Lead<'a, T> {
+    core: &'a Core<T>,
+    /// `Some` until the drop.
+    log: Option<LogState>,
+    /// The group this leader logged, to be published.
+    logged: Option<Logged>,
+}
+
+struct Logged {
+    /// Ticket of the group's last op.
+    through: u64,
+    records: u64,
+    ops: u64,
+    expired: bool,
+}
+
+impl<T> Lead<'_, T> {
+    fn log(&mut self) -> &mut LogState {
+        self.log.as_mut().expect("held until the drop")
+    }
+
+    /// Log one group, in three steps. *Close it*: swap out everything
+    /// staged — at once, or, for a leader that is itself a writer
+    /// (`closing_for`), when the [closing rule](closing) says so. The
+    /// wait is a `yield_now` loop, not a timed sleep: its bound is a
+    /// fraction of one device wait, shorter than a timer can keep.
+    /// *Log it*: one record per batch, one `append`, at most one `sync`,
+    /// no lock held. *Note the outcome* for the drop to publish. Returns
+    /// whether the snapshot cadence has come due; an `Err` has
+    /// fail-stopped the table.
+    fn log_group(&mut self, closing_for: Option<WriterId>) -> Result<bool, WalError> {
+        let Lead { core, log, logged } = self;
+        let log = log.as_mut().expect("held until the drop");
+        let mut opened = None;
+        let (through, expired) = loop {
+            let mut s = lock(&core.stage);
+            let verdict = closing_for.map_or(Closing::Close, |me| {
+                let waited = opened.map_or(Duration::ZERO, |o: Instant| o.elapsed());
+                closing(&log.riders, &s.staged.writers, me, waited, log.mean_cost)
+            });
+            if verdict == Closing::Wait {
+                drop(s);
+                opened.get_or_insert_with(Instant::now);
+                std::thread::yield_now();
+                continue;
+            }
+            std::mem::swap(&mut s.staged, &mut log.group);
+            break (s.next_seq - 1, verdict == Closing::Expired);
+        };
+        let records = log.group.cuts.len() as u64;
+        if records == 0 {
+            return Ok(false);
+        }
+        let started = Instant::now();
+        if let Err(e) = log.writer.log_group(&log.group.ops, &log.group.cuts) {
+            core.wal_failed.store(true, Ordering::SeqCst);
+            return Err(e.into());
+        }
+        let cost = started.elapsed();
+        debug_assert_eq!(log.writer.next_seq() - 1, through, "tickets are log sequence numbers");
+        log.mean_cost = if log.mean_cost.is_zero() { cost } else { (log.mean_cost * 7 + cost) / 8 };
+        log.records_since_snapshot += records;
+        *logged = Some(Logged { through, records, ops: log.group.ops.len() as u64, expired });
+        // This group's writers become the newest riders; the buffers of
+        // the oldest go round for the next group.
+        log.riders.swap(0, 1);
+        std::mem::swap(&mut log.riders[0], &mut log.group.writers);
+        log.group.ops.clear();
+        log.group.cuts.clear();
+        log.group.writers.clear();
+        Ok(core.dir.is_some()
+            && core.snapshot_every.is_some_and(|every| log.records_since_snapshot >= every))
+    }
+}
+
+impl<T> Drop for Lead<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.core.wal_failed.store(true, Ordering::SeqCst);
+        }
+        let mut c = lock(&self.core.commit);
+        if let Some(g) = self.logged.take() {
+            self.core.committed.store(g.through, Ordering::Release);
+            c.stats.groups += 1;
+            c.stats.records += g.records;
+            c.stats.ops += g.ops;
+            c.stats.waits_expired += u64::from(g.expired);
+        }
+        c.log = self.log.take();
+        let sleepers = c.sleepers;
+        drop(c);
+        if sleepers > 0 {
+            self.core.log_returned.notify_all();
+        }
+    }
 }
 
 /// Outcome of one snapshot pass.
@@ -352,16 +634,133 @@ pub struct SnapshotStats {
 }
 
 impl<T: ConcurrentTable> Core<T> {
+    fn new(inner: T, dir: Option<PathBuf>, snapshot_every: Option<u64>, log: LogState) -> Self {
+        let next_seq = log.writer.next_seq();
+        Self {
+            inner,
+            dir,
+            snapshot_every,
+            stage: Mutex::new(Stage { staged: Batches::default(), next_seq }),
+            commit: Mutex::new(Commit {
+                log: Some(log),
+                sleepers: 0,
+                stats: CommitStats::default(),
+            }),
+            log_returned: Condvar::new(),
+            committed: AtomicU64::new(next_seq - 1),
+            snap_mutex: Mutex::new(()),
+            snap_pending: AtomicBool::new(false),
+            snapshots_taken: AtomicU64::new(0),
+            wal_failed: AtomicBool::new(false),
+        }
+    }
+
+    /// Run a mutation under the ordering lock and stage the ops it says
+    /// took effect as one batch — one record to come. Returns the
+    /// mutation's own result and the batch's **ticket**, the sequence
+    /// number of its last op (`None` when nothing took effect: there is
+    /// nothing to wait for). Refuses on a fail-stopped table: an op
+    /// applied now could never be logged.
+    fn stage<R>(&self, mutate: impl FnOnce(&T, &mut Vec<WalOp>) -> R) -> (R, Option<u64>) {
+        let mut s = lock(&self.stage);
+        if self.wal_failed.load(Ordering::SeqCst) {
+            panic!("{}", WalError::FailStopped);
+        }
+        let before = s.staged.ops.len();
+        let result = mutate(&self.inner, &mut s.staged.ops);
+        let end = s.staged.ops.len();
+        if end == before {
+            return (result, None);
+        }
+        s.staged.cuts.push(end);
+        let me = writer_id();
+        if !s.staged.writers.contains(&me) {
+            s.staged.writers.push(me);
+        }
+        s.next_seq += (end - before) as u64;
+        (result, Some(s.next_seq - 1))
+    }
+
+    /// Block until `ticket` is committed. Whoever finds its ticket
+    /// uncommitted and the log at rest takes the log and **leads**: every
+    /// batch staged by then — its own among them, since no earlier leader
+    /// is left to have taken it — goes out as one group. Everybody else
+    /// sleeps until a leader returns the log and looks again, so a ticket
+    /// staged while a group was being logged rides the next one. Returns
+    /// whether this call led a group that found a snapshot due.
+    ///
+    /// Panics, acknowledging nothing, when the ticket's group (or any
+    /// before it) failed to log.
+    fn commit_through(&self, ticket: u64) -> bool {
+        let mut snapshot_due = false;
+        // `committed` is looked at under the lock leaders publish under,
+        // or a leader's wake-up could slip by unseen.
+        let mut c = lock(&self.commit);
+        while self.committed.load(Ordering::Acquire) < ticket {
+            if self.wal_failed.load(Ordering::SeqCst) {
+                panic!("{}", WalError::FailStopped);
+            }
+            let Some(log) = c.log.take() else {
+                c = self.sleep_until_log_returned(c);
+                continue;
+            };
+            drop(c);
+            let mut lead = Lead { core: self, log: Some(log), logged: None };
+            let led = lead.log_group(Some(writer_id()));
+            drop(lead); // publishes, or wakes the failed group's other waiters
+            match led {
+                Ok(due) => snapshot_due |= due,
+                Err(e) => panic!("WAL append failed — cannot acknowledge unlogged mutations: {e}"),
+            }
+            c = lock(&self.commit);
+        }
+        snapshot_due
+    }
+
+    /// Take the leader's side as soon as nobody holds it — for the
+    /// callers that are not waiting on a ticket: `sync`, snapshot
+    /// rotation, the final sync of a drop.
+    fn lead_when_free(&self) -> Result<Lead<'_, T>, WalError> {
+        let mut c = lock(&self.commit);
+        loop {
+            if self.wal_failed.load(Ordering::SeqCst) {
+                return Err(WalError::FailStopped);
+            }
+            if let Some(log) = c.log.take() {
+                return Ok(Lead { core: self, log: Some(log), logged: None });
+            }
+            c = self.sleep_until_log_returned(c);
+        }
+    }
+
+    fn sleep_until_log_returned<'a>(
+        &self,
+        mut c: MutexGuard<'a, Commit>,
+    ) -> MutexGuard<'a, Commit> {
+        c.sleepers += 1;
+        c = self.log_returned.wait(c).unwrap_or_else(|poisoned| poisoned.into_inner());
+        c.sleepers -= 1;
+        c
+    }
+
+    /// Log whatever is staged, then fsync regardless of policy.
+    fn sync(&self) -> Result<(), WalError> {
+        let mut lead = self.lead_when_free()?;
+        lead.log_group(None)?;
+        Ok(lead.log().writer.sync()?)
+    }
+
     fn snapshot(&self) -> Result<SnapshotStats, WalError> {
         let _serialize = lock(&self.snap_mutex);
         let dir = self.dir.as_deref().ok_or(WalError::SnapshotUnavailable)?;
-        // Rotate under the log lock: everything logged so far is also
-        // applied (same critical section), so `covered_seq` is exact.
+        // Rotate from the leader's side, so no group is mid-append: the
+        // snapshot covers exactly what is *logged*. Ops staged but not
+        // yet logged number past `covered_seq` and land in the new
+        // segment; they are already applied, so the scan below may see
+        // them, and replaying them over it changes nothing.
         let (covered_seq, new_seg) = {
-            let mut log = lock(&self.log);
-            if self.wal_failed.load(Ordering::Relaxed) {
-                return Err(WalError::FailStopped);
-            }
+            let mut lead = self.lead_when_free()?;
+            let log = lead.log();
             log.writer.sync()?;
             let covered_seq = log.writer.next_seq() - 1;
             let new_seg = log.seg_no + 1;
@@ -371,7 +770,7 @@ impl<T: ConcurrentTable> Core<T> {
             log.records_since_snapshot = 0;
             (covered_seq, new_seg)
         };
-        // Scan with no log lock held: writers keep committing to the new
+        // Scan with the log returned: writers keep committing to the new
         // segment; the capture locks one shard at a time. A shard
         // mid-migration contributes both of its generations (see
         // `ConcurrentTable::for_each_shared`), so a snapshot taken during
@@ -391,7 +790,8 @@ impl<T: ConcurrentTable> Core<T> {
 
 /// A [`ConcurrentTable`] whose every mutation is group-committed to a
 /// write-ahead log before it is acknowledged. See the [module
-/// docs](self) for the write-path, snapshot, and recovery contracts.
+/// docs](self) for the logging, read-vs-crash, snapshot, and recovery
+/// contracts.
 pub struct DurableTable<T: ConcurrentTable> {
     core: Arc<Core<T>>,
     snap_thread: Mutex<Option<JoinHandle<()>>>,
@@ -470,21 +870,12 @@ impl DurableTable<ShardedTable<BoxedTable>> {
         let seg_no = segs.last().map_or(1, |&(no, _)| no + 1);
         let file = FileWal::create(&dir.join(segment_name(seg_no)))?;
         let writer = WalWriter::new(Box::new(file), report.last_seq + 1, builder.fsync_kind());
-        let core = Core {
+        let core = Core::new(
             inner,
-            dir: Some(dir),
-            snapshot_every: builder.snapshot_threshold(),
-            log: Mutex::new(LogState {
-                writer,
-                seg_no,
-                records_since_snapshot: 0,
-                ops: Vec::new(),
-            }),
-            snap_mutex: Mutex::new(()),
-            snap_pending: AtomicBool::new(false),
-            snapshots_taken: AtomicU64::new(0),
-            wal_failed: AtomicBool::new(false),
-        };
+            Some(dir),
+            builder.snapshot_threshold(),
+            LogState::new(writer, seg_no),
+        );
         Ok((Self { core: Arc::new(core), snap_thread: Mutex::new(None) }, report))
     }
 }
@@ -495,21 +886,7 @@ impl<T: ConcurrentTable + 'static> DurableTable<T> {
     /// lets tests tear the byte stream at any offset). No directory, so
     /// [`DurableTable::snapshot_now`] is unavailable.
     pub fn with_wal(inner: T, wal: Box<dyn WalFile>, policy: FsyncPolicy) -> Self {
-        let core = Core {
-            inner,
-            dir: None,
-            snapshot_every: None,
-            log: Mutex::new(LogState {
-                writer: WalWriter::new(wal, 1, policy),
-                seg_no: 0,
-                records_since_snapshot: 0,
-                ops: Vec::new(),
-            }),
-            snap_mutex: Mutex::new(()),
-            snap_pending: AtomicBool::new(false),
-            snapshots_taken: AtomicU64::new(0),
-            wal_failed: AtomicBool::new(false),
-        };
+        let core = Core::new(inner, None, None, LogState::new(WalWriter::new(wal, 1, policy), 0));
         Self { core: Arc::new(core), snap_thread: Mutex::new(None) }
     }
 
@@ -519,14 +896,26 @@ impl<T: ConcurrentTable + 'static> DurableTable<T> {
         &self.core.inner
     }
 
-    /// Sequence number the next mutation will get.
+    /// Sequence number the next op to take effect will get: the next
+    /// ticket. Everything below it is applied; see
+    /// [`DurableTable::committed_seq`] for how much of that is logged.
     pub fn next_seq(&self) -> u64 {
-        lock(&self.core.log).writer.next_seq()
+        lock(&self.core.stage).next_seq
     }
 
-    /// Records group-committed so far in this epoch.
-    pub fn records_logged(&self) -> u64 {
-        lock(&self.core.log).writer.records()
+    /// Last sequence number logged as the [`FsyncPolicy`] asks — under
+    /// [`FsyncPolicy::Always`], on stable storage. Ops numbered above it
+    /// (up to [`DurableTable::next_seq`]) are applied, and visible to
+    /// readers, but a crash now would lose them: this is the fence for a
+    /// reader that must not act on a value a crash could un-happen (see
+    /// "Reads and crashes" in the [module docs](self)).
+    pub fn committed_seq(&self) -> u64 {
+        self.core.committed.load(Ordering::Acquire)
+    }
+
+    /// What the commit pipeline has done in this epoch.
+    pub fn commit_stats(&self) -> CommitStats {
+        lock(&self.core.commit).stats
     }
 
     /// Snapshots completed by this handle (explicit + background).
@@ -534,18 +923,15 @@ impl<T: ConcurrentTable + 'static> DurableTable<T> {
         self.core.snapshots_taken.load(Ordering::Relaxed)
     }
 
-    /// Force an fsync of the log regardless of policy.
+    /// Log whatever is applied but not yet logged, then fsync regardless
+    /// of policy.
     pub fn sync(&self) -> Result<(), WalError> {
-        let mut log = lock(&self.core.log);
-        if self.core.wal_failed.load(Ordering::Relaxed) {
-            return Err(WalError::FailStopped);
-        }
-        Ok(log.writer.sync()?)
+        self.core.sync()
     }
 
     /// Take a snapshot *now*, blocking until it is published and the old
     /// segments are pruned. Mutations from other threads proceed
-    /// throughout (only the brief log rotation holds the log lock).
+    /// throughout (the log rotation takes the leader's turn, briefly).
     pub fn snapshot_now(&self) -> Result<SnapshotStats, WalError> {
         self.core.snapshot()
     }
@@ -557,48 +943,13 @@ impl<T: ConcurrentTable + 'static> DurableTable<T> {
         }
     }
 
-    /// Take the log lock for one mutation, honoring the fail-stop flag:
-    /// after an append failure the log may end in torn bytes, and any
-    /// record appended past them would be acknowledged yet unrecoverable
-    /// (replay stops at the tear), so a fail-stopped table refuses every
-    /// further mutation — including from threads that survive the
-    /// original panic through the poison-recovering [`lock`]. The guard
-    /// comes back with `ops` empty, for the mutation to fill.
-    fn begin(&self) -> MutexGuard<'_, LogState> {
-        let mut log = lock(&self.core.log);
-        if self.core.wal_failed.load(Ordering::Relaxed) {
-            panic!("{}", WalError::FailStopped);
-        }
-        log.ops.clear();
-        log
-    }
-
-    /// Log the ops that took effect (the mutation gathered them in
-    /// `log.ops`) — still inside the critical section their apply ran in
-    /// — then hand off to the snapshot cadence. An append failure flips
-    /// the sticky `wal_failed` flag *before* panicking (flag store and
-    /// flag check both happen under the log lock, so the ordering is
-    /// free), fail-stopping the whole table.
-    fn commit(&self, mut log: MutexGuard<'_, LogState>) {
-        let LogState { writer, ops, records_since_snapshot, .. } = &mut *log;
-        if !ops.is_empty() {
-            if let Err(e) = writer.log(ops) {
-                self.core.wal_failed.store(true, Ordering::Relaxed);
-                panic!("WAL append failed — cannot acknowledge unlogged mutations: {e}");
-            }
-            *records_since_snapshot += 1;
-        }
-        self.maybe_snapshot(log);
-    }
-
-    /// Called with the log lock still held (mutation applied, record
-    /// logged): decide whether the snapshot cadence fired, and if so
-    /// hand the work to a background thread.
-    fn maybe_snapshot(&self, log: MutexGuard<'_, LogState>) {
-        let due = self.core.dir.is_some()
-            && self.core.snapshot_every.is_some_and(|every| log.records_since_snapshot >= every);
-        drop(log);
-        if !due {
+    /// The wait half of a blocking mutation, and all of `flush_shared`:
+    /// block until `ticket` is committed, then — if this call led the
+    /// group that brought the snapshot cadence due — hand a snapshot to
+    /// a background thread.
+    fn await_ticket(&self, ticket: Option<u64>) {
+        let Some(ticket) = ticket else { return };
+        if !self.core.commit_through(ticket) {
             return;
         }
         if self
@@ -620,14 +971,43 @@ impl<T: ConcurrentTable + 'static> DurableTable<T> {
         }
         *slot = Some(handle);
     }
+
+    fn stage_puts(
+        &self,
+        items: &[(u64, u64)],
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) -> Option<u64> {
+        let put_all = |t: &T, ops: &mut Vec<WalOp>| {
+            t.insert_batch_shared(items, out);
+            let effective = items.iter().zip(out.iter()).filter(|&(_, r)| r.is_ok());
+            ops.extend(effective.map(|(&(key, value), _)| WalOp::Put { key, value }));
+        };
+        self.core.stage(put_all).1
+    }
+
+    fn stage_dels(&self, keys: &[u64], out: &mut [Option<u64>]) -> Option<u64> {
+        let delete_all = |t: &T, ops: &mut Vec<WalOp>| {
+            t.delete_batch_shared(keys, out);
+            let effective = keys.iter().zip(out.iter()).filter(|&(_, r)| r.is_some());
+            ops.extend(effective.map(|(&key, _)| WalOp::Del { key }));
+        };
+        self.core.stage(delete_all).1
+    }
 }
 
+/// Every blocking mutation is *stage, then wait for my ticket*; the
+/// `*_deferred` forms are the stage alone and [`flush_shared`] the wait
+/// alone, for a caller that wants one wait for many batches.
+///
+/// [`flush_shared`]: ConcurrentTable::flush_shared
 impl<T: ConcurrentTable + 'static> ConcurrentTable for DurableTable<T> {
     fn insert_shared(&self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        let mut log = self.begin();
-        let out = self.core.inner.insert_shared(key, value);
-        log.ops.extend(out.is_ok().then_some(WalOp::Put { key, value }));
-        self.commit(log);
+        let (out, ticket) = self.core.stage(|t, ops| {
+            let out = t.insert_shared(key, value);
+            ops.extend(out.is_ok().then_some(WalOp::Put { key, value }));
+            out
+        });
+        self.await_ticket(ticket);
         out
     }
 
@@ -636,10 +1016,12 @@ impl<T: ConcurrentTable + 'static> ConcurrentTable for DurableTable<T> {
     }
 
     fn delete_shared(&self, key: u64) -> Option<u64> {
-        let mut log = self.begin();
-        let out = self.core.inner.delete_shared(key);
-        log.ops.extend(out.map(|_| WalOp::Del { key }));
-        self.commit(log);
+        let (out, ticket) = self.core.stage(|t, ops| {
+            let out = t.delete_shared(key);
+            ops.extend(out.map(|_| WalOp::Del { key }));
+            out
+        });
+        self.await_ticket(ticket);
         out
     }
 
@@ -652,25 +1034,30 @@ impl<T: ConcurrentTable + 'static> ConcurrentTable for DurableTable<T> {
         items: &[(u64, u64)],
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        if items.is_empty() {
-            return self.core.inner.insert_batch_shared(items, out);
-        }
-        let mut log = self.begin();
-        self.core.inner.insert_batch_shared(items, out);
-        let effective = items.iter().zip(out.iter()).filter(|&(_, r)| r.is_ok());
-        log.ops.extend(effective.map(|(&(key, value), _)| WalOp::Put { key, value }));
-        self.commit(log);
+        let ticket = self.stage_puts(items, out);
+        self.await_ticket(ticket);
     }
 
     fn delete_batch_shared(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        if keys.is_empty() {
-            return self.core.inner.delete_batch_shared(keys, out);
-        }
-        let mut log = self.begin();
-        self.core.inner.delete_batch_shared(keys, out);
-        let effective = keys.iter().zip(out.iter()).filter(|&(_, r)| r.is_some());
-        log.ops.extend(effective.map(|(&key, _)| WalOp::Del { key }));
-        self.commit(log);
+        let ticket = self.stage_dels(keys, out);
+        self.await_ticket(ticket);
+    }
+
+    fn insert_batch_deferred(
+        &self,
+        items: &[(u64, u64)],
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) -> bool {
+        self.stage_puts(items, out).is_some()
+    }
+
+    fn delete_batch_deferred(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
+        self.stage_dels(keys, out).is_some()
+    }
+
+    fn flush_shared(&self) {
+        let last_ticket = lock(&self.core.stage).next_seq - 1;
+        self.await_ticket(Some(last_ticket));
     }
 
     fn len_shared(&self) -> usize {
@@ -691,19 +1078,18 @@ impl<T: ConcurrentTable> Drop for DurableTable<T> {
         if let Some(h) = lock(&self.snap_thread).take() {
             let _ = h.join();
         }
-        // Best-effort final sync: callers who must *know* call
-        // [`DurableTable::sync`] themselves. A fail-stopped table skips
-        // it — the log already ends in (possibly torn) failed bytes.
-        if !self.core.wal_failed.load(Ordering::Relaxed) {
-            let _ = lock(&self.core.log).writer.sync();
-        }
+        // Best-effort: log what a `*_deferred` caller never flushed, then
+        // a final sync. Callers who must *know* call
+        // [`DurableTable::sync`] themselves. A fail-stopped table does
+        // neither — its log already ends in (possibly torn) failed bytes.
+        let _ = self.core.sync();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemWal;
+    use crate::storage::{GatedWal, MemWal};
     use sevendim_core::TableScheme;
     use std::collections::HashMap;
 
@@ -904,18 +1290,21 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// [`WalFile`] that dies after a fixed number of appends, leaving a
-    /// torn half-record behind — the failure the fail-stop flag exists
-    /// for.
+    /// [`WalFile`] that dies after a fixed number of appends, leaving
+    /// two thirds of the last one behind — a tear inside a record, the
+    /// failure the fail-stop flag exists for. It dies with an error, or
+    /// (`panics`) by unwinding through the leader that called it.
     struct FailingWal {
-        inner: MemWal,
+        inner: GatedWal,
         appends_left: usize,
+        panics: bool,
     }
 
     impl WalFile for FailingWal {
         fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
             if self.appends_left == 0 {
-                let _ = self.inner.append(&bytes[..bytes.len() / 2]);
+                let _ = self.inner.append(&bytes[..bytes.len() * 2 / 3]);
+                assert!(!self.panics, "injected append panic");
                 return Err(std::io::Error::other("injected append failure"));
             }
             self.appends_left -= 1;
@@ -931,18 +1320,19 @@ mod tests {
     fn wal_append_failure_fail_stops_the_table() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let inner = builder(Path::new("/unused")).build_sharded();
-        let mem = MemWal::new();
-        let wal = FailingWal { inner: mem.clone(), appends_left: 3 };
+        let gated = GatedWal::new();
+        let mem = gated.mem().clone();
+        let wal = FailingWal { inner: gated, appends_left: 3, panics: false };
         let t = DurableTable::with_wal(inner, Box::new(wal), FsyncPolicy::Always);
         for i in 0..3u64 {
             t.insert_shared(i, i).unwrap();
         }
-        // The 4th append tears (half a record lands) and panics...
+        // The 4th append tears (part of a record lands) and panics...
         let torn = catch_unwind(AssertUnwindSafe(|| t.insert_shared(3, 3)));
         assert!(torn.is_err(), "append failure must panic, not acknowledge");
-        // ...and every later mutation fail-stops too, even though
-        // `lock()` recovers the poisoned mutex — a valid record after
-        // the tear would be acknowledged yet unrecoverable.
+        // ...and every later mutation fail-stops too, before it touches
+        // the table — a valid record after the tear would be
+        // acknowledged yet unrecoverable.
         let len_at_tear = mem.len();
         let after = catch_unwind(AssertUnwindSafe(|| t.insert_shared(4, 4)));
         assert!(after.is_err(), "fail-stopped table must refuse new mutations");
@@ -959,6 +1349,184 @@ mod tests {
         assert_eq!(report.replayed_ops, 3);
         assert!(report.truncated_tail_bytes > 0, "the torn bytes are a truncated tail");
         assert_eq!(recovered.len_shared(), 3);
+    }
+
+    /// A group fails with two waiters on it — its leader and a follower
+    /// — while an earlier group's writer is already acknowledged. Writer 1
+    /// is parked in its sync (the gate) while writers 2 and 3 stage, so
+    /// the two share the next group, whose append is the one that dies.
+    fn failed_group_wakes_every_waiter(panics: bool) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let gated = GatedWal::new();
+        let mem = gated.mem().clone();
+        let wal = FailingWal { inner: gated.clone(), appends_left: 1, panics };
+        let inner = builder(Path::new("/unused")).build_sharded();
+        let t = DurableTable::with_wal(inner, Box::new(wal), FsyncPolicy::Always);
+        gated.hold();
+        let outcomes: Vec<bool> = std::thread::scope(|scope| {
+            let first = scope.spawn(|| t.insert_shared(1, 1).is_ok());
+            gated.wait_parked();
+            let rest: Vec<_> = [2u64, 3]
+                .into_iter()
+                .map(|k| {
+                    let t = &t;
+                    scope.spawn(move || catch_unwind(AssertUnwindSafe(|| t.insert_shared(k, k))))
+                })
+                .collect();
+            while t.next_seq() < 4 {
+                std::thread::yield_now(); // until both have staged
+            }
+            gated.release();
+            assert!(first.join().unwrap(), "the group before the failure is acknowledged");
+            // Joining is the assertion that nobody is left parked.
+            rest.into_iter().map(|h| h.join().unwrap().is_ok()).collect()
+        });
+        assert_eq!(outcomes, [false, false], "every waiter of the failed group panics");
+        assert_eq!((t.committed_seq(), t.next_seq()), (1, 4));
+        let len_at_tear = mem.len();
+        let after = catch_unwind(AssertUnwindSafe(|| t.insert_shared(4, 4)));
+        assert!(after.is_err(), "nothing is acknowledged after the failure");
+        assert!(matches!(t.sync(), Err(WalError::FailStopped)));
+        assert_eq!(t.commit_stats().groups, 1);
+        drop(t);
+        assert_eq!(mem.len(), len_at_tear, "no bytes may follow the tear");
+        // The tear fell inside the failed group's second record, so its
+        // first is whole: a crash may keep a batch nobody was told about
+        // — never half of one, and never lose one somebody was.
+        let recovered = builder(Path::new("/unused")).build_sharded();
+        let report = replay_into(&mem.bytes(), &recovered, 0);
+        assert!(report.clean() && report.truncated_tail_bytes > 0);
+        assert_eq!((report.replayed_ops, recovered.lookup_shared(1)), (2, Some(1)));
+        assert!(recovered.lookup_shared(2).is_some() != recovered.lookup_shared(3).is_some());
+    }
+
+    #[test]
+    fn append_failure_under_two_writers_panics_leader_and_follower() {
+        failed_group_wakes_every_waiter(false);
+    }
+
+    #[test]
+    fn a_leader_that_unwinds_fail_stops_and_leaves_no_thread_parked() {
+        failed_group_wakes_every_waiter(true);
+    }
+
+    #[test]
+    fn closing_rule_waits_for_recent_riders_and_at_most_half_a_group_cost() {
+        use Closing::{Close, Expired, Wait};
+        let (none, cost) = (Duration::ZERO, Duration::from_micros(200));
+        let half = cost / 2;
+        // A lone writer never waits, however slow the device: nobody
+        // else rode, and it is not missing itself — not even when it
+        // leads for a flush without having staged.
+        assert_eq!(closing(&[vec![], vec![]], &[1], 1, none, cost), Close);
+        assert_eq!(closing(&[vec![1], vec![1]], &[1], 1, none, cost), Close);
+        assert_eq!(closing(&[vec![1], vec![1]], &[], 1, none, cost), Close);
+        // A rider of either of the last two groups is waited for, until
+        // it has staged again.
+        assert_eq!(closing(&[vec![1, 2], vec![1]], &[1], 1, none, cost), Wait);
+        assert_eq!(closing(&[vec![1], vec![1, 2]], &[1], 1, none, cost), Wait);
+        assert_eq!(closing(&[vec![1, 2], vec![3]], &[1, 2], 1, none, cost), Wait);
+        assert_eq!(closing(&[vec![1, 2], vec![3]], &[3, 1, 2], 1, none, cost), Close);
+        // Two groups without it and it is forgotten.
+        assert_eq!(closing(&[vec![1], vec![1]], &[1], 1, none, cost), Close);
+        // The bound is half the mean cost of a group...
+        let riders = [vec![1, 2], vec![]];
+        assert_eq!(closing(&riders, &[1], 1, half - Duration::from_nanos(1), cost), Wait);
+        assert_eq!(closing(&riders, &[1], 1, half, cost), Expired);
+        // ...so a device that costs nothing is never waited on.
+        assert_eq!(closing(&riders, &[1], 1, none, Duration::ZERO), Expired);
+    }
+
+    #[test]
+    fn a_writer_that_stops_coming_costs_two_bounded_waits() {
+        let mem = MemWal::new();
+        let inner = builder(Path::new("/unused")).build_sharded();
+        let t = DurableTable::with_wal(inner, Box::new(mem.clone()), FsyncPolicy::Always);
+        std::thread::scope(|scope| scope.spawn(|| t.insert_shared(1, 1).unwrap()).join().unwrap());
+        assert_eq!(t.commit_stats().waits_expired, 0, "the first group expects nobody");
+        // The departed writer rode one of the last two groups twice more.
+        for (i, expired) in [(2u64, 1), (3, 2), (4, 2), (5, 2)] {
+            t.insert_shared(i, i).unwrap();
+            assert_eq!(t.commit_stats().waits_expired, expired, "after insert {i}");
+        }
+        let want = CommitStats { groups: 5, records: 5, ops: 5, waits_expired: 2 };
+        assert_eq!(t.commit_stats(), want);
+        assert_eq!(mem.syncs(), 5);
+    }
+
+    /// Keys of the puts in `bytes`, which must decode to the end.
+    fn logged_keys(bytes: &[u8]) -> Vec<u64> {
+        let (mut keys, mut at) = (Vec::new(), 0);
+        while let Some((rec, used)) = decode_record(&bytes[at..]).unwrap() {
+            keys.extend(rec.ops.iter().map(|op| match *op {
+                WalOp::Put { key, .. } | WalOp::Del { key } => key,
+            }));
+            at += used;
+        }
+        keys
+    }
+
+    #[test]
+    fn writers_staged_during_a_sync_share_the_next_one() {
+        let gated = GatedWal::new();
+        let mem = gated.mem().clone();
+        let inner = builder(Path::new("/unused")).build_sharded();
+        let t = DurableTable::with_wal(inner, Box::new(gated.clone()), FsyncPolicy::Always);
+        // What a writer checks the moment it is acknowledged: its key is
+        // in the prefix a crash would keep.
+        let acked = |key: u64| {
+            let synced = &mem.bytes()[..mem.synced_len()];
+            assert!(logged_keys(synced).contains(&key), "{key} acknowledged before its sync");
+        };
+        gated.hold();
+        let staged = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            let (t, acked, staged) = (&t, &acked, &staged);
+            // Writer 1 leads the first group and parks in its sync.
+            scope.spawn(move || {
+                t.insert_shared(1, 1).unwrap();
+                acked(1);
+            });
+            gated.wait_parked();
+            // Writers 2 and 3 stage behind it, then wait for their turn.
+            for key in [2u64, 3] {
+                scope.spawn(move || {
+                    let mut out = [Ok(InsertOutcome::Inserted)];
+                    assert!(t.insert_batch_deferred(&[(key, key)], &mut out), "a flush is owed");
+                    assert_eq!(t.lookup_shared(key), Some(key), "applied before it is logged");
+                    staged.wait();
+                    t.flush_shared();
+                    acked(key);
+                });
+            }
+            staged.wait();
+            assert_eq!((t.committed_seq(), t.next_seq()), (0, 4), "applied, nothing committed");
+            assert_eq!((mem.syncs(), mem.synced_len()), (0, 0));
+            gated.release();
+        });
+        // One more sync covered both; its leader waited out the bound for
+        // writer 1, which had ridden the group before and did not return.
+        let want = CommitStats { groups: 2, records: 3, ops: 3, waits_expired: 1 };
+        assert_eq!(t.commit_stats(), want);
+        assert_eq!((mem.syncs(), t.committed_seq()), (2, 3));
+        let mut keys = logged_keys(&mem.bytes());
+        keys[1..].sort_unstable(); // writers 2 and 3 staged in either order
+        assert_eq!(keys, [1, 2, 3]);
+    }
+
+    #[test]
+    fn dropping_the_table_logs_what_was_deferred_and_never_flushed() {
+        let mem = MemWal::new();
+        let inner = builder(Path::new("/unused")).build_sharded();
+        let t = DurableTable::with_wal(inner, Box::new(mem.clone()), FsyncPolicy::Never);
+        let mut out = [None];
+        assert!(!t.delete_batch_deferred(&[9], &mut out), "a miss stages nothing");
+        let mut out = [Ok(InsertOutcome::Inserted); 2];
+        assert!(t.insert_batch_deferred(&[(1, 1), (2, 2)], &mut out));
+        assert!(mem.is_empty());
+        drop(t);
+        assert_eq!(logged_keys(&mem.bytes()), [1, 2]);
+        assert_eq!(mem.synced_len(), mem.len(), "the final sync covers it");
     }
 
     #[test]

@@ -14,6 +14,15 @@
 //!   by a `GET` of the same key must observe the `PUT`, so frames are
 //!   never reordered, only grouped where adjacent. The ops of a `BATCH`
 //!   frame go through the same run executor ([`execute_runs`]).
+//! * **Durability** — mutations go through the table's `*_deferred`
+//!   calls, which apply at once and say whether a flush is **owed**
+//!   before the batch may be acknowledged (a logging table; an
+//!   in-memory table never owes one). A connection that is owed a flush
+//!   is **held**: its encoded answers stay in `wbuf` — no socket write,
+//!   no `EPOLLOUT` interest, no close — until the worker has called
+//!   [`ConcurrentTable::flush_shared`] once for every connection of the
+//!   turn and [released](Connection::release) it. A connection that is
+//!   owed nothing never notices any of this.
 //! * **Write side** — responses are encoded into `wbuf` in frame order
 //!   and flushed opportunistically. Partial writes keep their offset;
 //!   `EAGAIN` arms `EPOLLOUT`; `EINTR` retries. The queue is **bounded**:
@@ -80,6 +89,9 @@ struct Executor {
     ids: Vec<u64>,
     ops: Vec<Op>,
     run: RunScratch,
+    /// Some answer encoded so far may not leave before the table has
+    /// been flushed. The connection takes the flag when it pumps.
+    owed: bool,
 }
 
 impl Executor {
@@ -104,7 +116,7 @@ impl Executor {
                 self.finish(table, out, stats);
                 stats.ops += ops.len() as u64;
                 let mut results = Vec::with_capacity(ops.len());
-                execute_runs(table, &ops, &mut self.run, |r| results.push(r));
+                self.owed |= execute_runs(table, &ops, &mut self.run, |r| results.push(r));
                 encode_response(id, &Response::Batch(results), out);
                 return;
             }
@@ -120,7 +132,7 @@ impl Executor {
     fn finish(&mut self, table: &dyn ConcurrentTable, out: &mut Vec<u8>, stats: &mut PumpStats) {
         stats.ops += self.ops.len() as u64;
         let mut ids = self.ids.iter();
-        execute_runs(table, &self.ops, &mut self.run, |r| {
+        self.owed |= execute_runs(table, &self.ops, &mut self.run, |r| {
             let id = *ids.next().expect("one id per queued op");
             let response = match r {
                 OpResponse::Get(v) => Response::Get(v),
@@ -155,6 +167,11 @@ pub(crate) struct Connection {
     /// coming, but buffered frames still get answered and pending
     /// responses still drain before the connection closes.
     peer_eof: bool,
+    /// `wbuf` holds answers to mutations the table has not flushed yet:
+    /// nothing is written until the worker, having flushed, calls
+    /// [`Connection::release`] — which it does before its turn ends, so
+    /// a connection is never held across an `epoll_wait`.
+    held: bool,
     /// The epoll interest mask currently registered for this fd (the
     /// server syncs it against [`Connection::interest`] after each
     /// event).
@@ -171,6 +188,7 @@ impl Connection {
             wstart: 0,
             paused: false,
             peer_eof: false,
+            held: false,
             registered: EPOLLIN,
             exec: Executor::default(),
         }
@@ -184,6 +202,20 @@ impl Connection {
     /// drain keeps flushing until this reaches zero).
     pub(crate) fn pending_out(&self) -> usize {
         self.wbuf.len() - self.wstart
+    }
+
+    /// Whether the connection waits for the worker's flush.
+    pub fn held(&self) -> bool {
+        self.held
+    }
+
+    /// The table has been flushed since this connection was held: its
+    /// answers may leave. The caller follows up with a writable
+    /// [`Connection::handle`], which writes them and — if decoding had
+    /// stopped at [`WBUF_HIGH`] — decodes on as the buffer drains, which
+    /// may hold the connection again.
+    pub fn release(&mut self) {
+        self.held = false;
     }
 
     /// The interest mask this connection currently wants.
@@ -207,6 +239,7 @@ impl Connection {
         table: &dyn ConcurrentTable,
         stats: &mut PumpStats,
     ) -> Result<(), Close> {
+        debug_assert!(!self.held, "a held connection is released before it is stepped again");
         if writable {
             self.flush()?;
         }
@@ -259,7 +292,12 @@ impl Connection {
                 Err(e) => {
                     // Answer everything decoded before the poison so the
                     // peer can match responses to requests, then close.
+                    // The close cannot wait for the worker's flush, so
+                    // this pays its own before the answers leave.
                     self.exec.finish(table, &mut self.wbuf, stats);
+                    if std::mem::take(&mut self.exec.owed) {
+                        table.flush_shared();
+                    }
                     let _ = self.flush();
                     return Err(Close::Protocol(e));
                 }
@@ -269,7 +307,10 @@ impl Connection {
         if consumed > 0 {
             self.rbuf.drain(..consumed);
         }
-        self.flush()?;
+        self.held = std::mem::take(&mut self.exec.owed);
+        if !self.held {
+            self.flush()?;
+        }
         self.paused = if self.paused {
             self.pending_out() >= WBUF_LOW
         } else {
@@ -315,13 +356,17 @@ fn kind(op: &Op) -> u8 {
 /// is one call into the table's batch API, and every op's answer goes
 /// to `emit`, in op order. The one place the server turns a request
 /// stream into table calls — top-level frames and the ops of a `BATCH`
-/// both come through here.
+/// both come through here. Mutations take the table's `*_deferred`
+/// calls; the return says whether any of them owes a flush, in which case
+/// no emitted answer may reach the peer before
+/// [`ConcurrentTable::flush_shared`] has run.
 fn execute_runs(
     table: &dyn ConcurrentTable,
     ops: &[Op],
     s: &mut RunScratch,
     mut emit: impl FnMut(OpResponse),
-) {
+) -> bool {
+    let mut owed = false;
     let mut i = 0;
     while i < ops.len() {
         let k = kind(&ops[i]);
@@ -350,7 +395,7 @@ fn execute_runs(
                 }));
                 s.outcomes.clear();
                 s.outcomes.resize(run.len(), Ok(InsertOutcome::Inserted));
-                table.insert_batch_shared(&s.items, &mut s.outcomes);
+                owed |= table.insert_batch_deferred(&s.items, &mut s.outcomes);
                 s.outcomes.iter().for_each(|o| emit(OpResponse::Put(*o)));
             }
             Op::Del(_) => {
@@ -361,12 +406,13 @@ fn execute_runs(
                 }));
                 s.values.clear();
                 s.values.resize(run.len(), None);
-                table.delete_batch_shared(&s.keys, &mut s.values);
+                owed |= table.delete_batch_deferred(&s.keys, &mut s.values);
                 s.values.iter().for_each(|v| emit(OpResponse::Del(*v)));
             }
         }
         i = j;
     }
+    owed
 }
 
 #[cfg(test)]

@@ -26,6 +26,11 @@
 //!   batch calls, so wire pipelining turns directly into table MLP —
 //!   and GET runs ride the seqlock optimistic read path, which is what
 //!   lets N workers scale reads without shard mutex contention.
+//!   Mutations go through the table's `*_deferred` calls and a worker
+//!   pays one `flush_shared` per turn of its loop — read and execute
+//!   every ready connection, flush once, then write — so over a logged
+//!   table several connections share one device wait, and over an
+//!   in-memory one nothing changes.
 //!   Per-connection output queues are bounded: past the high
 //!   watermark the server stops reading that socket until the queue
 //!   drains (backpressure lands on the slow peer, not on server

@@ -20,6 +20,24 @@
 //! another idles; many short or many concurrent connections spread
 //! evenly.
 //!
+//! **A turn** is what a worker does with one `epoll_wait` return, in
+//! three steps: *read and execute* every ready connection (mutations go
+//! through the table's `*_deferred` calls, and a connection whose answers
+//! are owed a durability flush **holds** them in its buffer instead of
+//! writing them); *flush once*
+//! ([`flush_shared`](sevendim_core::ConcurrentTable::flush_shared), if
+//! anybody is held) for everything the turn staged; then *write* every
+//! held connection — and again, while any of them staged more as its
+//! buffer drained. Over a table that owes nothing (every in-memory
+//! table) nobody is ever held and a turn is exactly the read-execute-
+//! write per connection it always was. Over a logged table the turn is
+//! what makes one device wait cover several connections: the commit
+//! pipeline merges writers on *different* threads, but `SO_REUSEPORT`
+//! placement is a coin toss — of 200 two-connection, two-worker servers
+//! probed, 107 had both connections on one worker — and two connections
+//! on one worker are one writer to it. The turn merges those; it also
+//! makes a `DEL` run followed by a `PUT` run one wait instead of two.
+//!
 //! **Stats** are per-worker [`WorkerCounters`] — plain `AtomicU64`s
 //! bumped with `Relaxed` stores by their owning worker only, so the hot
 //! path never bounces a shared cache line between workers.
@@ -209,10 +227,12 @@ impl KvServerBuilder {
     ///
     /// Any table serves: an `Arc<DurableSharded>` coerces to
     /// `Arc<dyn ConcurrentTable>`, and then every PUT/DEL a client sees
-    /// acknowledged was group-committed to the WAL *before* its response
-    /// frame was encoded — the worker calls the table's
-    /// `insert_batch_shared`/`delete_batch_shared` (which apply, log and
-    /// fsync per policy) and only then builds the responses.
+    /// acknowledged was committed to the WAL *before* its response frame
+    /// was written — the worker applies through the table's
+    /// `insert_batch_deferred`/`delete_batch_deferred`, holds the encoded
+    /// answers, and lets them leave only after `flush_shared` (which
+    /// logs and fsyncs per policy) has returned: one flush for all the
+    /// connections of one turn of the worker's loop.
     pub fn spawn<A: ToSocketAddrs>(
         self,
         addr: A,
@@ -254,6 +274,7 @@ impl KvServerBuilder {
                 listener: Some(listener),
                 table: Arc::clone(&table),
                 conns: HashMap::new(),
+                held: Vec::new(),
                 counters: Arc::new(WorkerCounters::default()),
                 drain_timeout: self.drain_timeout,
             };
@@ -278,6 +299,10 @@ struct Worker {
     listener: Option<TcpListener>,
     table: Arc<dyn ConcurrentTable>,
     conns: HashMap<RawFd, Connection>,
+    /// Connections of the current turn whose answers wait for the
+    /// turn's flush ([`Worker::release_held`]). Empty between turns, and
+    /// always empty over a table that owes no flush.
+    held: Vec<RawFd>,
     counters: Arc<WorkerCounters>,
     drain_timeout: Duration,
 }
@@ -391,6 +416,7 @@ impl Worker {
                     _ => self.conn_ready(token as RawFd, ready),
                 }
             }
+            self.release_held(false);
             if shutdown.load(Ordering::Acquire) {
                 self.drain_connections();
                 return Ok(());
@@ -433,6 +459,33 @@ impl Worker {
         }
     }
 
+    /// The second half of a turn: **one** durability flush for every
+    /// mutation the turn's connections staged, then the held answers
+    /// leave — each held connection is released and stepped again as
+    /// writable ([`Worker::conn_ready`], or [`Worker::drain_flush`] when
+    /// `draining` for shutdown). A connection that had
+    /// stopped decoding at `WBUF_HIGH` decodes on as its buffer drains
+    /// and may stage again, so this repeats until nobody is held: no
+    /// connection is left waiting for an event that will not come.
+    /// Nothing at all happens over a table that owes no flush.
+    fn release_held(&mut self, draining: bool) {
+        while !self.held.is_empty() {
+            self.table.flush_shared();
+            let flushed = self.held.len();
+            for i in 0..flushed {
+                let fd = self.held[i];
+                let Some(conn) = self.conns.get_mut(&fd) else { continue };
+                conn.release();
+                if draining {
+                    self.drain_flush(fd);
+                } else {
+                    self.conn_ready(fd, EPOLLOUT);
+                }
+            }
+            self.held.drain(..flushed);
+        }
+    }
+
     /// Drive one connection's state machine and re-sync its interest.
     fn conn_ready(&mut self, fd: RawFd, ready: u32) {
         let Some(conn) = self.conns.get_mut(&fd) else {
@@ -446,6 +499,9 @@ impl Worker {
         let result = conn.handle(readable, writable, &*self.table, &mut pump);
         self.counters.record_pump(&pump);
         match result {
+            // Held: this turn's flush comes back to it, and whatever it
+            // wants then is what gets registered.
+            Ok(()) if conn.held() => self.held.push(fd),
             Ok(()) => {
                 let want = conn.interest();
                 if want != conn.registered {
@@ -487,6 +543,7 @@ impl Worker {
         for fd in self.conns.keys().copied().collect::<Vec<_>>() {
             self.drain_flush(fd);
         }
+        self.release_held(true);
         let deadline = Instant::now() + self.drain_timeout;
         let mut events = [EpollEvent::default(); 256];
         while !self.conns.is_empty() {
@@ -515,6 +572,7 @@ impl Worker {
                     _ => self.drain_flush(token as RawFd),
                 }
             }
+            self.release_held(true);
         }
     }
 
@@ -524,9 +582,10 @@ impl Worker {
         let Some(conn) = self.conns.get_mut(&fd) else { return };
         let mut pump = PumpStats::default();
         let result = conn.handle(false, true, &*self.table, &mut pump);
-        let (pending, registered) = (conn.pending_out(), conn.registered);
+        let (pending, registered, held) = (conn.pending_out(), conn.registered, conn.held());
         self.counters.record_pump(&pump);
         match result {
+            Ok(()) if held => self.held.push(fd),
             Ok(()) if pending == 0 => self.close(fd),
             Ok(()) => {
                 if registered != EPOLLOUT {
@@ -548,9 +607,13 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{decode_response, encode_request, Request, Response};
     use crate::KvClient;
-    use sevendim_core::{TableBuilder, TableScheme};
-    use sevendim_durable::DurableTable;
+    use sevendim_core::{
+        BoxedTable, EntrySnapshot, FsyncPolicy, ShardedTable, TableBuilder, TableScheme,
+    };
+    use sevendim_durable::{replay_into, DurableTable, GatedWal};
+    use std::io::{Read as _, Write as _};
 
     fn table() -> Arc<dyn ConcurrentTable> {
         Arc::new(
@@ -702,8 +765,8 @@ mod tests {
         assert_eq!(client.del(7).expect("del"), Some(21));
         drop(client);
         handle.shutdown().expect("shutdown");
-        // Every response the client saw was logged before it was even
-        // encoded: a fresh "process" replays the log to the same map.
+        // Every response the client saw was logged before it was
+        // written: a fresh "process" replays the log to the same map.
         let (reopened, report) = DurableTable::open(&builder).expect("reopen");
         assert!(report.clean());
         assert_eq!(report.replayed_ops, 51);
@@ -714,11 +777,188 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A logged table on a [`GatedWal`], `FsyncPolicy::Always`: the
+    /// tests below hold its sync to see who waits for it.
+    fn gated_durable() -> (Arc<DurableTable<ShardedTable<BoxedTable>>>, GatedWal) {
+        let wal = GatedWal::new();
+        let inner = TableBuilder::new(TableScheme::LinearProbing).bits(10).shards(2);
+        let durable = DurableTable::with_wal(
+            inner.build_sharded(),
+            Box::new(wal.clone()),
+            FsyncPolicy::Always,
+        );
+        (Arc::new(durable), wal)
+    }
+
+    /// Frames for `PUT key -> key * 10`, ids from `first_id`, back to back.
+    fn put_frames(first_id: u64, keys: impl Iterator<Item = u64>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for (i, key) in keys.enumerate() {
+            encode_request(first_id + i as u64, &Request::Put(key, key * 10), &mut bytes);
+        }
+        bytes
+    }
+
+    /// Read until `n` answers have arrived or the peer closed: their ids.
+    fn read_answers(stream: &mut TcpStream, n: usize) -> Vec<u64> {
+        let (mut buf, mut ids) = (Vec::new(), Vec::new());
+        let mut chunk = [0u8; 16 * 1024];
+        while ids.len() < n {
+            match stream.read(&mut chunk).expect("read") {
+                0 => break,
+                got => buf.extend_from_slice(&chunk[..got]),
+            }
+            let mut at = 0;
+            while let Some((id, resp, used)) = decode_response(&buf[at..]).expect("valid answer") {
+                assert!(matches!(resp, Response::Put(Ok(_))), "answer {id}: {resp:?}");
+                ids.push(id);
+                at += used;
+            }
+            buf.drain(..at);
+        }
+        ids
+    }
+
+    fn nothing_to_read(stream: &mut TcpStream) -> bool {
+        stream.set_nonblocking(true).expect("nonblocking");
+        let got = stream.read(&mut [0u8; 64]);
+        stream.set_nonblocking(false).expect("blocking");
+        matches!(got, Err(e) if e.kind() == io::ErrorKind::WouldBlock)
+    }
+
+    /// The keys the bytes a crash would keep replay to.
+    fn recovered_keys(wal: &GatedWal) -> Vec<u64> {
+        let synced = &wal.mem().bytes()[..wal.mem().synced_len()];
+        let fresh = table();
+        assert!(replay_into(synced, &*fresh, 0).clean());
+        let mut pairs = EntrySnapshot::pairs_of_shared(&*fresh).into_vec();
+        pairs.sort_unstable();
+        assert!(pairs.iter().all(|&(k, v)| v == k * 10), "{pairs:?}");
+        pairs.into_iter().map(|(k, _)| k).collect()
+    }
+
+    #[test]
+    fn a_put_is_answered_only_after_its_sync_returns() {
+        let (durable, wal) = gated_durable();
+        let handle =
+            KvServer::builder().threads(1).spawn("127.0.0.1:0", durable.clone()).expect("spawn");
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        wal.hold();
+        stream.write_all(&put_frames(1, 5..6)).expect("send");
+        wal.wait_parked();
+        // Applied — a reader sees it — but not committed, so not answered.
+        assert_eq!(durable.lookup_shared(5), Some(50));
+        assert_eq!((durable.committed_seq(), durable.next_seq()), (0, 2));
+        assert!(nothing_to_read(&mut stream), "answered while its sync was held");
+        wal.release();
+        assert_eq!(read_answers(&mut stream, 1), [1]);
+        assert_eq!((durable.committed_seq(), recovered_keys(&wal)), (1, vec![5]));
+        drop(stream);
+        handle.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn connections_of_one_turn_share_one_sync() {
+        let (durable, wal) = gated_durable();
+        let handle =
+            KvServer::builder().threads(1).spawn("127.0.0.1:0", durable.clone()).expect("spawn");
+        let connect = || TcpStream::connect(handle.addr()).expect("connect");
+        let (mut a, mut b, mut c) = (connect(), connect(), connect());
+        wal.hold();
+        a.write_all(&put_frames(1, 1..2)).expect("send");
+        wal.wait_parked();
+        // The one worker is in A's device wait: B's and C's windows are
+        // both in their sockets by the time it next asks epoll.
+        b.write_all(&put_frames(1, 10..13)).expect("send");
+        c.write_all(&put_frames(1, 20..23)).expect("send");
+        wal.release();
+        assert_eq!(read_answers(&mut a, 1), [1]);
+        assert_eq!(read_answers(&mut b, 3), [1, 2, 3]);
+        assert_eq!(read_answers(&mut c, 3), [1, 2, 3]);
+        let stats = durable.commit_stats();
+        assert_eq!((stats.groups, stats.records, stats.ops), (2, 3, 7), "{stats:?}");
+        assert_eq!(wal.mem().syncs(), 2, "B and C cost one sync together");
+        drop((a, b, c));
+        handle.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn a_pipeline_deeper_than_the_write_buffer_is_answered_in_full() {
+        let (durable, _wal) = gated_durable();
+        let handle =
+            KvServer::builder().threads(1).spawn("127.0.0.1:0", durable.clone()).expect("spawn");
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        // Many times `WBUF_HIGH` of answers, and more than the socket
+        // buffers between the two ends hold: with nobody reading, the
+        // worker stops decoding with held answers at the high-water mark
+        // and requests still unread.
+        const PUTS: usize = 200_000;
+        let flood = put_frames(1, (0..PUTS as u64).map(|i| 1 + i % 512));
+        let mut tx = stream.try_clone().expect("clone");
+        let ids = std::thread::scope(|scope| {
+            scope.spawn(move || tx.write_all(&flood).expect("send"));
+            // Only read once the worker has stopped making progress.
+            let mut answered = 0;
+            loop {
+                std::thread::sleep(Duration::from_millis(50));
+                let now = handle.stats().frames;
+                if now == answered && now > 0 {
+                    break;
+                }
+                answered = now;
+            }
+            read_answers(&mut stream, PUTS)
+        });
+        assert!(ids.iter().copied().eq(1..=PUTS as u64), "{} answers", ids.len());
+        assert_eq!(durable.commit_stats().ops, PUTS as u64);
+        assert_eq!(durable.committed_seq(), PUTS as u64);
+        drop(stream);
+        let stats = handle.shutdown().expect("shutdown");
+        assert_eq!((stats.frames, stats.io_closes), (PUTS as u64, 0));
+    }
+
+    #[test]
+    fn puts_before_a_poisoned_frame_are_synced_then_answered_then_closed() {
+        let (durable, wal) = gated_durable();
+        let handle =
+            KvServer::builder().threads(1).spawn("127.0.0.1:0", durable.clone()).expect("spawn");
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        let mut bytes = put_frames(1, 1..4);
+        bytes.extend_from_slice(&[0xFF; 24]); // no magic: the connection must close
+        wal.hold();
+        stream.write_all(&bytes).expect("send");
+        wal.wait_parked();
+        assert!(nothing_to_read(&mut stream), "the closing path must flush before it writes");
+        wal.release();
+        assert_eq!(read_answers(&mut stream, 4), [1, 2, 3], "three answers, then the close");
+        assert_eq!(recovered_keys(&wal), [1, 2, 3]);
+        let stats = handle.shutdown().expect("shutdown");
+        assert_eq!((stats.protocol_closes, stats.frames), (1, 3));
+    }
+
+    #[test]
+    fn shutdown_with_answers_held_delivers_them_and_the_log_has_every_op() {
+        let (durable, wal) = gated_durable();
+        let handle =
+            KvServer::builder().threads(1).spawn("127.0.0.1:0", durable.clone()).expect("spawn");
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        wal.hold();
+        // One segment, one read: the worker has all fifty when it parks.
+        stream.write_all(&put_frames(1, 1..51)).expect("send");
+        wal.wait_parked();
+        let stats = std::thread::scope(|scope| {
+            let stopping = scope.spawn(|| handle.shutdown().expect("shutdown"));
+            wal.release();
+            assert_eq!(read_answers(&mut stream, 51), (1..=50).collect::<Vec<u64>>());
+            stopping.join().expect("shutdown thread")
+        });
+        assert_eq!((stats.frames, stats.io_closes), (50, 0));
+        assert_eq!(recovered_keys(&wal), (1..=50).collect::<Vec<u64>>());
+    }
+
     #[test]
     fn drain_of_a_stalled_reader_blocks_in_epoll_instead_of_spinning() {
-        use crate::protocol::{encode_request, Request};
         use crate::sys::set_recv_buffer;
-        use std::io::Write as _;
 
         let handle = KvServer::builder()
             .threads(1)
@@ -751,8 +991,19 @@ mod tests {
                 Err(e) => panic!("flood write: {e}"),
             }
         }
-        // Let the worker finish answering and park before draining.
-        std::thread::sleep(Duration::from_millis(150));
+        // Let the worker answer until backpressure parks it — its frame
+        // count stops moving — before draining. (A fixed sleep here let a
+        // slow host shut down a worker that was still catching up, with
+        // nothing pending yet.)
+        let mut answered = handle.stats().frames;
+        loop {
+            std::thread::sleep(Duration::from_millis(50));
+            let now = handle.stats().frames;
+            if now == answered {
+                break;
+            }
+            answered = now;
+        }
         let started = Instant::now();
         let stats = handle.shutdown().expect("shutdown");
         let waited = started.elapsed();

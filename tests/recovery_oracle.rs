@@ -21,7 +21,9 @@
 //! {unsharded, sharded} × {fixed-capacity, incremental growth} lattice,
 //! fed through [`MemWal`] fault injection; a second suite repeats the
 //! story on real files — physical `truncate(2)` tears, flipped bytes,
-//! and snapshot + reopen — via [`DurableTable::open`].
+//! and snapshot + reopen — via [`DurableTable::open`]; a third runs
+//! four concurrent writers, blocking and deferred, whose batches share
+//! groups, and holds the log they leave to the same tears and flips.
 
 mod tests_common;
 
@@ -463,6 +465,180 @@ fn batched_replay_matches_reference_at_every_tear_and_flip() {
             );
             assert_eq!(report.replayed_ops, ops_before(p), "flip@{p}.{bit}");
         }
+    }
+}
+
+/// Decode a whole, undamaged log into its records: each one's ops (all
+/// effective, or they would not be there) and the offset it ends at.
+fn logged_groups(bytes: &[u8]) -> Vec<AckedGroup> {
+    let (mut groups, mut at) = (Vec::new(), 0);
+    while let Some((rec, used)) = decode_record(&bytes[at..]).expect("an undamaged log") {
+        at += used;
+        let ops = rec.ops.iter().map(|op| match *op {
+            WalOp::Put { key, value } => AckedOp::Put { key, value, ok: true },
+            WalOp::Del { key } => AckedOp::Del { key, ok: true },
+        });
+        groups.push(AckedGroup { byte_end: at, ops: ops.collect() });
+    }
+    assert_eq!(at, bytes.len(), "the log ends on a record boundary");
+    groups
+}
+
+/// What one concurrent writer saw: every effective put by its (unique)
+/// value with the synced length of the log read right after the put was
+/// acknowledged, and how many of its calls had an effect.
+#[derive(Default)]
+struct WriterLog {
+    acked_puts: Vec<(u64, usize)>,
+    effective_calls: u64,
+}
+
+/// One writer of the concurrent oracle: random singles and batches over
+/// a key range all writers share, a third of them through the
+/// `*_deferred` calls with the `flush_shared` sometimes left until
+/// several are owed.
+fn concurrent_writer(
+    table: &DurableSharded,
+    wal: &MemWal,
+    writer: u64,
+    rounds: usize,
+) -> WriterLog {
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE + writer);
+    let mut log = WriterLog::default();
+    // Puts applied through a deferred call and not yet flushed.
+    let mut unflushed: Vec<u64> = Vec::new();
+    let mut owed = false;
+    let mut stamp = 0u64;
+    let mut fresh_value = || {
+        stamp += 1;
+        writer << 32 | stamp
+    };
+    for _ in 0..rounds {
+        let n = rng.gen_range(1..6usize);
+        let keys: Vec<u64> = (0..n).map(|_| rng.gen_range(2..26u64)).collect();
+        let deferred = rng.gen_range(0..3u8) == 0;
+        if rng.gen_range(0..3u8) > 0 {
+            let items: Vec<(u64, u64)> = keys.iter().map(|&k| (k, fresh_value())).collect();
+            let mut out = vec![Ok(InsertOutcome::Inserted); n];
+            if deferred {
+                owed |= table.insert_batch_deferred(&items, &mut out);
+            } else if n == 1 {
+                out[0] = table.insert_shared(items[0].0, items[0].1);
+            } else {
+                table.insert_batch_shared(&items, &mut out);
+            }
+            let effective = items.iter().zip(&out).filter(|(_, r)| r.is_ok()).map(|(&(_, v), _)| v);
+            let before = unflushed.len();
+            unflushed.extend(effective);
+            log.effective_calls += u64::from(unflushed.len() > before);
+        } else {
+            let mut out = vec![None; n];
+            if deferred {
+                owed |= table.delete_batch_deferred(&keys, &mut out);
+            } else if n == 1 {
+                out[0] = table.delete_shared(keys[0]);
+            } else {
+                table.delete_batch_shared(&keys, &mut out);
+            }
+            log.effective_calls += u64::from(out.iter().any(Option::is_some));
+        }
+        if deferred && rng.gen_range(0..2u8) == 0 {
+            continue; // leave the flush owed: the next one covers this batch too
+        }
+        if owed {
+            table.flush_shared();
+            owed = false;
+        }
+        // Acknowledged: a crash from here on must keep every one of them.
+        let synced = wal.synced_len();
+        log.acked_puts.extend(unflushed.drain(..).map(|v| (v, synced)));
+    }
+    table.flush_shared();
+    let synced = wal.synced_len();
+    log.acked_puts.extend(unflushed.drain(..).map(|v| (v, synced)));
+    log
+}
+
+/// Four writers, one table, one log: batches of different threads share
+/// groups, and same-key races are settled by the ordering lock. The log
+/// they leave must *be* the order their ops were applied in (a full
+/// replay equals the live table), hold one record per effective call,
+/// have had every put inside its synced prefix by the time the put was
+/// acknowledged — and survive every tear and flip like a one-writer log.
+#[test]
+fn concurrent_writers_share_groups_and_the_log_is_their_apply_order() {
+    const WRITERS: u64 = 4;
+    let builder = small_growing();
+    let wal = MemWal::new();
+    let durable = seven_dim_hashing::durable::DurableTable::with_wal(
+        builder.build_sharded(),
+        Box::new(wal.clone()),
+        FsyncPolicy::Always,
+    );
+    let logs: Vec<WriterLog> = std::thread::scope(|scope| {
+        let writers: Vec<_> = (1..=WRITERS)
+            .map(|w| {
+                let (durable, wal) = (&durable, &wal);
+                scope.spawn(move || concurrent_writer(durable, wal, w, 36))
+            })
+            .collect();
+        writers.into_iter().map(|h| h.join().expect("a writer panicked")).collect()
+    });
+    let (stats, live) = (durable.commit_stats(), sorted_entries(&durable));
+    assert_eq!(durable.committed_seq() + 1, durable.next_seq(), "everything applied is committed");
+    assert_eq!(wal.syncs(), stats.groups, "one sync per group");
+    drop(durable);
+    let bytes = wal.bytes();
+    let groups = logged_groups(&bytes);
+
+    // One record per call that had an effect, however the calls grouped.
+    let effective_calls: u64 = logs.iter().map(|l| l.effective_calls).sum();
+    assert_eq!((stats.records, groups.len() as u64), (effective_calls, effective_calls));
+    assert!(stats.groups <= stats.records);
+    assert_eq!(stats.ops, groups.iter().map(|g| g.ops.len() as u64).sum::<u64>());
+
+    // Log order is apply order: replaying it rebuilds the live table,
+    // same-key races between writers included.
+    let (replayed, _) = replay_checked(&builder, &bytes, 0, "concurrent, whole log");
+    assert_eq!(sorted_entries(&replayed), live, "full replay vs the live table");
+
+    // Every put was in the synced prefix when it was acknowledged, and
+    // each writer's puts are logged in the order it made them.
+    let mut logged_at = HashMap::new();
+    let mut last_stamp = HashMap::new();
+    for g in &groups {
+        for op in &g.ops {
+            if let AckedOp::Put { value, .. } = *op {
+                assert!(logged_at.insert(value, g.byte_end).is_none(), "{value:#x} logged twice");
+                let newest = last_stamp.entry(value >> 32).or_insert(0);
+                assert!(value > *newest, "writer {}: puts logged out of order", value >> 32);
+                *newest = value;
+            }
+        }
+    }
+    let acked = logs.iter().flat_map(|l| &l.acked_puts);
+    assert_eq!(acked.clone().count(), logged_at.len(), "every logged put was acknowledged");
+    for &(value, synced) in acked {
+        assert!(logged_at[&value] <= synced, "{value:#x} acknowledged before it was synced");
+    }
+
+    // The multi-writer stream under the one-writer fault checks: every
+    // tear offset, and a flipped bit in every third byte.
+    for t in 0..=bytes.len() {
+        check_tear(&builder, &bytes, &groups, t, "concurrent");
+    }
+    for p in (0..bytes.len()).step_by(3) {
+        let mut bad = bytes.clone();
+        bad[p] ^= 1 << (p % 8);
+        let context = format!("concurrent flip@{p}");
+        let (fresh, report) = replay_checked(&builder, &bad, 0, &context);
+        let (twin, surviving_ops) = twin_at(&groups, p);
+        assert!(
+            report.tail_error.is_some() || report.truncated_tail_bytes > 0,
+            "{context}: damage went unnoticed"
+        );
+        assert_eq!(report.replayed_ops, surviving_ops, "{context}: replayed ops");
+        assert_matches_twin(&fresh, &twin, &context);
     }
 }
 
