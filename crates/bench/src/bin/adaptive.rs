@@ -16,11 +16,12 @@
 //!   rejects a 16-slot group per SIMD tag compare).
 //!
 //! A static table must commit to one side of that shift. The adaptive
-//! table ([`MigrationPolicy::Adaptive`]) starts as LPMult, watches its
-//! own counters (miss EWMA, write ratio, load factor), re-runs the
-//! decision graph online, and live-migrates to FPMult a few thousand
-//! ops into phase B — draining ≤ `step` old-generation entries per
-//! mutating op, never blocking lookups. Reported per table:
+//! table ([`MigrationPolicy::Adaptive`]) starts as LPMult, judges each
+//! window of its own counters (miss ratio, write ratio — both deltas
+//! since the last check — and load factor), re-runs the decision graph
+//! online, and live-migrates to FPMult at the first check of phase B —
+//! draining ≤ `step` old-generation entries per mutating op, never
+//! blocking lookups. Reported per table:
 //!
 //! * per-phase and end-to-end throughput (single-key API: the phase
 //!   boundary and per-op mutation latency need per-op boundaries);
@@ -68,11 +69,11 @@ const DRAIN_STEP: usize = 1024;
 /// the miss-heavy static answer is fingerprint probing.
 const TARGET_LOAD: f64 = 0.62;
 
-/// The controller re-evaluates every 64 *mutating* ops ≈ every 4096
-/// stream ops at phase B's 1/64 write rate. `min_lookups` keeps phase A
+/// The controller re-evaluates every 64 *mutating* ops = every 2048
+/// stream ops at phase B's 1/32 write rate, a window of 1984 lookups —
+/// above the controller's 1 Ki-lookup evidence floor, which keeps phase A
 /// (zero lookups) from producing a verdict at all.
-const CONTROLLER: AdaptiveConfig =
-    AdaptiveConfig { check_every: 64, min_lookups: 1024, cooldown: 4096 };
+const CONTROLLER: AdaptiveConfig = AdaptiveConfig { check_every: 64, cooldown: 4096 };
 
 /// Static twins: every scheme the decision graph could have frozen.
 const STATICS: [TableScheme; 6] = [

@@ -12,17 +12,14 @@ use crate::decision::Mutability;
 use crate::{TableChoice, TableStats, WorkloadProfile};
 
 /// Tuning for [`MigrationPolicy::Adaptive`](crate::MigrationPolicy::Adaptive).
-/// The defaults re-evaluate every 4 Ki mutating ops, demand 1 Ki fresh
-/// lookups of evidence, and hold 16 Ki ops of hysteresis after each
-/// switch.
+/// The defaults re-evaluate every 4 Ki mutating ops and hold 16 Ki ops of
+/// hysteresis after each switch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptiveConfig {
-    /// Mutating operations between controller evaluations.
+    /// Mutating operations between controller evaluations. A window must
+    /// also hold 1 Ki lookups before it is judged, so at `r` lookups per
+    /// mutating op a period shorter than `1024 / r` never yields a verdict.
     pub check_every: u64,
-    /// Minimum lookups observed since the previous evaluation before the
-    /// miss signal is trusted — the controller must not switch without
-    /// evidence.
-    pub min_lookups: u64,
     /// Mutating operations after a switch during which the controller
     /// stays quiet (hysteresis against flapping on a boundary profile).
     pub cooldown: u64,
@@ -30,9 +27,13 @@ pub struct AdaptiveConfig {
 
 impl Default for AdaptiveConfig {
     fn default() -> Self {
-        Self { check_every: 4096, min_lookups: 1024, cooldown: 16_384 }
+        Self { check_every: 4096, cooldown: 16_384 }
     }
 }
+
+/// Fewest lookups a window must hold before its miss ratio is trusted —
+/// the controller does not switch without evidence.
+const MIN_LOOKUPS: u64 = 1024;
 
 /// A write ratio below this is treated as an *effectively static* phase:
 /// the paper's static bands (where FP, chained and cuckoo live) apply to
@@ -91,19 +92,21 @@ impl AdaptiveController {
             return None;
         }
         let (snap, load_factor) = observe();
-        let lookups = snap.lookups.saturating_sub(self.last_eval.lookups);
-        let writes = (snap.inserts + snap.deletes)
-            .saturating_sub(self.last_eval.inserts + self.last_eval.deletes);
-        self.last_eval = snap;
-        if lookups < cfg.min_lookups {
+        let last = std::mem::replace(&mut self.last_eval, snap);
+        let lookups = snap.lookups.saturating_sub(last.lookups);
+        if lookups < MIN_LOOKUPS {
             return None;
         }
+        // Relaxed counters can be read a few records apart: clamp so a
+        // window never holds more misses than lookups.
+        let misses = snap.misses.saturating_sub(last.misses).min(lookups);
+        let writes = (snap.inserts + snap.deletes).saturating_sub(last.inserts + last.deletes);
         let write_ratio = writes as f64 / (writes + lookups) as f64;
         let mutability =
             if write_ratio < STATIC_WRITE_RATIO { Mutability::Static } else { Mutability::Dynamic };
         let observed = WorkloadProfile {
             load_factor,
-            successful_ratio: 1.0 - snap.miss_ewma,
+            successful_ratio: 1.0 - misses as f64 / lookups as f64,
             write_ratio,
             dense_keys: false,
             mutability,
@@ -120,12 +123,12 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    const CFG: AdaptiveConfig = AdaptiveConfig { check_every: 8, min_lookups: 100, cooldown: 64 };
+    const CFG: AdaptiveConfig = AdaptiveConfig { check_every: 8, cooldown: 64 };
 
-    /// A cumulative snapshot: `lookups` so far at a steady `miss` ratio,
-    /// `writes` inserts so far.
-    fn snapshot(lookups: u64, miss: f64, writes: u64) -> TableStats {
-        TableStats { lookups, miss_ewma: miss, inserts: writes, ..TableStats::default() }
+    /// A cumulative snapshot: `lookups` and `misses` so far, `writes`
+    /// inserts so far.
+    fn snapshot(lookups: u64, misses: u64, writes: u64) -> TableStats {
+        TableStats { lookups, misses, inserts: writes, ..TableStats::default() }
     }
 
     #[test]
@@ -165,11 +168,11 @@ mod tests {
     #[test]
     fn no_verdict_below_min_lookups_and_windows_are_deltas() {
         let mut c = AdaptiveController::default();
-        // 99 fresh lookups: one short of the evidence the config demands.
-        assert_eq!(c.tick(&CFG, 8, false, || (snapshot(99, 0.97, 0), 0.6), 10), None);
-        // 198 cumulative is still only 99 since the last evaluation.
-        assert_eq!(c.tick(&CFG, 8, false, || (snapshot(198, 0.97, 0), 0.6), 10), None);
-        assert!(c.tick(&CFG, 8, false, || (snapshot(298, 0.97, 0), 0.6), 10).is_some());
+        // 1023 fresh lookups: one short of the evidence a verdict needs.
+        assert_eq!(c.tick(&CFG, 8, false, || (snapshot(1023, 1000, 0), 0.6), 10), None);
+        // 2046 cumulative is still only 1023 since the last evaluation.
+        assert_eq!(c.tick(&CFG, 8, false, || (snapshot(2046, 2000, 0), 0.6), 10), None);
+        assert!(c.tick(&CFG, 8, false, || (snapshot(3070, 3000, 0), 0.6), 10).is_some());
     }
 
     #[test]
@@ -183,8 +186,24 @@ mod tests {
     #[test]
     fn a_miss_heavy_read_mostly_window_at_moderate_load_wants_fingerprints() {
         let mut c = AdaptiveController::default();
-        // 97 % misses, 30 writes beside 1000 lookups (< 5 %), load 0.6.
-        let verdict = c.tick(&CFG, 8, false, || (snapshot(1000, 0.97, 30), 0.6), 10);
+        // 97 % misses, 30 writes beside 2000 lookups (< 5 %), load 0.6.
+        let verdict = c.tick(&CFG, 8, false, || (snapshot(2000, 1940, 30), 0.6), 10);
         assert_eq!(verdict, Some(TableChoice::FpMult));
+    }
+
+    #[test]
+    fn the_miss_ratio_is_the_windows_not_the_lifetimes() {
+        let mut c = AdaptiveController::default();
+        // A long hit phase: 18 000 lookups, none missed.
+        assert!(c.tick(&CFG, 8, false, || (snapshot(18_000, 0, 100), 0.6), 10).is_some());
+        // Then a window of 2000 lookups that all miss, 30 writes beside
+        // them, load 0.6: 90 % of lifetime lookups hit, none of this
+        // window's did, and the verdict follows the window.
+        let now = || (snapshot(20_000, 2000, 130), 0.6);
+        assert_eq!(c.tick(&CFG, 8, false, now, 10), Some(TableChoice::FpMult));
+        // A fresh controller's first window is the whole lifetime, and
+        // the lifetime profile answers otherwise.
+        let lifetime = AdaptiveController::default().tick(&CFG, 8, false, now, 10);
+        assert_ne!(lifetime.expect("20 000 lookups are evidence"), TableChoice::FpMult);
     }
 }

@@ -1118,9 +1118,9 @@ mod tests {
     fn sharded_stats_merge_over_shards() {
         use crate::sharded::ConcurrentTable;
         // Growing (DynamicTable-wrapped) shards track runtime stats.
-        // Optimistic reads are turned off so every lookup takes the
-        // locked (counted) path — seqlock probes must not write
-        // table-side state, so they bypass the counters by design.
+        // Optimistic reads are turned off so the counts are exact: a
+        // seqlock-rejected optimistic attempt is counted, and its retry
+        // is counted again.
         let t = TableBuilder::new(TableScheme::LinearProbing)
             .bits(8)
             .shards(1)

@@ -75,10 +75,11 @@
 //! * [`MigrationPolicy::Switch`] — a one-shot live migration to a
 //!   different scheme ([`TableChoice`]) at the current capacity; growth
 //!   afterwards continues in the new scheme.
-//! * [`MigrationPolicy::Adaptive`] — a feedback controller: the table
-//!   watches its own runtime signals ([`crate::stats::RuntimeStats`] —
-//!   load factor, EWMA miss ratio, write mix), periodically re-runs the
-//!   paper's Figure 8 decision graph against the *observed* profile
+//! * [`MigrationPolicy::Adaptive`] — a feedback controller: every
+//!   `check_every` mutating ops the table takes the deltas of its own
+//!   counters ([`crate::stats::RuntimeStats`]) since the last check —
+//!   lookups, misses, writes — adds its load factor, re-runs the paper's
+//!   Figure 8 decision graph against that *observed* profile
 //!   ([`crate::profile_choice`]), and live-migrates whenever the graph
 //!   disagrees with the current scheme (LP→FP when misses dominate,
 //!   back toward LP/RH when hits do, with the chained-budget fallbacks
@@ -172,11 +173,6 @@ pub enum MigrationPolicy {
     Adaptive(AdaptiveConfig),
 }
 
-/// Every Nth single-key lookup runs the instrumented probe
-/// ([`HashTable::lookup_probed`]) instead of the plain one, feeding the
-/// mean-probe-length signal at 1/N of the probes.
-const PROBE_SAMPLE_EVERY: u64 = 64;
-
 /// Fixed-point bits of the growth-threshold representation (Q32).
 const THRESHOLD_FP_BITS: u32 = 32;
 
@@ -250,8 +246,8 @@ pub struct DynamicTable<F: TableFactory> {
     /// mutating operation (construction stays allocation-cheap and the
     /// switch itself rides the ordinary drain machinery).
     pending_switch: Option<TableChoice>,
-    /// Relaxed-atomic runtime signals (miss EWMA, probe samples), shared
-    /// with the lock-free read path.
+    /// Relaxed-atomic lookup, miss, insert and delete counts, shared with
+    /// the lock-free read path.
     stats: RuntimeStats,
     /// Cross-scheme migrations begun so far.
     scheme_switches: usize,
@@ -308,7 +304,7 @@ impl<F: TableFactory> DynamicTable<F> {
             policy,
             migration: MigrationPolicy::Grow,
             pending_switch: None,
-            stats: RuntimeStats::new(),
+            stats: RuntimeStats::default(),
             scheme_switches: 0,
             controller: AdaptiveController::default(),
             rehash_count: 0,
@@ -891,14 +887,7 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
     }
 
     fn lookup(&self, key: u64) -> Option<u64> {
-        let inner_hit = if self.stats.lookups().is_multiple_of(PROBE_SAMPLE_EVERY) {
-            let (v, steps) = self.inner.lookup_probed(key);
-            self.stats.record_probe(steps as u64);
-            v
-        } else {
-            self.inner.lookup(key)
-        };
-        let result = match inner_hit {
+        let result = match self.inner.lookup(key) {
             Some(v) => Some(v),
             None => self.old.as_ref().and_then(|g| g.table.lookup(key)),
         };
@@ -927,16 +916,8 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
     // Inserts can grow it, so `insert_batch` cuts the batch into headroom
     // runs first (see its comment).
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        // Stats cost per *batch*, not per key: one sampled probe when the
-        // batch straddles a sampling point, plus two fetch_adds at the
-        // end — the ≤ 2%-overhead budget of the shared read path.
-        if let Some(&first) = keys.first() {
-            let before = self.stats.lookups();
-            if before / PROBE_SAMPLE_EVERY != (before + keys.len() as u64) / PROBE_SAMPLE_EVERY {
-                let (_, steps) = self.inner.lookup_probed(first);
-                self.stats.record_probe(steps as u64);
-            }
-        }
+        // Stats cost per *batch*, not per key: one or two fetch_adds at
+        // the end — the ≤ 2%-overhead budget of the shared read path.
         self.inner.lookup_batch(keys, out);
         if let Some(gen) = self.old.as_ref() {
             retry_misses(keys, out, |k, o| {
@@ -1614,9 +1595,10 @@ mod tests {
         assert_eq!(t.scheme_switches(), 1);
     }
 
-    /// Small controller windows so tests converge in a few hundred ops.
-    const TEST_ADAPTIVE: AdaptiveConfig =
-        AdaptiveConfig { check_every: 8, min_lookups: 32, cooldown: 64 };
+    /// Small controller windows so tests converge in a few hundred ops: at
+    /// 100 lookups per mutating op, 16 ops clear the 1 Ki-lookup evidence
+    /// floor.
+    const TEST_ADAPTIVE: AdaptiveConfig = AdaptiveConfig { check_every: 16, cooldown: 64 };
 
     #[test]
     fn adaptive_switches_lp_to_fp_when_misses_dominate() {
@@ -1660,11 +1642,39 @@ mod tests {
         }
         let stats = t.table_stats().expect("dynamic tables report runtime stats");
         assert_eq!(stats.scheme_switches, t.scheme_switches() as u64);
-        assert!(
-            stats.miss_ewma > 0.9,
-            "EWMA {:.3} should have tracked the misses",
-            stats.miss_ewma
+        assert!(stats.miss_ratio() > 0.9, "miss ratio {:.3}", stats.miss_ratio());
+    }
+
+    #[test]
+    fn adaptive_judges_the_window_not_the_history() {
+        // ~29% load: hits keep LP, a miss-heavy window wants something
+        // else. A long hit phase must not delay the reaction to misses.
+        let mut t = builder_table(
+            TableScheme::LinearProbing,
+            10,
+            GrowthPolicy::Incremental { step: 8 },
+            MigrationPolicy::Adaptive(TEST_ADAPTIVE),
         );
+        for k in 1..=300u64 {
+            t.insert(k, k).unwrap();
+        }
+        for round in 0..400u64 {
+            for i in 0..100u64 {
+                let k = 1 + (round * 100 + i) % 300;
+                assert_eq!(t.lookup(k), Some(k));
+            }
+            t.delete(2_000_000 + round);
+        }
+        assert_eq!(t.scheme_switches(), 0, "the graph says LP for hits at this load");
+        let ops = (1..=1000u64).find(|op| {
+            for i in 0..100u64 {
+                assert_eq!(t.lookup(1_000_000 + op * 100 + i), None);
+            }
+            t.delete(3_000_000 + op);
+            t.scheme_switches() > 0
+        });
+        let ops = ops.expect("controller never reacted to the miss phase");
+        assert!(ops <= 2 * TEST_ADAPTIVE.check_every, "switched {ops} ops into the miss phase");
     }
 
     #[test]
@@ -1706,9 +1716,9 @@ mod tests {
     #[test]
     fn adaptive_respects_cooldown_between_switches() {
         // After a switch the controller must hold still for `cooldown`
-        // mutating ops even though the profile still disagrees — no
-        // flapping while the EWMA catches up.
-        let cfg = AdaptiveConfig { check_every: 4, min_lookups: 8, cooldown: 10_000 };
+        // mutating ops: no verdict at all while the new generation drains
+        // and settles.
+        let cfg = AdaptiveConfig { check_every: 32, cooldown: 10_000 };
         let mut t = builder_table(
             TableScheme::LinearProbing,
             10,
@@ -2096,8 +2106,8 @@ mod tests {
     #[test]
     fn an_insert_only_stream_counts_no_lookups() {
         // The replacement check of an insert that meets the threshold is
-        // not a user lookup: it must not reach the counters (or the miss
-        // EWMA the adaptive controller reads).
+        // not a user lookup: it must not reach the counters the adaptive
+        // controller's windows are cut from.
         let mut t =
             DynamicTable::new(factory(TableScheme::LinearProbing, HashKind::Murmur), 4, 1, 0.5);
         for k in 1..=500u64 {
@@ -2108,7 +2118,6 @@ mod tests {
         assert!(t.rehash_count() >= 6, "the stream must have met the threshold repeatedly");
         let s = t.table_stats().unwrap();
         assert_eq!((s.lookups, s.misses, s.inserts), (0, 0, 1001));
-        assert_eq!(s.miss_ewma, 0.0);
     }
 
     #[test]
@@ -2116,7 +2125,7 @@ mod tests {
         // `check_every` and `cooldown` are documented in mutating
         // operations: N of them move the controller to the same tick
         // whether they arrive one by one or as one batch.
-        let cfg = AdaptiveConfig { check_every: 8, min_lookups: 1 << 40, cooldown: 0 };
+        let cfg = AdaptiveConfig { check_every: 8, cooldown: 0 };
         let table = || {
             let mut t = builder_table(
                 TableScheme::LinearProbing,
@@ -2165,8 +2174,6 @@ mod tests {
         assert_eq!(s.inserts, 50);
         assert_eq!(s.deletes, 1);
         assert!((s.miss_ratio() - 0.5).abs() < 1e-9);
-        assert!(s.probe_samples > 0, "the sampled probe path must have fired");
-        assert!(s.mean_probe_len() >= 1.0);
         assert_eq!(s.rehashes, 0);
     }
 }

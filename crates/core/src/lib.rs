@@ -224,8 +224,9 @@ pub trait HashTable: optimistic::ReadView {
     /// for the fingerprint table, so the unit is scheme-relative (compare
     /// against the *same* scheme's steady state, not across schemes).
     ///
-    /// This is the sampled instrumentation hook behind
-    /// [`stats::TableStats::mean_probe_len`]; the default reports one step
+    /// An instrumented probe for measurement, not for the serving path:
+    /// the benchmark's exact `core.kernel.probes_per_hit` and
+    /// `probes_per_miss` counts come from it. The default reports one step
     /// for schemes without an instrumented probe path.
     fn lookup_probed(&self, key: u64) -> (Option<u64>, usize) {
         (self.lookup(key), 1)

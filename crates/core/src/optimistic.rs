@@ -28,11 +28,12 @@
 //!
 //! A [`DynamicTable`](crate::DynamicTable) counts optimistic lookups in
 //! its [`TableStats`](crate::TableStats) like locked ones: once per
-//! sub-batch (two relaxed `fetch_add`s), after both generations were
-//! probed. The count is made before the caller validates, so an attempt
-//! the seqlock rejects is counted, and its retry — optimistic or locked —
-//! is counted again; in a quiescent table the counts are exact. Sampled
-//! probe lengths come from locked reads only.
+//! sub-batch (one relaxed `fetch_add`, two when some key missed), after
+//! both generations were probed. Those adds are the path's only stores:
+//! it takes no lock and writes nothing else in the shard. The count is made
+//! before the caller validates, so an attempt the seqlock rejects is
+//! counted, and its retry — optimistic or locked — is counted again; in a
+//! quiescent table the counts are exact.
 //!
 //! # What makes an implementation sound
 //!

@@ -184,8 +184,8 @@ pub trait ConcurrentTable: Send + Sync {
     fn for_each_shared(&self, f: &mut dyn FnMut(u64, u64));
 
     /// Merged runtime statistics ([`crate::TableStats`]) through a shared
-    /// reference — counters summed over shards, the miss EWMA
-    /// lookup-weighted. Defaults to zeros for tables that do not track
+    /// reference — every counter summed over shards. Defaults to zeros
+    /// for tables that do not track
     /// runtime stats (only [`DynamicTable`](crate::DynamicTable)-wrapped
     /// shards do). Lookups are counted once per per-shard sub-batch on
     /// the locked and the lock-free path alike (relaxed atomics, so a

@@ -19,12 +19,13 @@
 //!
 //! [`DisplacementStats`] / [`ClusterStats`] are *offline*: they walk the
 //! whole slot array and are meant for analysis, not the hot path. The
-//! second half of this module is the *runtime* side: [`RuntimeStats`] is a
-//! set of relaxed-atomic counters cheap enough to update from the shared
-//! read path, and [`TableStats`] is its point-in-time snapshot. These are
-//! the live signals (miss ratio, probe length, load) the adaptive
-//! migration controller in [`crate::dynamic`] feeds back into the paper's
-//! Figure 8 decision graph.
+//! second half of this module is the *runtime* side: [`RuntimeStats`] is
+//! four relaxed-atomic counters (lookups, misses, inserts, deletes) cheap
+//! enough to update from the shared read path, and [`TableStats`] is its
+//! point-in-time snapshot. The difference between two snapshots, with the
+//! load factor, is the observed profile the adaptive migration controller
+//! in [`crate::adaptive`] feeds back into the paper's Figure 8 decision
+//! graph.
 
 use crate::open_addressing::{Aos, OpenAddressing, Step};
 use crate::{Pair, RobinHood};
@@ -167,25 +168,11 @@ impl<H: HashFn64> RobinHood<H> {
     }
 }
 
-/// Lookups per EWMA window: the miss counters are folded into the
-/// exponential average once this many lookups accumulate, so the hot path
-/// pays only `fetch_add`s and the division happens once per window.
-pub const EWMA_WINDOW: u64 = 1024;
-
-/// EWMA smoothing: `ewma += (window_ratio - ewma) / 2^EWMA_SHIFT`
-/// (α = 1/8). Eight windows ≈ 8 Ki lookups to mostly forget an old phase —
-/// fast enough to track a workload shift, slow enough to ignore one
-/// unlucky batch.
-const EWMA_SHIFT: u32 = 3;
-
-/// Q32 fixed point for the atomically stored miss-ratio EWMA.
-const EWMA_FP_ONE: u64 = 1 << 32;
-
 /// Point-in-time snapshot of a table's runtime signals, taken with
 /// [`RuntimeStats::snapshot`] (or aggregated across shards /
-/// generations). All counters are lifetime totals; `miss_ewma` is the
-/// recency-weighted miss ratio the adaptive controller acts on.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// generations). Every field is a lifetime total; the adaptive controller
+/// judges the difference between two snapshots.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Single-key lookups plus batch lookup elements observed.
     pub lookups: u64,
@@ -195,16 +182,6 @@ pub struct TableStats {
     pub inserts: u64,
     /// Delete operations (single-key and batch elements).
     pub deletes: u64,
-    /// Lookups whose probe length was sampled.
-    pub probe_samples: u64,
-    /// Total probe steps over the sampled lookups (slots for LP/QP/RH,
-    /// 16-slot groups for the fingerprint table — a scheme-relative cost
-    /// unit, comparable against the same scheme's steady state).
-    pub probe_steps: u64,
-    /// Exponentially weighted moving miss ratio in `[0, 1]`, folded every
-    /// [`EWMA_WINDOW`] lookups. Falls back to the lifetime ratio until the
-    /// first window completes.
-    pub miss_ewma: f64,
     /// Completed generation rebuilds (growth or migration) this table has
     /// started, from [`crate::DynamicTable::rehash_count`].
     pub rehashes: u64,
@@ -223,33 +200,13 @@ impl TableStats {
         }
     }
 
-    /// Mean sampled probe length in the scheme's own cost unit.
-    pub fn mean_probe_len(&self) -> f64 {
-        if self.probe_samples == 0 {
-            0.0
-        } else {
-            self.probe_steps as f64 / self.probe_samples as f64
-        }
-    }
-
-    /// Combine two snapshots (e.g. across shards): counters add, the EWMA
-    /// is weighted by each side's lookup volume.
+    /// Combine two snapshots (e.g. across shards): every field adds.
     pub fn merge(&self, other: &TableStats) -> TableStats {
-        let lookups = self.lookups + other.lookups;
-        let miss_ewma = if lookups == 0 {
-            0.0
-        } else {
-            (self.miss_ewma * self.lookups as f64 + other.miss_ewma * other.lookups as f64)
-                / lookups as f64
-        };
         TableStats {
-            lookups,
+            lookups: self.lookups + other.lookups,
             misses: self.misses + other.misses,
             inserts: self.inserts + other.inserts,
             deletes: self.deletes + other.deletes,
-            probe_samples: self.probe_samples + other.probe_samples,
-            probe_steps: self.probe_steps + other.probe_steps,
-            miss_ewma,
             rehashes: self.rehashes + other.rehashes,
             scheme_switches: self.scheme_switches + other.scheme_switches,
         }
@@ -260,65 +217,31 @@ impl TableStats {
 /// read path (the seqlock optimistic path included — these are plain
 /// monotonic counters, not part of any protected snapshot).
 ///
-/// Cost model: a batch lookup pays two `fetch_add`s per *batch*; a
-/// single-key lookup pays two per op plus, once per window, one division.
-/// Nothing here is sequenced against table contents — `Relaxed` everywhere
-/// — so under concurrent readers a window fold can race and drop or
-/// double-count a handful of lookups. The signals are statistical inputs
-/// to a controller with hysteresis; that imprecision is acceptable by
-/// design.
-#[derive(Default)]
+/// Cost model: a batch lookup pays one `fetch_add`, two when it missed,
+/// per *batch*; a single-key lookup pays the same per op. Nothing here is
+/// sequenced against table contents — `Relaxed` everywhere — so a
+/// snapshot taken under concurrent readers may see `lookups` and `misses`
+/// a few records apart. The signals are statistical inputs to a
+/// controller with hysteresis; that imprecision is acceptable by design.
+#[derive(Debug, Default)]
 pub struct RuntimeStats {
     lookups: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
     deletes: AtomicU64,
-    probe_samples: AtomicU64,
-    probe_steps: AtomicU64,
-    window_lookups: AtomicU64,
-    window_misses: AtomicU64,
-    /// Q32 fixed-point EWMA of the per-window miss ratio.
-    miss_ewma_fp: AtomicU64,
-    /// Windows folded so far (0 = EWMA unseeded).
-    windows: AtomicU64,
 }
 
+// A per-reader stripe of these counters wants one cache line per reader.
+const _: () = assert!(std::mem::size_of::<RuntimeStats>() <= 64);
+
 impl RuntimeStats {
-    /// Fresh, all-zero counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Lifetime lookups observed so far (used by callers to sample every
-    /// Nth lookup for probe-length tracing).
-    #[inline]
-    pub fn lookups(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
-    }
-
-    /// Record `n` lookups of which `misses` found nothing, folding the
-    /// EWMA window when it fills.
+    /// Record `n` lookups of which `misses` found nothing.
     #[inline]
     pub fn record_lookups(&self, n: u64, misses: u64) {
-        if n == 0 {
-            return;
-        }
         self.lookups.fetch_add(n, Ordering::Relaxed);
         if misses > 0 {
             self.misses.fetch_add(misses, Ordering::Relaxed);
-            self.window_misses.fetch_add(misses, Ordering::Relaxed);
         }
-        let after = self.window_lookups.fetch_add(n, Ordering::Relaxed) + n;
-        if after >= EWMA_WINDOW {
-            self.fold_window();
-        }
-    }
-
-    /// Record a sampled probe of `steps` probe units.
-    #[inline]
-    pub fn record_probe(&self, steps: u64) {
-        self.probe_samples.fetch_add(1, Ordering::Relaxed);
-        self.probe_steps.fetch_add(steps, Ordering::Relaxed);
     }
 
     /// Record `n` insert operations.
@@ -333,56 +256,16 @@ impl RuntimeStats {
         self.deletes.fetch_add(n, Ordering::Relaxed);
     }
 
-    #[cold]
-    fn fold_window(&self) {
-        let lk = self.window_lookups.swap(0, Ordering::Relaxed);
-        if lk == 0 {
-            return; // another thread folded this window first
-        }
-        let ms = self.window_misses.swap(0, Ordering::Relaxed).min(lk);
-        let ratio_fp = (((ms as u128) << 32) / lk as u128) as u64;
-        if self.windows.fetch_add(1, Ordering::Relaxed) == 0 {
-            self.miss_ewma_fp.store(ratio_fp, Ordering::Relaxed);
-            return;
-        }
-        let old = self.miss_ewma_fp.load(Ordering::Relaxed);
-        let delta = (ratio_fp as i64 - old as i64) >> EWMA_SHIFT;
-        let new = (old as i64 + delta).clamp(0, EWMA_FP_ONE as i64) as u64;
-        self.miss_ewma_fp.store(new, Ordering::Relaxed);
-    }
-
-    /// Snapshot the counters. Before the first window folds, `miss_ewma`
-    /// reports the lifetime ratio so early controller decisions are not
-    /// anchored to a meaningless zero.
+    /// Snapshot the counters (`rehashes` and `scheme_switches` are the
+    /// owning table's to fill in).
     pub fn snapshot(&self) -> TableStats {
-        let lookups = self.lookups.load(Ordering::Relaxed);
-        let misses = self.misses.load(Ordering::Relaxed);
-        let miss_ewma = if self.windows.load(Ordering::Relaxed) == 0 {
-            if lookups == 0 {
-                0.0
-            } else {
-                misses as f64 / lookups as f64
-            }
-        } else {
-            self.miss_ewma_fp.load(Ordering::Relaxed) as f64 / EWMA_FP_ONE as f64
-        };
         TableStats {
-            lookups,
-            misses,
+            lookups: self.lookups.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
-            probe_samples: self.probe_samples.load(Ordering::Relaxed),
-            probe_steps: self.probe_steps.load(Ordering::Relaxed),
-            miss_ewma,
-            rehashes: 0,
-            scheme_switches: 0,
+            ..TableStats::default()
         }
-    }
-}
-
-impl std::fmt::Debug for RuntimeStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RuntimeStats({:?})", self.snapshot())
     }
 }
 
@@ -500,64 +383,28 @@ mod tests {
     }
 
     #[test]
-    fn runtime_stats_counts_and_lifetime_ratio_before_first_window() {
-        let rs = RuntimeStats::new();
+    fn runtime_stats_count_every_record_and_give_the_lifetime_ratio() {
+        let rs = RuntimeStats::default();
         rs.record_lookups(10, 3);
+        rs.record_lookups(0, 0);
         rs.record_inserts(4);
         rs.record_deletes(1);
-        rs.record_probe(5);
-        rs.record_probe(1);
         let s = rs.snapshot();
-        assert_eq!(s.lookups, 10);
-        assert_eq!(s.misses, 3);
-        assert_eq!(s.inserts, 4);
-        assert_eq!(s.deletes, 1);
-        assert_eq!(s.probe_samples, 2);
-        assert_eq!(s.probe_steps, 6);
+        let expect =
+            TableStats { lookups: 10, misses: 3, inserts: 4, deletes: 1, ..TableStats::default() };
+        assert_eq!(s, expect);
         assert!((s.miss_ratio() - 0.3).abs() < 1e-12);
-        // No window folded yet: EWMA falls back to the lifetime ratio.
-        assert!((s.miss_ewma - 0.3).abs() < 1e-12);
-        assert!((s.mean_probe_len() - 3.0).abs() < 1e-12);
+        assert_eq!(TableStats::default().miss_ratio(), 0.0, "no lookups, no ratio");
     }
 
     #[test]
-    fn ewma_seeds_on_first_window_then_tracks_shifts() {
-        let rs = RuntimeStats::new();
-        // First window: all misses → EWMA seeds at 1.0.
-        rs.record_lookups(EWMA_WINDOW, EWMA_WINDOW);
-        let s = rs.snapshot();
-        assert!((s.miss_ewma - 1.0).abs() < 1e-6, "seeded at {}", s.miss_ewma);
-        // Phase shift to all hits: each window moves the EWMA 1/8 of the
-        // way to 0. After 32 windows it must be nearly forgotten, while the
-        // lifetime ratio still remembers the old phase.
-        for _ in 0..32 {
-            rs.record_lookups(EWMA_WINDOW, 0);
-        }
-        let s = rs.snapshot();
-        assert!(s.miss_ewma < 0.02, "EWMA should track the new phase, got {}", s.miss_ewma);
-        assert!(s.miss_ratio() > 0.02, "lifetime ratio remembers the old phase");
-    }
-
-    #[test]
-    fn ewma_moves_toward_each_window_ratio() {
-        let rs = RuntimeStats::new();
-        rs.record_lookups(EWMA_WINDOW, 0); // seed at 0.0
-        rs.record_lookups(EWMA_WINDOW, EWMA_WINDOW / 2); // window ratio 0.5
-        let s = rs.snapshot();
-        // One α=1/8 step from 0.0 toward 0.5.
-        assert!((s.miss_ewma - 0.0625).abs() < 1e-3, "got {}", s.miss_ewma);
-    }
-
-    #[test]
-    fn table_stats_merge_weights_ewma_by_lookups() {
-        let a = TableStats { lookups: 300, misses: 30, miss_ewma: 0.1, ..Default::default() };
-        let b = TableStats { lookups: 100, misses: 90, miss_ewma: 0.9, ..Default::default() };
-        let m = a.merge(&b);
-        assert_eq!(m.lookups, 400);
-        assert_eq!(m.misses, 120);
-        assert!((m.miss_ewma - 0.3).abs() < 1e-12);
-        // Merging zero-lookup sides is safe.
-        let z = TableStats::default().merge(&TableStats::default());
-        assert_eq!(z.miss_ewma, 0.0);
+    fn table_stats_merge_sums_every_field() {
+        let stats = |[lookups, misses, inserts, deletes, rehashes, scheme_switches]: [u64; 6]| {
+            TableStats { lookups, misses, inserts, deletes, rehashes, scheme_switches }
+        };
+        let m = stats([300, 30, 5, 1, 2, 1]).merge(&stats([100, 90, 7, 3, 1, 0]));
+        assert_eq!(m, stats([400, 120, 12, 4, 3, 1]));
+        assert!((m.miss_ratio() - 0.3).abs() < 1e-12, "the merged ratio is lookup-weighted");
+        assert_eq!(TableStats::default().merge(&TableStats::default()), TableStats::default());
     }
 }

@@ -1693,11 +1693,7 @@ mod tests {
             .bits(8)
             .wal(&dir)
             .incremental(1)
-            .migration(MigrationPolicy::Adaptive(AdaptiveConfig {
-                check_every: 8,
-                min_lookups: 32,
-                cooldown: 64,
-            }));
+            .migration(MigrationPolicy::Adaptive(AdaptiveConfig { check_every: 16, cooldown: 64 }));
         {
             let (t, _) = DurableTable::open(&b).unwrap();
             for k in 1..=150u64 {
