@@ -75,7 +75,7 @@ pub use open_addressing::OpenAddressing;
 pub use optimistic::{ReadView, OPTIMISTIC_RETRIES};
 pub use quadratic::QuadraticProbing;
 pub use robin_hood::{RhLookupMode, RobinHood};
-pub use sharded::{ConcurrentTable, ShardedTable};
+pub use sharded::{Closing, ClosingRule, ConcurrentTable, ShardedTable};
 pub use stats::{RuntimeStats, TableStats};
 
 use hashfn::HashFn64;

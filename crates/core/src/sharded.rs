@@ -80,6 +80,7 @@ use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Salt folded into the selector seed so the shard selector is never the
 /// same function as any shard's table hash.
@@ -195,6 +196,74 @@ pub trait ConcurrentTable: Send + Sync {
     /// Mutations always lock, so write counts are exact.
     fn stats_shared(&self) -> crate::TableStats {
         crate::TableStats::default()
+    }
+}
+
+/// What a flush that could cover more than one writer does about the
+/// writers it expects, as [`ClosingRule::closing`] decides it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Closing {
+    /// Nobody is missing: flush now.
+    Close,
+    /// An expected writer has not come yet and the bound has time left.
+    Wait,
+    /// An expected writer has not come and the bound has run out.
+    Expired,
+}
+
+/// The closing rule of group commit, for any kind of writer `W`, and what
+/// it remembers between flushes: who rode each of the last two, and what a
+/// flush has been costing.
+///
+/// Two closed-loop writers never share a flush on their own — the first to
+/// arrive starts its flush before the second has staged, the second then
+/// flushes alone, and they alternate for ever at one batch per flush. So a
+/// flush is held open for every writer that rode either of the last two
+/// flushes until it has come again, but for no longer than half of what a
+/// flush costs: a wait that long costs less than the second flush it
+/// saves. A lone writer expects nobody; a device that costs nothing bounds
+/// the wait at nothing; a writer that stops coming drops out after two
+/// flushes. There is nothing to configure — the bound is measured.
+///
+/// Two committers keep one each: a logging table's group leader, whose
+/// writers are threads, and a KV server worker's turn, whose writers are
+/// its connections (two connections on one worker are one thread to the
+/// table, so only the worker can merge them).
+#[derive(Clone, Debug)]
+pub struct ClosingRule<W> {
+    /// Who rode each of the last two flushes, newest first.
+    riders: [Vec<W>; 2],
+    /// Running mean (weight 1/8 on the newest) of what a flush has cost.
+    mean_cost: Duration,
+}
+
+impl<W> Default for ClosingRule<W> {
+    fn default() -> Self {
+        Self { riders: Default::default(), mean_cost: Duration::ZERO }
+    }
+}
+
+impl<W> ClosingRule<W> {
+    /// Whether to flush now: wait while a recent rider has not `came` and
+    /// the flush has `waited` less than half its mean cost.
+    pub fn closing(&self, came: impl Fn(&W) -> bool, waited: Duration) -> Closing {
+        if self.riders.iter().flatten().all(came) {
+            Closing::Close
+        } else if waited < self.mean_cost / 2 {
+            Closing::Wait
+        } else {
+            Closing::Expired
+        }
+    }
+
+    /// A flush that covered `riders` has returned after `cost`: they are
+    /// the newest riders, and the oldest are forgotten.
+    pub fn flushed(&mut self, riders: impl IntoIterator<Item = W>, cost: Duration) {
+        self.riders.swap(0, 1);
+        self.riders[0].clear();
+        self.riders[0].extend(riders);
+        self.mean_cost =
+            if self.mean_cost.is_zero() { cost } else { (self.mean_cost * 7 + cost) / 8 };
     }
 }
 
@@ -791,6 +860,49 @@ mod tests {
 
     fn sharded_lp(shard_bits: u8) -> ShardedTable<LinearProbing<MurmurHash>> {
         ShardedTable::new(shard_bits, 42, |i| LinearProbing::with_seed(11, 100 + i as u64))
+    }
+
+    #[test]
+    fn closing_rule_waits_for_recent_riders_and_at_most_half_a_group_cost() {
+        use Closing::{Close, Expired, Wait};
+        let (none, cost) = (Duration::ZERO, Duration::from_micros(200));
+        let half = cost / 2;
+        // The rule after flushes of these riders, oldest first, each `cost`.
+        let after = |flushes: &[&[u64]], cost| {
+            let mut rule = ClosingRule::default();
+            flushes.iter().for_each(|riders| rule.flushed(riders.iter().copied(), cost));
+            rule
+        };
+        // Writer 1 is the one that would flush; the others came if staged.
+        let came = |staged: &'static [u64]| move |w: &u64| *w == 1 || staged.contains(w);
+        // A lone writer never waits, however slow the device: nobody
+        // else rode, and it is not missing itself — not even when it
+        // flushes without having staged.
+        assert_eq!(ClosingRule::default().closing(came(&[1]), none), Close);
+        assert_eq!(after(&[&[1], &[1]], cost).closing(came(&[1]), none), Close);
+        assert_eq!(after(&[&[1], &[1]], cost).closing(came(&[]), none), Close);
+        // A rider of either of the last two flushes is waited for, until
+        // it has staged again.
+        assert_eq!(after(&[&[1], &[1, 2]], cost).closing(came(&[1]), none), Wait);
+        assert_eq!(after(&[&[1, 2], &[1]], cost).closing(came(&[1]), none), Wait);
+        assert_eq!(after(&[&[3], &[1, 2]], cost).closing(came(&[1, 2]), none), Wait);
+        assert_eq!(after(&[&[3], &[1, 2]], cost).closing(came(&[3, 1, 2]), none), Close);
+        // Two flushes without it and it is forgotten.
+        assert_eq!(after(&[&[1, 2], &[1], &[1]], cost).closing(came(&[1]), none), Close);
+        // The bound is half the mean cost of a flush...
+        let rule = after(&[&[1, 2]], cost);
+        assert_eq!(rule.closing(came(&[1]), half - Duration::from_nanos(1)), Wait);
+        assert_eq!(rule.closing(came(&[1]), half), Expired);
+        // ...a mean that gives the newest flush an eighth...
+        let rule = after(&[&[1, 2], &[1, 2]], cost);
+        let mut slower = rule.clone();
+        slower.flushed([1, 2], cost * 9);
+        assert_eq!(rule.closing(came(&[1]), half), Expired);
+        let almost = cost - Duration::from_nanos(1);
+        assert_eq!(slower.closing(came(&[1]), almost), Wait, "mean (7 + 9) / 8 = 2 costs");
+        assert_eq!(slower.closing(came(&[1]), cost), Expired);
+        // ...so a device that costs nothing is never waited on.
+        assert_eq!(after(&[&[1, 2]], none).closing(came(&[1]), none), Expired);
     }
 
     #[test]

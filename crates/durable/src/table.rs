@@ -28,9 +28,10 @@
 //! and wakes every waiter it covers. Whoever arrives while a group is
 //! being logged sleeps, and rides the next group. A writer alone leads
 //! every group it is in and pays what it always paid; two writers share
-//! a sync — the leader's *closing rule* (`closing`, below) holds a group
-//! open, for at most half of what a group costs, for a writer that rode
-//! one of the last two groups and has not staged again.
+//! a sync — the leader's *closing rule* ([`ClosingRule`], which the KV
+//! server's worker also keeps, over its connections) holds a group open,
+//! for at most half of what a group costs, for a writer that rode one of
+//! the last two groups and has not staged again.
 //!
 //! The blocking calls ([`ConcurrentTable::insert_shared`],
 //! `delete_shared`, `*_batch_shared`) are stage + wait for my ticket, so
@@ -124,8 +125,8 @@ use crate::record::{decode_record, WalError, WalOp};
 use crate::snapshot;
 use crate::storage::{FileWal, WalFile, WalWriter};
 use sevendim_core::{
-    BoxedTable, ConcurrentTable, EntrySnapshot, FsyncPolicy, InsertOutcome, ShardedTable,
-    TableBuilder, TableError,
+    BoxedTable, Closing, ClosingRule, ConcurrentTable, EntrySnapshot, FsyncPolicy, InsertOutcome,
+    ShardedTable, TableBuilder, TableError,
 };
 use std::fmt;
 use std::fs;
@@ -402,11 +403,9 @@ struct LogState {
     /// [`Stage::staged`], so the two sets of buffers take turns and a
     /// steady state allocates nothing.
     group: Batches,
-    /// Who rode each of the last two groups, newest first.
-    riders: [Vec<WriterId>; 2],
-    /// Running mean (weight 1/8 on the newest) of what logging a group
-    /// has cost: its append and its sync, if the policy asked for one.
-    mean_cost: Duration,
+    /// Who rode the last two groups, and what logging a group has cost:
+    /// its append and its sync, if the policy asked for one.
+    rule: ClosingRule<WriterId>,
 }
 
 impl LogState {
@@ -416,8 +415,7 @@ impl LogState {
             seg_no,
             records_since_snapshot: 0,
             group: Batches::default(),
-            riders: Default::default(),
-            mean_cost: Duration::ZERO,
+            rule: ClosingRule::default(),
         }
     }
 }
@@ -446,44 +444,6 @@ pub struct CommitStats {
     /// Groups whose leader waited out the closing rule's whole bound for
     /// a writer that did not come.
     pub waits_expired: u64,
-}
-
-/// What the leader of a group does about the writers it expects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Closing {
-    /// Nobody is missing: close the group.
-    Close,
-    /// An expected writer has not staged yet and the bound has time left.
-    Wait,
-    /// An expected writer has not staged and the bound has run out.
-    Expired,
-}
-
-/// The closing rule. Two closed-loop writers never share a sync on their
-/// own — the first to stage starts its sync before the second has staged,
-/// the second then leads the next group alone, and they alternate for
-/// ever at one batch per sync — so a leader holds its group open for
-/// every *other* writer that rode either of the last two groups (`riders`)
-/// until it has `staged` again, but for no longer than half of what
-/// logging a group costs (`mean_cost`): a wait that long costs less than
-/// the second sync it saves. A lone writer expects nobody; a device that
-/// costs nothing bounds the wait at nothing; a writer that stops coming
-/// drops out of `riders` after two groups.
-fn closing(
-    riders: &[Vec<WriterId>; 2],
-    staged: &[WriterId],
-    leader: WriterId,
-    waited: Duration,
-    mean_cost: Duration,
-) -> Closing {
-    let missing = |w: &WriterId| *w != leader && !staged.contains(w);
-    if !riders.iter().flatten().any(missing) {
-        Closing::Close
-    } else if waited < mean_cost / 2 {
-        Closing::Wait
-    } else {
-        Closing::Expired
-    }
 }
 
 struct Core<T> {
@@ -550,7 +510,8 @@ impl<T> Lead<'_, T> {
 
     /// Log one group, in three steps. *Close it*: swap out everything
     /// staged — at once, or, for a leader that is itself a writer
-    /// (`closing_for`), when the [closing rule](closing) says so. The
+    /// (`closing_for`), when the [closing rule](ClosingRule) says so — its
+    /// writers are threads, and a thread has come once it has staged. The
     /// wait is a `yield_now` loop, not a timed sleep: its bound is a
     /// fraction of one device wait, shorter than a timer can keep.
     /// *Log it*: one record per batch, one `append`, at most one `sync`,
@@ -565,7 +526,8 @@ impl<T> Lead<'_, T> {
             let mut s = lock(&core.stage);
             let verdict = closing_for.map_or(Closing::Close, |me| {
                 let waited = opened.map_or(Duration::ZERO, |o: Instant| o.elapsed());
-                closing(&log.riders, &s.staged.writers, me, waited, log.mean_cost)
+                let came = |w: &WriterId| *w == me || s.staged.writers.contains(w);
+                log.rule.closing(came, waited)
             });
             if verdict == Closing::Wait {
                 drop(s);
@@ -585,18 +547,12 @@ impl<T> Lead<'_, T> {
             core.wal_failed.store(true, Ordering::SeqCst);
             return Err(e.into());
         }
-        let cost = started.elapsed();
         debug_assert_eq!(log.writer.next_seq() - 1, through, "tickets are log sequence numbers");
-        log.mean_cost = if log.mean_cost.is_zero() { cost } else { (log.mean_cost * 7 + cost) / 8 };
         log.records_since_snapshot += records;
         *logged = Some(Logged { through, records, ops: log.group.ops.len() as u64, expired });
-        // This group's writers become the newest riders; the buffers of
-        // the oldest go round for the next group.
-        log.riders.swap(0, 1);
-        std::mem::swap(&mut log.riders[0], &mut log.group.writers);
+        log.rule.flushed(log.group.writers.drain(..), started.elapsed());
         log.group.ops.clear();
         log.group.cuts.clear();
-        log.group.writers.clear();
         Ok(core.dir.is_some()
             && core.snapshot_every.is_some_and(|every| log.records_since_snapshot >= every))
     }
@@ -1408,33 +1364,6 @@ mod tests {
     #[test]
     fn a_leader_that_unwinds_fail_stops_and_leaves_no_thread_parked() {
         failed_group_wakes_every_waiter(true);
-    }
-
-    #[test]
-    fn closing_rule_waits_for_recent_riders_and_at_most_half_a_group_cost() {
-        use Closing::{Close, Expired, Wait};
-        let (none, cost) = (Duration::ZERO, Duration::from_micros(200));
-        let half = cost / 2;
-        // A lone writer never waits, however slow the device: nobody
-        // else rode, and it is not missing itself — not even when it
-        // leads for a flush without having staged.
-        assert_eq!(closing(&[vec![], vec![]], &[1], 1, none, cost), Close);
-        assert_eq!(closing(&[vec![1], vec![1]], &[1], 1, none, cost), Close);
-        assert_eq!(closing(&[vec![1], vec![1]], &[], 1, none, cost), Close);
-        // A rider of either of the last two groups is waited for, until
-        // it has staged again.
-        assert_eq!(closing(&[vec![1, 2], vec![1]], &[1], 1, none, cost), Wait);
-        assert_eq!(closing(&[vec![1], vec![1, 2]], &[1], 1, none, cost), Wait);
-        assert_eq!(closing(&[vec![1, 2], vec![3]], &[1, 2], 1, none, cost), Wait);
-        assert_eq!(closing(&[vec![1, 2], vec![3]], &[3, 1, 2], 1, none, cost), Close);
-        // Two groups without it and it is forgotten.
-        assert_eq!(closing(&[vec![1], vec![1]], &[1], 1, none, cost), Close);
-        // The bound is half the mean cost of a group...
-        let riders = [vec![1, 2], vec![]];
-        assert_eq!(closing(&riders, &[1], 1, half - Duration::from_nanos(1), cost), Wait);
-        assert_eq!(closing(&riders, &[1], 1, half, cost), Expired);
-        // ...so a device that costs nothing is never waited on.
-        assert_eq!(closing(&riders, &[1], 1, none, Duration::ZERO), Expired);
     }
 
     #[test]

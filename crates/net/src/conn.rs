@@ -19,9 +19,11 @@
 //!   before the batch may be acknowledged (a logging table; an
 //!   in-memory table never owes one). A connection that is owed a flush
 //!   is **held**: its encoded answers stay in `wbuf` — no socket write,
-//!   no `EPOLLOUT` interest, no close — until the worker has called
-//!   [`ConcurrentTable::flush_shared`] once for every connection of the
-//!   turn and [released](Connection::release) it. A connection that is
+//!   no `EPOLLOUT` interest, no close, no further reads — until the
+//!   worker's turn has called [`ConcurrentTable::flush_shared`] and
+//!   [released](Connection::release) it. That one flush covers every
+//!   connection the turn holds, including those it briefly waited for
+//!   because they rode the worker's recent flushes. A connection that is
 //!   owed nothing never notices any of this.
 //! * **Write side** — responses are encoded into `wbuf` in frame order
 //!   and flushed opportunistically. Partial writes keep their offset;
@@ -170,12 +172,15 @@ pub(crate) struct Connection {
     /// `wbuf` holds answers to mutations the table has not flushed yet:
     /// nothing is written until the worker, having flushed, calls
     /// [`Connection::release`] — which it does before its turn ends, so
-    /// a connection is never held across an `epoll_wait`.
+    /// a connection is never held into the next turn.
     held: bool,
     /// The epoll interest mask currently registered for this fd (the
     /// server syncs it against [`Connection::interest`] after each
     /// event).
     pub registered: u32,
+    /// The worker turn that last stepped this connection (the server's
+    /// closing rule asks whether a recent writer came this turn).
+    pub stepped: u64,
     exec: Executor,
 }
 
@@ -190,6 +195,7 @@ impl Connection {
             peer_eof: false,
             held: false,
             registered: EPOLLIN,
+            stepped: 0,
             exec: Executor::default(),
         }
     }

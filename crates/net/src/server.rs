@@ -30,13 +30,25 @@
 //! held connection — and again, while any of them staged more as its
 //! buffer drained. Over a table that owes nothing (every in-memory
 //! table) nobody is ever held and a turn is exactly the read-execute-
-//! write per connection it always was. Over a logged table the turn is
-//! what makes one device wait cover several connections: the commit
-//! pipeline merges writers on *different* threads, but `SO_REUSEPORT`
-//! placement is a coin toss — of 200 two-connection, two-worker servers
-//! probed, 107 had both connections on one worker — and two connections
-//! on one worker are one writer to it. The turn merges those; it also
-//! makes a `DEL` run followed by a `PUT` run one wait instead of two.
+//! write per connection it always was.
+//!
+//! Over a logged table the turn is what makes one device wait cover
+//! several connections. The commit pipeline merges writers on
+//! *different* threads, but `SO_REUSEPORT` placement is a coin toss — of
+//! 200 two-connection, two-worker servers probed, 107 had both
+//! connections on one worker — and two connections on one worker are one
+//! writer to the table, so the pipeline has nobody to wait for. Their
+//! windows rarely arrive in one `epoll_wait`: the first is staged and
+//! flushed while the second is still on its way, and the second pays a
+//! device wait of its own. So the worker keeps the table's
+//! [closing rule](sevendim_core::ClosingRule) too, with its connections as
+//! the writers: before a turn that holds answers flushes, it waits for
+//! every **rider** — a connection held in either of the worker's last two
+//! flushes — that is still open, still reading and not yet stepped this
+//! turn, stepping whatever turns ready meanwhile, for at most half of what
+//! its flushes have been costing. A rider that stops coming is forgotten
+//! after two flushes; one connection per worker never waits. The turn
+//! also makes a `DEL` run followed by a `PUT` run one wait instead of two.
 //!
 //! **Stats** are per-worker [`WorkerCounters`] — plain `AtomicU64`s
 //! bumped with `Relaxed` stores by their owning worker only, so the hot
@@ -55,7 +67,7 @@ use crate::protocol::ProtoError;
 use crate::sys::{
     self, retry_eintr, Epoll, EpollEvent, WakePipe, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
 };
-use sevendim_core::ConcurrentTable;
+use sevendim_core::{Closing, ClosingRule, ConcurrentTable};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -97,6 +109,13 @@ pub struct ServerStats {
     /// deadline passes, so even a peer that never reads costs a handful
     /// of rounds, not a busy-spin — tests bound this number.
     pub drain_rounds: u64,
+    /// Durability flushes the workers' turns paid: one per turn that held
+    /// answers, plus one per round of answers staged while the held ones
+    /// drained. Always 0 over a table that owes no flush.
+    pub flushes: u64,
+    /// Turns that waited out the closing rule's whole bound for a recent
+    /// connection that did not come, then flushed without it.
+    pub flush_waits_expired: u64,
     /// The most recent protocol violation, for diagnostics and tests.
     pub last_protocol_error: Option<ProtoError>,
     /// The most recent I/O close kind, for diagnostics.
@@ -126,6 +145,8 @@ struct WorkerCounters {
     protocol_closes: AtomicU64,
     io_closes: AtomicU64,
     drain_rounds: AtomicU64,
+    flushes: AtomicU64,
+    flush_waits_expired: AtomicU64,
     last_protocol_error: Mutex<Option<ProtoError>>,
     last_io_error: Mutex<Option<io::ErrorKind>>,
 }
@@ -162,6 +183,8 @@ impl WorkerCounters {
             protocol_closes: self.protocol_closes.load(Ordering::Relaxed),
             io_closes: self.io_closes.load(Ordering::Relaxed),
             drain_rounds: self.drain_rounds.load(Ordering::Relaxed),
+            flushes: self.flushes.load(Ordering::Relaxed),
+            flush_waits_expired: self.flush_waits_expired.load(Ordering::Relaxed),
             last_protocol_error: *self.last_protocol_error.lock().expect("not poisoned"),
             last_io_error: *self.last_io_error.lock().expect("not poisoned"),
             table: Default::default(),
@@ -275,6 +298,8 @@ impl KvServerBuilder {
                 table: Arc::clone(&table),
                 conns: HashMap::new(),
                 held: Vec::new(),
+                turn: 0,
+                rule: ClosingRule::default(),
                 counters: Arc::new(WorkerCounters::default()),
                 drain_timeout: self.drain_timeout,
             };
@@ -303,6 +328,12 @@ struct Worker {
     /// turn's flush ([`Worker::release_held`]). Empty between turns, and
     /// always empty over a table that owes no flush.
     held: Vec<RawFd>,
+    /// Turns so far: a connection stepped in this one carries it in
+    /// [`Connection::stepped`].
+    turn: u64,
+    /// Which connections rode this worker's last two flushes, and what a
+    /// flush costs ([`Worker::wait_for_riders`]).
+    rule: ClosingRule<RawFd>,
     counters: Arc<WorkerCounters>,
     drain_timeout: Duration,
 }
@@ -351,6 +382,8 @@ impl ServerHandle {
             total.protocol_closes += snap.protocol_closes;
             total.io_closes += snap.io_closes;
             total.drain_rounds += snap.drain_rounds;
+            total.flushes += snap.flushes;
+            total.flush_waits_expired += snap.flush_waits_expired;
             // "Last" across workers is arbitrary (no global clock on the
             // cold path); any worker's most recent error is reported.
             total.last_protocol_error = snap.last_protocol_error.or(total.last_protocol_error);
@@ -407,14 +440,10 @@ impl Worker {
         let mut events = [EpollEvent::default(); 256];
         loop {
             let n = self.epoll.wait(&mut events, -1)?;
-            for ev in &events[..n] {
-                // Copy out of the (possibly packed) event record.
-                let (token, ready) = ({ ev.data }, { ev.events });
-                match token {
-                    TOKEN_WAKE => self.wake.drain(),
-                    TOKEN_LISTENER => self.accept_ready(),
-                    _ => self.conn_ready(token as RawFd, ready),
-                }
+            self.turn += 1;
+            self.dispatch(&events[..n]);
+            if !self.held.is_empty() {
+                self.wait_for_riders(&mut events, shutdown)?;
             }
             self.release_held(false);
             if shutdown.load(Ordering::Acquire) {
@@ -422,6 +451,54 @@ impl Worker {
                 return Ok(());
             }
         }
+    }
+
+    fn dispatch(&mut self, events: &[EpollEvent]) {
+        for ev in events {
+            // Copy out of the (possibly packed) event record.
+            let (token, ready) = ({ ev.data }, { ev.events });
+            match token {
+                TOKEN_WAKE => self.wake.drain(),
+                TOKEN_LISTENER => self.accept_ready(),
+                _ => self.conn_ready(token as RawFd, ready),
+            }
+        }
+    }
+
+    /// The [closing rule](ClosingRule) at the worker, before a turn that
+    /// holds answers flushes: while a rider — a connection held in one of
+    /// the last two flushes — is still open, still reading and not yet
+    /// stepped this turn, and the turn has waited less than half of what a
+    /// flush costs, step whatever is ready meanwhile (`epoll_wait` without
+    /// blocking; a held connection keeps its events for the next turn) and
+    /// yield. The bound is a fraction of one device wait, shorter than a
+    /// timer can keep. Shutdown ends the wait at once.
+    fn wait_for_riders(
+        &mut self,
+        events: &mut [EpollEvent],
+        shutdown: &AtomicBool,
+    ) -> io::Result<()> {
+        let mut opened = None;
+        while !shutdown.load(Ordering::Acquire) {
+            let waited = opened.map_or(Duration::ZERO, |o: Instant| o.elapsed());
+            let (conns, turn) = (&self.conns, self.turn);
+            let came = |fd: &RawFd| {
+                conns.get(fd).is_none_or(|c| c.stepped == turn || c.interest() & EPOLLIN == 0)
+            };
+            match self.rule.closing(came, waited) {
+                Closing::Close => break,
+                Closing::Expired => {
+                    self.counters.flush_waits_expired.fetch_add(1, Ordering::Relaxed);
+                    break;
+                }
+                Closing::Wait => {}
+            }
+            opened.get_or_insert_with(Instant::now);
+            let n = self.epoll.wait(events, 0)?;
+            self.dispatch(&events[..n]);
+            std::thread::yield_now();
+        }
+        Ok(())
     }
 
     /// Accept every pending connection on this worker's listener
@@ -466,12 +543,16 @@ impl Worker {
     /// `draining` for shutdown). A connection that had
     /// stopped decoding at `WBUF_HIGH` decodes on as its buffer drains
     /// and may stage again, so this repeats until nobody is held: no
-    /// connection is left waiting for an event that will not come.
+    /// connection is left waiting for an event that will not come. Every
+    /// flush tells the closing rule whom it covered and what it cost.
     /// Nothing at all happens over a table that owes no flush.
     fn release_held(&mut self, draining: bool) {
         while !self.held.is_empty() {
+            let started = Instant::now();
             self.table.flush_shared();
             let flushed = self.held.len();
+            self.rule.flushed(self.held.iter().copied(), started.elapsed());
+            self.counters.flushes.fetch_add(1, Ordering::Relaxed);
             for i in 0..flushed {
                 let fd = self.held[i];
                 let Some(conn) = self.conns.get_mut(&fd) else { continue };
@@ -491,6 +572,10 @@ impl Worker {
         let Some(conn) = self.conns.get_mut(&fd) else {
             return; // already closed earlier in this batch
         };
+        if conn.held() {
+            return; // ready while the turn waits for its riders: next turn
+        }
+        conn.stepped = self.turn;
         // Error/hangup conditions surface through the read path: the
         // next `read(2)` reports EOF or the real errno.
         let readable = ready & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0;
@@ -879,6 +964,66 @@ mod tests {
         assert_eq!(wal.mem().syncs(), 2, "B and C cost one sync together");
         drop((a, b, c));
         handle.shutdown().expect("shutdown");
+    }
+
+    #[test]
+    fn connections_of_one_worker_share_a_sync_when_the_second_window_comes_late() {
+        const HOLD: Duration = Duration::from_millis(30);
+        let (durable, wal) = gated_durable();
+        let handle =
+            KvServer::builder().threads(1).spawn("127.0.0.1:0", durable.clone()).expect("spawn");
+        let connect = || {
+            let stream = TcpStream::connect(handle.addr()).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
+            stream
+        };
+        let (mut a, mut b) = (connect(), connect());
+        let counted =
+            |stats: ServerStats| (wal.mem().syncs(), durable.commit_stats().groups, stats.flushes);
+        // Round 1: a first flush held for HOLD, then one for both windows
+        // that came in meanwhile. Both connections are riders now, and the
+        // running mean of a flush is about 7/8 of HOLD, so a turn waits
+        // for a rider for up to about 7/16 of HOLD.
+        wal.hold();
+        a.write_all(&put_frames(1, 1..2)).expect("send");
+        wal.wait_parked();
+        a.write_all(&put_frames(2, 2..3)).expect("send");
+        b.write_all(&put_frames(1, 10..11)).expect("send");
+        let held = Instant::now();
+        while held.elapsed() < HOLD {
+            std::thread::yield_now();
+        }
+        wal.release();
+        assert_eq!(read_answers(&mut a, 2), [1, 2]);
+        assert_eq!(read_answers(&mut b, 1), [1]);
+        assert_eq!(counted(handle.stats()), (2, 2, 2));
+        // Round 2: A's window is staged before B's is even sent. Flushing
+        // at once would leave B's to pay a sync of its own; the turn waits
+        // for its rider instead.
+        let before = durable.next_seq();
+        a.write_all(&put_frames(3, 3..4)).expect("send");
+        while durable.next_seq() == before {
+            std::thread::yield_now();
+        }
+        b.write_all(&put_frames(2, 11..12)).expect("send");
+        assert_eq!(read_answers(&mut a, 1), [3]);
+        assert_eq!(read_answers(&mut b, 1), [2]);
+        assert_eq!(counted(handle.stats()), (3, 3, 3), "one sync for both windows");
+        assert_eq!(handle.stats().flush_waits_expired, 0);
+        // B falls silent: A's next two windows wait for it, each for at
+        // most half a flush, and the third does not.
+        for (id, expired) in [(4u64, 1), (5, 2), (6, 2)] {
+            let sent = Instant::now();
+            a.write_all(&put_frames(id, id..id + 1)).expect("send");
+            assert_eq!(read_answers(&mut a, 1), [id]);
+            assert!(sent.elapsed() < 2 * HOLD, "window {id} waited {:?}", sent.elapsed());
+            assert_eq!(handle.stats().flush_waits_expired, expired, "after window {id}");
+        }
+        drop((a, b));
+        let stats = handle.shutdown().expect("shutdown");
+        assert_eq!(counted(stats), (6, 6, 6));
+        assert_eq!(stats.flush_waits_expired, 2);
+        assert_eq!(recovered_keys(&wal), [1, 2, 3, 4, 5, 6, 10, 11]);
     }
 
     #[test]
