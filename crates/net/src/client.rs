@@ -20,7 +20,8 @@
 //! any windowed protocol.
 
 use crate::protocol::{
-    decode_response, encode_request, Op, OpResponse, Request, Response, HEADER_LEN,
+    batch_request_len, decode_response, encode_request, Op, OpResponse, Request, Response,
+    HEADER_LEN, MAX_BATCH_OPS, MAX_PAYLOAD_LEN,
 };
 use sevendim_core::{InsertOutcome, TableError};
 use std::io::{self, Read, Write};
@@ -131,8 +132,21 @@ impl KvClient {
     }
 
     /// Execute `ops` server-side as one frame; results come back in op
-    /// order.
+    /// order. More than [`MAX_BATCH_OPS`] ops, or a request longer than
+    /// [`MAX_PAYLOAD_LEN`] bytes, is refused with
+    /// [`io::ErrorKind::InvalidInput`] before anything is encoded or sent.
     pub fn batch(&mut self, ops: &[Op]) -> io::Result<Vec<OpResponse>> {
+        let len = batch_request_len(ops);
+        if ops.len() > MAX_BATCH_OPS || len > MAX_PAYLOAD_LEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "a batch of {} ops is a {len}-byte request; the limits are \
+                     {MAX_BATCH_OPS} ops and {MAX_PAYLOAD_LEN} bytes",
+                    ops.len()
+                ),
+            ));
+        }
         match self.round_trip(&Request::Batch(ops.to_vec()))? {
             Response::Batch(r) => Ok(r),
             other => Err(mismatch("BATCH", &other)),

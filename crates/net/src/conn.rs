@@ -25,8 +25,10 @@
 //!   connection the turn holds, including those it briefly waited for
 //!   because they rode the worker's recent flushes. A connection that is
 //!   owed nothing never notices any of this.
-//! * **Write side** — responses are encoded into `wbuf` in frame order
-//!   and flushed opportunistically. Partial writes keep their offset;
+//! * **Write side** — responses are encoded in place at the end of
+//!   `wbuf`, in frame order (no per-frame buffer: the header is
+//!   back-patched once the payload is written), and flushed
+//!   opportunistically. Partial writes keep their offset;
 //!   `EAGAIN` arms `EPOLLOUT`; `EINTR` retries. The queue is **bounded**:
 //!   once more than [`WBUF_HIGH`] bytes are pending, the connection
 //!   stops reading (its `EPOLLIN` interest is dropped) and stops

@@ -51,10 +51,17 @@ pub const PROTOCOL_VERSION: u8 = 1;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 24;
 
-/// Upper bound on `payload_len`: enough for a `BATCH` of ~61k `PUT`s,
-/// small enough that a hostile header cannot trigger an unbounded
-/// allocation.
+/// Upper bound on `payload_len`, small enough that a hostile header
+/// cannot trigger an unbounded allocation. A `BATCH` request meets two
+/// bounds: its payload fits here (at most 61,680 `PUT`s or 116,508
+/// `GET`s/`DEL`s), and it carries at most [`MAX_BATCH_OPS`] ops, so that
+/// its answer fits here too.
 pub const MAX_PAYLOAD_LEN: usize = 1 << 20;
+
+/// Most ops one `BATCH` request may carry: an answer takes at most 10
+/// bytes per op after the 4-byte count, so any batch of this many ops is
+/// answered within [`MAX_PAYLOAD_LEN`] (104,857).
+pub const MAX_BATCH_OPS: usize = (MAX_PAYLOAD_LEN - 4) / 10;
 
 /// Salt folded into the header checksum so it is not any table's hash.
 const CHECKSUM_SALT: u64 = 0x7D1A_B0B5_90AC_C371;
@@ -81,6 +88,8 @@ pub enum ProtoError {
     BadChecksum { expected: u32, got: u32 },
     /// Declared `payload_len` exceeds [`MAX_PAYLOAD_LEN`].
     OversizedPayload(usize),
+    /// A `BATCH` request declares more than [`MAX_BATCH_OPS`] ops.
+    OversizedBatch(usize),
     /// Opcode outside the known set (for the decoded direction).
     BadOpcode(u8),
     /// Structurally invalid payload (wrong size, truncated batch, bad
@@ -99,6 +108,9 @@ impl std::fmt::Display for ProtoError {
             }
             ProtoError::OversizedPayload(len) => {
                 write!(f, "declared payload of {len} bytes exceeds the {MAX_PAYLOAD_LEN} cap")
+            }
+            ProtoError::OversizedBatch(count) => {
+                write!(f, "batch of {count} ops exceeds the {MAX_BATCH_OPS} cap")
             }
             ProtoError::BadOpcode(op) => write!(f, "unknown opcode {op:#04x}"),
             ProtoError::Malformed(what) => write!(f, "malformed payload: {what}"),
@@ -176,19 +188,36 @@ fn header_checksum(h: &[u8]) -> u32 {
     (mixed ^ (mixed >> 32)) as u32
 }
 
+/// Start a frame at the end of `out`: a header whose opcode, length and
+/// checksum are zero until [`finish_frame`] patches them, once the
+/// payload has been appended after it. Returns the frame's offset.
+fn begin_frame(request_id: u64, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    let mut header = [0u8; HEADER_LEN];
+    header[0..4].copy_from_slice(&MAGIC);
+    header[4] = PROTOCOL_VERSION;
+    header[8..16].copy_from_slice(&request_id.to_le_bytes());
+    out.extend_from_slice(&header);
+    start
+}
+
+/// Close the frame [`begin_frame`] opened at `start`: everything after
+/// its header is the payload.
+fn finish_frame(start: usize, opcode: u8, out: &mut [u8]) {
+    let len = out.len() - start - HEADER_LEN;
+    assert!(len <= MAX_PAYLOAD_LEN, "payload of {len} bytes exceeds cap");
+    let header = &mut out[start..start + HEADER_LEN];
+    header[5] = opcode;
+    header[16..20].copy_from_slice(&(len as u32).to_le_bytes());
+    let sum = header_checksum(&header[..HEADER_LEN - 4]);
+    header[20..24].copy_from_slice(&sum.to_le_bytes());
+}
+
 /// Append one frame (header + payload) to `out`.
 fn encode_frame(opcode: u8, request_id: u64, payload: &[u8], out: &mut Vec<u8>) {
-    assert!(payload.len() <= MAX_PAYLOAD_LEN, "payload of {} bytes exceeds cap", payload.len());
-    let start = out.len();
-    out.extend_from_slice(&MAGIC);
-    out.push(PROTOCOL_VERSION);
-    out.push(opcode);
-    out.extend_from_slice(&0u16.to_le_bytes());
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let sum = header_checksum(&out[start..start + HEADER_LEN - 4]);
-    out.extend_from_slice(&sum.to_le_bytes());
+    let start = begin_frame(request_id, out);
     out.extend_from_slice(payload);
+    finish_frame(start, opcode, out);
 }
 
 fn op_request_payload(op: &Op, payload: &mut Vec<u8>) {
@@ -199,6 +228,15 @@ fn op_request_payload(op: &Op, payload: &mut Vec<u8>) {
             payload.extend_from_slice(&v.to_le_bytes());
         }
     }
+}
+
+/// Payload bytes of a `BATCH` request carrying `ops`.
+pub(crate) fn batch_request_len(ops: &[Op]) -> usize {
+    let op_len = |op: &Op| match op {
+        Op::Get(_) | Op::Del(_) => 1 + 8,
+        Op::Put(..) => 1 + 16,
+    };
+    4 + ops.iter().map(op_len).sum::<usize>()
 }
 
 fn op_code(op: &Op) -> u8 {
@@ -282,44 +320,46 @@ fn encode_put_result(result: &Result<InsertOutcome, TableError>, payload: &mut V
     }
 }
 
-/// Append one encoded response frame to `out`.
+/// Append one encoded response frame to `out`. The payload is written
+/// in place after the header, which is patched once its length is known:
+/// nothing is allocated beyond what `out` grows by.
 pub fn encode_response(request_id: u64, resp: &Response, out: &mut Vec<u8>) {
-    let mut payload = Vec::new();
+    let start = begin_frame(request_id, out);
     let opcode = match resp {
         Response::Get(v) => {
-            encode_value_status(*v, &mut payload);
+            encode_value_status(*v, out);
             OP_GET
         }
         Response::Put(r) => {
-            encode_put_result(r, &mut payload);
+            encode_put_result(r, out);
             OP_PUT
         }
         Response::Del(v) => {
-            encode_value_status(*v, &mut payload);
+            encode_value_status(*v, out);
             OP_DEL
         }
         Response::Batch(ops) => {
-            payload.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+            out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
             for op in ops {
                 match op {
                     OpResponse::Get(v) => {
-                        payload.push(OP_GET);
-                        encode_value_status(*v, &mut payload);
+                        out.push(OP_GET);
+                        encode_value_status(*v, out);
                     }
                     OpResponse::Put(r) => {
-                        payload.push(OP_PUT);
-                        encode_put_result(r, &mut payload);
+                        out.push(OP_PUT);
+                        encode_put_result(r, out);
                     }
                     OpResponse::Del(v) => {
-                        payload.push(OP_DEL);
-                        encode_value_status(*v, &mut payload);
+                        out.push(OP_DEL);
+                        encode_value_status(*v, out);
                     }
                 }
             }
             OP_BATCH
         }
     };
-    encode_frame(opcode | RESPONSE_BIT, request_id, &payload, out);
+    finish_frame(start, opcode | RESPONSE_BIT, out);
 }
 
 /// A validated frame header (its payload may still be in flight).
@@ -433,6 +473,9 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(u64, Request, usize)>, Proto
         OP_DEL => Request::Del(r.u64()?),
         OP_BATCH => {
             let count = r.u32()? as usize;
+            if count > MAX_BATCH_OPS {
+                return Err(ProtoError::OversizedBatch(count));
+            }
             // Cap the pre-allocation by what the payload could possibly
             // hold (9 bytes is the smallest op) — a hostile count cannot
             // reserve more than the already-bounded payload implies.
@@ -663,6 +706,145 @@ mod tests {
         }
         assert_eq!(ids, vec![1, 2, 3]);
         assert_eq!(offset, buf.len());
+    }
+
+    #[test]
+    fn a_batch_is_capped_where_its_answer_still_fits_a_frame() {
+        let ops = |n| Request::Batch(vec![Op::Get(1); n]);
+        let mut buf = Vec::new();
+        encode_request(1, &ops(MAX_BATCH_OPS + 1), &mut buf);
+        assert!(buf.len() - HEADER_LEN <= MAX_PAYLOAD_LEN, "the request itself is legal");
+        assert_eq!(decode_request(&buf), Err(ProtoError::OversizedBatch(MAX_BATCH_OPS + 1)));
+        buf.clear();
+        encode_request(1, &ops(MAX_BATCH_OPS), &mut buf);
+        assert!(decode_request(&buf).expect("at the cap is legal").is_some());
+        // The longest answer per op, for every op, still fits.
+        buf.clear();
+        encode_response(
+            1,
+            &Response::Batch(vec![OpResponse::Get(Some(7)); MAX_BATCH_OPS]),
+            &mut buf,
+        );
+        assert_eq!(buf.len(), HEADER_LEN + 4 + 10 * MAX_BATCH_OPS);
+        assert!(buf.len() - HEADER_LEN <= MAX_PAYLOAD_LEN);
+    }
+
+    /// A hex dump, whitespace ignored.
+    fn hex(dump: &str) -> Vec<u8> {
+        let digits: Vec<u8> = dump.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|pair| {
+                u8::from_str_radix(std::str::from_utf8(pair).expect("ascii"), 16).expect("hex")
+            })
+            .collect()
+    }
+
+    /// Encode `resp` after bytes already in the buffer: the frame must be
+    /// `golden` byte for byte, the bytes before it must be untouched (so
+    /// a header patched at the wrong offset shows), and the frame must
+    /// decode back to `resp`. Golden dumps are spaced as magic, version,
+    /// opcode, flags, request id, payload length, checksum, payload.
+    fn assert_golden(id: u64, resp: Response, golden: &str) {
+        let before = [0xA5u8; 13];
+        let mut out = before.to_vec();
+        encode_response(id, &resp, &mut out);
+        assert_eq!(out[..before.len()], before, "{resp:?} overwrote earlier bytes");
+        assert_eq!(out[before.len()..], hex(golden)[..], "{resp:?} changed on the wire");
+        let (got_id, got, used) =
+            decode_response(&out[before.len()..]).expect("valid frame").expect("complete frame");
+        assert_eq!((got_id, used), (id, out.len() - before.len()));
+        assert_eq!(got, resp);
+    }
+
+    #[test]
+    fn get_responses_keep_their_bytes() {
+        assert_golden(
+            1,
+            Response::Get(Some(0x0123_4567_89ab_cdef)),
+            "37444b56 01 81 0000 0100000000000000 09000000 cbd8da2a 01efcdab8967452301",
+        );
+        assert_golden(
+            2,
+            Response::Get(None),
+            "37444b56 01 81 0000 0200000000000000 01000000 9612dbe1 00",
+        );
+    }
+
+    #[test]
+    fn put_responses_keep_their_bytes() {
+        assert_golden(
+            3,
+            Response::Put(Ok(InsertOutcome::Inserted)),
+            "37444b56 01 82 0000 0300000000000000 01000000 15e6cf0d 00",
+        );
+        assert_golden(
+            4,
+            Response::Put(Ok(InsertOutcome::Replaced(0x1122_3344_5566_7788))),
+            "37444b56 01 82 0000 0400000000000000 09000000 e61f35e6 018877665544332211",
+        );
+        for (id, e, golden) in [
+            (
+                5,
+                TableError::TableFull,
+                "37444b56 01 82 0000 0500000000000000 02000000 af586054 0201",
+            ),
+            (
+                6,
+                TableError::ReservedKey,
+                "37444b56 01 82 0000 0600000000000000 02000000 075f97a3 0202",
+            ),
+            (
+                7,
+                TableError::MemoryBudgetExceeded,
+                "37444b56 01 82 0000 0700000000000000 02000000 11317b24 0203",
+            ),
+            (
+                8,
+                TableError::CuckooFailure,
+                "37444b56 01 82 0000 0800000000000000 02000000 41c82873 0204",
+            ),
+        ] {
+            assert_golden(id, Response::Put(Err(e)), golden);
+        }
+    }
+
+    #[test]
+    fn del_responses_keep_their_bytes() {
+        assert_golden(
+            9,
+            Response::Del(Some(42)),
+            "37444b56 01 83 0000 0900000000000000 09000000 0bffe7ba 012a00000000000000",
+        );
+        assert_golden(
+            10,
+            Response::Del(None),
+            "37444b56 01 83 0000 0a00000000000000 01000000 3305632c 00",
+        );
+    }
+
+    #[test]
+    fn batch_responses_keep_their_bytes() {
+        assert_golden(
+            11,
+            Response::Batch(vec![]),
+            "37444b56 01 84 0000 0b00000000000000 04000000 10c36c26 00000000",
+        );
+        assert_golden(
+            u64::MAX,
+            Response::Batch(vec![
+                OpResponse::Get(Some(7)),
+                OpResponse::Get(None),
+                OpResponse::Put(Ok(InsertOutcome::Inserted)),
+                OpResponse::Put(Ok(InsertOutcome::Replaced(8))),
+                OpResponse::Put(Err(TableError::ReservedKey)),
+                OpResponse::Del(Some(9)),
+                OpResponse::Del(None),
+            ]),
+            "37444b56 01 84 0000 ffffffffffffffff 2b000000 de18a0f0 07000000 \
+             01 01 0700000000000000  01 00  02 00  02 01 0800000000000000  02 02 02 \
+             03 01 0900000000000000  03 00",
+        );
     }
 
     #[test]

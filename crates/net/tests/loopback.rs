@@ -5,7 +5,10 @@
 #![cfg(target_os = "linux")]
 
 use sevendim_core::{InsertOutcome, TableBuilder, TableScheme};
-use sevendim_net::protocol::{encode_request, Op, OpResponse, ProtoError, Request, Response};
+use sevendim_net::protocol::{
+    encode_request, Op, OpResponse, ProtoError, Request, Response, HEADER_LEN, MAX_BATCH_OPS,
+    MAX_PAYLOAD_LEN,
+};
 use sevendim_net::{KvClient, KvServer, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -174,6 +177,60 @@ fn malformed_frame_closes_only_that_connection() {
         "garbage starts with a bad magic: {:?}",
         stats.last_protocol_error
     );
+}
+
+#[test]
+fn a_batch_whose_answer_would_overflow_a_frame_closes_only_that_connection() {
+    // A GET is 9 bytes on the way in and, on a hit, 10 on the way out:
+    // one op past MAX_BATCH_OPS is a legal-sized request whose answer
+    // would not fit a frame. The server refuses it as a protocol error
+    // instead of losing the worker.
+    let server = spawn_server();
+    let mut healthy = KvClient::connect(server.addr()).expect("connect healthy");
+    assert_eq!(healthy.put(1, 10).expect("put"), Ok(InsertOutcome::Inserted));
+    let mut hostile = TcpStream::connect(server.addr()).expect("connect hostile");
+    let mut bytes = Vec::new();
+    encode_request(1, &Request::Batch(vec![Op::Get(1); MAX_BATCH_OPS + 1]), &mut bytes);
+    assert!(bytes.len() - HEADER_LEN <= MAX_PAYLOAD_LEN, "the request itself is legal");
+    hostile.write_all(&bytes).expect("write");
+    let mut resp = Vec::new();
+    hostile.read_to_end(&mut resp).expect("read until close");
+    assert!(resp.is_empty(), "nothing is answered, the connection closes");
+    let mut second = KvClient::connect(server.addr()).expect("connect second");
+    assert_eq!(second.get(1).expect("get"), Some(10));
+    assert_eq!(healthy.get(1).expect("get"), Some(10));
+    let stats = server.shutdown().expect("shutdown");
+    assert_eq!(stats.protocol_closes, 1);
+    assert_eq!(stats.last_protocol_error, Some(ProtoError::OversizedBatch(MAX_BATCH_OPS + 1)));
+}
+
+#[test]
+fn a_batch_at_the_cap_is_answered_in_full() {
+    let server = spawn_server();
+    let mut client = KvClient::connect(server.addr()).expect("connect");
+    assert_eq!(client.put(1, 10).expect("put"), Ok(InsertOutcome::Inserted));
+    let results = client.batch(&vec![Op::Get(1); MAX_BATCH_OPS]).expect("batch");
+    assert_eq!(results.len(), MAX_BATCH_OPS);
+    assert!(results.iter().all(|r| *r == OpResponse::Get(Some(10))));
+    let stats = server.shutdown().expect("shutdown");
+    assert_eq!((stats.protocol_closes, stats.ops), (0, 1 + MAX_BATCH_OPS as u64));
+}
+
+#[test]
+fn the_client_refuses_a_batch_the_frame_cannot_carry_before_sending_it() {
+    let server = spawn_server();
+    let mut client = KvClient::connect(server.addr()).expect("connect");
+    // Too many ops (and too many bytes), and too many bytes alone:
+    // 70,000 PUTs are under MAX_BATCH_OPS but 1,190,004 bytes long.
+    for ops in [vec![Op::Put(1, 1); 110_000], vec![Op::Put(1, 1); 70_000]] {
+        let err = client.batch(&ops).expect_err("refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(client.queued_bytes(), 0, "nothing was encoded");
+    }
+    // The connection is still in step: the next round trip matches.
+    assert_eq!(client.put(1, 1).expect("put"), Ok(InsertOutcome::Inserted));
+    let stats = server.shutdown().expect("shutdown");
+    assert_eq!((stats.frames, stats.protocol_closes), (1, 0));
 }
 
 #[test]
