@@ -124,8 +124,9 @@ impl Default for Args {
     }
 }
 
-/// Parse `std::env::args`-style arguments. Unknown flags abort with a
-/// usage message (better to fail than to silently mis-measure).
+/// Parse `std::env::args`-style arguments. Unknown flags, a zero count and
+/// a capacity exponent outside `1..=32` abort with a usage message (better
+/// to fail than to silently mis-measure).
 pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
     let mut args = Args::default();
     let mut it = argv.into_iter();
@@ -143,36 +144,30 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
                 args.log2_capacity = Some(
                     value_for("--log2-capacity")
                         .parse()
-                        .unwrap_or_else(|_| usage("--log2-capacity must be an integer")),
+                        .ok()
+                        .filter(|bits| (1..=32).contains(bits))
+                        .unwrap_or_else(|| usage("--log2-capacity must be an integer in 1..=32")),
                 )
             }
-            "--probes" => {
-                args.probes = Some(
-                    value_for("--probes")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--probes must be an integer")),
-                )
-            }
-            "--ops" => {
-                args.ops = Some(
-                    value_for("--ops")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--ops must be an integer")),
-                )
-            }
-            "--seeds" => {
-                args.seeds = Some(
-                    value_for("--seeds")
-                        .parse()
-                        .unwrap_or_else(|_| usage("--seeds must be an integer")),
-                )
-            }
+            "--probes" => args.probes = Some(positive(&value_for("--probes"), "--probes")),
+            "--ops" => args.ops = Some(positive(&value_for("--ops"), "--ops")),
+            "--seeds" => args.seeds = Some(positive(&value_for("--seeds"), "--seeds")),
             "--csv" => args.csv = true,
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag '{other}'")),
         }
     }
     args
+}
+
+/// A count flag's value: zero seeds, probes or ops would print a table of
+/// zeros rather than a measurement.
+fn positive(value: &str, flag: &str) -> usize {
+    value
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| usage(&format!("{flag} must be a positive integer")))
 }
 
 /// Print `err` (if any) and the usage line, then exit: 2 on an error, 0

@@ -2,9 +2,9 @@
 //!
 //! `figures <2..8|all>` prints the paper's figures; `ablation_alloc`,
 //! `ablation_cuckoo`, `ablation_fp` and `ablation_rh` each vary one design
-//! choice the paper fixes; `growth_tail` (stop-the-world vs incremental
-//! growth) and `adaptive` (static vs adaptive scheme) compare two
-//! policies. This library holds what they share: the scale configuration
+//! choice the paper fixes; `ablation_hash` times each hash-function class;
+//! `growth_tail` (stop-the-world vs incremental growth) and `adaptive`
+//! (static vs adaptive scheme) compare two policies. This library holds what they share: the scale configuration
 //! and flag parser ([`cli`]), and the scheme × hash-function dispatch,
 //! multi-seed averaging and panel grid ([`runner`]).
 //!
@@ -16,6 +16,8 @@
 //! cargo run --release -p bench --bin figures -- 4 --scale default
 //! cargo run --release -p bench --bin figures -- 7 --log2-capacity 20 --seeds 3
 //! ```
+
+#![deny(unsafe_code)]
 
 pub mod cli;
 pub mod runner;

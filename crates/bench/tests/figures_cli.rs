@@ -8,7 +8,19 @@ fn figures(argv: &[&str]) -> std::process::Output {
 
 #[test]
 fn an_unknown_or_missing_figure_exits_2_with_the_usage_line() {
-    for argv in [&["9"][..], &["fig4"], &["--csv"], &[]] {
+    // A zero count or an unbuildable capacity would draw zeros or panic
+    // inside the table constructor; both are refused before anything runs.
+    for argv in [
+        &["9"][..],
+        &["fig4"],
+        &["--csv"],
+        &[],
+        &["4", "--scale", "smoke", "--seeds", "0"],
+        &["4", "--scale", "smoke", "--probes", "0"],
+        &["5", "--scale", "smoke", "--ops", "0"],
+        &["3", "--log2-capacity", "0"],
+        &["3", "--log2-capacity", "40"],
+    ] {
         let out = figures(argv);
         assert_eq!(out.status.code(), Some(2), "{argv:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -46,6 +46,7 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod record;

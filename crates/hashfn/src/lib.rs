@@ -32,15 +32,15 @@
 //! after failure require fresh, independent members — `sample` provides them.
 //! All members are `Clone + Send + Sync` and hashing is `&self` (read-only).
 
-pub mod engineered;
+#![deny(unsafe_code)]
+
 pub mod multadd;
 pub mod multshift;
 pub mod murmur;
 pub mod quality;
 pub mod tabulation;
 
-pub use engineered::{CityMix, Crc, Djb2, Fnv1a};
-pub use multadd::{MultAddShift, MultAddShift32, MultAddShift64};
+pub use multadd::{MultAddShift, MultAddShift64};
 pub use multshift::MultShift;
 pub use murmur::Murmur;
 pub use tabulation::Tabulation;

@@ -144,53 +144,6 @@ impl HashFamily for MultAddShift64 {
     }
 }
 
-/// Multiply-add-shift for **32-bit keys** with native 64-bit arithmetic —
-/// the case the paper highlights in §4.4: "the situation of MultAdd
-/// changes ... if we use 32-bit keys with native 64-bit arithmetic (one
-/// multiplication, one addition, and one right bit shift). In that case we
-/// could use MultAdd instead of Murmur for the benefit of proven
-/// theoretical properties."
-///
-/// `h_{a,b}(x) = ((a·x + b) mod 2^64) div 2^(64−d)` for `x < 2^32` and
-/// random 64-bit `a, b` — 2-independent on 32-bit universes at
-/// multiply-shift-like cost. Keys with high bits set are folded down
-/// first (`x ^ (x >> 32)`) so the type still satisfies the 64-bit
-/// [`HashFn64`] interface, with the guarantee applying to true 32-bit
-/// keys.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MultAddShift32 {
-    a: u64,
-    b: u64,
-}
-
-impl MultAddShift32 {
-    /// Create from explicit 64-bit parameters.
-    #[inline]
-    pub fn new(a: u64, b: u64) -> Self {
-        Self { a, b }
-    }
-}
-
-impl HashFn64 for MultAddShift32 {
-    #[inline(always)]
-    fn hash(&self, key: u64) -> u64 {
-        // Fold 64-bit inputs into the 32-bit universe (identity for keys
-        // below 2^32, where the 2-independence guarantee holds).
-        let x = (key ^ (key >> 32)) & 0xFFFF_FFFF;
-        x.wrapping_mul(self.a).wrapping_add(self.b)
-    }
-
-    fn name() -> &'static str {
-        "MultAdd32"
-    }
-}
-
-impl HashFamily for MultAddShift32 {
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        Self::new(rng.gen::<u64>(), rng.gen::<u64>())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,37 +189,6 @@ mod tests {
             assert_eq!(lo, wide as u64);
             assert_eq!(hi, (wide >> 64) as u64);
         }
-    }
-
-    #[test]
-    fn multadd32_matches_definition_on_32bit_keys() {
-        let h = MultAddShift32::new(0xDEAD_BEEF_1234_5677, 0x0F0F_F0F0_1234_5678);
-        for x in [0u64, 1, 77, u32::MAX as u64] {
-            let expect = x.wrapping_mul(0xDEAD_BEEF_1234_5677).wrapping_add(0x0F0F_F0F0_1234_5678);
-            assert_eq!(h.hash(x), expect);
-        }
-    }
-
-    #[test]
-    fn multadd32_collision_probability_on_32bit_universe() {
-        // 2-independence sanity: random member, dense 32-bit keys into
-        // 2^10 buckets — collision ratio near 1.
-        use crate::quality::bucket_stats;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let h = MultAddShift32::sample(&mut rng);
-        let keys: Vec<u64> = (1..=(1u64 << 15)).collect();
-        let stats = bucket_stats(&h, &keys, 10);
-        assert!((0.5..1.5).contains(&stats.collision_ratio()), "ratio {}", stats.collision_ratio());
-    }
-
-    #[test]
-    fn multadd32_folds_high_bits() {
-        let h = MultAddShift32::new(3, 7);
-        // Keys differing only above bit 32 still hash differently thanks
-        // to the fold…
-        assert_ne!(h.hash(5), h.hash(5 | (1 << 40)));
-        // …and the fold is the documented xor (not truncation).
-        assert_eq!(h.hash(5 | (1 << 40)), h.hash(5 ^ ((1u64 << 40) >> 32)));
     }
 
     #[test]

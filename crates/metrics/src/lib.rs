@@ -13,13 +13,14 @@
 //! that makes growth stalls of dynamic tables visible at all (a 100 ms
 //! rehash barely moves a mean over 10⁶ ops, but owns the tail).
 
+#![deny(unsafe_code)]
+
 pub mod latency;
 pub mod report;
 
 pub use latency::LatencyHistogram;
 pub use report::{ReportTable, Series};
 
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Time a closure, returning its result and the elapsed wall-clock time.
@@ -30,7 +31,7 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
 }
 
 /// A throughput measurement: `ops` operations in `elapsed` time.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Throughput {
     /// Operations performed.
     pub ops: u64,
@@ -67,7 +68,7 @@ impl Throughput {
 
 /// Mean/stddev aggregation over per-seed samples — the paper's "average of
 /// three independent runs" with its variance analysis (§4.2).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SeedStats {
     /// One sample per seed.
     pub samples: Vec<f64>,

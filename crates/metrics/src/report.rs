@@ -6,10 +6,8 @@
 //! binaries print panels as aligned text (for reading) and CSV (for
 //! plotting), so `figures 4` reproduces Figure 4 row by row.
 
-use serde::{Deserialize, Serialize};
-
 /// One curve: a label (e.g. `"LPMult"`) and a y-value per x tick.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Series {
     /// Curve label, paper naming (`"RHMurmur"`, `"ChainedH24Mult"`, …).
     pub label: String,
@@ -26,7 +24,7 @@ impl Series {
 }
 
 /// One figure panel: title, x-axis ticks, and a set of curves.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReportTable {
     /// Panel title, e.g. `"Fig 4(a) dense — insertions"`.
     pub title: String,

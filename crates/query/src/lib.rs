@@ -16,6 +16,8 @@
 //! * [`index`] — a point-query index dispatched through
 //!   [`sevendim_core::decision::recommend`].
 
+#![deny(unsafe_code)]
+
 pub mod aggregate;
 pub mod index;
 pub mod join;

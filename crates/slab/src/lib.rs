@@ -14,6 +14,8 @@
 //! keeps the implementation in safe Rust; footprint arithmetic against the
 //! paper is unchanged.
 
+#![deny(unsafe_code)]
+
 use std::num::NonZeroU64;
 
 /// Reference to a slab entry: a 1-based index packed in a `NonZeroU64`, so

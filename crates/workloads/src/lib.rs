@@ -14,6 +14,8 @@
 //!   with the paper's ratios (insert:delete 4:1 within updates,
 //!   successful:unsuccessful 3:1 within lookups) over a growing table.
 
+#![deny(unsafe_code)]
+
 pub mod dist;
 pub mod rw;
 pub mod worm;

@@ -497,6 +497,67 @@ fn optimistic_flag_changes_neither_answers_nor_stats() {
     }
 }
 
+/// The adaptive controller sees lock-free reads: a sharded LP table, built
+/// the way the server builds it (optimistic reads on), under a 97 %-miss
+/// batched read stream with a trickle of deletes to fund the ticks, moves
+/// every shard to fingerprints — the LP→FP switch the unsharded `adaptive`
+/// bench shows — and loses no key.
+#[test]
+fn sharded_optimistic_reads_drive_every_shard_from_lp_to_fp() {
+    const RESIDENT: u64 = 2400; // about 59 % of each 2^10-slot shard
+    let mut table = TableBuilder::new(TableScheme::LinearProbing)
+        .bits(12)
+        .seed(0xADA7)
+        .shards(SHARD_BITS)
+        .incremental(8)
+        .migration(MigrationPolicy::Adaptive(AdaptiveConfig { check_every: 16, cooldown: 64 }))
+        .build_sharded();
+    assert!(table.optimistic_reads());
+    for k in 1..=RESIDENT {
+        table.insert(k, k * 3).unwrap();
+    }
+    let mut lp_bytes = Vec::new();
+    table.for_each_shard(|_, t| {
+        assert!(t.display_name().starts_with("LP"), "{}", t.display_name());
+        lp_bytes.push(t.memory_bytes());
+    });
+    // A shard has finished its drain once the LP generation it left is
+    // retired (the optimistic build retains retirees): then its retired
+    // bytes are exactly the LP table's.
+    let drained = |table: &ShardedTable<BoxedTable>| {
+        let mut all = true;
+        table.for_each_shard(|i, t| all &= t.retired_bytes() == lp_bytes[i]);
+        all
+    };
+    let mut keys = Vec::with_capacity(100);
+    let mut got = vec![None; 100];
+    let rounds = (0..5_000u64).find(|round| {
+        keys.clear();
+        keys.extend((0..97).map(|i| 1_000_000 + round * 100 + i));
+        keys.extend((0..3).map(|i| 1 + (round * 3 + i) % RESIDENT));
+        table.lookup_batch_shared(&keys, &mut got);
+        for (&k, &v) in keys.iter().zip(&got) {
+            assert_eq!(v, (k <= RESIDENT).then_some(k * 3), "round {round}: key {k}");
+        }
+        assert_eq!(table.delete_shared(2_000_000 + round), None);
+        drained(&table)
+    });
+    assert!(rounds.is_some(), "not every shard switched and drained");
+    table.for_each_shard(|i, t| {
+        assert!(t.display_name().starts_with("FP"), "shard {i}: {}", t.display_name());
+        assert_eq!(t.table_stats().map(|s| s.scheme_switches), Some(1), "shard {i}");
+    });
+    let stats = table.stats_shared();
+    assert_eq!(stats.scheme_switches, 4);
+    assert!(stats.miss_ratio() > 0.9, "miss ratio {:.3}", stats.miss_ratio());
+    let resident: Vec<u64> = (1..=RESIDENT).collect();
+    let mut answers = vec![None; resident.len()];
+    table.lookup_batch_shared(&resident, &mut answers);
+    for (&k, &v) in resident.iter().zip(&answers) {
+        assert_eq!(v, Some(k * 3), "key {k} lost by the switch");
+    }
+}
+
 /// Measure shared-lookup throughput (M ops/s) of `table` at `threads`
 /// workers: a coordinator-clocked barrier region, each worker probing a
 /// strided permutation of `keys` in 1024-key `lookup_batch_shared`
