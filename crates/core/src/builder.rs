@@ -326,12 +326,18 @@ impl TableBuilder {
     /// [sharded module docs](crate::sharded)). Only affects
     /// [`TableBuilder::shards`]/[`TableBuilder::concurrency`] builds —
     /// unsharded tables have no lock to skip. Combined with
-    /// [`TableBuilder::grow_at`], the built shards also *retain* replaced
-    /// generations (a doubling may race a lock-free reader), so memory
-    /// freed by growth accumulates until
-    /// [`ReadView::reclaim_retired`](crate::ReadView::reclaim_retired) is
-    /// called at a quiescent point (`&mut` access). Turning the knob off
-    /// restores lock-only reads and immediate frees.
+    /// [`TableBuilder::grow_at`] or a migration policy, a shard's doubling
+    /// or switch may race a lock-free reader, so each read call pins the
+    /// global epoch ([`crate::epoch`]) before it loads a published
+    /// generation, and a replaced generation is stamped with the epoch it
+    /// was unpublished at and freed once no reader is pinned at or below
+    /// the stamp: at once, or by the shard's next mutating operation.
+    /// The ordering argument: the reader claims its slot with a `SeqCst`
+    /// CAS, then loads the generation pointer (`SeqCst`); the writer
+    /// unpublishes, bumps the epoch, issues a `SeqCst` fence and scans
+    /// the slots, so it either sees the reader's pin or the reader sees
+    /// the replacement. Writers never wait for readers. Turning the knob
+    /// off restores lock-only reads.
     pub fn optimistic_reads(mut self, on: bool) -> Self {
         self.optimistic_reads = on;
         self
@@ -519,16 +525,6 @@ impl TableBuilder {
                 .try_build()
         })?;
         table.set_optimistic_reads(self.optimistic_reads);
-        if self.optimistic_reads
-            && (self.grow_threshold.is_some() || self.migration_policy != MigrationPolicy::Grow)
-        {
-            // Growing shards swap whole generations; lock-free readers may
-            // still hold a swapped-out generation's address, so the shards
-            // must retain (not free) replaced generations. See
-            // [`crate::ReadView::retain_retired_allocations`].
-            use crate::optimistic::ReadView;
-            table.retain_retired_allocations(true);
-        }
         Ok(table)
     }
 
@@ -1004,8 +1000,9 @@ mod tests {
     fn optimistic_knob_controls_sharded_reads_and_retention() {
         use crate::optimistic::ReadView;
         use crate::sharded::ConcurrentTable;
-        // Default: optimistic on; growing shards retain replaced
-        // generations, reclaimable at a quiescent point.
+        use crate::tests_common::{hold_pin, settle};
+        // Default: optimistic on; growing shards keep a replaced
+        // generation only while a reader is pinned.
         let mut t = TableBuilder::new(TableScheme::LinearProbing)
             .bits(8)
             .seed(3)
@@ -1013,16 +1010,17 @@ mod tests {
             .grow_at(0.7)
             .build_sharded();
         assert!(t.optimistic_reads());
+        let pin = hold_pin();
         for k in 1..=4000u64 {
             t.insert(k, k).unwrap();
         }
-        assert!(t.retired_bytes() > 0, "growth must have retired generations");
+        assert!(t.retired_bytes() > 0, "a pinned reader must keep replaced generations");
         for k in (1..=4000u64).step_by(13) {
             assert_eq!(t.lookup_shared(k), Some(k));
         }
-        t.reclaim_retired();
-        assert_eq!(t.retired_bytes(), 0);
-        // Knob off: lock-only reads, immediate frees.
+        drop(pin);
+        settle(&mut t);
+        // Knob off: lock-only reads, and growth frees what it replaces.
         let mut t = TableBuilder::new(TableScheme::LinearProbing)
             .bits(8)
             .seed(3)
@@ -1034,7 +1032,10 @@ mod tests {
         for k in 1..=4000u64 {
             t.insert(k, k).unwrap();
         }
-        assert_eq!(t.retired_bytes(), 0, "retention must be off without optimistic reads");
+        settle(&mut t);
+        for k in (1..=4000u64).step_by(13) {
+            assert_eq!(t.lookup_shared(k), Some(k));
+        }
         // Static sharded build: optimistic on, nothing ever retired.
         let t = TableBuilder::new(TableScheme::LinearProbing).bits(12).shards(2).build_sharded();
         assert!(t.optimistic_reads());

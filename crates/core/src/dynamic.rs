@@ -102,6 +102,8 @@
 use crate::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::decision::TableChoice;
 use crate::entries::EntrySnapshot;
+use crate::epoch;
+use crate::optimistic::ReadView;
 use crate::stats::{RuntimeStats, TableStats};
 use crate::{is_reserved_key, HashTable, InsertOutcome, TableError};
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -229,15 +231,10 @@ pub struct DynamicTable<F: TableFactory> {
     /// Address of the draining generation's table, or null when no
     /// migration is in flight. Same protocol as `inner_published`.
     old_published: AtomicPtr<F::Table>,
-    /// Generations replaced while `retain_retired` was set: optimistic
-    /// readers stamped before a swap may still be probing them, so their
-    /// allocations must outlive the swap. Reclaimed only through `&mut`
-    /// (true quiescence — no shared-phase reader can exist).
-    retired: Vec<Box<F::Table>>,
-    /// Keep replaced generations alive (set by the sharded wrapper when
-    /// optimistic reads are on). Off by default: sequential users get
-    /// every drop immediately, exactly as before.
-    retain_retired: bool,
+    /// Unpublished generations a pinned lock-free reader may still be
+    /// probing, each with its [`epoch::stamp`]; freed by the first
+    /// mutating operation that finds no pin at or below the stamp.
+    retired: Vec<(u64, Box<F::Table>)>,
     bits: u8,
     seed: u64,
     grow_threshold: f64,
@@ -306,7 +303,6 @@ impl<F: TableFactory> DynamicTable<F> {
             old: None,
             old_published: AtomicPtr::new(std::ptr::null_mut()),
             retired: Vec::new(),
-            retain_retired: false,
             bits,
             seed,
             grow_threshold,
@@ -423,11 +419,23 @@ impl<F: TableFactory> DynamicTable<F> {
         self.old_published.store(ptr, Ordering::Release);
     }
 
-    /// Dispose of a replaced generation: park it in the graveyard while
-    /// optimistic readers may still hold its address, drop it otherwise.
+    /// Dispose of a generation its caller has just unpublished: stamp it
+    /// and drop it here, unless a reader pinned at or below the stamp may
+    /// still be probing it (see [`crate::epoch`]). Then it is parked until
+    /// a later mutating operation finds the pin gone.
     fn retire(&mut self, table: Box<F::Table>) {
-        if self.retain_retired {
-            self.retired.push(table);
+        let stamp = epoch::stamp();
+        if epoch::oldest_pin() <= stamp {
+            self.retired.push((stamp, table));
+        }
+    }
+
+    /// Free every parked generation no pinned reader can still reach: the
+    /// first step of each mutating operation.
+    fn free_retired(&mut self) {
+        if !self.retired.is_empty() {
+            let oldest = epoch::oldest_pin();
+            self.retired.retain(|&(stamp, _)| stamp >= oldest);
         }
     }
 
@@ -831,30 +839,27 @@ fn misses_in(out: &[Option<u64>]) -> u64 {
     out.iter().filter(|o| o.is_none()).count() as u64
 }
 
-/// Lock-free reads over both generations, gated on generation retention.
+/// Lock-free reads over both generations.
 ///
 /// A growing table is the one place where a scheme's slot allocation *is*
 /// replaced: every doubling swaps in a fresh generation and drops the old
-/// one. An optimistic reader that stamped before the swap could otherwise
-/// probe freed memory. Two mechanisms close that hole:
+/// one. An optimistic reader that loaded an address before the swap could
+/// otherwise probe freed memory. Two mechanisms close that hole:
 ///
 /// * Generations are boxed and their addresses published through
-///   [`AtomicPtr`]s (`Release` on swap, `Acquire` on probe), so a reader
+///   [`AtomicPtr`]s (`Release` on swap, `SeqCst` on probe), so a reader
 ///   never reads the concurrently rewritten `inner`/`old` fields.
-/// * Replaced generations are parked in a graveyard instead of dropped
-///   while `retain_retired_allocations(true)` is in effect — any address
-///   a stale reader holds stays valid until
-///   [`reclaim_retired`](crate::optimistic::ReadView::reclaim_retired)
-///   is called through `&mut` (which proves no shared-phase reader
-///   exists).
-///
-/// With retention off (the default), `supports_optimistic` is `false`
-/// and every replaced generation drops immediately, exactly as before.
-impl<F: TableFactory> crate::optimistic::ReadView for DynamicTable<F> {
+/// * An unpublished generation is retired through [`crate::epoch`]: it is
+///   freed only once no reader is pinned at or below its stamp, and the
+///   caller of [`ReadView::lookup_batch_optimistic`] pins before it loads
+///   a published address.
+impl<F: TableFactory> ReadView for DynamicTable<F> {
     fn supports_optimistic(&self) -> bool {
-        // `retain_retired` and the scheme's own support are both fixed
-        // during any shared (reader) phase, so this is race-free.
-        self.retain_retired && self.inner.supports_optimistic()
+        // SAFETY: the published pointer addresses the current generation.
+        // A caller with a plain `&self` excludes every writer, so that is
+        // the live `inner`; the sharded read path pins first, so a
+        // generation unpublished meanwhile is retired, not freed.
+        unsafe { (*self.inner_published.load(Ordering::SeqCst)).supports_optimistic() }
     }
 
     unsafe fn lookup_batch_optimistic(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
@@ -862,14 +867,18 @@ impl<F: TableFactory> crate::optimistic::ReadView for DynamicTable<F> {
         // misses against the published draining generation. A swap racing
         // with this probe can make the answers stale or torn — the
         // caller's seqlock validation rejects them — but never unsound.
-        // SAFETY (both dereferences): a published pointer addresses either
-        // a live generation or a retained (still-allocated) one, and each
-        // generation's own probe upholds the `ReadView` rules.
-        let inner = self.inner_published.load(Ordering::Acquire);
+        // The loads are `SeqCst`, after the caller's `SeqCst` pin (the
+        // ordering argument of `crate::epoch`).
+        let inner = self.inner_published.load(Ordering::SeqCst);
+        // SAFETY: the caller's pin keeps a published generation allocated
+        // until it is released, and each generation's own probe upholds
+        // the `ReadView` rules under a racing writer.
         if !unsafe { (*inner).lookup_batch_optimistic(keys, out) } {
             return false;
         }
-        let old = self.old_published.load(Ordering::Acquire);
+        let old = self.old_published.load(Ordering::SeqCst);
+        // SAFETY: as for `inner`; the null check below short-circuits
+        // before any call.
         let probe_old =
             |k: &[u64], o: &mut [Option<u64>]| unsafe { (*old).lookup_batch_optimistic(k, o) };
         if !old.is_null() && !retry_misses(keys, out, probe_old) {
@@ -884,19 +893,8 @@ impl<F: TableFactory> crate::optimistic::ReadView for DynamicTable<F> {
         true
     }
 
-    fn retain_retired_allocations(&mut self, on: bool) {
-        self.retain_retired = on;
-        if !on {
-            self.retired.clear();
-        }
-    }
-
     fn retired_bytes(&self) -> usize {
-        self.retired.iter().map(|t| t.memory_bytes()).sum()
-    }
-
-    fn reclaim_retired(&mut self) {
-        self.retired.clear();
+        self.retired.iter().map(|(_, t)| t.memory_bytes()).sum()
     }
 }
 
@@ -908,6 +906,7 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
         if is_reserved_key(key) {
             return Err(TableError::ReservedKey);
         }
+        self.free_retired();
         self.stats.record_inserts(1);
         self.pay_for_inserts(1)?;
         self.insert_paid(key, value)
@@ -923,6 +922,7 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
     }
 
     fn delete(&mut self, key: u64) -> Option<u64> {
+        self.free_retired();
         self.stats.record_deletes(1);
         // A failed policy tick or drain step (factory budget) leaves both
         // generations consistent; the delete itself still proceeds.
@@ -961,6 +961,7 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
         assert_eq!(items.len(), out.len(), "insert_batch: items and out lengths differ");
+        self.free_retired();
         // Cut the batch into headroom runs (module docs): with `h`
         // entries of headroom no `h` inserts can cross the growth
         // threshold, so the per-key check is a no-op for a whole run and
@@ -984,6 +985,7 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
 
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
         assert_eq!(keys.len(), out.len(), "delete_batch: keys and out lengths differ");
+        self.free_retired();
         self.stats.record_deletes(keys.len() as u64);
         let _ = self.policy_tick(keys.len() as u64);
         if self.old.is_some() {
@@ -1013,7 +1015,7 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
     fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
             + self.old.as_ref().map_or(0, |g| g.table.memory_bytes() + g.pending.heap_bytes())
-            + crate::optimistic::ReadView::retired_bytes(self)
+            + self.retired_bytes()
     }
 
     fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
@@ -1467,34 +1469,33 @@ mod tests {
 
     #[test]
     fn retired_generations_accumulate_and_reclaim() {
-        use crate::ReadView;
         let mut t =
             DynamicTable::new(factory(TableScheme::LinearProbing, HashKind::Murmur), 4, 1, 0.5);
-        assert!(!t.supports_optimistic(), "retention off must disable optimism");
-        t.retain_retired_allocations(true);
-        assert!(t.supports_optimistic());
+        assert!(t.supports_optimistic(), "an LP generation supports lock-free reads");
+        // A reader pinned before the growth keeps every generation it
+        // replaces.
+        let pin = hold_pin();
         for k in 1..=200u64 {
             t.insert(k, k * 3).unwrap();
         }
         assert!(t.rehash_count() >= 3);
-        assert!(t.retired_bytes() > 0, "growth must have parked generations");
+        assert!(t.retired_bytes() > 0, "a pinned reader must keep replaced generations");
         assert!(t.memory_bytes() > t.inner().memory_bytes(), "retired bytes must be counted");
-        let retired = t.retired_bytes();
-        t.reclaim_retired();
-        assert_eq!(t.retired_bytes(), 0, "reclaim must drop all {retired} retired bytes");
-        // Switching retention off clears the graveyard from then on.
+        drop(pin);
+        settle(&mut t);
+        assert_eq!(t.memory_bytes(), t.inner().memory_bytes());
+        // Unpinned, growth frees what it replaces.
         for k in 201..=800u64 {
             t.insert(k, k * 3).unwrap();
         }
-        assert!(t.retired_bytes() > 0);
-        t.retain_retired_allocations(false);
-        assert_eq!(t.retired_bytes(), 0);
-        assert!(!t.supports_optimistic());
+        settle(&mut t);
+        for k in (1..=800u64).step_by(7) {
+            assert_eq!(t.lookup(k), Some(k * 3));
+        }
     }
 
     #[test]
-    fn optimistic_lookup_sees_both_generations() {
-        use crate::ReadView;
+    fn a_pinned_reader_keeps_the_drained_generation_until_it_unpins() {
         let mut t = DynamicTable::with_policy(
             factory(TableScheme::LinearProbing, HashKind::Murmur),
             4,
@@ -1502,7 +1503,39 @@ mod tests {
             0.5,
             GrowthPolicy::Incremental { step: 1 },
         );
-        t.retain_retired_allocations(true);
+        for k in 1..=9u64 {
+            t.insert(k, k).unwrap();
+        }
+        assert!(t.is_migrating(), "the 9th insert must leave a migration in flight");
+        let old_bytes = 16 * 16;
+        let pin = hold_pin();
+        while t.is_migrating() {
+            t.delete(ABSENT_KEY);
+        }
+        // The drain ended with the pin held: the 16-slot generation stays
+        // through any number of mutating operations.
+        for k in 10..=13u64 {
+            assert_eq!(t.retired_bytes(), old_bytes);
+            t.insert(k, k).unwrap();
+            t.delete(ABSENT_KEY);
+        }
+        assert_eq!(t.retired_bytes(), old_bytes);
+        drop(pin);
+        settle(&mut t);
+        for k in 1..=13u64 {
+            assert_eq!(t.lookup(k), Some(k));
+        }
+    }
+
+    #[test]
+    fn optimistic_lookup_sees_both_generations() {
+        let mut t = DynamicTable::with_policy(
+            factory(TableScheme::LinearProbing, HashKind::Murmur),
+            4,
+            3,
+            0.5,
+            GrowthPolicy::Incremental { step: 1 },
+        );
         for k in 1..=9u64 {
             t.insert(k, k * 7).unwrap();
         }
@@ -1512,6 +1545,7 @@ mod tests {
         let keys: Vec<u64> = (1..=12).collect();
         let mut got = vec![None; keys.len()];
         let before = t.stats.snapshot();
+        // SAFETY: no writer runs, and `&t` keeps every generation alive.
         assert!(unsafe { t.lookup_batch_optimistic(&keys, &mut got) });
         let after = t.stats.snapshot();
         assert_eq!(after.lookups - before.lookups, 12, "one count per batch element");
@@ -1523,9 +1557,7 @@ mod tests {
 
     #[test]
     fn unsupported_scheme_disables_dynamic_optimism() {
-        use crate::ReadView;
-        let mut t = DynamicTable::new(factory(TableScheme::Chained8, HashKind::Murmur), 6, 1, 0.5);
-        t.retain_retired_allocations(true);
+        let t = DynamicTable::new(factory(TableScheme::Chained8, HashKind::Murmur), 6, 1, 0.5);
         assert!(
             !t.supports_optimistic(),
             "chained inner tables must keep the dynamic wrapper pessimistic"
@@ -1795,18 +1827,18 @@ mod tests {
 
     #[test]
     fn cross_scheme_retirees_account_exact_bytes() {
-        use crate::ReadView;
         let mut t = builder_table(
             TableScheme::LinearProbing,
             10,
             GrowthPolicy::Incremental { step: 4 },
             MigrationPolicy::Grow,
         );
-        t.retain_retired_allocations(true);
         for k in 1..=500u64 {
             t.insert(k, k).unwrap();
         }
         let lp_bytes = t.inner().memory_bytes();
+        // A reader pinned across the drain keeps the LP generation.
+        let pin = hold_pin();
         assert_eq!(t.switch_to(TableChoice::FpMult), Ok(true));
         let mut key = 500u64;
         while t.is_migrating() {
@@ -1819,8 +1851,8 @@ mod tests {
         // is knowable in advance — shows up in the retiree accounting.
         assert_eq!(t.retired_bytes(), lp_bytes, "retired LP generation must be charged exactly");
         assert!(t.memory_bytes() >= t.inner().memory_bytes() + lp_bytes);
-        t.reclaim_retired();
-        assert_eq!(t.retired_bytes(), 0);
+        drop(pin);
+        settle(&mut t);
         for k in (1..=key).step_by(31) {
             assert_eq!(t.lookup(k), Some(k));
         }

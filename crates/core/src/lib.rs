@@ -39,6 +39,7 @@
 //! the Figure 7 reproduction.
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod adaptive;
 pub mod budget;
@@ -48,6 +49,7 @@ pub mod cuckoo;
 pub mod decision;
 pub mod dynamic;
 pub mod entries;
+pub mod epoch;
 pub mod fingerprint;
 pub mod linear_probing;
 pub mod lp_soa;

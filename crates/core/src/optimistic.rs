@@ -47,8 +47,10 @@
 //!    schemes guarantee this by never reallocating their slot arrays
 //!    after construction (same-capacity rehashes rebuild in place);
 //!    [`DynamicTable`](crate::DynamicTable) guarantees it by publishing
-//!    generations through atomic pointers and retiring — not freeing —
-//!    replaced generations while optimistic reads are enabled.
+//!    generations through atomic pointers and retiring replaced ones
+//!    through [`crate::epoch`]: a retired generation is freed only once no
+//!    reader is pinned at or below its stamp, and every optimistic reader
+//!    pins before it loads a published address.
 //! 2. **Termination**: every probe loop is bounded by the capacity (not
 //!    by an invariant like "probing stops at an empty slot").
 //! 3. **No trusted derefs**: raced data may be *returned* (the seqlock
@@ -84,10 +86,9 @@ pub trait ReadView {
     /// Whether [`ReadView::lookup_batch_optimistic`] can do better than
     /// bailing.
     ///
-    /// For growing tables this is dynamic: a
-    /// [`DynamicTable`](crate::DynamicTable) only supports optimistic
-    /// probing while it retains retired generations (see
-    /// [`ReadView::retain_retired_allocations`]).
+    /// For growing tables this is the current generation's answer: a
+    /// [`DynamicTable`](crate::DynamicTable) that switches scheme may gain
+    /// or lose it.
     fn supports_optimistic(&self) -> bool {
         false
     }
@@ -108,7 +109,11 @@ pub trait ReadView {
     /// * only invoke this between a seqlock stamp acquisition and
     ///   validation, and discard the result if validation fails;
     /// * ensure the table outlives the call (the owning shard must not be
-    ///   dropped mid-probe).
+    ///   dropped mid-probe);
+    /// * when a writer may run concurrently, hold an epoch pin
+    ///   ([`crate::epoch`]; the sharded read path takes one per call) for
+    ///   the whole call, so a generation a growing table retires mid-probe
+    ///   stays allocated.
     ///
     /// Implementations must uphold the soundness rules in the
     /// [module docs](self): in-bounds reads only, capacity-bounded loops,
@@ -121,28 +126,14 @@ pub trait ReadView {
         false
     }
 
-    /// Enable (or disable) retention of retired allocations.
-    ///
-    /// Tables that replace whole allocations (generation swaps in
-    /// [`DynamicTable`](crate::DynamicTable)) must keep the old
-    /// allocation alive while lock-free readers may still hold a pointer
-    /// into it. With retention **off** (the default) replaced allocations
-    /// are freed immediately — correct for exclusively owned tables, and
-    /// what non-growing schemes (which never replace allocations) do
-    /// anyway.
-    fn retain_retired_allocations(&mut self, on: bool) {
-        let _ = on;
-    }
-
-    /// Bytes currently pinned by retired allocations (0 when retention is
-    /// off or nothing has been retired).
+    /// Bytes held by retired allocations: generations a
+    /// [`DynamicTable`](crate::DynamicTable) replaced while a reader pinned
+    /// at or below their stamp may still be probing them (0 for tables
+    /// that never replace an allocation). Each is freed by the table's
+    /// first mutating operation after that pin is released.
     fn retired_bytes(&self) -> usize {
         0
     }
-
-    /// Drop all retired allocations. Sound because `&mut self` proves no
-    /// concurrent reader exists.
-    fn reclaim_retired(&mut self) {}
 }
 
 /// Boxed views forward through the vtable, mirroring the
@@ -158,16 +149,8 @@ impl<T: ReadView + ?Sized> ReadView for Box<T> {
         unsafe { (**self).lookup_batch_optimistic(keys, out) }
     }
 
-    fn retain_retired_allocations(&mut self, on: bool) {
-        (**self).retain_retired_allocations(on)
-    }
-
     fn retired_bytes(&self) -> usize {
         (**self).retired_bytes()
-    }
-
-    fn reclaim_retired(&mut self) {
-        (**self).reclaim_retired()
     }
 }
 
@@ -205,18 +188,18 @@ mod tests {
 
     #[test]
     fn defaults_are_conservative() {
-        let mut p = Plain;
+        let p = Plain;
         assert!(!p.supports_optimistic());
+        // SAFETY: the default probe reads nothing.
         assert!(!unsafe { p.lookup_batch_optimistic(&[7], &mut [None]) });
         assert_eq!(p.retired_bytes(), 0);
-        p.retain_retired_allocations(true);
-        p.reclaim_retired();
     }
 
     #[test]
     fn boxed_view_forwards() {
         let b: Box<dyn HashTable + Send> = Box::new(Plain);
         assert!(!b.supports_optimistic());
+        // SAFETY: the default probe reads nothing.
         assert!(!unsafe { b.lookup_batch_optimistic(&[7], &mut [None]) });
     }
 }

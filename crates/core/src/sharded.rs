@@ -35,8 +35,11 @@
 //! mutex** through the table's [`ReadView`], then accept the answer only
 //! if the counter was even before the probe and unchanged after it — a
 //! probe that raced a writer is discarded and retried up to
-//! [`OPTIMISTIC_RETRIES`] times before falling back to the lock. Tables
-//! that cannot probe safely under a racing writer simply report
+//! [`OPTIMISTIC_RETRIES`] times before falling back to the lock. Each read
+//! call first pins the epoch once ([`crate::epoch`]), so a generation a
+//! growing shard retires mid-probe stays allocated until the call
+//! returns; a call that finds every epoch slot busy reads under the locks.
+//! Tables that cannot probe safely under a racing writer simply report
 //! `supports_optimistic() == false` and keep the locked path. See
 //! [`crate::optimistic`] for the soundness rules and the memory-ordering
 //! argument, and [`ShardedTable::set_optimistic_reads`] for the toggle.
@@ -73,6 +76,7 @@
 //! in-order execution: batch results are element-wise identical to the
 //! single-key loop, as the [`HashTable`] contract requires.
 
+use crate::epoch;
 use crate::optimistic::{ReadView, OPTIMISTIC_RETRIES};
 use crate::{HashTable, InsertOutcome, TableError};
 use hashfn::{fold_to_bits, HashFamily, HashFn64, Murmur};
@@ -321,11 +325,18 @@ impl<T: HashTable> Shard<T> {
     /// `out` holds *validated* answers (as good as locked reads); `false`
     /// (with `out` in an unspecified state) means the caller must redo the
     /// sub-batch under the lock — the table doesn't support optimistic
-    /// probing, the probe bailed, or a writer raced every attempt.
-    fn try_optimistic_batch(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
+    /// probing, the probe bailed, or a writer raced every attempt. The
+    /// caller's epoch pin keeps every generation the probe can reach
+    /// allocated (see [`crate::epoch`]).
+    fn try_optimistic_batch(
+        &self,
+        _pin: &epoch::Guard,
+        keys: &[u64],
+        out: &mut [Option<u64>],
+    ) -> bool {
         // SAFETY: `supports_optimistic` only reads state that is never
-        // written during a shared phase (scheme constants, the retention
-        // flag, a published generation pointer).
+        // written during a shared phase (scheme constants) or a generation
+        // pointer published atomically, which the pin keeps allocated.
         let data = unsafe { &*self.data.get() };
         if !data.supports_optimistic() {
             return false;
@@ -337,7 +348,8 @@ impl<T: HashTable> Shard<T> {
             }
             // SAFETY: the probe tolerates a racing writer (the ReadView
             // contract); its answers are discarded unless validation below
-            // proves the race did not happen. The shard outlives the call.
+            // proves the race did not happen. The shard outlives the call,
+            // and the pin keeps every generation it publishes allocated.
             if !unsafe { data.lookup_batch_optimistic(keys, out) } {
                 return false; // table-level bail: the lock is the only path
             }
@@ -351,9 +363,9 @@ impl<T: HashTable> Shard<T> {
 
     /// The one-key case of [`Shard::try_optimistic_batch`]: `Some(answer)`
     /// is validated, `None` sends the caller to the lock.
-    fn try_optimistic_lookup(&self, key: u64) -> Option<Option<u64>> {
+    fn try_optimistic_lookup(&self, pin: &epoch::Guard, key: u64) -> Option<Option<u64>> {
         let mut out = [None];
-        self.try_optimistic_batch(&[key], &mut out).then_some(out[0])
+        self.try_optimistic_batch(pin, &[key], &mut out).then_some(out[0])
     }
 }
 
@@ -643,11 +655,28 @@ impl<T: HashTable> ShardedTable<T> {
         }
     }
 
-    /// Look up one per-shard sub-batch: optimistically when allowed,
-    /// under the shard lock otherwise (or when validation keeps failing).
-    fn lookup_subrange(&self, shard: usize, keys: &[u64], out: &mut [Option<u64>]) {
+    /// Pin the epoch for one read call's optimistic attempts: `None` when
+    /// the lock-free path is off or every epoch slot is busy, and the
+    /// call then reads under the shard locks.
+    fn pin(&self) -> Option<epoch::Guard> {
+        if self.optimistic {
+            epoch::pin()
+        } else {
+            None
+        }
+    }
+
+    /// Look up one per-shard sub-batch: optimistically when pinned, under
+    /// the shard lock otherwise (or when validation keeps failing).
+    fn lookup_subrange(
+        &self,
+        pin: Option<&epoch::Guard>,
+        shard: usize,
+        keys: &[u64],
+        out: &mut [Option<u64>],
+    ) {
         let shard = &self.shards[shard];
-        if self.optimistic && shard.try_optimistic_batch(keys, out) {
+        if pin.is_some_and(|pin| shard.try_optimistic_batch(pin, keys, out)) {
             return;
         }
         shard.read_locked().lookup_batch(keys, out);
@@ -669,10 +698,8 @@ impl<T: HashTable + Send> ConcurrentTable for ShardedTable<T> {
 
     fn lookup_shared(&self, key: u64) -> Option<u64> {
         let shard = &self.shards[self.shard_of(key)];
-        if self.optimistic {
-            if let Some(answer) = shard.try_optimistic_lookup(key) {
-                return answer;
-            }
+        if let Some(answer) = self.pin().and_then(|pin| shard.try_optimistic_lookup(&pin, key)) {
+            return answer;
         }
         shard.read_locked().lookup(key)
     }
@@ -683,8 +710,9 @@ impl<T: HashTable + Send> ConcurrentTable for ShardedTable<T> {
 
     fn lookup_batch_shared(&self, keys: &[u64], out: &mut [Option<u64>]) {
         assert_eq!(keys.len(), out.len(), "lookup_batch: keys and out lengths differ");
+        let pin = self.pin();
         if self.shards.len() == 1 {
-            return self.lookup_subrange(0, keys, out);
+            return self.lookup_subrange(pin.as_ref(), 0, keys, out);
         }
         let mut guard = self.take_scratch();
         let s: &mut Scratch = &mut guard;
@@ -694,7 +722,7 @@ impl<T: HashTable + Send> ConcurrentTable for ShardedTable<T> {
         s.values.clear();
         s.values.resize(keys.len(), None);
         self.for_each_subrange(&s.starts, |shard, lo, hi| {
-            self.lookup_subrange(shard, &s.keys[lo..hi], &mut s.values[lo..hi]);
+            self.lookup_subrange(pin.as_ref(), shard, &s.keys[lo..hi], &mut s.values[lo..hi]);
         });
         for (&p, &v) in s.perm.iter().zip(&s.values) {
             out[p as usize] = v;
@@ -766,27 +794,13 @@ impl<T: HashTable + Send> ConcurrentTable for ShardedTable<T> {
 
 /// The sharded wrapper is itself never a shard, so it keeps the
 /// conservative `supports_optimistic() == false` (optimism happens *per
-/// shard*, inside the `ConcurrentTable` methods). The retention hooks
-/// fan out to every shard: the builder calls
-/// `retain_retired_allocations(true)` when growing shards must keep
-/// replaced generations alive for lock-free readers, and
-/// `reclaim_retired` — safe here because `&mut self` proves no reader
-/// exists — frees them at a quiescent point.
+/// shard*, inside the `ConcurrentTable` methods). Its retired bytes are
+/// the shards' sum: generations a pinned lock-free reader may still be
+/// probing, each freed by its shard's first mutating operation after the
+/// pin is released.
 impl<T: HashTable + Send> ReadView for ShardedTable<T> {
-    fn retain_retired_allocations(&mut self, on: bool) {
-        for shard in self.shards.iter_mut() {
-            shard.data.get_mut().retain_retired_allocations(on);
-        }
-    }
-
     fn retired_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.read_locked().retired_bytes()).sum()
-    }
-
-    fn reclaim_retired(&mut self) {
-        for shard in self.shards.iter_mut() {
-            shard.data.get_mut().reclaim_retired();
-        }
     }
 }
 
@@ -854,6 +868,7 @@ impl<T: HashTable + Send> HashTable for ShardedTable<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests_common::{hold_pin, settle, settle_to};
     use crate::{LinearProbing, RobinHood};
     use hashfn::Murmur as MurmurHash;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1079,9 +1094,10 @@ mod tests {
         assert_eq!(t.shards[0].seq.load(Ordering::SeqCst), after, "reads bumped the counter");
         // Quiescent, so the lock-free path itself must commit — the reads
         // above did not quietly fall back to the lock.
-        assert!(t.shards[0].try_optimistic_batch(&keys, &mut out));
+        let pin = hold_pin();
+        assert!(t.shards[0].try_optimistic_batch(&pin, &keys, &mut out));
         assert_eq!(out, [Some(1), None, None]);
-        assert_eq!(t.shards[0].try_optimistic_lookup(1), Some(Some(1)));
+        assert_eq!(t.shards[0].try_optimistic_lookup(&pin, 1), Some(Some(1)));
     }
 
     #[test]
@@ -1238,5 +1254,182 @@ mod tests {
                 "round {round}: panic leaked the in-flight scratch"
             );
         }
+    }
+
+    /// Linear probing that counts the lock-free probes it is asked for.
+    struct CountedProbes(LinearProbing<MurmurHash>, AtomicU64);
+
+    impl ReadView for CountedProbes {
+        fn supports_optimistic(&self) -> bool {
+            true
+        }
+
+        unsafe fn lookup_batch_optimistic(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            // SAFETY: the caller's contract, passed through.
+            unsafe { self.0.lookup_batch_optimistic(keys, out) }
+        }
+    }
+
+    impl HashTable for CountedProbes {
+        fn insert(&mut self, k: u64, v: u64) -> Result<InsertOutcome, TableError> {
+            self.0.insert(k, v)
+        }
+        fn lookup(&self, k: u64) -> Option<u64> {
+            self.0.lookup(k)
+        }
+        fn delete(&mut self, k: u64) -> Option<u64> {
+            self.0.delete(k)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn capacity(&self) -> usize {
+            self.0.capacity()
+        }
+        fn memory_bytes(&self) -> usize {
+            self.0.memory_bytes()
+        }
+        fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
+            self.0.for_each(f)
+        }
+        fn display_name(&self) -> String {
+            self.0.display_name()
+        }
+    }
+
+    #[test]
+    fn with_every_epoch_slot_held_reads_go_through_the_locks() {
+        let mut t = ShardedTable::new(2, 9, |i| {
+            CountedProbes(LinearProbing::with_seed(8, 200 + i as u64), AtomicU64::new(0))
+        });
+        for k in 1..=300u64 {
+            t.insert(k, k * 5).unwrap();
+        }
+        let probes = |t: &ShardedTable<CountedProbes>| {
+            t.shards.iter().map(|s| s.read_locked().1.load(Ordering::Relaxed)).sum::<u64>()
+        };
+        let keys: Vec<u64> = (1..=400).collect();
+        let mut out = vec![None; keys.len()];
+        // Other tests' readers hold slots for a moment and free them, so
+        // a slot may come free between taking them all and reading: then
+        // the read goes lock-free, and the test tries again.
+        for _ in 0..1000 {
+            let held: Vec<epoch::Guard> = std::iter::from_fn(epoch::pin).collect();
+            let before = probes(&t);
+            t.lookup_batch_shared(&keys, &mut out);
+            let single = t.lookup_shared(7);
+            let lock_free = probes(&t) - before;
+            drop(held);
+            for (&k, &v) in keys.iter().zip(&out) {
+                assert_eq!(v, (k <= 300).then_some(k * 5), "key {k}");
+            }
+            assert_eq!(single, Some(35));
+            if lock_free == 0 {
+                return;
+            }
+        }
+        panic!("an epoch slot came free during every attempt");
+    }
+
+    /// Sets its flag when dropped, also on unwind.
+    struct SetOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+
+    impl Drop for SetOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    /// An adaptive table whose every shard switches LP→FP→RH under two
+    /// racing readers retires eight generations, and keeps at most one per
+    /// shard.
+    #[test]
+    fn an_adaptive_flip_flop_under_racing_readers_keeps_at_most_a_generation_per_shard() {
+        use crate::{AdaptiveConfig, MigrationPolicy, TableBuilder, TableScheme};
+        use std::sync::atomic::AtomicBool;
+        const RESIDENT: u64 = 2400; // about 59 % of each 2^10-slot shard
+        let mut t = TableBuilder::new(TableScheme::LinearProbing)
+            .bits(12)
+            .seed(0xF11F)
+            .shards(2)
+            .incremental(8)
+            .migration(MigrationPolicy::Adaptive(AdaptiveConfig { check_every: 16, cooldown: 64 }))
+            .build_sharded();
+        assert!(t.optimistic_reads());
+        for k in 1..=RESIDENT {
+            t.insert(k, k * 3).unwrap();
+        }
+        let answer = |k: u64| (k <= RESIDENT).then_some(k * 3);
+        // The phase's reads: at this load misses want fingerprints, and
+        // hits want Robin Hood.
+        let phase_key =
+            |misses: bool, i: u64| if misses { 1_000_000 + i } else { 1 + i % RESIDENT };
+        let (misses, stop) = (AtomicBool::new(true), AtomicBool::new(false));
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for r in 0..2u64 {
+                let (t, misses, stop, start) = (&t, &misses, &stop, &start);
+                scope.spawn(move || {
+                    let (mut keys, mut got) = (vec![0; 64], vec![None; 64]);
+                    start.wait();
+                    let mut i = r << 32;
+                    while !stop.load(Ordering::Acquire) {
+                        let phase = misses.load(Ordering::Relaxed);
+                        for k in keys.iter_mut() {
+                            i += 1;
+                            *k = phase_key(phase, i);
+                        }
+                        t.lookup_batch_shared(&keys, &mut got);
+                        for (&k, &v) in keys.iter().zip(&got) {
+                            assert_eq!(v, answer(k), "reader {r}: key {k}");
+                        }
+                    }
+                });
+            }
+            // A failed assertion below must still stop the readers.
+            let _stop = SetOnDrop(&stop);
+            let (mut keys, mut got) = (vec![0; 400], vec![None; 400]);
+            let (mut doomed, mut gone) = ([0u64; 8], [None; 8]);
+            start.wait();
+            for round in 0u64.. {
+                assert!(round < 200_000, "only {} switches", t.stats_shared().scheme_switches);
+                let phase = misses.load(Ordering::Relaxed);
+                for (i, k) in keys.iter_mut().enumerate() {
+                    *k = phase_key(phase, (1 << 40) + round * 400 + i as u64);
+                }
+                t.lookup_batch_shared(&keys, &mut got);
+                for (&k, &v) in keys.iter().zip(&got) {
+                    assert_eq!(v, answer(k), "round {round}: key {k}");
+                }
+                // The rare mutations that fund the controller and the drain.
+                for (j, k) in doomed.iter_mut().enumerate() {
+                    *k = (1 << 50) + round * 8 + j as u64;
+                }
+                t.delete_batch_shared(&doomed, &mut gone);
+                if t.stats_shared().scheme_switches >= 8 {
+                    break;
+                }
+                let mut arrived = true;
+                t.for_each_shard(|_, s| arrived &= s.display_name().starts_with("FP") == phase);
+                if arrived {
+                    misses.store(!phase, Ordering::Relaxed);
+                }
+            }
+        });
+        // The largest generation a shard can retire, per shard.
+        let bytes = |scheme| TableBuilder::new(scheme).bits(10).build().memory_bytes();
+        let generation =
+            [TableScheme::LinearProbing, TableScheme::Fingerprint, TableScheme::RobinHood]
+                .map(bytes)
+                .into_iter()
+                .max();
+        let generations = t.num_shards() * generation.unwrap_or(0);
+        settle_to(&mut t, generations);
+        settle(&mut t);
+        let resident: Vec<u64> = (1..=RESIDENT).collect();
+        let mut got = vec![None; resident.len()];
+        t.lookup_batch_shared(&resident, &mut got);
+        assert!(resident.iter().zip(&got).all(|(&k, &v)| v == answer(k)), "a key was lost");
     }
 }

@@ -191,3 +191,42 @@ pub fn check_against_model<T: HashTable>(t: &mut T, ops: usize, seed: u64) {
     });
     assert_eq!(visited, model.len());
 }
+
+/// A key no test inserts: deleting it is a mutating operation that
+/// changes nothing.
+pub const ABSENT_KEY: u64 = 1 << 62;
+
+/// Pin the epoch from this thread. Other tests pin too, and one may hold
+/// every slot for a moment, so retry (bounded) until a slot is free.
+pub fn hold_pin() -> crate::epoch::Guard {
+    for _ in 0..1_000_000 {
+        if let Some(guard) = crate::epoch::pin() {
+            return guard;
+        }
+        std::thread::yield_now();
+    }
+    panic!("no epoch slot came free");
+}
+
+/// Drive mutating operations (one batch deleting 64 absent keys, which
+/// reaches every shard of a sharded table) until `t` holds at most `bytes`
+/// of retired generations. With no other pin the first batch frees them;
+/// the epoch is global, so another test's reader may hold an older pin for
+/// a moment, hence the bound.
+pub fn settle_to<T: HashTable>(t: &mut T, bytes: usize) {
+    let absent: Vec<u64> = (ABSENT_KEY..ABSENT_KEY + 64).collect();
+    let mut out = vec![None; absent.len()];
+    for _ in 0..100_000 {
+        if t.retired_bytes() <= bytes {
+            return;
+        }
+        t.delete_batch(&absent, &mut out);
+        std::thread::yield_now();
+    }
+    panic!("{} retired bytes outlived every pin", t.retired_bytes());
+}
+
+/// [`settle_to`] nothing retired.
+pub fn settle<T: HashTable>(t: &mut T) {
+    settle_to(t, 0);
+}

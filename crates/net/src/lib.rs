@@ -60,6 +60,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod client;
 #[cfg(target_os = "linux")]

@@ -282,6 +282,8 @@ pub fn reuseport_listener(addr: SocketAddr) -> io::Result<TcpListener> {
     }
     // SAFETY: `sa` holds a valid sockaddr of `sa_len` bytes.
     cvt(unsafe { bind(fd.as_raw_fd(), sa.as_ptr(), sa_len) })?;
+    // SAFETY: `fd` is an open, bound socket this function owns; `listen`
+    // takes no pointers.
     cvt(unsafe { listen(fd.as_raw_fd(), LISTEN_BACKLOG) })?;
     Ok(TcpListener::from(fd))
 }

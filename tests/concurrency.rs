@@ -379,13 +379,20 @@ fn optimistic_readers_race_inserting_deleting_growing_writers() {
             assert_eq!(v, committed(k), "key {k} settled on a torn value");
         }
     }
-    // The growth the readers raced really happened, and its retired
-    // generations are reclaimable now that the threads are gone
-    // (`ReadView` comes in through the prelude).
-    let mut table = table;
-    assert!(table.retired_bytes() > 0, "no generation swap ever raced the readers");
-    table.reclaim_retired();
-    assert_eq!(table.retired_bytes(), 0);
+    // The growth the readers raced really happened, and the generations
+    // it replaced are freed now that the readers are gone: by the first
+    // mutating batch, or by a later one if another test's reader holds an
+    // older epoch pin for a moment (`ReadView` comes in through the
+    // prelude).
+    assert!(table.capacity() > 1 << 10, "no generation swap ever raced the readers");
+    let absent: Vec<u64> = (UNIVERSE_TOP + 1..=UNIVERSE_TOP + 64).collect();
+    let mut gone = vec![None; absent.len()];
+    let batches = (0..100_000).find(|_| {
+        table.delete_batch_shared(&absent, &mut gone);
+        std::thread::yield_now();
+        table.retired_bytes() == 0
+    });
+    assert!(batches.is_some(), "{} retired bytes outlived the readers", table.retired_bytes());
 }
 
 /// The state a sharded table is brought to before its locked and lock-free
@@ -490,8 +497,6 @@ fn optimistic_flag_changes_neither_answers_nor_stats() {
                 assert!(t.is_migrating() && t.migration_backlog() > 0, "{label}: not mid-drain");
                 t
             });
-            // What the builder does for growing optimistic shards.
-            table.retain_retired_allocations(true);
             assert_optimistic_flag_only_skips_the_mutex(&mut table, &keys, true, &label);
         }
     }
@@ -516,17 +521,19 @@ fn sharded_optimistic_reads_drive_every_shard_from_lp_to_fp() {
     for k in 1..=RESIDENT {
         table.insert(k, k * 3).unwrap();
     }
-    let mut lp_bytes = Vec::new();
     table.for_each_shard(|_, t| {
         assert!(t.display_name().starts_with("LP"), "{}", t.display_name());
-        lp_bytes.push(t.memory_bytes());
     });
-    // A shard has finished its drain once the LP generation it left is
-    // retired (the optimistic build retains retirees): then its retired
-    // bytes are exactly the LP table's.
+    // A shard has finished its drain once it is a fingerprint table that
+    // holds nothing but its own generation: no draining LP table, no
+    // pending keys, and no retired one (a retiree lasts only while some
+    // reader is pinned).
+    let fp_bytes = TableBuilder::new(TableScheme::Fingerprint).bits(10).build().memory_bytes();
     let drained = |table: &ShardedTable<BoxedTable>| {
         let mut all = true;
-        table.for_each_shard(|i, t| all &= t.retired_bytes() == lp_bytes[i]);
+        table.for_each_shard(|_, t| {
+            all &= t.display_name().starts_with("FP") && t.memory_bytes() == fp_bytes
+        });
         all
     };
     let mut keys = Vec::with_capacity(100);
