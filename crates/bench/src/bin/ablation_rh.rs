@@ -9,12 +9,79 @@
 //!    (paper: "up to more than a factor 4");
 //! 4. the *rejected* abort criteria of §2.4 — the `dmax` bound and the
 //!    checked-every-probe variant — underperform the tuned cache-line
-//!    check, reproducing why the paper discarded them.
+//!    check, reproducing why the paper discarded them. The library keeps
+//!    only the tuned criterion; the two rejected ones are local functions
+//!    here, over the table's slots and displacements.
 
 use bench::{parse_args, worm_cell_with};
 use hashfn::MultShift;
-use sevendim_core::{HashTable, LinearProbing, RhLookupMode, RobinHood};
+use sevendim_core::{home_slot, HashTable, LinearProbing, RobinHood};
 use workloads::{Distribution, WormConfig};
+
+type Rh = RobinHood<MultShift>;
+
+/// Rejected criterion: stop an unsuccessful probe after `dmax` steps — no
+/// entry sits further from its home slot. The paper found `dmax` "often
+/// still too high to obtain significant improvements over LP".
+fn lookup_dmax_bound(t: &Rh, dmax: usize, key: u64) -> Option<u64> {
+    let slots = t.raw_slots();
+    let mask = slots.len() - 1;
+    let mut pos = home_slot(t.hash_fn(), key, mask.count_ones() as u8);
+    for _ in 0..=dmax {
+        let slot = slots[pos];
+        if slot.key == key {
+            return Some(slot.value);
+        }
+        if slot.is_empty() {
+            return None;
+        }
+        pos = (pos + 1) & mask;
+    }
+    None
+}
+
+/// Rejected criterion: compare the probe's displacement with the
+/// resident's on **every** step. The tightest abort (the one
+/// `lookup_probed` counts), but a hash recomputation per probed slot —
+/// "prohibitively expensive w.r.t. runtime and inferior to plain LP in
+/// most scenarios".
+fn lookup_checked(t: &Rh, key: u64) -> Option<u64> {
+    let slots = t.raw_slots();
+    let mask = slots.len() - 1;
+    let mut pos = home_slot(t.hash_fn(), key, mask.count_ones() as u8);
+    let mut dist = 0usize;
+    loop {
+        let slot = slots[pos];
+        if slot.key == key {
+            return Some(slot.value);
+        }
+        if slot.is_empty() || t.displacement_at(pos) < dist {
+            return None;
+        }
+        pos = (pos + 1) & mask;
+        dist += 1;
+    }
+}
+
+/// One row of claim 4 over a table that maps each of `sets.inserts` to
+/// itself: `lookup` must find every inserted key and miss every absent one
+/// (so all three criteria agree on both streams); the row is the miss
+/// stream's throughput.
+fn criterion_row(name: &str, sets: &workloads::KeySets, lookup: impl Fn(u64) -> Option<u64>) {
+    for &k in &sets.inserts {
+        assert_eq!(lookup(k), Some(k), "{name}: hit stream, key {k}");
+    }
+    let mut hits = 0u64;
+    let t = metrics::Throughput::measure(sets.misses.len() as u64, || {
+        for &k in &sets.misses {
+            if lookup(k).is_some() {
+                hits += 1;
+            }
+        }
+    });
+    assert_eq!(hits, 0, "{name}: miss stream must not hit");
+    println!("  {name:<32} {:>10.2} M lookups/s", t.m_ops_per_sec());
+}
 
 fn main() {
     let args = parse_args(std::env::args());
@@ -92,31 +159,18 @@ fn main() {
     for &k in &sets.inserts {
         rh.insert(k, k).unwrap();
     }
-    println!(
-        "  table dmax = {}, mean displacement = {:.1}",
-        rh.dmax(),
-        rh.displacement_stats().mean
-    );
-    // The abort criterion is a table configuration now: identical contents,
-    // three lookup modes, probed through the one trait entry point.
-    for (name, mode) in [
-        ("tuned (cache-line check)", RhLookupMode::CacheLine),
-        ("dmax bound (rejected)", RhLookupMode::DmaxBound),
-        ("checked every probe (rejected)", RhLookupMode::CheckedEveryProbe),
-    ] {
-        let mut table = rh.clone();
-        table.set_lookup_mode(mode);
-        let mut hits = 0u64;
-        let t = metrics::Throughput::measure(sets.misses.len() as u64, || {
-            for &k in &sets.misses {
-                if table.lookup(k).is_some() {
-                    hits += 1;
-                }
-            }
-        });
-        assert_eq!(hits, 0, "miss stream must not hit");
-        println!("  {name:<32} {:>10.2} M lookups/s", t.m_ops_per_sec());
-    }
+    // The table only ever grew, and a Robin Hood insert never moves an
+    // entry closer to its home slot, so the largest displacement now is the
+    // largest any entry ever had: the monotone bound the criterion tracks.
+    let stats = rh.displacement_stats();
+    let dmax = stats.max;
+    // The paper's footnote: at high load dmax "can often be an order of
+    // magnitude higher than the average displacement" (a core test,
+    // `dmax_often_far_above_mean_at_high_load`, asserts it at 2^12).
+    println!("  table dmax = {dmax}, mean displacement = {:.1}", stats.mean);
+    criterion_row("tuned (cache-line check)", &sets, |k| rh.lookup(k));
+    criterion_row("dmax bound (rejected)", &sets, |k| lookup_dmax_bound(&rh, dmax, k));
+    criterion_row("checked every probe (rejected)", &sets, |k| lookup_checked(&rh, k));
     println!(
         "  (paper §2.4: dmax is 'often still too high'; per-probe checks are \
          'prohibitively expensive'; the cache-line check wins.)"

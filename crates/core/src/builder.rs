@@ -327,17 +327,11 @@ impl TableBuilder {
     /// [`TableBuilder::shards`]/[`TableBuilder::concurrency`] builds —
     /// unsharded tables have no lock to skip. Combined with
     /// [`TableBuilder::grow_at`] or a migration policy, a shard's doubling
-    /// or switch may race a lock-free reader, so each read call pins the
-    /// global epoch ([`crate::epoch`]) before it loads a published
-    /// generation, and a replaced generation is stamped with the epoch it
-    /// was unpublished at and freed once no reader is pinned at or below
-    /// the stamp: at once, or by the shard's next mutating operation.
-    /// The ordering argument: the reader claims its slot with a `SeqCst`
-    /// CAS, then loads the generation pointer (`SeqCst`); the writer
-    /// unpublishes, bumps the epoch, issues a `SeqCst` fence and scans
-    /// the slots, so it either sees the reader's pin or the reader sees
-    /// the replacement. Writers never wait for readers. Turning the knob
-    /// off restores lock-only reads.
+    /// or switch may race a lock-free reader; each read call then pins the
+    /// global epoch, and a replaced generation is freed once no reader
+    /// that could still probe it is pinned (see [`crate::epoch`] for the
+    /// protocol and its ordering argument). Turning the knob off restores
+    /// lock-only reads.
     pub fn optimistic_reads(mut self, on: bool) -> Self {
         self.optimistic_reads = on;
         self

@@ -41,9 +41,9 @@
 //!
 //! The threshold trigger itself is pure integer math: the `f64` threshold
 //! is converted once to Q32 fixed point, and `len + 1 > threshold × cap`
-//! is evaluated as a `u128` product — exact at every capacity up to
-//! `2^MAX_BITS`, where `f64` comparisons can misplace the trigger by an
-//! entry.
+//! is evaluated as a `u128` product — exact at every capacity a growing
+//! table can reach (2^32 slots, where growth stops), while `f64`
+//! comparisons can misplace the trigger by an entry.
 //!
 //! # Batched inserts: headroom runs
 //!
@@ -184,9 +184,9 @@ const THRESHOLD_FP_BITS: u32 = 32;
 
 /// Most entries a `cap`-slot generation holds before a fresh key must
 /// grow it: `floor(threshold × cap)`, with the threshold in Q32 fixed
-/// point. The `u128` product keeps it exact for every
-/// `cap ≤ 2^MAX_BITS`, where the former `f64` comparison could round the
-/// trigger point by an entry.
+/// point. The `u128` product cannot overflow, so it is exact for every
+/// capacity up to the growth ceiling ([`MAX_BITS`]), where the former
+/// `f64` comparison could round the trigger point by an entry.
 #[inline]
 fn growth_limit(threshold_fp: u64, cap: usize) -> usize {
     ((threshold_fp as u128 * cap as u128) >> THRESHOLD_FP_BITS) as usize
@@ -258,9 +258,16 @@ pub struct DynamicTable<F: TableFactory> {
     rehash_count: usize,
 }
 
-/// Hard ceiling on growth (2^40 slots ≈ 16 TiB of AoS pairs); reaching it
-/// means a runaway workload, not a legitimate table.
-const MAX_BITS: u8 = 40;
+/// Hard ceiling on growth: 2^32 slots, the largest capacity every scheme
+/// builds (a chained table's directory has `2^(bits − 1)` entries, so it
+/// alone could go one doubling further).
+const MAX_BITS: u8 = 32;
+
+/// Refuse a generation of `2^bits` slots beyond [`MAX_BITS`] — before
+/// anything for it, the entry snapshot included, is allocated.
+fn assert_within_ceiling(bits: u8) {
+    assert!(bits <= MAX_BITS, "dynamic table exceeded 2^{MAX_BITS} slots");
+}
 
 /// Most entries one drain or rebuild run moves. The batch kernels hash and
 /// prefetch [`PREFETCH_BATCH`](crate::simd::PREFETCH_BATCH)-entry windows,
@@ -470,8 +477,8 @@ impl<F: TableFactory> DynamicTable<F> {
     /// the drain budget, or a switch landed mid-growth), it is finished
     /// first so at most two generations ever exist.
     fn begin_generation(&mut self, bits: u8, factory: Option<F>) -> Result<(), TableError> {
+        assert_within_ceiling(bits);
         self.finish_migration()?;
-        assert!(bits <= MAX_BITS, "dynamic table exceeded 2^{MAX_BITS} slots");
         if let Some(f) = factory {
             self.factory = f;
         }
@@ -620,12 +627,12 @@ impl<F: TableFactory> DynamicTable<F> {
     /// in [`DRAIN_RUN`]-entry runs, in capture order; the first refusal
     /// in a run decides, as it would one entry at a time.
     fn rebuild(&mut self, start_bits: u8, start_attempt: u64) -> Result<(), TableError> {
+        assert_within_ceiling(start_bits);
         let entries = EntrySnapshot::pairs_of(self).into_vec();
         let mut placed = [Ok(InsertOutcome::Inserted); DRAIN_RUN];
         let mut bits = start_bits;
         let mut attempt = start_attempt;
         'outer: loop {
-            assert!(bits <= MAX_BITS, "dynamic table exceeded 2^{MAX_BITS} slots");
             let mut bigger = self.factory.build(bits, self.generation_seed(bits, attempt));
             for run in entries.chunks(DRAIN_RUN) {
                 let placed = &mut placed[..run.len()];
@@ -637,6 +644,7 @@ impl<F: TableFactory> DynamicTable<F> {
                         attempt += 1;
                         if attempt.is_multiple_of(3) {
                             bits += 1;
+                            assert_within_ceiling(bits);
                         }
                         continue 'outer;
                     }
@@ -2131,6 +2139,63 @@ mod tests {
         fn build(&self, bits: u8, seed: u64) -> Jinxed {
             Jinxed(crate::LinearProbing::with_seed(bits, seed), self.refuses_at)
         }
+    }
+
+    /// A generation that claims `2^bits` slots and four entries, and holds
+    /// nothing: a 2^32-slot table without its 64 GiB. Only what the growth
+    /// trigger reads works; a snapshot or an insert panics.
+    struct Colossal(u8);
+
+    impl crate::ReadView for Colossal {}
+
+    impl HashTable for Colossal {
+        fn insert(&mut self, _: u64, _: u64) -> Result<InsertOutcome, TableError> {
+            panic!("insert into a colossal table");
+        }
+        fn lookup(&self, _: u64) -> Option<u64> {
+            None
+        }
+        fn delete(&mut self, _: u64) -> Option<u64> {
+            None
+        }
+        fn len(&self) -> usize {
+            4
+        }
+        fn capacity(&self) -> usize {
+            1 << self.0
+        }
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+        fn for_each(&self, _: &mut dyn FnMut(u64, u64)) {
+            panic!("snapshot of a colossal table");
+        }
+        fn display_name(&self) -> String {
+            "Colossal".into()
+        }
+    }
+
+    #[derive(Clone)]
+    struct ColossalFactory;
+
+    impl TableFactory for ColossalFactory {
+        type Table = Colossal;
+
+        fn build(&self, bits: u8, _: u64) -> Colossal {
+            assert!(bits <= 32, "factory asked for 2^{bits} slots");
+            Colossal(bits)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dynamic table exceeded 2^32 slots")]
+    fn doubling_past_the_largest_capacity_panics_before_allocating() {
+        // A threshold of 1e-9 puts the trigger at four entries of 2^32
+        // slots, so the fifth must double. The default (stop-the-world)
+        // growth snapshots every entry before it builds; the ceiling must
+        // refuse first.
+        let mut t = DynamicTable::new(ColossalFactory, 32, 1, 1e-9);
+        let _ = t.insert(1, 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | [`LinearProbing`]  | LP | [`OpenAddressing`]`<H, Aos, Linear>`: step 1, optimized tombstones |
 //! | [`LinearProbingSoA`] | LP (SoA layout) | [`OpenAddressing`]`<H, Soa, Linear>`: as LP, keys/values in split arrays |
 //! | [`QuadraticProbing`] | QP | [`OpenAddressing`]`<H, Aos, Triangular>`: `h + i(i+1)/2`, full slot coverage, always-tombstone deletes |
-//! | [`RobinHood`] | RH | LP + displacement-ordered clusters, cache-line early abort, backward-shift deletes |
+//! | [`RobinHood`] | RH | [`OpenAddressing`]`<H, Aos, Ordered>`: LP + displacement-ordered clusters, cache-line early abort, backward-shift deletes |
 //! | [`Cuckoo`] | CuckooH2/3/4 | k independently hashed sub-tables, kick-out chains, rehash on failure |
 //! | [`FingerprintTable`] | FP (beyond the paper) | bucketized 16-slot groups over a 1-byte tag array, SSE2 group probing |
 //!
@@ -33,7 +33,8 @@
 //! 16-byte key/value pairs — which the paper found superior in most cases
 //! (§7). Layout and probe sequence are independent type parameters of
 //! [`OpenAddressing`] ([`open_addressing::Aos`] / [`open_addressing::Soa`]
-//! × [`open_addressing::Linear`] / [`open_addressing::Triangular`]);
+//! × [`open_addressing::Linear`] / [`open_addressing::Triangular`] /
+//! [`open_addressing::Ordered`]);
 //! [`LinearProbingSoA`] names the struct-of-arrays cell, and both linear
 //! layouts have AVX2-accelerated probing variants (see [`simd`]) used by
 //! the Figure 7 reproduction.
@@ -78,7 +79,7 @@ pub use lp_soa::LinearProbingSoA;
 pub use open_addressing::OpenAddressing;
 pub use optimistic::{ReadView, OPTIMISTIC_RETRIES};
 pub use quadratic::QuadraticProbing;
-pub use robin_hood::{RhLookupMode, RobinHood};
+pub use robin_hood::RobinHood;
 pub use sharded::{Closing, ClosingRule, ConcurrentTable, ShardedTable};
 pub use stats::{RuntimeStats, TableStats};
 

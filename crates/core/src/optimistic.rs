@@ -16,8 +16,8 @@
 //! that doesn't opt in simply reports `supports_optimistic() == false`
 //! and every read of it goes through the lock.
 //!
-//! The lock-free probe is not a second algorithm. The tombstone-discipline
-//! tables and Robin Hood instantiate the one capacity-bounded lookup
+//! The lock-free probe is not a second algorithm. The open-addressing
+//! tables (Robin Hood included) instantiate the one capacity-bounded lookup
 //! kernel of [`crate::open_addressing`] with volatile loads, through the
 //! same hash-prefetch-probe batch driver their locked `lookup_batch`
 //! uses; the fingerprint table does the same with its group kernel. Whether

@@ -28,7 +28,7 @@
 //! graph.
 
 use crate::open_addressing::{Aos, OpenAddressing, Step};
-use crate::{Pair, RobinHood};
+use crate::Pair;
 use hashfn::HashFn64;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -130,7 +130,9 @@ pub fn cluster_stats(slots: &[Pair]) -> ClusterStats {
 impl<H: HashFn64, S: Step> OpenAddressing<H, Aos, S> {
     /// Displacement statistics, where displacement is the number of probe
     /// steps of `S` from the home slot to the entry's position (the linear
-    /// distance under linear probing, triangular steps under quadratic).
+    /// distance under linear probing and Robin Hood, triangular steps under
+    /// quadratic). Robin Hood's total and mean match an LP table with the
+    /// same contents; its variance and max are smaller.
     pub fn displacement_stats(&self) -> DisplacementStats {
         let slots = self.raw_slots();
         let mask = slots.len() - 1;
@@ -146,20 +148,6 @@ impl<H: HashFn64, S: Step> OpenAddressing<H, Aos, S> {
             }
             unreachable!("entry not on its own probe sequence");
         })
-    }
-
-    /// Cluster statistics.
-    pub fn cluster_stats(&self) -> ClusterStats {
-        cluster_stats(self.raw_slots())
-    }
-}
-
-impl<H: HashFn64> RobinHood<H> {
-    /// Displacement statistics (linear distance from home slot). By
-    /// design, total and mean match an LP table with the same contents;
-    /// variance and max are smaller.
-    pub fn displacement_stats(&self) -> DisplacementStats {
-        displacement_stats_with(self.raw_slots(), |i, _| self.displacement_at(i))
     }
 
     /// Cluster statistics.
@@ -272,7 +260,7 @@ impl RuntimeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HashTable, LinearProbing, QuadraticProbing, EMPTY_KEY, TOMBSTONE_KEY};
+    use crate::{HashTable, LinearProbing, QuadraticProbing, RobinHood, EMPTY_KEY, TOMBSTONE_KEY};
     use hashfn::{MultShift, Murmur};
 
     fn pair(k: u64) -> Pair {

@@ -103,8 +103,8 @@ pub mod prelude {
         decision::Mutability, recommend, AdaptiveConfig, BoxedTable, ChainedTable24, ChainedTable8,
         ConcurrentTable, Cuckoo, DynamicTable, EntrySnapshot, FingerprintTable, FsyncPolicy,
         GrowthPolicy, HashKind, HashTable, InsertOutcome, LinearProbing, LinearProbingSoA,
-        MigrationPolicy, QuadraticProbing, ReadView, RhLookupMode, RobinHood, ShardedTable,
-        TableBuilder, TableChoice, TableError, TableScheme, TableStats, WorkloadProfile,
+        MigrationPolicy, QuadraticProbing, ReadView, RobinHood, ShardedTable, TableBuilder,
+        TableChoice, TableError, TableScheme, TableStats, WorkloadProfile,
     };
     pub use sevendim_durable::{DurableSharded, DurableTable, RecoveryReport, WalError};
     #[cfg(target_os = "linux")]
