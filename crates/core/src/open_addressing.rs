@@ -1036,7 +1036,7 @@ impl<H: HashFn64, L: Layout, S: Step> ReadView for OpenAddressing<H, L, S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tests_common::*;
     use crate::{LinearProbing, LinearProbingSoA, QuadraticProbing, RobinHood};
@@ -1111,14 +1111,14 @@ mod tests {
     /// Soundness rule 2 on a table with **no** empty slot — a state only a
     /// racing writer can produce. Every slot of `t` must already hold a
     /// live key other than `absent`.
-    fn assert_saturated_miss_is_bounded<T: HashTable>(t: &T, absent: &[u64]) {
+    pub(crate) fn assert_saturated_miss_is_bounded<T: HashTable>(t: &T, absent: &[u64]) {
         let mut out = vec![Some(0); absent.len()];
         // SAFETY: no writer exists; the table outlives the call.
         assert!(unsafe { t.lookup_batch_optimistic(absent, &mut out) }, "{}", t.display_name());
         assert!(out.iter().all(Option::is_none), "{}: {out:?}", t.display_name());
     }
 
-    fn saturated<L: Layout, S: Step>(bits: u8) -> OpenAddressing<MultShift, L, S> {
+    pub(crate) fn saturated<L: Layout, S: Step>(bits: u8) -> OpenAddressing<MultShift, L, S> {
         let mut t = OpenAddressing::<MultShift, L, S>::with_seed(bits, 3);
         for i in 0..=t.mask {
             t.slots.set_key(i, 1000 + i as u64);

@@ -33,12 +33,28 @@ pub type RobinHood<H> = OpenAddressing<H, Aos, Ordered>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests_common::*;
     use crate::{HashTable, InsertOutcome, TableError};
     use hashfn::{MultShift, Murmur};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn table(bits: u8) -> RobinHood<Murmur> {
         RobinHood::with_seed(bits, 42)
+    }
+
+    #[test]
+    fn insert_lookup_delete_roundtrip() {
+        check_roundtrip(&mut table(8));
+    }
+
+    #[test]
+    fn map_semantics_replace() {
+        check_replace_semantics(&mut table(8));
+    }
+
+    #[test]
+    fn reserved_keys_rejected() {
+        check_reserved_keys(&mut table(4));
     }
 
     #[test]
@@ -175,6 +191,38 @@ mod tests {
         // Updates still possible at the cap.
         assert_eq!(t.insert(1, 99), Ok(InsertOutcome::Replaced(1)));
         assert_eq!(t.insert(999, 1), Err(TableError::TableFull));
+    }
+
+    #[test]
+    fn for_each_visits_all_live_entries() {
+        check_for_each(&mut table(8));
+    }
+
+    #[test]
+    fn model_test_against_std_hashmap() {
+        check_against_model(&mut table(10), 5000, 0xF00D);
+    }
+
+    #[test]
+    fn model_test_with_weak_hash_function() {
+        let mut t: RobinHood<MultShift> = RobinHood::with_hash(8, MultShift::new(1));
+        check_against_model(&mut t, 4000, 0x1234);
+    }
+
+    #[test]
+    fn batch_ops_match_single_key_path() {
+        check_batch_matches_single(&mut table(9), &mut table(9), 0x12BA);
+    }
+
+    #[test]
+    fn optimistic_scan_is_capacity_bounded_on_a_saturated_table() {
+        use crate::open_addressing::tests::{assert_saturated_miss_is_bounded, saturated};
+        use crate::{EMPTY_KEY, TOMBSTONE_KEY};
+        // Zero empty slots — a state only a racing writer can produce.
+        for bits in [1u8, 6] {
+            let t: RobinHood<MultShift> = saturated(bits);
+            assert_saturated_miss_is_bounded(&t, &[1, EMPTY_KEY, 7, TOMBSTONE_KEY, 999]);
+        }
     }
 
     #[test]
