@@ -3,15 +3,17 @@
 //! The paper reports that a naive allocator — "one malloc call per
 //! insertion, and one free call per delete" — costs chained hashing up to
 //! an order of magnitude versus slab (bulk) allocation, plus footprint
-//! overhead from fragmentation and allocator metadata. This binary
-//! rebuilds both variants of ChainedH8/H24 side by side, first for a
+//! overhead from fragmentation and allocator metadata. This binary runs
+//! both directory cells of the one chained table — `Links` (ChainedH8) and
+//! `Inline` (ChainedH24) — over each allocator side by side, first for a
 //! build-only phase, then for a delete/insert churn phase that stresses
 //! the free-and-reallocate path, and prints the slowdowns.
 
 use bench::parse_args;
 use hashfn::{HashFamily, MultShift};
 use metrics::{bytes_to_mb, Throughput};
-use sevendim_core::{ChainedTable24, ChainedTable8, HashTable, MemoryBudget};
+use sevendim_core::chained::{Chained, Directory, Inline, Links};
+use sevendim_core::{HashTable, MemoryBudget};
 use slab_alloc::{BoxedAllocator, EntryAllocator, SlabAllocator};
 use workloads::Distribution;
 
@@ -31,31 +33,13 @@ fn main() {
         "table", "build M/s", "churn M/s", "alloc MB", "build x", "churn x"
     );
 
-    fn h8<A: EntryAllocator>(bits: u8, alloc: A) -> ChainedTable8<MultShift, A> {
-        ChainedTable8::new(
-            bits - 1,
-            MultShift::from_seed(1),
-            alloc,
-            MemoryBudget::unlimited(),
-            None,
-        )
-    }
-    fn h24<A: EntryAllocator>(bits: u8, alloc: A) -> ChainedTable24<MultShift, A> {
-        ChainedTable24::new(
-            bits - 1,
-            MultShift::from_seed(1),
-            alloc,
-            MemoryBudget::unlimited(),
-            None,
-        )
-    }
-
     // Slab allocators are pre-sized: "bulk-allocate many (or up to all)
     // entries in one large array" — that is the strategy under test.
-    let slab8 = run(h8(bits, SlabAllocator::with_capacity(n)), &sets.inserts, &sets.misses);
-    let boxed8 = run(h8(bits, BoxedAllocator::new()), &sets.inserts, &sets.misses);
-    let slab24 = run(h24(bits, SlabAllocator::with_capacity(n)), &sets.inserts, &sets.misses);
-    let boxed24 = run(h24(bits, BoxedAllocator::new()), &sets.inserts, &sets.misses);
+    let (keys, fresh) = (&sets.inserts[..], &sets.misses[..]);
+    let slab8 = run::<Links, _>(bits, SlabAllocator::with_capacity(n), keys, fresh);
+    let boxed8 = run::<Links, _>(bits, BoxedAllocator::new(), keys, fresh);
+    let slab24 = run::<Inline, _>(bits, SlabAllocator::with_capacity(n), keys, fresh);
+    let boxed24 = run::<Inline, _>(bits, BoxedAllocator::new(), keys, fresh);
 
     report("ChainedH8Mult (slab)", &slab8, &slab8);
     report("ChainedH8Mult (boxed)", &boxed8, &slab8);
@@ -76,21 +60,24 @@ struct Out {
     bytes: usize,
 }
 
-fn run<A: EntryAllocator>(mut table: impl ChainedOps<A>, inserts: &[u64], fresh: &[u64]) -> Out {
+/// Build `inserts` into a `2^(bits-1)`-slot table with directory `D` over
+/// `alloc`, then churn: delete an old key, insert a fresh one — a
+/// free+malloc pair per iteration in the naive allocator.
+fn run<D: Directory, A: EntryAllocator>(bits: u8, alloc: A, inserts: &[u64], fresh: &[u64]) -> Out {
+    let mut table: Chained<MultShift, D, A> =
+        Chained::new(bits - 1, MultShift::from_seed(1), alloc, MemoryBudget::unlimited(), None);
     let build = Throughput::measure(inserts.len() as u64, || {
         for &k in inserts {
-            table.ins(k);
+            table.insert(k, k).expect("unbudgeted insert");
         }
     });
-    // Churn: delete an old key, insert a fresh one — a free+malloc pair
-    // per iteration in the naive allocator.
     let churn = Throughput::measure(2 * inserts.len() as u64, || {
         for (&old, &new) in inserts.iter().zip(fresh) {
-            table.del(old);
-            table.ins(new);
+            table.delete(old);
+            table.insert(new, new).expect("unbudgeted insert");
         }
     });
-    Out { build, churn, bytes: table.bytes() }
+    Out { build, churn, bytes: table.allocated_bytes() }
 }
 
 fn report(label: &str, out: &Out, baseline: &Out) {
@@ -102,36 +89,4 @@ fn report(label: &str, out: &Out, baseline: &Out) {
         baseline.build.m_ops_per_sec() / out.build.m_ops_per_sec(),
         baseline.churn.m_ops_per_sec() / out.churn.m_ops_per_sec(),
     );
-}
-
-/// Minimal common surface over the two chained table types (they don't
-/// share a type parameterization the closure-based `run` could name).
-trait ChainedOps<A: EntryAllocator> {
-    fn ins(&mut self, k: u64);
-    fn del(&mut self, k: u64);
-    fn bytes(&self) -> usize;
-}
-
-impl<A: EntryAllocator> ChainedOps<A> for ChainedTable8<MultShift, A> {
-    fn ins(&mut self, k: u64) {
-        self.insert(k, k).expect("unbudgeted insert");
-    }
-    fn del(&mut self, k: u64) {
-        self.delete(k);
-    }
-    fn bytes(&self) -> usize {
-        self.allocated_bytes()
-    }
-}
-
-impl<A: EntryAllocator> ChainedOps<A> for ChainedTable24<MultShift, A> {
-    fn ins(&mut self, k: u64) {
-        self.insert(k, k).expect("unbudgeted insert");
-    }
-    fn del(&mut self, k: u64) {
-        self.delete(k);
-    }
-    fn bytes(&self) -> usize {
-        self.allocated_bytes()
-    }
 }

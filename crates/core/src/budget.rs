@@ -10,6 +10,8 @@
 //! `2^29` for ChainedH24 against `l = 2^30`, and why both variants drop out
 //! of the ≥70% load-factor experiments entirely.
 
+use crate::chained::Directory;
+
 /// A byte limit a chained table must respect (or `unlimited`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryBudget {
@@ -76,41 +78,34 @@ pub fn expected_occupied_slots(d: usize, n: usize) -> f64 {
 }
 
 /// Largest power-of-two directory (as a bit count, capped at `max_bits`)
-/// for **ChainedH8** holding `n_target` entries within `budget`.
+/// for a chained table with directory `D` holding `n_target` entries
+/// within `budget`.
 ///
-/// Every H8 entry lives in the slab, so the footprint is
-/// `8·2^b + 24·n_target`; the directory wants to be as large as possible
-/// to shorten chains. Returns the largest fitting `b ≥ 4`, or `None` if
-/// even `b = 4` cannot fit.
-pub fn chained8_directory_bits(budget: MemoryBudget, n_target: usize, max_bits: u8) -> Option<u8> {
-    let limit = match budget.limit() {
-        None => return Some(max_bits),
-        Some(l) => l,
-    };
-    let entries = CHAIN_ENTRY_BYTES * n_target;
-    (4..=max_bits).rev().find(|&b| (1usize << b) * 8 + entries <= limit)
-}
-
-/// Largest power-of-two directory (bit count, capped at `max_bits`) for
-/// **ChainedH24** holding `n_target` entries within `budget`.
-///
-/// Inline entries are free (part of the directory); only the expected
-/// overflow `n − E[occupied slots]` costs 24 B each.
-pub fn chained24_directory_bits(budget: MemoryBudget, n_target: usize, max_bits: u8) -> Option<u8> {
-    let limit = match budget.limit() {
-        None => return Some(max_bits),
-        Some(l) => l,
-    };
+/// The footprint is `D::SLOT_BYTES` per directory slot plus 24 B per
+/// entry the allocator is expected to hold
+/// ([`Directory::expected_chained`]): all `n_target` for
+/// [`Links`](crate::chained::Links) (`8·2^b + 24·n_target`), only the
+/// overflow `n − E[occupied slots]` for
+/// [`Inline`](crate::chained::Inline), whose inline entries come with the
+/// directory. The directory wants to be as large as possible to shorten
+/// chains. Returns the largest fitting `b ≥ 4`, or `None` if even `b = 4`
+/// cannot fit.
+pub fn chained_directory_bits<D: Directory>(
+    budget: MemoryBudget,
+    n_target: usize,
+    max_bits: u8,
+) -> Option<u8> {
+    let Some(limit) = budget.limit() else { return Some(max_bits) };
     (4..=max_bits).rev().find(|&b| {
-        let dir = (1usize << b) * CHAIN_ENTRY_BYTES;
-        let overflow = (n_target as f64 - expected_occupied_slots(1 << b, n_target)).max(0.0);
-        dir + (overflow * CHAIN_ENTRY_BYTES as f64).ceil() as usize <= limit
+        let chained = D::expected_chained(1 << b, n_target) * CHAIN_ENTRY_BYTES as f64;
+        (1usize << b) * D::SLOT_BYTES + chained.ceil() as usize <= limit
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chained::{Inline, Links};
 
     #[test]
     fn budget_allows_boundary() {
@@ -149,9 +144,9 @@ mod tests {
         let l_bits = 30u8;
         let budget = MemoryBudget::open_addressing_equivalent(l_bits);
         let l = 1usize << l_bits;
-        assert_eq!(chained8_directory_bits(budget, l / 4, l_bits), Some(30));
-        assert_eq!(chained8_directory_bits(budget, l * 35 / 100, l_bits), Some(30));
-        assert_eq!(chained8_directory_bits(budget, l * 45 / 100, l_bits), Some(29));
+        assert_eq!(chained_directory_bits::<Links>(budget, l / 4, l_bits), Some(30));
+        assert_eq!(chained_directory_bits::<Links>(budget, l * 35 / 100, l_bits), Some(30));
+        assert_eq!(chained_directory_bits::<Links>(budget, l * 45 / 100, l_bits), Some(29));
     }
 
     #[test]
@@ -161,7 +156,7 @@ mod tests {
         let budget = MemoryBudget::open_addressing_equivalent(30);
         let l = 1usize << 30;
         for alpha_pct in [25usize, 35, 45] {
-            let bits = chained24_directory_bits(budget, l * alpha_pct / 100, 30);
+            let bits = chained_directory_bits::<Inline>(budget, l * alpha_pct / 100, 30);
             assert_eq!(bits, Some(29), "α = {alpha_pct}%");
         }
     }
@@ -173,17 +168,17 @@ mod tests {
         // even a tiny directory needs 24·0.9·l = 21.6·l > 17.6·l.
         let budget = MemoryBudget::open_addressing_equivalent(20);
         let l = 1usize << 20;
-        assert_eq!(chained8_directory_bits(budget, l * 9 / 10, 20), None);
-        assert_eq!(chained24_directory_bits(budget, l * 9 / 10, 20), None);
+        assert_eq!(chained_directory_bits::<Links>(budget, l * 9 / 10, 20), None);
+        assert_eq!(chained_directory_bits::<Inline>(budget, l * 9 / 10, 20), None);
         // And ~0.7·l is right at the edge: 24·0.7 = 16.8 ≤ 17.6 only with a
         // small directory.
-        let bits = chained8_directory_bits(budget, l * 7 / 10, 20).unwrap();
+        let bits = chained_directory_bits::<Links>(budget, l * 7 / 10, 20).unwrap();
         assert!(bits < 20);
     }
 
     #[test]
     fn unlimited_budget_uses_max_directory() {
-        assert_eq!(chained8_directory_bits(MemoryBudget::unlimited(), 1000, 22), Some(22));
-        assert_eq!(chained24_directory_bits(MemoryBudget::unlimited(), 1000, 22), Some(22));
+        assert_eq!(chained_directory_bits::<Links>(MemoryBudget::unlimited(), 1000, 22), Some(22));
+        assert_eq!(chained_directory_bits::<Inline>(MemoryBudget::unlimited(), 1000, 22), Some(22));
     }
 }

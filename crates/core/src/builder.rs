@@ -30,7 +30,8 @@
 //! unit tests and the SIMD ablations want concrete types); the builder is
 //! the *runtime* grid the query and workload layers drive.
 
-use crate::budget::chained24_directory_bits;
+use crate::budget::chained_directory_bits;
+use crate::chained::{Chained, Directory, Inline, Links};
 use crate::decision::{recommend, TableChoice, WorkloadProfile};
 use crate::dynamic::{DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};
 use crate::sharded::ShardedTable;
@@ -559,11 +560,11 @@ impl TableBuilder {
         Ok(match self.scheme {
             TableScheme::Chained8 => match self.chained_budget {
                 Some(n) => Box::new(ChainedTable8::<H>::with_budget(bits, n, seed)?),
-                None => Box::new(self.unbudgeted_chained8::<H>()),
+                None => Box::new(self.unbudgeted_chained::<H, Links>()),
             },
             TableScheme::Chained24 => match self.chained_budget {
                 Some(n) => Box::new(ChainedTable24::<H>::with_budget(bits, n, seed)?),
-                None => Box::new(self.unbudgeted_chained24::<H>()),
+                None => Box::new(self.unbudgeted_chained::<H, Inline>()),
             },
             TableScheme::LinearProbing => {
                 let mut t = LinearProbing::<H>::with_seed(bits, seed);
@@ -591,20 +592,9 @@ impl TableBuilder {
     /// Unbudgeted chained table sized by the dynamic convention of §6: a
     /// `2^(bits-1)` directory tracked against a `2^bits` nominal capacity,
     /// keeping its footprint comparable to the open-addressing schemes.
-    fn unbudgeted_chained8<H: HashFamily>(&self) -> ChainedTable8<H> {
+    fn unbudgeted_chained<H: HashFamily, D: Directory>(&self) -> Chained<H, D> {
         let dir_bits = self.bits.saturating_sub(1).max(1);
-        ChainedTable8::new(
-            dir_bits,
-            H::from_seed(self.seed),
-            SlabAllocator::new(),
-            MemoryBudget::unlimited(),
-            Some(1usize << self.bits),
-        )
-    }
-
-    fn unbudgeted_chained24<H: HashFamily>(&self) -> ChainedTable24<H> {
-        let dir_bits = self.bits.saturating_sub(1).max(1);
-        ChainedTable24::new(
+        Chained::new(
             dir_bits,
             H::from_seed(self.seed),
             SlabAllocator::new(),
@@ -633,7 +623,7 @@ pub fn profile_choice(profile: &WorkloadProfile, bits: u8) -> TableChoice {
     if choice == TableChoice::ChainedH24Mult {
         let n_target = ((1usize << bits) as f64 * profile.load_factor).round() as usize;
         let budget = MemoryBudget::open_addressing_equivalent(bits);
-        if chained24_directory_bits(budget, n_target, bits).is_none() {
+        if chained_directory_bits::<Inline>(budget, n_target, bits).is_none() {
             let fp_band = profile.mutability == crate::decision::Mutability::Static
                 && profile.write_ratio <= 0.5;
             return if fp_feasible && fp_band { TableChoice::FpMult } else { TableChoice::RHMult };

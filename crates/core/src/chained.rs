@@ -1,41 +1,169 @@
-//! Chained hashing, in the paper's two flavours (§2.1).
+//! Chained hashing (paper §2.1): one table, [`Chained<H, D, A>`], in the
+//! paper's two flavours.
 //!
-//! * [`ChainedTable8`] ("ChainedH8"): the textbook layout — the directory
-//!   is an array of 8-byte links, every entry lives in the entry
-//!   allocator. Every operation chases at least one link, so even
-//!   collision-free slots cost an extra cache miss.
-//! * [`ChainedTable24`] ("ChainedH24"): 24-byte directory slots hold the
-//!   first entry of each bucket *inline* (key, value, link), buying
-//!   open-addressing-like latency when collisions are rare at the price of
-//!   a 3× wider directory.
+//! A key hashes to one directory slot; the slot's bucket is a singly
+//! linked chain of 24-byte entries (key, value, link). The flavours differ
+//! only in what a slot holds, the [`Directory`]:
 //!
-//! Both are generic over the [`EntryAllocator`]; the default
+//! * [`Links`] — ChainedH8, [`ChainedTable8`]: the textbook layout. A slot
+//!   is an 8-byte link and every entry lives in the entry allocator, so
+//!   every operation chases at least one link and even collision-free
+//!   slots cost an extra cache miss.
+//! * [`Inline`] — ChainedH24, [`ChainedTable24`]: a 24-byte slot holds the
+//!   bucket's first entry *inline*, buying open-addressing-like latency
+//!   when collisions are rare at the price of a 3× wider directory.
+//!
+//! Every operation is one walk over a bucket: the inline entry, if the
+//! directory has one, then the links. Inserts fill an empty inline slot,
+//! else replace a match, else append at the tail ("entries are appended
+//! to the list"); a delete of an inline entry promotes the first chained
+//! one into the slot.
+//!
+//! The table is generic over the [`EntryAllocator`]; the default
 //! [`SlabAllocator`] is the paper's tuned bulk strategy, and
 //! [`slab_alloc::BoxedAllocator`] recreates the naive
 //! one-`malloc`-per-insert baseline for the allocation ablation.
 //!
 //! Chained tables enforce an optional [`MemoryBudget`] (§4.5): an insert
-//! that would push the *logical* footprint (directory + 24 B per chained
-//! entry — the paper's accounting) past the budget fails with
+//! that would push the paper's footprint — `SLOT_BYTES` per directory slot
+//! plus 24 B per allocator-held entry — past the budget fails with
 //! [`TableError::MemoryBudgetExceeded`].
 
-use crate::budget::{chained24_directory_bits, chained8_directory_bits, CHAIN_ENTRY_BYTES};
+use crate::budget::{chained_directory_bits, expected_occupied_slots, CHAIN_ENTRY_BYTES};
 use crate::{is_reserved_key, HashTable, InsertOutcome, MemoryBudget, TableError, EMPTY_KEY};
 use hashfn::{fold_to_bits, HashFamily, HashFn64};
 use slab_alloc::{Entry, EntryAllocator, EntryRef, SlabAllocator};
 
-/// ChainedH8: directory of links, entries in the allocator.
-pub struct ChainedTable8<H: HashFn64, A: EntryAllocator = SlabAllocator> {
-    directory: Box<[Option<EntryRef>]>,
+/// Seals [`Directory`]: the chain walks rely on what its implementations
+/// return, so both live in this module.
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Links {}
+    impl Sealed for super::Inline {}
+}
+
+/// What a directory slot of a [`Chained`] table holds.
+pub trait Directory: sealed::Sealed {
+    /// One directory slot.
+    type Slot: Copy;
+
+    /// A slot with an empty bucket.
+    const EMPTY: Self::Slot;
+
+    /// Bytes per slot, as the paper's footprint counts them.
+    const SLOT_BYTES: usize = std::mem::size_of::<Self::Slot>();
+
+    /// Prefix of the paper-style display name.
+    const NAME: &'static str;
+
+    /// The slot's inline entry cell, empty (key [`EMPTY_KEY`]) or not;
+    /// `None` for [`Links`].
+    fn head(slot: &Self::Slot) -> Option<&Entry>;
+
+    /// Mutable access to that cell.
+    fn head_mut(slot: &mut Self::Slot) -> Option<&mut Entry>;
+
+    /// The link to the bucket's first allocator-held entry.
+    fn first(slot: &Self::Slot) -> Option<EntryRef>;
+
+    /// Mutable access to that link.
+    fn first_mut(slot: &mut Self::Slot) -> &mut Option<EntryRef>;
+
+    /// Expected allocator-held entries after hashing `n` keys uniformly
+    /// into `dir_len` slots: what the §4.5 budget charges 24 B each.
+    fn expected_chained(dir_len: usize, n: usize) -> f64;
+}
+
+/// ChainedH8: a slot is a link; every entry lives in the allocator.
+pub struct Links;
+
+/// ChainedH24: a slot holds the bucket's first entry inline.
+pub struct Inline;
+
+impl Directory for Links {
+    type Slot = Option<EntryRef>;
+    const EMPTY: Self::Slot = None;
+    const NAME: &'static str = "ChainedH8";
+
+    #[inline(always)]
+    fn head(_: &Self::Slot) -> Option<&Entry> {
+        None
+    }
+
+    #[inline(always)]
+    fn head_mut(_: &mut Self::Slot) -> Option<&mut Entry> {
+        None
+    }
+
+    #[inline(always)]
+    fn first(slot: &Self::Slot) -> Option<EntryRef> {
+        *slot
+    }
+
+    #[inline(always)]
+    fn first_mut(slot: &mut Self::Slot) -> &mut Option<EntryRef> {
+        slot
+    }
+
+    fn expected_chained(_dir_len: usize, n: usize) -> f64 {
+        n as f64
+    }
+}
+
+impl Directory for Inline {
+    type Slot = Entry;
+    const EMPTY: Entry = Entry { key: EMPTY_KEY, value: 0, next: None };
+    const NAME: &'static str = "ChainedH24";
+
+    #[inline(always)]
+    fn head(slot: &Entry) -> Option<&Entry> {
+        Some(slot)
+    }
+
+    #[inline(always)]
+    fn head_mut(slot: &mut Entry) -> Option<&mut Entry> {
+        Some(slot)
+    }
+
+    #[inline(always)]
+    fn first(slot: &Entry) -> Option<EntryRef> {
+        slot.next
+    }
+
+    #[inline(always)]
+    fn first_mut(slot: &mut Entry) -> &mut Option<EntryRef> {
+        &mut slot.next
+    }
+
+    /// Inline entries are part of the directory; only the overflow
+    /// `n − E[occupied slots]` is chained.
+    fn expected_chained(dir_len: usize, n: usize) -> f64 {
+        (n as f64 - expected_occupied_slots(dir_len, n)).max(0.0)
+    }
+}
+
+/// A chained hash table whose directory slots are `D`'s and whose chained
+/// entries come from `A`.
+pub struct Chained<H: HashFn64, D: Directory, A: EntryAllocator = SlabAllocator> {
+    directory: Box<[D::Slot]>,
     dir_bits: u8,
     hash: H,
     alloc: A,
     len: usize,
+    /// Entries held by the allocator: all of them behind [`Links`], the
+    /// overflow (the paper's "collisions") behind [`Inline`].
+    chained: usize,
     nominal_capacity: usize,
     budget: MemoryBudget,
 }
 
-impl<H: HashFamily> ChainedTable8<H, SlabAllocator> {
+/// ChainedH8: a directory of 8-byte links, every entry in the allocator.
+pub type ChainedTable8<H, A = SlabAllocator> = Chained<H, Links, A>;
+
+/// ChainedH24: 24-byte directory slots with the first entry inline.
+pub type ChainedTable24<H, A = SlabAllocator> = Chained<H, Inline, A>;
+
+impl<H: HashFamily, D: Directory> Chained<H, D, SlabAllocator> {
     /// Unbudgeted table with a `2^dir_bits`-slot directory and a slab
     /// allocator; hash function drawn from `seed`.
     pub fn with_seed(dir_bits: u8, seed: u64) -> Self {
@@ -50,23 +178,25 @@ impl<H: HashFamily> ChainedTable8<H, SlabAllocator> {
 
     /// Budgeted table standing in for open addressing with `2^oa_bits`
     /// slots at a target fill of `n_target` entries (paper §4.5): budget is
-    /// 110% of the open-addressing footprint and the directory is the
-    /// largest power of two that fits. Fails if no directory size can.
+    /// 110% of the open-addressing footprint, the directory is the largest
+    /// power of two that fits, and the slab is pre-sized to the entries it
+    /// is expected to hold. Fails if no directory size fits.
     pub fn with_budget(oa_bits: u8, n_target: usize, seed: u64) -> Result<Self, TableError> {
         let budget = MemoryBudget::open_addressing_equivalent(oa_bits);
-        let dir_bits = chained8_directory_bits(budget, n_target, oa_bits)
+        let dir_bits = chained_directory_bits::<D>(budget, n_target, oa_bits)
             .ok_or(TableError::MemoryBudgetExceeded)?;
+        let chained = D::expected_chained(1 << dir_bits, n_target).ceil() as usize;
         Ok(Self::new(
             dir_bits,
             H::from_seed(seed),
-            SlabAllocator::with_capacity(n_target),
+            SlabAllocator::with_capacity(chained),
             budget,
             Some(1usize << oa_bits),
         ))
     }
 }
 
-impl<H: HashFn64, A: EntryAllocator> ChainedTable8<H, A> {
+impl<H: HashFn64, D: Directory, A: EntryAllocator> Chained<H, D, A> {
     /// Fully explicit constructor (hash function, allocator, budget,
     /// nominal open-addressing-equivalent capacity).
     pub fn new(
@@ -78,215 +208,7 @@ impl<H: HashFn64, A: EntryAllocator> ChainedTable8<H, A> {
     ) -> Self {
         let dir_len = crate::check_capacity_bits(dir_bits);
         Self {
-            directory: vec![None; dir_len].into_boxed_slice(),
-            dir_bits,
-            hash,
-            alloc,
-            len: 0,
-            nominal_capacity: nominal_capacity.unwrap_or(dir_len),
-            budget,
-        }
-    }
-
-    /// The hash function in use.
-    pub fn hash_fn(&self) -> &H {
-        &self.hash
-    }
-
-    /// Directory slot count.
-    pub fn directory_len(&self) -> usize {
-        self.directory.len()
-    }
-
-    /// Paper-style footprint: directory links + 24 B per entry.
-    pub fn logical_bytes(&self) -> usize {
-        self.directory.len() * 8 + self.len * CHAIN_ENTRY_BYTES
-    }
-
-    /// Actually allocated bytes (directory + allocator capacity).
-    pub fn allocated_bytes(&self) -> usize {
-        self.directory.len() * 8 + self.alloc.memory_bytes()
-    }
-
-    /// Length of the chain at directory slot `idx` (stats/test aid).
-    pub fn chain_len(&self, idx: usize) -> usize {
-        let mut n = 0;
-        let mut cur = self.directory[idx];
-        while let Some(r) = cur {
-            n += 1;
-            cur = self.alloc.get(r).next;
-        }
-        n
-    }
-
-    #[inline(always)]
-    fn bucket(&self, key: u64) -> usize {
-        fold_to_bits(self.hash.hash(key), self.dir_bits)
-    }
-}
-
-/// Chained tables allocate and free per-entry heap nodes, so a lock-free
-/// reader could chase a link into freed memory — no optimistic support;
-/// the conservative [`ReadView`](crate::optimistic::ReadView) defaults
-/// route every shared read through the lock.
-impl<H: HashFn64, A: EntryAllocator> crate::optimistic::ReadView for ChainedTable8<H, A> {}
-
-impl<H: HashFn64, A: EntryAllocator> HashTable for ChainedTable8<H, A> {
-    fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        if is_reserved_key(key) {
-            return Err(TableError::ReservedKey);
-        }
-        let bucket = self.bucket(key);
-        // Walk the chain: replace on match, remember the tail for append.
-        let mut cur = self.directory[bucket];
-        let mut tail: Option<EntryRef> = None;
-        while let Some(r) = cur {
-            if self.alloc.get(r).key == key {
-                let e = self.alloc.get_mut(r);
-                let old = std::mem::replace(&mut e.value, value);
-                return Ok(InsertOutcome::Replaced(old));
-            }
-            tail = Some(r);
-            cur = self.alloc.get(r).next;
-        }
-        // New entry: budget check on the paper's logical footprint.
-        let would_be = self.directory.len() * 8 + (self.len + 1) * CHAIN_ENTRY_BYTES;
-        if !self.budget.allows(would_be) {
-            return Err(TableError::MemoryBudgetExceeded);
-        }
-        let new_ref = self.alloc.alloc(Entry { key, value, next: None });
-        match tail {
-            // Append, as the paper describes ("entries are appended to the
-            // list"); the duplicate walk already brought us to the tail.
-            Some(t) => self.alloc.get_mut(t).next = Some(new_ref),
-            None => self.directory[bucket] = Some(new_ref),
-        }
-        self.len += 1;
-        Ok(InsertOutcome::Inserted)
-    }
-
-    #[inline]
-    fn lookup(&self, key: u64) -> Option<u64> {
-        let mut cur = self.directory[self.bucket(key)];
-        while let Some(r) = cur {
-            let e = self.alloc.get(r);
-            if e.key == key {
-                return Some(e.value);
-            }
-            cur = e.next;
-        }
-        None
-    }
-
-    fn delete(&mut self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        let bucket = self.bucket(key);
-        let mut prev: Option<EntryRef> = None;
-        let mut cur = self.directory[bucket];
-        while let Some(r) = cur {
-            let e = *self.alloc.get(r);
-            if e.key == key {
-                match prev {
-                    Some(p) => self.alloc.get_mut(p).next = e.next,
-                    None => self.directory[bucket] = e.next,
-                }
-                self.alloc.free(r);
-                self.len -= 1;
-                return Some(e.value);
-            }
-            prev = Some(r);
-            cur = e.next;
-        }
-        None
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn capacity(&self) -> usize {
-        self.nominal_capacity
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.logical_bytes()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        for head in self.directory.iter() {
-            let mut cur = *head;
-            while let Some(r) = cur {
-                let e = self.alloc.get(r);
-                f(e.key, e.value);
-                cur = e.next;
-            }
-        }
-    }
-
-    fn display_name(&self) -> String {
-        format!("ChainedH8{}", H::name())
-    }
-}
-
-/// ChainedH24: 24-byte directory slots with the first entry inline.
-pub struct ChainedTable24<H: HashFn64, A: EntryAllocator = SlabAllocator> {
-    directory: Box<[Entry]>,
-    dir_bits: u8,
-    hash: H,
-    alloc: A,
-    len: usize,
-    /// Entries stored in chains (excluding inline ones) — the paper's
-    /// "collisions".
-    chained: usize,
-    nominal_capacity: usize,
-    budget: MemoryBudget,
-}
-
-impl<H: HashFamily> ChainedTable24<H, SlabAllocator> {
-    /// Unbudgeted table with a `2^dir_bits`-slot directory and a slab
-    /// allocator; hash function drawn from `seed`.
-    pub fn with_seed(dir_bits: u8, seed: u64) -> Self {
-        Self::new(
-            dir_bits,
-            H::from_seed(seed),
-            SlabAllocator::new(),
-            MemoryBudget::unlimited(),
-            None,
-        )
-    }
-
-    /// Budgeted table standing in for open addressing with `2^oa_bits`
-    /// slots at a target fill of `n_target` entries (paper §4.5).
-    pub fn with_budget(oa_bits: u8, n_target: usize, seed: u64) -> Result<Self, TableError> {
-        let budget = MemoryBudget::open_addressing_equivalent(oa_bits);
-        let dir_bits = chained24_directory_bits(budget, n_target, oa_bits)
-            .ok_or(TableError::MemoryBudgetExceeded)?;
-        Ok(Self::new(
-            dir_bits,
-            H::from_seed(seed),
-            SlabAllocator::new(),
-            budget,
-            Some(1usize << oa_bits),
-        ))
-    }
-}
-
-const EMPTY_SLOT: Entry = Entry { key: EMPTY_KEY, value: 0, next: None };
-
-impl<H: HashFn64, A: EntryAllocator> ChainedTable24<H, A> {
-    /// Fully explicit constructor.
-    pub fn new(
-        dir_bits: u8,
-        hash: H,
-        alloc: A,
-        budget: MemoryBudget,
-        nominal_capacity: Option<usize>,
-    ) -> Self {
-        let dir_len = crate::check_capacity_bits(dir_bits);
-        Self {
-            directory: vec![EMPTY_SLOT; dir_len].into_boxed_slice(),
+            directory: vec![D::EMPTY; dir_len].into_boxed_slice(),
             dir_bits,
             hash,
             alloc,
@@ -302,73 +224,90 @@ impl<H: HashFn64, A: EntryAllocator> ChainedTable24<H, A> {
         &self.hash
     }
 
-    /// Directory slot count.
-    pub fn directory_len(&self) -> usize {
-        self.directory.len()
-    }
-
-    /// Entries that overflowed into chains (the paper's collision count).
+    /// Entries held by the allocator rather than the directory (behind
+    /// [`Inline`], the paper's collision count).
     pub fn chained_entries(&self) -> usize {
         self.chained
     }
 
-    /// Paper-style footprint: 24 B per directory slot + 24 B per chained
-    /// (overflow) entry.
-    pub fn logical_bytes(&self) -> usize {
-        (self.directory.len() + self.chained) * CHAIN_ENTRY_BYTES
-    }
-
     /// Actually allocated bytes (directory + allocator capacity).
     pub fn allocated_bytes(&self) -> usize {
-        self.directory.len() * CHAIN_ENTRY_BYTES + self.alloc.memory_bytes()
+        self.directory.len() * D::SLOT_BYTES + self.alloc.memory_bytes()
+    }
+
+    /// Entries in the bucket of directory slot `idx`, inline one included
+    /// (stats/test aid).
+    pub fn chain_len(&self, idx: usize) -> usize {
+        self.bucket_entries(&self.directory[idx]).count()
+    }
+
+    /// The paper's footprint with `chained` allocator-held entries.
+    fn footprint(&self, chained: usize) -> usize {
+        self.directory.len() * D::SLOT_BYTES + chained * CHAIN_ENTRY_BYTES
     }
 
     #[inline(always)]
     fn bucket(&self, key: u64) -> usize {
         fold_to_bits(self.hash.hash(key), self.dir_bits)
     }
+
+    /// A bucket's entries in chain order: the inline one, then the links.
+    #[inline(always)]
+    fn bucket_entries<'a>(&'a self, slot: &'a D::Slot) -> impl Iterator<Item = &'a Entry> {
+        let chain = std::iter::successors(D::first(slot).map(|r| self.alloc.get(r)), |e| {
+            e.next.map(|r| self.alloc.get(r))
+        });
+        D::head(slot).filter(|h| h.key != EMPTY_KEY).into_iter().chain(chain)
+    }
 }
 
-/// As [`ChainedTable8`]: per-entry heap nodes rule out lock-free reads.
-impl<H: HashFn64, A: EntryAllocator> crate::optimistic::ReadView for ChainedTable24<H, A> {}
+/// Chained tables allocate and free per-entry heap nodes, so a lock-free
+/// reader could chase a link into freed memory — no optimistic support;
+/// the conservative [`ReadView`](crate::optimistic::ReadView) defaults
+/// route every shared read through the lock.
+impl<H: HashFn64, D: Directory, A: EntryAllocator> crate::optimistic::ReadView
+    for Chained<H, D, A>
+{
+}
 
-impl<H: HashFn64, A: EntryAllocator> HashTable for ChainedTable24<H, A> {
+impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A> {
     fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
         if is_reserved_key(key) {
             return Err(TableError::ReservedKey);
         }
         let bucket = self.bucket(key);
-        let head = &mut self.directory[bucket];
-        if head.key == EMPTY_KEY {
-            // Inline placement costs no extra memory.
-            *head = Entry { key, value, next: None };
-            self.len += 1;
-            return Ok(InsertOutcome::Inserted);
+        let slot = &mut self.directory[bucket];
+        if let Some(head) = D::head_mut(slot) {
+            if head.key == EMPTY_KEY {
+                // Inline placement costs no extra memory.
+                *head = Entry { key, value, next: None };
+                self.len += 1;
+                return Ok(InsertOutcome::Inserted);
+            }
+            if head.key == key {
+                return Ok(InsertOutcome::Replaced(std::mem::replace(&mut head.value, value)));
+            }
         }
-        if head.key == key {
-            let old = std::mem::replace(&mut head.value, value);
-            return Ok(InsertOutcome::Replaced(old));
-        }
-        // Walk the overflow chain.
+        // Walk the chain: replace on match, remember the tail for append.
         let mut tail: Option<EntryRef> = None;
-        let mut cur = head.next;
+        let mut cur = D::first(slot);
         while let Some(r) = cur {
             if self.alloc.get(r).key == key {
                 let e = self.alloc.get_mut(r);
-                let old = std::mem::replace(&mut e.value, value);
-                return Ok(InsertOutcome::Replaced(old));
+                return Ok(InsertOutcome::Replaced(std::mem::replace(&mut e.value, value)));
             }
             tail = Some(r);
             cur = self.alloc.get(r).next;
         }
-        let would_be = (self.directory.len() + self.chained + 1) * CHAIN_ENTRY_BYTES;
-        if !self.budget.allows(would_be) {
+        if !self.budget.allows(self.footprint(self.chained + 1)) {
             return Err(TableError::MemoryBudgetExceeded);
         }
-        let new_ref = self.alloc.alloc(Entry { key, value, next: None });
+        let new_ref = Some(self.alloc.alloc(Entry { key, value, next: None }));
         match tail {
-            Some(t) => self.alloc.get_mut(t).next = Some(new_ref),
-            None => self.directory[bucket].next = Some(new_ref),
+            // Append, as the paper describes; the duplicate walk already
+            // brought us to the tail.
+            Some(t) => self.alloc.get_mut(t).next = new_ref,
+            None => *D::first_mut(&mut self.directory[bucket]) = new_ref,
         }
         self.len += 1;
         self.chained += 1;
@@ -377,14 +316,17 @@ impl<H: HashFn64, A: EntryAllocator> HashTable for ChainedTable24<H, A> {
 
     #[inline]
     fn lookup(&self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
+        let slot = &self.directory[self.bucket(key)];
+        if let Some(head) = D::head(slot) {
+            // An empty inline cell holds EMPTY_KEY, which must not match.
+            if is_reserved_key(key) {
+                return None;
+            }
+            if head.key == key {
+                return Some(head.value);
+            }
         }
-        let head = &self.directory[self.bucket(key)];
-        if head.key == key {
-            return Some(head.value);
-        }
-        let mut cur = head.next;
+        let mut cur = D::first(slot);
         while let Some(r) = cur {
             let e = self.alloc.get(r);
             if e.key == key {
@@ -400,33 +342,30 @@ impl<H: HashFn64, A: EntryAllocator> HashTable for ChainedTable24<H, A> {
             return None;
         }
         let bucket = self.bucket(key);
-        let head = self.directory[bucket];
-        if head.key == key {
+        let slot = &mut self.directory[bucket];
+        if let Some(head) = D::head_mut(slot).filter(|h| h.key == key) {
             let value = head.value;
-            match head.next {
-                // Promote the first chained entry into the directory.
+            // Promote the first chained entry into the directory.
+            *head = match head.next {
                 Some(r) => {
-                    self.directory[bucket] = *self.alloc.get(r);
+                    let promoted = *self.alloc.get(r);
                     self.alloc.free(r);
                     self.chained -= 1;
+                    promoted
                 }
-                None => self.directory[bucket] = EMPTY_SLOT,
-            }
+                None => Inline::EMPTY,
+            };
             self.len -= 1;
             return Some(value);
         }
-        if head.key == EMPTY_KEY {
-            return None;
-        }
-        // Delete from the overflow chain.
         let mut prev: Option<EntryRef> = None;
-        let mut cur = head.next;
+        let mut cur = D::first(slot);
         while let Some(r) = cur {
             let e = *self.alloc.get(r);
             if e.key == key {
                 match prev {
                     Some(p) => self.alloc.get_mut(p).next = e.next,
-                    None => self.directory[bucket].next = e.next,
+                    None => *D::first_mut(slot) = e.next,
                 }
                 self.alloc.free(r);
                 self.len -= 1;
@@ -448,25 +387,19 @@ impl<H: HashFn64, A: EntryAllocator> HashTable for ChainedTable24<H, A> {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.logical_bytes()
+        self.footprint(self.chained)
     }
 
     fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        for head in self.directory.iter() {
-            if head.key != EMPTY_KEY {
-                f(head.key, head.value);
-                let mut cur = head.next;
-                while let Some(r) = cur {
-                    let e = self.alloc.get(r);
-                    f(e.key, e.value);
-                    cur = e.next;
-                }
+        for slot in self.directory.iter() {
+            for e in self.bucket_entries(slot) {
+                f(e.key, e.value);
             }
         }
     }
 
     fn display_name(&self) -> String {
-        format!("ChainedH24{}", H::name())
+        format!("{}{}", D::NAME, H::name())
     }
 }
 
@@ -483,6 +416,20 @@ mod tests {
 
     fn t24(bits: u8) -> ChainedTable24<Murmur> {
         ChainedTable24::with_seed(bits, 42)
+    }
+
+    /// Unbudgeted `2^bits`-slot table over `alloc`.
+    fn over<H: HashFn64, D: Directory, A: EntryAllocator>(
+        bits: u8,
+        h: H,
+        a: A,
+    ) -> Chained<H, D, A> {
+        Chained::new(bits, h, a, MemoryBudget::unlimited(), None)
+    }
+
+    /// Multiplier 1: keys below 2^60 land in bucket 0 of any directory.
+    fn one_bucket<D: Directory>() -> Chained<MultShift, D> {
+        over(4, MultShift::new(1), SlabAllocator::new())
     }
 
     #[test]
@@ -536,43 +483,41 @@ mod tests {
     }
 
     #[test]
+    fn h8_model_test_with_boxed_allocator() {
+        let mut t: ChainedTable8<Murmur, BoxedAllocator> =
+            over(6, Murmur::with_seed(1), BoxedAllocator::new());
+        check_against_model(&mut t, 3000, 0xCD);
+    }
+
+    #[test]
     fn h24_model_test_with_boxed_allocator() {
-        let mut t: ChainedTable24<Murmur, BoxedAllocator> = ChainedTable24::new(
-            6,
-            Murmur::with_seed(1),
-            BoxedAllocator::new(),
-            MemoryBudget::unlimited(),
-            None,
-        );
+        let mut t: ChainedTable24<Murmur, BoxedAllocator> =
+            over(6, Murmur::with_seed(1), BoxedAllocator::new());
         check_against_model(&mut t, 3000, 0xCC);
     }
 
     #[test]
     fn chains_hold_many_entries_per_bucket() {
         // Load factor > 1 is legal for chained tables.
-        let mut t = t8(4); // 16 buckets
-        for k in 1..=160u64 {
-            t.insert(k, k).unwrap();
+        fn check<D: Directory>(mut t: Chained<Murmur, D>) {
+            for k in 1..=160u64 {
+                t.insert(k, k).unwrap();
+            }
+            assert_eq!(t.len(), 160);
+            assert!(t.load_factor() > 1.0);
+            for k in 1..=160u64 {
+                assert_eq!(t.lookup(k), Some(k));
+            }
+            let total: usize = (0..16).map(|b| t.chain_len(b)).sum();
+            assert_eq!(total, 160);
         }
-        assert_eq!(t.len(), 160);
-        assert!(t.load_factor() > 1.0);
-        for k in 1..=160u64 {
-            assert_eq!(t.lookup(k), Some(k));
-        }
-        let total: usize = (0..16).map(|b| t.chain_len(b)).sum();
-        assert_eq!(total, 160);
+        check(t8(4)); // 16 buckets
+        check(t24(4));
     }
 
     #[test]
     fn h24_inlines_first_entry() {
-        // Multiplier 1: keys below 2^60 land in bucket 0 of any directory.
-        let mut t: ChainedTable24<MultShift> = ChainedTable24::new(
-            4,
-            MultShift::new(1),
-            SlabAllocator::new(),
-            MemoryBudget::unlimited(),
-            None,
-        );
+        let mut t: ChainedTable24<MultShift> = one_bucket();
         t.insert(1, 10).unwrap();
         assert_eq!(t.chained_entries(), 0, "first entry must be inline");
         t.insert(2, 20).unwrap();
@@ -583,13 +528,7 @@ mod tests {
 
     #[test]
     fn h24_delete_promotes_chained_entry() {
-        let mut t: ChainedTable24<MultShift> = ChainedTable24::new(
-            4,
-            MultShift::new(1),
-            SlabAllocator::new(),
-            MemoryBudget::unlimited(),
-            None,
-        );
+        let mut t: ChainedTable24<MultShift> = one_bucket();
         t.insert(1, 10).unwrap(); // inline
         t.insert(2, 20).unwrap(); // chained
         t.insert(3, 30).unwrap(); // chained
@@ -603,13 +542,7 @@ mod tests {
 
     #[test]
     fn h8_append_preserves_insertion_order() {
-        let mut t: ChainedTable8<MultShift> = ChainedTable8::new(
-            4,
-            MultShift::new(1),
-            SlabAllocator::new(),
-            MemoryBudget::unlimited(),
-            None,
-        );
+        let mut t: ChainedTable8<MultShift> = one_bucket();
         for k in 1..=4u64 {
             t.insert(k, k).unwrap();
         }

@@ -6,8 +6,8 @@
 //!
 //! | Type | Paper name | Collision handling |
 //! |---|---|---|
-//! | [`ChainedTable8`]  | ChainedH8  | directory of 8-byte links; all entries in a slab |
-//! | [`ChainedTable24`] | ChainedH24 | 24-byte directory entries with inline first element |
+//! | [`ChainedTable8`]  | ChainedH8  | [`Chained`]`<H, Links>`: directory of 8-byte links; all entries in a slab |
+//! | [`ChainedTable24`] | ChainedH24 | [`Chained`]`<H, Inline>`: 24-byte directory slots with the first entry inline |
 //! | [`LinearProbing`]  | LP | [`OpenAddressing`]`<H, Aos, Linear>`: step 1, optimized tombstones |
 //! | [`LinearProbingSoA`] | LP (SoA layout) | [`OpenAddressing`]`<H, Soa, Linear>`: as LP, keys/values in split arrays |
 //! | [`QuadraticProbing`] | QP | [`OpenAddressing`]`<H, Aos, Triangular>`: `h + i(i+1)/2`, full slot coverage, always-tombstone deletes |
@@ -68,7 +68,7 @@ pub(crate) mod tests_common;
 pub use adaptive::AdaptiveConfig;
 pub use budget::MemoryBudget;
 pub use builder::{profile_choice, BoxedTable, FsyncPolicy, HashKind, TableBuilder, TableScheme};
-pub use chained::{ChainedTable24, ChainedTable8};
+pub use chained::{Chained, ChainedTable24, ChainedTable8};
 pub use cuckoo::Cuckoo;
 pub use decision::{recommend, TableChoice, WorkloadProfile};
 pub use dynamic::{DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};

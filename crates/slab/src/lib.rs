@@ -86,6 +86,9 @@ pub struct SlabAllocator {
     live: usize,
     free_len: usize,
     chunk_len: usize,
+    /// `log2(chunk_len)`: an index splits into chunk and offset by a shift
+    /// and a mask, never a division.
+    chunk_shift: u32,
 }
 
 impl SlabAllocator {
@@ -101,7 +104,15 @@ impl SlabAllocator {
     /// (rounded up to a power of two, minimum 8).
     pub fn with_chunk_len(chunk_len: usize) -> Self {
         let chunk_len = chunk_len.max(8).next_power_of_two();
-        Self { chunks: Vec::new(), bump: 0, free_head: None, live: 0, free_len: 0, chunk_len }
+        Self {
+            chunks: Vec::new(),
+            bump: 0,
+            free_head: None,
+            live: 0,
+            free_len: 0,
+            chunk_len,
+            chunk_shift: chunk_len.trailing_zeros(),
+        }
     }
 
     /// Pre-allocate room for `n` entries up front ("bulk-allocate many (or
@@ -125,7 +136,7 @@ impl SlabAllocator {
 
     #[inline(always)]
     fn split(&self, idx: usize) -> (usize, usize) {
-        (idx / self.chunk_len, idx % self.chunk_len)
+        (idx >> self.chunk_shift, idx & (self.chunk_len - 1))
     }
 
     /// Entries currently on the free list.
@@ -308,13 +319,16 @@ mod tests {
 
     #[test]
     fn grows_across_chunks_with_stable_refs() {
-        let mut slab = SlabAllocator::with_chunk_len(8);
-        let refs: Vec<EntryRef> = (0..1000).map(|k| slab.alloc(entry(k))).collect();
-        // All refs remain valid after many chunk growths.
-        for (k, &r) in refs.iter().enumerate() {
-            assert_eq!(slab.get(r).key, k as u64);
+        // 10 rounds up to 16: the shift-and-mask split relies on it.
+        for chunk_len in [8, 10] {
+            let mut slab = SlabAllocator::with_chunk_len(chunk_len);
+            let refs: Vec<EntryRef> = (0..1000).map(|k| slab.alloc(entry(k))).collect();
+            // All refs remain valid after many chunk growths.
+            for (k, &r) in refs.iter().enumerate() {
+                assert_eq!(slab.get(r).key, k as u64);
+            }
+            assert!(slab.memory_bytes() >= 1000 * 24);
         }
-        assert!(slab.memory_bytes() >= 1000 * 24);
     }
 
     #[test]
