@@ -5,11 +5,11 @@
 //! — is [`DynamicTable::switch_to`](crate::DynamicTable::switch_to). This
 //! module knows nothing about tables: its controller is a clock over
 //! mutating operations, a memory of the last stats snapshot, and one
-//! function from an observed window to a [`TableChoice`]. Whoever owns
+//! function from an observed window to a [`TableScheme`]. Whoever owns
 //! it decides what to do with the verdict.
 
 use crate::decision::Mutability;
-use crate::{TableChoice, TableStats, WorkloadProfile};
+use crate::{TableScheme, TableStats, WorkloadProfile};
 
 /// Tuning for [`MigrationPolicy::Adaptive`](crate::MigrationPolicy::Adaptive).
 /// The defaults re-evaluate every 4 Ki mutating ops and hold 16 Ki ops of
@@ -57,7 +57,7 @@ impl AdaptiveController {
     /// Advance the clock by `ops` mutating operations and, if it passed
     /// a [`AdaptiveConfig::check_every`] boundary off cooldown with no
     /// drain in flight, judge the window since the last evaluation:
-    /// `Some(choice)` is the scheme the Figure 8 walk wants for a table
+    /// `Some(scheme)` is the scheme the Figure 8 walk wants for a table
     /// of `2^bits` slots under the observed profile (it may be the one
     /// the table already is).
     ///
@@ -74,7 +74,7 @@ impl AdaptiveController {
         draining: bool,
         observe: impl FnOnce() -> (TableStats, f64),
         bits: u8,
-    ) -> Option<TableChoice> {
+    ) -> Option<TableScheme> {
         let every = cfg.check_every.max(1);
         self.ops_since_check += ops;
         if self.ops_since_check < every {
@@ -188,7 +188,7 @@ mod tests {
         let mut c = AdaptiveController::default();
         // 97 % misses, 30 writes beside 2000 lookups (< 5 %), load 0.6.
         let verdict = c.tick(&CFG, 8, false, || (snapshot(2000, 1940, 30), 0.6), 10);
-        assert_eq!(verdict, Some(TableChoice::FpMult));
+        assert_eq!(verdict, Some(TableScheme::Fingerprint));
     }
 
     #[test]
@@ -200,10 +200,10 @@ mod tests {
         // them, load 0.6: 90 % of lifetime lookups hit, none of this
         // window's did, and the verdict follows the window.
         let now = || (snapshot(20_000, 2000, 130), 0.6);
-        assert_eq!(c.tick(&CFG, 8, false, now, 10), Some(TableChoice::FpMult));
+        assert_eq!(c.tick(&CFG, 8, false, now, 10), Some(TableScheme::Fingerprint));
         // A fresh controller's first window is the whole lifetime, and
         // the lifetime profile answers otherwise.
         let lifetime = AdaptiveController::default().tick(&CFG, 8, false, now, 10);
-        assert_ne!(lifetime.expect("20 000 lookups are evidence"), TableChoice::FpMult);
+        assert_ne!(lifetime.expect("20 000 lookups are evidence"), TableScheme::Fingerprint);
     }
 }

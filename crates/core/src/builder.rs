@@ -32,7 +32,7 @@
 
 use crate::budget::chained_directory_bits;
 use crate::chained::{Chained, Directory, Inline, Links};
-use crate::decision::{recommend, TableChoice, WorkloadProfile};
+use crate::decision::{recommend, WorkloadProfile};
 use crate::dynamic::{DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};
 use crate::sharded::ShardedTable;
 use crate::simd::ProbeKind;
@@ -218,21 +218,16 @@ impl TableBuilder {
 
     /// Builder preconfigured by the paper's decision graph (Figure 8) for
     /// workload `profile`, with nominal capacity `2^bits` and hash
-    /// functions derived from `seed` (see [`profile_choice`]).
+    /// functions derived from `seed`: the scheme [`profile_choice`] picks,
+    /// with Mult. Fingerprint probing gets its SIMD tag scan (the graph
+    /// recommends FP *for* that filter; scalar fallback off x86-64) and
+    /// ChainedH24 the §4.5 budget for the profile's target fill.
     pub fn for_profile(profile: &WorkloadProfile, bits: u8, seed: u64) -> Self {
-        let n_target = ((1usize << bits) as f64 * profile.load_factor).round() as usize;
-        let base = Self::new(TableScheme::LinearProbing).hash(HashKind::Mult).bits(bits).seed(seed);
-        match profile_choice(profile, bits) {
-            TableChoice::LPMult => base.scheme(TableScheme::LinearProbing),
-            TableChoice::QPMult => base.scheme(TableScheme::Quadratic),
-            TableChoice::RHMult => base.scheme(TableScheme::RobinHood),
-            TableChoice::CuckooH4Mult => base.scheme(TableScheme::Cuckoo4),
-            // The graph recommends FP *for* its tag filter — build with
-            // the SIMD tag scan (scalar fallback off x86-64).
-            TableChoice::FpMult => base.scheme(TableScheme::Fingerprint).simd(true),
-            TableChoice::ChainedH24Mult => {
-                base.scheme(TableScheme::Chained24).chained_budget(n_target)
-            }
+        let base = Self::new(profile_choice(profile, bits)).bits(bits).seed(seed);
+        match base.scheme {
+            TableScheme::Fingerprint => base.simd(true),
+            TableScheme::Chained24 => base.chained_budget(target_fill(profile, bits)),
+            _ => base,
         }
     }
 
@@ -400,16 +395,6 @@ impl TableBuilder {
         assert!(records >= 1, "snapshot_every wants a record count >= 1, got {records}");
         self.snapshot_every = Some(records);
         self
-    }
-
-    /// The configured scheme.
-    pub fn scheme_kind(&self) -> TableScheme {
-        self.scheme
-    }
-
-    /// The configured hash family.
-    pub fn hash_kind(&self) -> HashKind {
-        self.hash
     }
 
     /// The configured capacity exponent (`2^bits` nominal slots).
@@ -609,27 +594,37 @@ impl TableBuilder {
 /// recommendation cannot be honoured. A chained recommendation whose
 /// §4.5 memory budget for a `2^bits` open-addressing-equivalent
 /// footprint cannot hold the profile's target fill falls back to
-/// `FPMult` when the profile sits in the fingerprint table's own band
-/// (static, not write-heavy — the miss-filtering regime the graph
-/// places FP in) and otherwise to `RHMult`, the paper's all-rounder. A
-/// fingerprint recommendation for a table smaller than one 16-slot
-/// group also degrades to `RHMult`.
-pub fn profile_choice(profile: &WorkloadProfile, bits: u8) -> TableChoice {
-    let fp_feasible = (1usize << bits) >= crate::GROUP_SLOTS;
-    let choice = recommend(profile);
-    if choice == TableChoice::FpMult {
-        return if fp_feasible { TableChoice::FpMult } else { TableChoice::RHMult };
+/// `Fingerprint` when the profile sits in the fingerprint table's own
+/// band (static, not write-heavy — the miss-filtering regime the graph
+/// places FP in) and otherwise to `RobinHood`, the paper's all-rounder.
+/// A fingerprint recommendation for a table smaller than one 16-slot
+/// group also degrades to `RobinHood`. Panics on capacity bits outside
+/// `1..=32`, as the build would.
+pub fn profile_choice(profile: &WorkloadProfile, bits: u8) -> TableScheme {
+    let fp_feasible = crate::check_capacity_bits(bits) >= crate::GROUP_SLOTS;
+    let scheme = recommend(profile);
+    if scheme == TableScheme::Fingerprint && !fp_feasible {
+        return TableScheme::RobinHood;
     }
-    if choice == TableChoice::ChainedH24Mult {
-        let n_target = ((1usize << bits) as f64 * profile.load_factor).round() as usize;
+    if scheme == TableScheme::Chained24 {
         let budget = MemoryBudget::open_addressing_equivalent(bits);
-        if chained_directory_bits::<Inline>(budget, n_target, bits).is_none() {
+        if chained_directory_bits::<Inline>(budget, target_fill(profile, bits), bits).is_none() {
             let fp_band = profile.mutability == crate::decision::Mutability::Static
                 && profile.write_ratio <= 0.5;
-            return if fp_feasible && fp_band { TableChoice::FpMult } else { TableChoice::RHMult };
+            return if fp_feasible && fp_band {
+                TableScheme::Fingerprint
+            } else {
+                TableScheme::RobinHood
+            };
         }
     }
-    choice
+    scheme
+}
+
+/// Entries a `2^bits` table holds at `profile`'s load factor — the
+/// target fill of a budgeted chained recommendation.
+fn target_fill(profile: &WorkloadProfile, bits: u8) -> usize {
+    ((1usize << bits) as f64 * profile.load_factor).round() as usize
 }
 
 /// A `TableBuilder` is a [`TableFactory`]: [`DynamicTable`] re-invokes it
@@ -654,44 +649,17 @@ impl TableFactory for TableBuilder {
         .expect("unbudgeted static build cannot fail")
     }
 
-    /// The same description re-homed onto the scheme backing `choice` —
-    /// how [`DynamicTable::switch_to`] obtains the target generation's
-    /// factory. Mirrors [`TableBuilder::for_profile`]'s choice → scheme
-    /// mapping: the fingerprint table is built with its SIMD tag scan on
-    /// (the graph recommends FP *for* that filter), every other target
-    /// keeps the builder's SIMD toggle, and the hash family and seed carry
-    /// over unchanged.
-    fn for_choice(&self, choice: TableChoice) -> Option<Self> {
-        let (scheme, simd) = match choice {
-            TableChoice::LPMult => (TableScheme::LinearProbing, self.simd),
-            TableChoice::QPMult => (TableScheme::Quadratic, self.simd),
-            TableChoice::RHMult => (TableScheme::RobinHood, self.simd),
-            TableChoice::CuckooH4Mult => (TableScheme::Cuckoo4, self.simd),
-            TableChoice::FpMult => (TableScheme::Fingerprint, true),
-            TableChoice::ChainedH24Mult => (TableScheme::Chained24, self.simd),
-        };
-        Some(Self { scheme, simd, ..self.clone() })
+    /// The same description re-homed onto `scheme` — how
+    /// [`DynamicTable::switch_to`] obtains the target generation's
+    /// factory. Hash family, seed and SIMD toggle carry over, except that
+    /// the fingerprint table always gets its SIMD tag scan, as in
+    /// [`TableBuilder::for_profile`].
+    fn for_scheme(&self, scheme: TableScheme) -> Option<Self> {
+        Some(Self { scheme, simd: self.simd || scheme == TableScheme::Fingerprint, ..self.clone() })
     }
 
-    /// The decision-graph choice the configured scheme corresponds to
-    /// (hash family and SIMD toggle disregarded — the graph reasons in
-    /// schemes). Schemes outside the graph's vocabulary (SoA layout, the
-    /// lower cuckoo arities, ChainedH8) report `None`, so an adaptive
-    /// controller treats them as "not the recommendation" and migrates
-    /// off them when the workload says so.
-    fn current_choice(&self) -> Option<TableChoice> {
-        match self.scheme {
-            TableScheme::LinearProbing => Some(TableChoice::LPMult),
-            TableScheme::Quadratic => Some(TableChoice::QPMult),
-            TableScheme::RobinHood => Some(TableChoice::RHMult),
-            TableScheme::Cuckoo4 => Some(TableChoice::CuckooH4Mult),
-            TableScheme::Fingerprint => Some(TableChoice::FpMult),
-            TableScheme::Chained24 => Some(TableChoice::ChainedH24Mult),
-            TableScheme::Chained8
-            | TableScheme::LinearProbingSoA
-            | TableScheme::Cuckoo2
-            | TableScheme::Cuckoo3 => None,
-        }
+    fn scheme(&self) -> Option<TableScheme> {
+        Some(self.scheme)
     }
 }
 
@@ -812,16 +780,27 @@ mod tests {
             dense_keys: false,
             mutability: crate::decision::Mutability::Static,
         };
-        assert_eq!(profile_choice(&miss_heavy_mid, 10), TableChoice::FpMult);
+        assert_eq!(profile_choice(&miss_heavy_mid, 10), TableScheme::Fingerprint);
         let t = TableBuilder::for_profile(&miss_heavy_mid, 10, 1).build();
         assert_eq!(t.display_name(), "FPMultSIMD");
         // Below one 16-slot group the recommendation must not panic the
         // build — it degrades to the all-rounder.
         for bits in 1..=3u8 {
-            assert_eq!(profile_choice(&miss_heavy_mid, bits), TableChoice::RHMult, "bits {bits}");
+            assert_eq!(
+                profile_choice(&miss_heavy_mid, bits),
+                TableScheme::RobinHood,
+                "bits {bits}"
+            );
             let t = TableBuilder::for_profile(&miss_heavy_mid, bits, 1).build();
             assert_eq!(t.display_name(), "RHMult");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity bits")]
+    fn for_profile_rejects_capacity_bits_past_32() {
+        // `2^64` slots would overflow the shift sizing the profile.
+        let _ = TableBuilder::for_profile(&WorkloadProfile::baseline(), 64, 1);
     }
 
     #[test]
@@ -1035,7 +1014,7 @@ mod tests {
             .bits(8)
             .seed(3)
             .incremental(2)
-            .migration(MigrationPolicy::Switch(TableChoice::FpMult))
+            .migration(MigrationPolicy::Switch(TableScheme::Fingerprint))
             .build();
         check_against_model(&mut t, 3000, 0x51C);
         assert!(
@@ -1049,8 +1028,8 @@ mod tests {
     fn migration_knob_wraps_without_grow_at() {
         let b = TableBuilder::new(TableScheme::LinearProbing)
             .bits(6)
-            .migration(MigrationPolicy::Switch(TableChoice::RHMult));
-        assert_eq!(b.migration_kind(), MigrationPolicy::Switch(TableChoice::RHMult));
+            .migration(MigrationPolicy::Switch(TableScheme::RobinHood));
+        assert_eq!(b.migration_kind(), MigrationPolicy::Switch(TableScheme::RobinHood));
         let mut t = b.build();
         t.insert(1, 1).unwrap();
         assert!(t.display_name().starts_with("RH"), "got {}", t.display_name());
@@ -1073,7 +1052,7 @@ mod tests {
             .seed(5)
             .shards(2)
             .incremental(4)
-            .migration(MigrationPolicy::Switch(TableChoice::RHMult))
+            .migration(MigrationPolicy::Switch(TableScheme::RobinHood))
             .build_sharded();
         let items: Vec<(u64, u64)> = (1..=2000u64).map(|k| (k, k * 3)).collect();
         let mut out = vec![Ok(InsertOutcome::Inserted); items.len()];

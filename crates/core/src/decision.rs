@@ -26,6 +26,15 @@
 //! cuckoo's very-high-load regime — a miss there is rejected by one
 //! 16-slot tag comparison without touching the key array, which is
 //! exactly the cluster-scanning cost RH's early abort only mitigates.
+//!
+//! The graph answers in [`TableScheme`]s and only ever names six of them:
+//! `Chained24`, `LinearProbing`, `Quadratic`, `RobinHood`, `Cuckoo4` and
+//! `Fingerprint`. Every answer means that scheme *with Mult* (§5.2, "Mult
+//! governs over Murmur"), which [`TableBuilder::for_profile`] applies.
+//!
+//! [`TableBuilder::for_profile`]: crate::TableBuilder::for_profile
+
+use crate::TableScheme;
 
 /// Is the table static once built (OLAP/WORM) or continuously updated
 /// (OLTP/RW)?
@@ -69,50 +78,12 @@ impl WorkloadProfile {
     }
 }
 
-/// The hash tables the graph can recommend. All use Multiply-shift except
-/// chained hashing, per the paper's "Mult governs over Murmur" finding
-/// (Mult there too).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TableChoice {
-    /// ChainedH24 with Mult: unsuccessful-heavy lookups at modest load.
-    ChainedH24Mult,
-    /// Linear probing with Mult: successful-heavy reads, low load, and the
-    /// dense-key sweet spot.
-    LPMult,
-    /// Quadratic probing with Mult: write-heavy workloads and inserts at
-    /// high load.
-    QPMult,
-    /// Robin Hood with Mult: the read all-rounder at mid-to-high load.
-    RHMult,
-    /// Cuckoo hashing on four tables with Mult: very high load factors,
-    /// read-mostly.
-    CuckooH4Mult,
-    /// Bucketized fingerprint probing with Mult: static miss-heavy
-    /// lookups past chained hashing's memory budget (beyond the paper's
-    /// grid).
-    FpMult,
-}
-
-impl TableChoice {
-    /// Paper-style display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TableChoice::ChainedH24Mult => "ChainedH24Mult",
-            TableChoice::LPMult => "LPMult",
-            TableChoice::QPMult => "QPMult",
-            TableChoice::RHMult => "RHMult",
-            TableChoice::CuckooH4Mult => "CuckooH4Mult",
-            TableChoice::FpMult => "FPMult",
-        }
-    }
-}
-
 /// Walk the decision graph of Figure 8.
 ///
 /// Returns the scheme the paper's evidence recommends for `p`. Thresholds
 /// (50% load, 50% successful, 70%/80%/90% load, write-heavy) are the ones
 /// printed in the figure and the inline conclusions.
-pub fn recommend(p: &WorkloadProfile) -> TableChoice {
+pub fn recommend(p: &WorkloadProfile) -> TableScheme {
     let write_heavy = p.write_ratio > 0.5;
 
     // Low load factor: collisions are rare, code simplicity dominates
@@ -121,9 +92,9 @@ pub fn recommend(p: &WorkloadProfile) -> TableChoice {
     // load are in-place and cheap.
     if p.load_factor < 0.5 {
         return if p.successful_ratio >= 0.5 || write_heavy {
-            TableChoice::LPMult
+            TableScheme::LinearProbing
         } else {
-            TableChoice::ChainedH24Mult
+            TableScheme::Chained24
         };
     }
 
@@ -131,7 +102,7 @@ pub fn recommend(p: &WorkloadProfile) -> TableChoice {
     // exception favours LP because Mult lays dense keys out contiguously
     // and LP then extends runs instead of scattering them (§5.2).
     if write_heavy {
-        return if p.dense_keys { TableChoice::LPMult } else { TableChoice::QPMult };
+        return if p.dense_keys { TableScheme::LinearProbing } else { TableScheme::Quadratic };
     }
 
     // High load, read-mostly.
@@ -141,9 +112,9 @@ pub fn recommend(p: &WorkloadProfile) -> TableChoice {
         // dense keys, RH otherwise for its lookup robustness. Beyond 70%,
         // QP's collision scattering wins (§6, Fig. 5c).
         if p.load_factor <= 0.7 {
-            return if p.dense_keys { TableChoice::LPMult } else { TableChoice::RHMult };
+            return if p.dense_keys { TableScheme::LinearProbing } else { TableScheme::RobinHood };
         }
-        return TableChoice::QPMult;
+        return TableScheme::Quadratic;
     }
 
     // Static read-only table at ≥50% load (the WORM lookup cells of
@@ -156,9 +127,9 @@ pub fn recommend(p: &WorkloadProfile) -> TableChoice {
         // rejected by one group comparison without touching key lines,
         // which beats even RH's cache-line early abort.
         if p.load_factor <= 0.5 {
-            return TableChoice::ChainedH24Mult;
+            return TableScheme::Chained24;
         }
-        return if p.load_factor >= 0.8 { TableChoice::CuckooH4Mult } else { TableChoice::FpMult };
+        return if p.load_factor >= 0.8 { TableScheme::Cuckoo4 } else { TableScheme::Fingerprint };
     }
 
     // Successful-heavy static reads: RH is the all-rounder; at very high
@@ -166,12 +137,12 @@ pub fn recommend(p: &WorkloadProfile) -> TableChoice {
     // 80% on, CuckooH4 clearly surpasses the other methods"); on dense
     // keys up to ~70% LP matches RH with simpler code.
     if p.load_factor >= 0.9 {
-        return TableChoice::CuckooH4Mult;
+        return TableScheme::Cuckoo4;
     }
     if p.dense_keys && p.load_factor <= 0.7 {
-        return TableChoice::LPMult;
+        return TableScheme::LinearProbing;
     }
-    TableChoice::RHMult
+    TableScheme::RobinHood
 }
 
 #[cfg(test)]
@@ -192,49 +163,49 @@ mod tests {
     fn low_load_successful_reads_pick_lp() {
         // §5.1 conclusion, verbatim case.
         let p = profile(0.25, 1.0, 0.0, false, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::LPMult);
+        assert_eq!(recommend(&p), TableScheme::LinearProbing);
         let p = profile(0.45, 0.5, 0.0, true, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::LPMult);
+        assert_eq!(recommend(&p), TableScheme::LinearProbing);
     }
 
     #[test]
     fn low_load_unsuccessful_reads_pick_chained() {
         let p = profile(0.35, 0.25, 0.0, false, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::ChainedH24Mult);
+        assert_eq!(recommend(&p), TableScheme::Chained24);
         let p = profile(0.25, 0.0, 0.0, true, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::ChainedH24Mult);
+        assert_eq!(recommend(&p), TableScheme::Chained24);
     }
 
     #[test]
     fn write_heavy_high_load_picks_qp() {
         // §6 conclusion.
         let p = profile(0.7, 1.0, 0.8, false, Mutability::Dynamic);
-        assert_eq!(recommend(&p), TableChoice::QPMult);
+        assert_eq!(recommend(&p), TableScheme::Quadratic);
         let p = profile(0.9, 0.5, 0.6, false, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::QPMult);
+        assert_eq!(recommend(&p), TableScheme::Quadratic);
     }
 
     #[test]
     fn write_heavy_dense_picks_lp() {
         // §5.2: dense + Mult is LP's best case, 45M vs 35M ins/s over QP.
         let p = profile(0.9, 1.0, 0.8, true, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::LPMult);
+        assert_eq!(recommend(&p), TableScheme::LinearProbing);
     }
 
     #[test]
     fn very_full_static_reads_pick_cuckoo() {
         // §5.2: "from a load factor of 80% on, CuckooH4 clearly surpasses".
         let p = profile(0.9, 1.0, 0.0, false, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::CuckooH4Mult);
+        assert_eq!(recommend(&p), TableScheme::Cuckoo4);
         let p = profile(0.85, 0.25, 0.0, false, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::CuckooH4Mult);
+        assert_eq!(recommend(&p), TableScheme::Cuckoo4);
     }
 
     #[test]
     fn mid_load_static_reads_pick_rh() {
         // Fig. 6: RH dominates the 50–70% successful-lookup cells.
         let p = profile(0.7, 0.75, 0.1, false, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::RHMult);
+        assert_eq!(recommend(&p), TableScheme::RobinHood);
     }
 
     #[test]
@@ -242,30 +213,30 @@ mod tests {
         // Unsuccessful-heavy past chained hashing's budget: the tag
         // filter rejects misses without touching key lines.
         let p = profile(0.7, 0.0, 0.0, false, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::FpMult);
+        assert_eq!(recommend(&p), TableScheme::Fingerprint);
         let p = profile(0.6, 0.25, 0.0, true, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::FpMult);
+        assert_eq!(recommend(&p), TableScheme::Fingerprint);
         // Below 50% load chained still wins; at 80%+ cuckoo takes over.
         let p = profile(0.45, 0.0, 0.0, false, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::ChainedH24Mult);
+        assert_eq!(recommend(&p), TableScheme::Chained24);
         let p = profile(0.85, 0.0, 0.0, false, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::CuckooH4Mult);
+        assert_eq!(recommend(&p), TableScheme::Cuckoo4);
     }
 
     #[test]
     fn unsuccessful_heavy_at_half_load_picks_chained() {
         let p = profile(0.5, 0.25, 0.0, false, Mutability::Static);
-        assert_eq!(recommend(&p), TableChoice::ChainedH24Mult);
+        assert_eq!(recommend(&p), TableScheme::Chained24);
     }
 
     #[test]
     fn dynamic_read_mostly_tracks_load() {
         let p = profile(0.5, 0.9, 0.2, false, Mutability::Dynamic);
-        assert_eq!(recommend(&p), TableChoice::RHMult);
+        assert_eq!(recommend(&p), TableScheme::RobinHood);
         let p = profile(0.5, 0.9, 0.2, true, Mutability::Dynamic);
-        assert_eq!(recommend(&p), TableChoice::LPMult);
+        assert_eq!(recommend(&p), TableScheme::LinearProbing);
         let p = profile(0.9, 0.9, 0.2, false, Mutability::Dynamic);
-        assert_eq!(recommend(&p), TableChoice::QPMult);
+        assert_eq!(recommend(&p), TableScheme::Quadratic);
     }
 
     #[test]
@@ -291,6 +262,6 @@ mod tests {
 
     #[test]
     fn baseline_profile_is_sensible() {
-        assert_eq!(recommend(&WorkloadProfile::baseline()), TableChoice::RHMult);
+        assert_eq!(recommend(&WorkloadProfile::baseline()), TableScheme::RobinHood);
     }
 }

@@ -77,7 +77,7 @@
 //! * [`MigrationPolicy::Grow`] — doubled capacity, same scheme, on the
 //!   load-factor trigger (the original behaviour, and the default).
 //! * [`MigrationPolicy::Switch`] — a one-shot live migration to a
-//!   different scheme ([`TableChoice`]) at the current capacity; growth
+//!   different [`TableScheme`] at the current capacity; growth
 //!   afterwards continues in the new scheme.
 //! * [`MigrationPolicy::Adaptive`] — a feedback controller: every
 //!   `check_every` mutating ops the table takes the deltas of its own
@@ -95,17 +95,16 @@
 //! for optimistic readers is unchanged (a retiree's exact byte footprint
 //! is whatever its own [`HashTable::memory_bytes`] reports — an FP
 //! retiree pins its tag array, a chained one its slab). The factory hook
-//! is [`TableFactory::for_choice`], which [`crate::TableBuilder`]
+//! is [`TableFactory::for_scheme`], which [`crate::TableBuilder`]
 //! implements; a factory fixed to one table type keeps the default and
 //! simply refuses to re-target.
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveController};
-use crate::decision::TableChoice;
 use crate::entries::EntrySnapshot;
 use crate::epoch;
 use crate::optimistic::ReadView;
 use crate::stats::{RuntimeStats, TableStats};
-use crate::{is_reserved_key, HashTable, InsertOutcome, TableError};
+use crate::{is_reserved_key, HashTable, InsertOutcome, TableError, TableScheme};
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Builds fresh tables of one scheme at a requested capacity; used by
@@ -118,23 +117,20 @@ pub trait TableFactory: Clone {
     /// functions from `seed`.
     fn build(&self, bits: u8, seed: u64) -> Self::Table;
 
-    /// Re-target the factory at the scheme behind `choice`, keeping every
-    /// other knob (hash family, SIMD): the hook the migration
-    /// engine uses to build a *different-scheme* next generation.
-    /// Factories fixed to one concrete table type return `None` (the
-    /// default); [`crate::TableBuilder`]'s boxed factory represents every
-    /// choice.
-    fn for_choice(&self, choice: TableChoice) -> Option<Self> {
-        let _ = choice;
+    /// Re-target the factory at `scheme`, keeping every other knob (hash
+    /// family, SIMD): the hook the migration engine uses to build a
+    /// *different-scheme* next generation. Factories fixed to one concrete
+    /// table type return `None` (the default); [`crate::TableBuilder`]'s
+    /// boxed factory represents every scheme.
+    fn for_scheme(&self, scheme: TableScheme) -> Option<Self> {
+        let _ = scheme;
         None
     }
 
-    /// The [`TableChoice`] whose scheme this factory currently builds,
-    /// when it is one of the decision graph's six candidates (`None`
-    /// otherwise — e.g. `CuckooH2`, which Figure 8 never recommends).
-    /// Used by the adaptive controller to detect "already the right
-    /// scheme".
-    fn current_choice(&self) -> Option<TableChoice> {
+    /// The scheme this factory currently builds (`None` by default, for
+    /// factories fixed to one concrete table type). Used to detect
+    /// "already the right scheme" before a switch.
+    fn scheme(&self) -> Option<TableScheme> {
         None
     }
 }
@@ -168,11 +164,11 @@ pub enum MigrationPolicy {
     /// Same scheme, doubled capacity, on the load-factor trigger — the
     /// original growth-only behaviour and the default.
     Grow,
-    /// One live migration to this choice's scheme at the current
-    /// capacity, begun by the first mutating operation; growth afterwards
-    /// continues in the new scheme. Silently stays put when the factory
-    /// cannot represent the choice (see [`TableFactory::for_choice`]).
-    Switch(TableChoice),
+    /// One live migration to this scheme at the current capacity, begun
+    /// by the first mutating operation; growth afterwards continues in
+    /// the new scheme. Silently stays put when the factory cannot
+    /// represent the scheme (see [`TableFactory::for_scheme`]).
+    Switch(TableScheme),
     /// Watch live signals and re-run the Figure 8 decision graph against
     /// the observed profile, migrating whenever it disagrees with the
     /// current scheme.
@@ -246,7 +242,7 @@ pub struct DynamicTable<F: TableFactory> {
     /// One-shot [`MigrationPolicy::Switch`] target, consumed by the first
     /// mutating operation (construction stays allocation-cheap and the
     /// switch itself rides the ordinary drain machinery).
-    pending_switch: Option<TableChoice>,
+    pending_switch: Option<TableScheme>,
     /// Relaxed-atomic lookup, miss, insert and delete counts, shared with
     /// the lock-free read path.
     stats: RuntimeStats,
@@ -336,8 +332,8 @@ impl<F: TableFactory> DynamicTable<F> {
     ) -> Self {
         let mut table = Self::with_policy(factory, bits, seed, grow_threshold, policy);
         table.migration = migration;
-        if let MigrationPolicy::Switch(choice) = migration {
-            table.pending_switch = Some(choice);
+        if let MigrationPolicy::Switch(scheme) = migration {
+            table.pending_switch = Some(scheme);
         }
         table
     }
@@ -493,22 +489,22 @@ impl<F: TableFactory> DynamicTable<F> {
         Ok(())
     }
 
-    /// Begin a live migration to `choice`'s scheme at the current
-    /// capacity. Returns `Ok(false)` — without touching the table — when
-    /// the switch is impossible or pointless: the factory cannot
-    /// represent the choice, the table already is that scheme, or the
-    /// capacity is below the target scheme's minimum (fingerprint groups
-    /// need `2^4` slots). Under [`GrowthPolicy::AllAtOnce`] the switch is
-    /// a stop-the-world rebuild; under incremental growth it drains like
-    /// any other generation change.
-    pub fn switch_to(&mut self, choice: TableChoice) -> Result<bool, TableError> {
-        if self.factory.current_choice() == Some(choice) {
+    /// Begin a live migration to `scheme` at the current capacity.
+    /// Returns `Ok(false)` — without touching the table — when the switch
+    /// is impossible or pointless: the factory cannot represent the
+    /// scheme, the table already is that scheme, or the capacity is below
+    /// the target scheme's minimum (fingerprint groups need `2^4` slots).
+    /// Under [`GrowthPolicy::AllAtOnce`] the switch is a stop-the-world
+    /// rebuild; under incremental growth it drains like any other
+    /// generation change.
+    pub fn switch_to(&mut self, scheme: TableScheme) -> Result<bool, TableError> {
+        if self.factory.scheme() == Some(scheme) {
             return Ok(false);
         }
-        let Some(factory) = self.factory.for_choice(choice) else {
+        let Some(factory) = self.factory.for_scheme(scheme) else {
             return Ok(false);
         };
-        if choice == TableChoice::FpMult && (1usize << self.bits) < crate::GROUP_SLOTS {
+        if scheme == TableScheme::Fingerprint && (1usize << self.bits) < crate::GROUP_SLOTS {
             return Ok(false);
         }
         match self.policy {
@@ -530,8 +526,8 @@ impl<F: TableFactory> DynamicTable<F> {
     /// controller and act on its verdict — a switch that starts also
     /// starts the controller's cooldown.
     fn policy_tick(&mut self, ops: u64) -> Result<(), TableError> {
-        if let Some(choice) = self.pending_switch.take() {
-            self.switch_to(choice)?;
+        if let Some(scheme) = self.pending_switch.take() {
+            self.switch_to(scheme)?;
             return Ok(());
         }
         let MigrationPolicy::Adaptive(cfg) = self.migration else {
@@ -1595,7 +1591,7 @@ mod tests {
             t.insert(k, k * 3).unwrap();
         }
         assert!(t.inner().display_name().starts_with("LP"));
-        assert_eq!(t.switch_to(TableChoice::FpMult), Ok(true));
+        assert_eq!(t.switch_to(TableScheme::Fingerprint), Ok(true));
         assert!(t.is_migrating(), "an incremental switch must open a draining generation");
         assert!(t.inner().display_name().starts_with("FP"), "new generation must be the target");
         assert_eq!(t.capacity(), 1 << 10, "a switch re-homes at the same capacity");
@@ -1619,7 +1615,7 @@ mod tests {
         }
         // Deletes mid-drain must hit the draining generation: switch
         // again and delete a key that has not migrated yet.
-        assert_eq!(t.switch_to(TableChoice::RHMult), Ok(true));
+        assert_eq!(t.switch_to(TableScheme::RobinHood), Ok(true));
         assert!(t.is_migrating());
         assert_eq!(t.delete(1), Some(3), "delete must reach the draining generation");
         assert_eq!(t.lookup(1), None);
@@ -1636,7 +1632,7 @@ mod tests {
         for k in 1..=100u64 {
             t.insert(k, k).unwrap();
         }
-        assert_eq!(t.switch_to(TableChoice::QPMult), Ok(true));
+        assert_eq!(t.switch_to(TableScheme::Quadratic), Ok(true));
         assert!(!t.is_migrating(), "all-at-once switches leave no draining generation");
         assert!(t.inner().display_name().starts_with("QP"));
         assert_eq!(t.len(), 100);
@@ -1655,7 +1651,7 @@ mod tests {
             MigrationPolicy::Grow,
         );
         t.insert(1, 1).unwrap();
-        assert_eq!(t.switch_to(TableChoice::RHMult), Ok(false));
+        assert_eq!(t.switch_to(TableScheme::RobinHood), Ok(false));
         // A fingerprint target below one 16-slot group.
         let mut small = builder_table(
             TableScheme::LinearProbing,
@@ -1663,10 +1659,10 @@ mod tests {
             GrowthPolicy::AllAtOnce,
             MigrationPolicy::Grow,
         );
-        assert_eq!(small.switch_to(TableChoice::FpMult), Ok(false));
+        assert_eq!(small.switch_to(TableScheme::Fingerprint), Ok(false));
         // A factory that cannot re-target (one fixed to a table type).
         let mut fixed = DynamicTable::new(BudgetedChained8 { budget_bytes: usize::MAX }, 8, 1, 0.9);
-        assert_eq!(fixed.switch_to(TableChoice::FpMult), Ok(false));
+        assert_eq!(fixed.switch_to(TableScheme::Fingerprint), Ok(false));
         assert_eq!(t.scheme_switches() + small.scheme_switches() + fixed.scheme_switches(), 0);
     }
 
@@ -1676,9 +1672,9 @@ mod tests {
             TableScheme::LinearProbing,
             8,
             GrowthPolicy::AllAtOnce,
-            MigrationPolicy::Switch(TableChoice::FpMult),
+            MigrationPolicy::Switch(TableScheme::Fingerprint),
         );
-        assert_eq!(t.migration_policy(), MigrationPolicy::Switch(TableChoice::FpMult));
+        assert_eq!(t.migration_policy(), MigrationPolicy::Switch(TableScheme::Fingerprint));
         assert!(t.inner().display_name().starts_with("LP"), "switch is lazy until a mutation");
         assert_eq!(t.scheme_switches(), 0);
         t.insert(1, 10).unwrap();
@@ -1847,7 +1843,7 @@ mod tests {
         let lp_bytes = t.inner().memory_bytes();
         // A reader pinned across the drain keeps the LP generation.
         let pin = hold_pin();
-        assert_eq!(t.switch_to(TableChoice::FpMult), Ok(true));
+        assert_eq!(t.switch_to(TableScheme::Fingerprint), Ok(true));
         let mut key = 500u64;
         while t.is_migrating() {
             key += 1;
@@ -1881,7 +1877,7 @@ mod tests {
             t.insert(k, k).unwrap();
         }
         assert!(t.is_migrating(), "the growth drain must still be in flight");
-        assert_eq!(t.switch_to(TableChoice::RHMult), Ok(true));
+        assert_eq!(t.switch_to(TableScheme::RobinHood), Ok(true));
         assert!(t.inner().display_name().starts_with("RH"));
         for k in 1..=15u64 {
             assert_eq!(t.lookup(k), Some(k), "key {k} lost across growth+switch");
@@ -2302,7 +2298,7 @@ mod tests {
                     TableScheme::LinearProbing,
                     8,
                     policy,
-                    MigrationPolicy::Switch(TableChoice::FpMult),
+                    MigrationPolicy::Switch(TableScheme::Fingerprint),
                 )
             };
             let (mut batched, mut single) = (table(), table());

@@ -70,7 +70,7 @@ pub use budget::MemoryBudget;
 pub use builder::{profile_choice, BoxedTable, FsyncPolicy, HashKind, TableBuilder, TableScheme};
 pub use chained::{Chained, ChainedTable24, ChainedTable8};
 pub use cuckoo::Cuckoo;
-pub use decision::{recommend, TableChoice, WorkloadProfile};
+pub use decision::{recommend, WorkloadProfile};
 pub use dynamic::{DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};
 pub use entries::EntrySnapshot;
 pub use fingerprint::{FingerprintTable, GROUP_SLOTS};

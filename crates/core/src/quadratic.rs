@@ -34,21 +34,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_lookup_delete_roundtrip() {
-        check_roundtrip(&mut table(8));
-    }
-
-    #[test]
-    fn map_semantics_replace() {
-        check_replace_semantics(&mut table(8));
-    }
-
-    #[test]
-    fn reserved_keys_rejected() {
-        check_reserved_keys(&mut table(4));
-    }
-
-    #[test]
     fn triangular_sequence_covers_all_slots() {
         // The CLRS property behind QP with c1 = c2 = 1/2: for any
         // power-of-two l, {i(i+1)/2 mod l : 0 ≤ i < l} = {0..l}.

@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Prints the recommended table plus the rationale (which edge of the
-//! paper's Figure 8 fired), then builds a [`PointIndex`] dispatched on
-//! the recommendation and demonstrates it on a small key set. Without
+//! paper's Figure 8 fired), then builds the index
+//! `TableBuilder::for_profile` dispatches on the recommendation and
+//! demonstrates it on a small key set. Without
 //! arguments, prints the full decision surface as a grid.
 
 use seven_dim_hashing::prelude::*;
@@ -46,26 +47,32 @@ fn main() {
 
     let choice = recommend(&p);
     println!("profile: {p:?}");
-    println!("recommendation: {}\n", choice.name());
+    println!("recommendation: {}\n", label(choice));
     println!("rationale:");
     print_rationale(&p, choice);
 
     // Build the index the recommendation implies and show it working.
-    let mut idx = PointIndex::for_profile(&p, 16, 42);
+    let mut idx = TableBuilder::for_profile(&p, 16, 42).build();
     let n = ((1usize << 16) as f64 * p.load_factor) as u64;
     for k in 1..=n {
         idx.insert(k, k * 3).expect("insert");
     }
     println!(
         "\nbuilt {} with {} entries ({:.1} MB); lookup(42) = {:?}",
-        idx.table_name(),
+        idx.display_name(),
         idx.len(),
         idx.memory_bytes() as f64 / 1e6,
         idx.lookup(42)
     );
 }
 
-fn print_rationale(p: &WorkloadProfile, choice: TableChoice) {
+/// The paper-style name of a recommendation: the graph's answers mean
+/// Mult, the builder's default hash.
+fn label(scheme: TableScheme) -> String {
+    TableBuilder::new(scheme).label()
+}
+
+fn print_rationale(p: &WorkloadProfile, choice: TableScheme) {
     if p.load_factor < 0.5 {
         println!("  - load factor < 50%: collisions are rare, simplicity wins (§5.1)");
         if p.successful_ratio >= 0.5 || p.write_ratio > 0.5 {
@@ -100,7 +107,7 @@ fn print_rationale(p: &WorkloadProfile, choice: TableChoice) {
             println!("  - RH is the paper's all-rounder in the 50–80% band (Fig. 6)");
         }
     }
-    println!("  => {}", choice.name());
+    println!("  => {}", label(choice));
 }
 
 fn print_decision_surface() {
@@ -121,7 +128,7 @@ fn print_decision_surface() {
                 dense_keys: false,
                 mutability: Mutability::Static,
             };
-            print!(" {:>16}", recommend(&p).name());
+            print!(" {:>16}", label(recommend(&p)));
         }
         println!();
     }

@@ -20,7 +20,7 @@
 //! | [`tables`] | `sevendim-core` | ChainedH8/H24, LP (AoS + SoA, scalar + AVX2), QP, RH, CuckooH2/3/4, bucketized fingerprint (FP, SSE2 tag scans); growing wrapper; sharded concurrent wrapper; displacement/cluster stats; Figure 8 decision graph |
 //! | [`workload`] | `workloads` | dense/sparse/grid distributions; WORM and RW drivers (single- and multi-threaded) |
 //! | [`measure`] | `metrics` | throughput, multi-seed statistics, latency histograms, figure-shaped report tables |
-//! | [`ops`] | `query` | hash join, group-by aggregation, profile-dispatched point index |
+//! | [`ops`] | `query` | hash join, group-by aggregation |
 //! | [`net`] | `sevendim-net` | networked KV service: epoll event loop, `7DKV` binary protocol, pipelined client (Linux) |
 //! | [`durable`] | `sevendim-durable` | durability: group-committed `7DWL` write-ahead log, non-stop snapshots, crash recovery |
 //!
@@ -59,7 +59,7 @@
 //!     dense_keys: false,
 //!     mutability: Mutability::Dynamic,
 //! };
-//! assert_eq!(recommend(&profile), TableChoice::QPMult);
+//! assert_eq!(recommend(&profile), TableScheme::Quadratic);
 //! let index = TableBuilder::for_profile(&profile, 16, 42)
 //!     .grow_at(0.7)       // double at 70% load …
 //!     .incremental(8)     // … migrating ≤ 8 entries per op, no rehash pause
@@ -96,7 +96,7 @@ pub mod prelude {
     pub use metrics::{LatencyHistogram, ReportTable, SeedStats, Series, Throughput};
     pub use query::{
         group_aggregate, group_aggregate_parallel, group_average, hash_join, hash_join_parallel,
-        AggFn, PointIndex,
+        AggFn,
     };
     pub use sevendim_core::cuckoo::{CuckooH2, CuckooH3, CuckooH4};
     pub use sevendim_core::{
@@ -104,7 +104,7 @@ pub mod prelude {
         ConcurrentTable, Cuckoo, DynamicTable, EntrySnapshot, FingerprintTable, FsyncPolicy,
         GrowthPolicy, HashKind, HashTable, InsertOutcome, LinearProbing, LinearProbingSoA,
         MigrationPolicy, QuadraticProbing, ReadView, RobinHood, ShardedTable, TableBuilder,
-        TableChoice, TableError, TableScheme, TableStats, WorkloadProfile,
+        TableError, TableScheme, TableStats, WorkloadProfile,
     };
     pub use sevendim_durable::{DurableSharded, DurableTable, RecoveryReport, WalError};
     #[cfg(target_os = "linux")]

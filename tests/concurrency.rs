@@ -466,9 +466,9 @@ fn optimistic_flag_changes_neither_answers_nor_stats() {
                 continue;
             }
             let target = if scheme == TableScheme::RobinHood {
-                TableChoice::LPMult
+                TableScheme::LinearProbing
             } else {
-                TableChoice::RHMult
+                TableScheme::RobinHood
             };
             let mut table = ShardedTable::new(SHARD_BITS, 0, |shard| {
                 // Growth starts from 2^6 slots and stops mid-drain; a

@@ -2,7 +2,7 @@
 //! state, element-wise against two independent models.
 //!
 //! For every source scheme in [`tests_common::all_schemes`] × every
-//! [`TableChoice`] target, a table is filled, told to [`switch_to`] the
+//! [`TableScheme`] target, a table is filled, told to [`switch_to`] the
 //! target with a drain step of **1** (so the stream passes through every
 //! intermediate drain state), and then driven through a mixed
 //! insert/replace/delete/lookup stream alongside:
@@ -41,15 +41,6 @@ const UNIVERSE: u64 = 200;
 /// Post-drain operations: the retired generation must be truly gone.
 const TAIL_OPS: usize = 120;
 
-const TARGETS: [TableChoice; 6] = [
-    TableChoice::ChainedH24Mult,
-    TableChoice::LPMult,
-    TableChoice::QPMult,
-    TableChoice::RHMult,
-    TableChoice::CuckooH4Mult,
-    TableChoice::FpMult,
-];
-
 fn key_of(i: u64) -> u64 {
     // Odd multiplier keeps keys distinct; +1 avoids the reserved 0.
     i.wrapping_mul(0x9E37_79B9) + 1
@@ -87,7 +78,7 @@ fn check_state(
     assert_eq!(aao.len(), model.len(), "{context}: stop-the-world len");
 }
 
-fn run_cell(scheme: TableScheme, target: TableChoice, seed: u64) {
+fn run_cell(scheme: TableScheme, target: TableScheme, seed: u64) {
     let mut incr = dynamic(scheme, GrowthPolicy::Incremental { step: 1 });
     let mut aao = dynamic(scheme, GrowthPolicy::AllAtOnce);
     let mut model: HashMap<u64, u64> = HashMap::new();
@@ -108,7 +99,7 @@ fn run_cell(scheme: TableScheme, target: TableChoice, seed: u64) {
         "{context}: twins disagree on switch feasibility"
     );
     if !switched {
-        // Same scheme already (e.g. LP -> LPMult): nothing to migrate.
+        // Same scheme already (e.g. LP -> LP): nothing to migrate.
         assert!(!incr.is_migrating(), "{context}: refused switch left a migration");
         return;
     }
@@ -160,8 +151,8 @@ fn run_cell(scheme: TableScheme, target: TableChoice, seed: u64) {
 #[test]
 fn every_source_scheme_migrates_to_every_target_identically() {
     for (i, scheme) in tests_common::all_schemes().into_iter().enumerate() {
-        for (j, &target) in TARGETS.iter().enumerate() {
-            run_cell(scheme, target, 0xC0FFEE + (i * TARGETS.len() + j) as u64);
+        for (j, target) in TableScheme::ALL.into_iter().enumerate() {
+            run_cell(scheme, target, 0xC0FFEE + (i * TableScheme::ALL.len() + j) as u64);
         }
     }
 }

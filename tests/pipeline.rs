@@ -3,6 +3,7 @@
 //! compose the crates.
 
 use seven_dim_hashing::prelude::*;
+use seven_dim_hashing::tables::profile_choice;
 use seven_dim_hashing::workload::{rw, worm};
 
 #[test]
@@ -113,8 +114,8 @@ fn point_index_follows_decision_graph_end_to_end() {
         dense_keys: true,
         mutability: Mutability::Static,
     };
-    let mut idx = PointIndex::for_profile(&profile, 14, 4);
-    assert_eq!(idx.choice(), TableChoice::LPMult);
+    assert_eq!(profile_choice(&profile, 14), TableScheme::LinearProbing);
+    let mut idx = TableBuilder::for_profile(&profile, 14, 4).build();
     let keys = Distribution::Dense.generate(((1 << 14) as f64 * 0.45) as usize, 5);
     for &k in &keys {
         idx.insert(k, k * 2).unwrap();
@@ -123,6 +124,93 @@ fn point_index_follows_decision_graph_end_to_end() {
         assert_eq!(idx.lookup(k), Some(k * 2));
     }
     assert_eq!(idx.len(), keys.len());
+}
+
+/// A static, sparse-key point-index profile.
+fn index_profile(load: f64, successful: f64, writes: f64) -> WorkloadProfile {
+    WorkloadProfile {
+        load_factor: load,
+        successful_ratio: successful,
+        write_ratio: writes,
+        dense_keys: false,
+        mutability: Mutability::Static,
+    }
+}
+
+#[test]
+fn dispatches_to_lp_for_read_mostly_low_load() {
+    let p = index_profile(0.3, 1.0, 0.0);
+    assert_eq!(profile_choice(&p, 10), TableScheme::LinearProbing);
+    assert_eq!(TableBuilder::for_profile(&p, 10, 1).build().display_name(), "LPMult");
+}
+
+#[test]
+fn dispatches_to_chained_for_miss_heavy_low_load() {
+    let p = index_profile(0.3, 0.1, 0.0);
+    assert_eq!(profile_choice(&p, 10), TableScheme::Chained24);
+    assert!(TableBuilder::for_profile(&p, 10, 1).build().display_name().starts_with("ChainedH24"));
+}
+
+#[test]
+fn dispatches_to_cuckoo_when_very_full() {
+    let p = index_profile(0.92, 1.0, 0.0);
+    assert_eq!(profile_choice(&p, 10), TableScheme::Cuckoo4);
+}
+
+#[test]
+fn basic_map_operations_through_any_dispatch() {
+    for p in
+        [index_profile(0.3, 1.0, 0.0), index_profile(0.3, 0.1, 0.0), index_profile(0.92, 1.0, 0.0)]
+    {
+        let mut idx = TableBuilder::for_profile(&p, 10, 7).build();
+        for k in 1..=200u64 {
+            idx.insert(k, k * 5).unwrap();
+        }
+        assert_eq!(idx.len(), 200);
+        assert_eq!(idx.lookup(77), Some(385));
+        assert_eq!(idx.lookup(10_000), None);
+        assert_eq!(idx.delete(77), Some(385));
+        assert_eq!(idx.lookup(77), None);
+        assert!(idx.memory_bytes() > 0);
+    }
+}
+
+#[test]
+fn batch_ops_flow_through_the_index() {
+    let mut idx = TableBuilder::for_profile(&index_profile(0.5, 0.9, 0.1), 10, 3).build();
+    let items: Vec<(u64, u64)> = (1..=300u64).map(|k| (k, k + 7)).collect();
+    let mut outcomes = vec![Ok(InsertOutcome::Inserted); items.len()];
+    idx.insert_batch(&items, &mut outcomes);
+    assert!(outcomes.iter().all(|o| o == &Ok(InsertOutcome::Inserted)));
+    let keys: Vec<u64> = (250..=350u64).collect();
+    let mut values = vec![None; keys.len()];
+    idx.lookup_batch(&keys, &mut values);
+    for (&k, v) in keys.iter().zip(&values) {
+        assert_eq!(*v, (k <= 300).then_some(k + 7), "key {k}");
+    }
+    let mut removed = vec![None; keys.len()];
+    idx.delete_batch(&keys, &mut removed);
+    assert_eq!(idx.len(), 249);
+}
+
+#[test]
+fn fingerprint_dispatch_for_miss_heavy_mid_load() {
+    let p = index_profile(0.7, 0.1, 0.0);
+    assert_eq!(profile_choice(&p, 10), TableScheme::Fingerprint);
+    let name = TableBuilder::for_profile(&p, 10, 1).build().display_name();
+    assert!(name.starts_with("FPMult"), "{name}");
+}
+
+#[test]
+fn chained_choice_is_always_budget_feasible() {
+    // Every profile the graph routes to ChainedH24 has α ≤ 0.5, which
+    // the §4.5 budget can hold (§4.5 caps chained viability near 0.7),
+    // so the fallback never fires and the choice is honoured.
+    for lf in [0.1, 0.25, 0.45, 0.5] {
+        let p = index_profile(lf, 0.2, 0.0);
+        assert_eq!(profile_choice(&p, 10), TableScheme::Chained24, "α = {lf}");
+        assert!(TableBuilder::for_profile(&p, 10, 1).try_build().is_ok(), "α = {lf}");
+    }
 }
 
 #[test]

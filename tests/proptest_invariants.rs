@@ -253,15 +253,8 @@ proptest! {
     }
 }
 
-/// The six decision-graph targets, indexable by a proptest strategy.
-const SWITCH_TARGETS: [TableChoice; 6] = [
-    TableChoice::ChainedH24Mult,
-    TableChoice::LPMult,
-    TableChoice::QPMult,
-    TableChoice::RHMult,
-    TableChoice::CuckooH4Mult,
-    TableChoice::FpMult,
-];
+/// Every scheme is a switch target, indexable by a proptest strategy.
+const SWITCH_TARGETS: [TableScheme; 10] = TableScheme::ALL;
 
 /// A cross-scheme [`DynamicTable::switch_to`] fired at an arbitrary point
 /// of an arbitrary operation sequence must leave the incrementally
@@ -272,7 +265,7 @@ const SWITCH_TARGETS: [TableChoice; 6] = [
 /// finishes the growth first).
 fn check_switch_twin(
     scheme: TableScheme,
-    target: TableChoice,
+    target: TableScheme,
     step: usize,
     switch_at: usize,
     ops: &[Op],
@@ -329,7 +322,7 @@ proptest! {
     #[test]
     fn mid_switch_matches_stop_the_world_from_lp(
         ops in proptest::collection::vec(op_strategy(), 1..250),
-        target_ix in 0usize..6,
+        target_ix in 0..SWITCH_TARGETS.len(),
         switch_at in 0usize..250,
     ) {
         for step in [1usize, 7] {
@@ -342,7 +335,7 @@ proptest! {
     #[test]
     fn mid_switch_matches_stop_the_world_from_fp(
         ops in proptest::collection::vec(op_strategy(), 1..250),
-        target_ix in 0usize..6,
+        target_ix in 0..SWITCH_TARGETS.len(),
         switch_at in 0usize..250,
     ) {
         for step in [1usize, 7] {
@@ -355,11 +348,11 @@ proptest! {
     #[test]
     fn mid_switch_matches_stop_the_world_from_off_graph_source(
         ops in proptest::collection::vec(op_strategy(), 1..250),
-        target_ix in 0usize..6,
+        target_ix in 0..SWITCH_TARGETS.len(),
         switch_at in 0usize..250,
     ) {
-        // Cuckoo2 has no decision-graph identity (`current_choice` is
-        // None), so every target is a genuine cross-scheme move.
+        // Cuckoo2 is never a decision-graph answer, so only the Cuckoo2
+        // target leaves the table where it is.
         check_switch_twin(TableScheme::Cuckoo2, SWITCH_TARGETS[target_ix], 1, switch_at, &ops)?;
     }
 }
@@ -371,7 +364,7 @@ proptest! {
 /// single-key API at every step.
 fn check_sharded_switch(
     optimistic: bool,
-    target: TableChoice,
+    target: TableScheme,
     ops: &[Op],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let sharded = TableBuilder::new(TableScheme::LinearProbing)
@@ -414,7 +407,7 @@ proptest! {
     #[test]
     fn sharded_switch_conforms_with_and_without_optimistic_reads(
         ops in proptest::collection::vec(op_strategy(), 1..250),
-        target_ix in 0usize..6,
+        target_ix in 0..SWITCH_TARGETS.len(),
         optimistic in any::<bool>(),
     ) {
         check_sharded_switch(optimistic, SWITCH_TARGETS[target_ix], &ops)?;
