@@ -100,7 +100,6 @@
 //! simply refuses to re-target.
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveController};
-use crate::entries::EntrySnapshot;
 use crate::epoch;
 use crate::optimistic::ReadView;
 use crate::stats::{RuntimeStats, TableStats};
@@ -201,12 +200,11 @@ fn crosses_threshold(threshold_fp: u64, len_after: usize, cap: usize) -> bool {
 /// and probes it without any lock.
 struct OldGeneration<T> {
     table: Box<T>,
-    /// Keys captured when the migration began ([`EntrySnapshot::keys_of`]
-    /// — the same live-entry capture the durable snapshot writer uses),
-    /// drained LIFO. Keys the workload deletes mid-migration simply miss
-    /// on pop; values are re-read through the live table at drain time so
-    /// updates are never lost.
-    pending: EntrySnapshot<u64>,
+    /// Keys captured through [`HashTable::for_each`] when the migration
+    /// began, drained LIFO from the tail. Keys the workload deletes
+    /// mid-migration simply miss on pop; values are re-read through the
+    /// live table at drain time so updates are never lost.
+    pending: Vec<u64>,
 }
 
 /// A table that doubles its capacity when the load factor would cross a
@@ -481,7 +479,8 @@ impl<F: TableFactory> DynamicTable<F> {
         let fresh = Box::new(self.factory.build(bits, self.generation_seed(bits, 0)));
         let old_table = std::mem::replace(&mut self.inner, fresh);
         self.publish_inner();
-        let pending = EntrySnapshot::keys_of(&*old_table);
+        let mut pending = Vec::with_capacity(old_table.len());
+        old_table.for_each(&mut |k, _| pending.push(k));
         self.old = Some(OldGeneration { table: old_table, pending });
         self.publish_old();
         self.bits = bits;
@@ -565,7 +564,11 @@ impl<F: TableFactory> DynamicTable<F> {
         while left > 0 {
             let Some(gen) = self.old.as_mut() else { return Ok(()) };
             let want = left.min(DRAIN_RUN);
-            let n = gen.pending.pop_into(&mut keys[..want]);
+            let n = want.min(gen.pending.len());
+            let tail = gen.pending.len() - n;
+            for (slot, key) in keys.iter_mut().zip(gen.pending.drain(tail..).rev()) {
+                *slot = key;
+            }
             left -= n;
             gen.table.delete_batch(&keys[..n], &mut found[..n]);
             let mut m = 0;
@@ -624,7 +627,8 @@ impl<F: TableFactory> DynamicTable<F> {
     /// in a run decides, as it would one entry at a time.
     fn rebuild(&mut self, start_bits: u8, start_attempt: u64) -> Result<(), TableError> {
         assert_within_ceiling(start_bits);
-        let entries = EntrySnapshot::pairs_of(self).into_vec();
+        let mut entries = Vec::with_capacity(self.len());
+        self.for_each(&mut |k, v| entries.push((k, v)));
         let mut placed = [Ok(InsertOutcome::Inserted); DRAIN_RUN];
         let mut bits = start_bits;
         let mut attempt = start_attempt;
@@ -1018,7 +1022,7 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
 
     fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
-            + self.old.as_ref().map_or(0, |g| g.table.memory_bytes() + g.pending.heap_bytes())
+            + self.old.as_ref().map_or(0, |g| g.table.memory_bytes() + 8 * g.pending.capacity())
             + self.retired_bytes()
     }
 
@@ -1240,8 +1244,7 @@ mod tests {
         assert!(t.is_migrating(), "crossing the threshold must start a migration");
         assert_eq!((t.capacity(), t.len(), t.migration_backlog()), (64, 17, 16));
         // The order the drain pops the captured keys in.
-        let order: Vec<u64> =
-            t.old.as_ref().unwrap().pending.as_slice().iter().rev().copied().collect();
+        let order: Vec<u64> = t.old.as_ref().unwrap().pending.iter().rev().copied().collect();
         let in_old = |t: &DynamicTable<TableBuilder>, k: u64| {
             t.old.as_ref().is_some_and(|g| g.table.lookup(k).is_some())
         };
@@ -1250,6 +1253,12 @@ mod tests {
         // after its own run moves the next STEP keys.
         let mut op = 0;
         while t.is_migrating() {
+            // Mid-drain the table holds both generations and the capture's
+            // buffer, and has retired nothing yet.
+            let gen = t.old.as_ref().unwrap();
+            let bytes =
+                t.inner.memory_bytes() + gen.table.memory_bytes() + 8 * gen.pending.capacity();
+            assert_eq!(t.memory_bytes(), bytes, "op {op}: memory_bytes must charge the capture");
             let backlog = t.migration_backlog();
             let victim = order[order.len() - 1 - op];
             if op % 2 == 0 {
@@ -2012,7 +2021,7 @@ mod tests {
         // The drain pops from the back, so the front of the pending list
         // outlives the two steps this batch pays for.
         let old = batched.old.as_ref().expect("the 33rd insert opens a migration");
-        let key = old.pending.as_slice()[0];
+        let key = old.pending[0];
         assert_eq!(old.table.lookup(key), Some(key * 10));
         let out = insert_both(&mut batched, &mut single, &[(key, 1), (key, 2)]);
         assert_eq!(out, [Ok(InsertOutcome::Replaced(key * 10)), Ok(InsertOutcome::Replaced(1))]);
@@ -2211,7 +2220,7 @@ mod tests {
             t.insert(k, k * 10).unwrap();
         }
         let old = t.old.as_ref().expect("the 29th insert opens a migration");
-        let at = old.pending.as_slice().iter().position(|&k| k == JINXED_KEY).unwrap();
+        let at = old.pending.iter().position(|&k| k == JINXED_KEY).unwrap();
         assert!(at > 0 && at + 1 < old.pending.len(), "pop {at} is not mid-run");
         assert_eq!((t.capacity(), t.rehash_count()), (64, 1));
         // The run refuses the jinxed key; the rebuild fallback merges both
@@ -2271,7 +2280,7 @@ mod tests {
         insert_both(&mut batched, &mut single, &fill);
         let old = batched.old.as_ref().expect("the 9th insert opens a migration");
         assert!(old.pending.len() > 4, "the batch below must not drain everything");
-        let unmoved = old.pending.as_slice()[0];
+        let unmoved = old.pending[0];
         // One run, 32 slots: the jinxed key fails in it, after an element
         // whose draining copy must be claimed before the rebuild merges
         // the generations, and before duplicates of both keys.

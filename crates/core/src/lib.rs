@@ -49,7 +49,6 @@ pub mod chained;
 pub mod cuckoo;
 pub mod decision;
 pub mod dynamic;
-pub mod entries;
 pub mod epoch;
 pub mod fingerprint;
 pub mod linear_probing;
@@ -72,7 +71,6 @@ pub use chained::{Chained, ChainedTable24, ChainedTable8};
 pub use cuckoo::Cuckoo;
 pub use decision::{recommend, WorkloadProfile};
 pub use dynamic::{DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};
-pub use entries::EntrySnapshot;
 pub use fingerprint::{FingerprintTable, GROUP_SLOTS};
 pub use linear_probing::LinearProbing;
 pub use lp_soa::LinearProbingSoA;

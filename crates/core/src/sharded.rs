@@ -517,15 +517,8 @@ impl<T: HashTable> ShardedTable<T> {
     /// `shard_bits` up to 8 (256 shards) are accepted; `0` degenerates to
     /// a single-shard table, useful as a mutex-protected table.
     pub fn new(shard_bits: u8, seed: u64, mut make_shard: impl FnMut(usize) -> T) -> Self {
-        assert!(shard_bits <= 8, "shard bits must be in 0..=8, got {shard_bits}");
-        let n = 1usize << shard_bits;
-        Self {
-            shards: (0..n).map(|i| Shard::new(make_shard(i))).collect(),
-            shard_bits,
-            selector: Murmur::from_seed(seed ^ SELECTOR_SALT),
-            optimistic: true,
-            scratch_pool: Mutex::new(Vec::new()),
-        }
+        Self::try_new(shard_bits, seed, |i| Ok(make_shard(i)))
+            .expect("an infallible shard factory cannot refuse a shard")
     }
 
     /// Fallible twin of [`ShardedTable::new`] for factories that can

@@ -42,12 +42,6 @@ impl FileWal {
         let file = OpenOptions::new().create(true).write(true).truncate(true).open(path)?;
         Ok(Self { file })
     }
-
-    /// Open `path` for appending, creating it if absent.
-    pub fn open_append(path: &Path) -> io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Self { file })
-    }
 }
 
 impl WalFile for FileWal {

@@ -125,8 +125,8 @@ use crate::record::{decode_record, WalError, WalOp};
 use crate::snapshot;
 use crate::storage::{FileWal, WalFile, WalWriter};
 use sevendim_core::{
-    BoxedTable, Closing, ClosingRule, ConcurrentTable, EntrySnapshot, FsyncPolicy, InsertOutcome,
-    ShardedTable, TableBuilder, TableError,
+    BoxedTable, Closing, ClosingRule, ConcurrentTable, FsyncPolicy, InsertOutcome, ShardedTable,
+    TableBuilder, TableError,
 };
 use std::fmt;
 use std::fs;
@@ -731,8 +731,9 @@ impl<T: ConcurrentTable> Core<T> {
         // mid-migration contributes both of its generations (see
         // `ConcurrentTable::for_each_shared`), so a snapshot taken during
         // a live growth or scheme switch is still complete.
-        let entries = EntrySnapshot::pairs_of_shared(&self.inner);
-        snapshot::write(dir, covered_seq, entries.as_slice())?;
+        let mut entries = Vec::with_capacity(self.inner.len_shared());
+        self.inner.for_each_shared(&mut |k, v| entries.push((k, v)));
+        snapshot::write(dir, covered_seq, &entries)?;
         // Old segments are fully covered by the published snapshot.
         for (no, path) in list_segments(dir)? {
             if no < new_seg {

@@ -21,7 +21,7 @@
 
 use crate::protocol::{
     batch_request_len, decode_response, encode_request, Op, OpResponse, Request, Response,
-    HEADER_LEN, MAX_BATCH_OPS, MAX_PAYLOAD_LEN,
+    MAX_BATCH_OPS, MAX_PAYLOAD_LEN,
 };
 use sevendim_core::{InsertOutcome, TableError};
 use std::io::{self, Read, Write};
@@ -157,12 +157,6 @@ impl KvClient {
     /// pipelines).
     pub fn queued_bytes(&self) -> usize {
         self.wbuf.len()
-    }
-
-    /// Rough frame count a caller may enqueue before a flush risks
-    /// filling both socket buffers with tiny frames.
-    pub fn frames_queued(&self) -> usize {
-        self.wbuf.len() / HEADER_LEN
     }
 }
 

@@ -694,9 +694,7 @@ mod tests {
     use super::*;
     use crate::protocol::{decode_response, encode_request, Request, Response};
     use crate::KvClient;
-    use sevendim_core::{
-        BoxedTable, EntrySnapshot, FsyncPolicy, ShardedTable, TableBuilder, TableScheme,
-    };
+    use sevendim_core::{BoxedTable, FsyncPolicy, ShardedTable, TableBuilder, TableScheme};
     use sevendim_durable::{replay_into, DurableTable, GatedWal};
     use std::io::{Read as _, Write as _};
 
@@ -915,7 +913,8 @@ mod tests {
         let synced = &wal.mem().bytes()[..wal.mem().synced_len()];
         let fresh = table();
         assert!(replay_into(synced, &*fresh, 0).clean());
-        let mut pairs = EntrySnapshot::pairs_of_shared(&*fresh).into_vec();
+        let mut pairs = Vec::with_capacity(fresh.len_shared());
+        fresh.for_each_shared(&mut |k, v| pairs.push((k, v)));
         pairs.sort_unstable();
         assert!(pairs.iter().all(|&(k, v)| v == k * 10), "{pairs:?}");
         pairs.into_iter().map(|(k, _)| k).collect()

@@ -101,10 +101,10 @@ pub mod prelude {
     pub use sevendim_core::cuckoo::{CuckooH2, CuckooH3, CuckooH4};
     pub use sevendim_core::{
         decision::Mutability, recommend, AdaptiveConfig, BoxedTable, ChainedTable24, ChainedTable8,
-        ConcurrentTable, Cuckoo, DynamicTable, EntrySnapshot, FingerprintTable, FsyncPolicy,
-        GrowthPolicy, HashKind, HashTable, InsertOutcome, LinearProbing, LinearProbingSoA,
-        MigrationPolicy, QuadraticProbing, ReadView, RobinHood, ShardedTable, TableBuilder,
-        TableError, TableScheme, TableStats, WorkloadProfile,
+        ConcurrentTable, Cuckoo, DynamicTable, FingerprintTable, FsyncPolicy, GrowthPolicy,
+        HashKind, HashTable, InsertOutcome, LinearProbing, LinearProbingSoA, MigrationPolicy,
+        QuadraticProbing, ReadView, RobinHood, ShardedTable, TableBuilder, TableError, TableScheme,
+        TableStats, WorkloadProfile,
     };
     pub use sevendim_durable::{DurableSharded, DurableTable, RecoveryReport, WalError};
     #[cfg(target_os = "linux")]

@@ -198,7 +198,8 @@ fn replay_op_at_a_time(
 }
 
 fn sorted_entries(table: &dyn ConcurrentTable) -> Vec<(u64, u64)> {
-    let mut entries = EntrySnapshot::pairs_of_shared(table).into_vec();
+    let mut entries = Vec::with_capacity(table.len_shared());
+    table.for_each_shared(&mut |k, v| entries.push((k, v)));
     entries.sort_unstable();
     entries
 }
