@@ -237,6 +237,7 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> Chained<H, D, A> {
 
     /// Entries in the bucket of directory slot `idx`, inline one included
     /// (stats/test aid).
+    #[cfg(test)]
     pub fn chain_len(&self, idx: usize) -> usize {
         self.bucket_entries(&self.directory[idx]).count()
     }

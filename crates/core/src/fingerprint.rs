@@ -16,473 +16,47 @@
 //! tables (multiple candidate slots resolved per probe step) fused with
 //! open addressing.
 //!
-//! # Probe order and deletion
+//! # One cell of the open-addressing table
 //!
-//! Groups are probed linearly and circularly from the key's home group;
-//! within a group all slots are candidates at once. A group containing an
-//! EMPTY tag terminates the probe (the group-level analogue of LP's empty
-//! slot), so deletion follows the paper's *optimized tombstone* rule
-//! lifted to groups: clear the slot if its group still contains another
-//! EMPTY tag (no probe ever continued past this group), otherwise write a
-//! TOMBSTONE. Inserts recycle the first tombstone on their probe path
-//! after the duplicate check, and a blocked insert reclaims tombstones by
-//! rehashing in place before reporting [`TableError::TableFull`] — the
-//! same remedies as LP/QP, so the scheme drops into the shared
-//! differential suites unchanged.
+//! [`FingerprintTable`] is the `Soa × Grouped` cell of [`OpenAddressing`]:
+//! the tag array lives in the table, and [`Grouped`] selects the group
+//! probe, the group kernel and the group delete rule (see
+//! [`crate::open_addressing`]). Groups are probed linearly and circularly
+//! from the key's home group; a group holding an EMPTY tag ends a probe,
+//! and a delete tombstones only when its group holds none. Inserts
+//! recycle tombstones, and a blocked insert rehashes in place before
+//! reporting [`TableError::TableFull`](crate::TableError::TableFull).
+//!
+//! The hash's top bits pick the home slot, whose group is the home group;
+//! the fingerprint is the 7 hash bits just below those. The low bits would
+//! not do for multiply-shift, whose low hash bits depend only on the key's
+//! low bits: grid keys (every byte in 1..=14) would share 14 of 128 tags.
 //!
 //! # Group size
 //!
-//! `GROUP` is a const parameter (default [`GROUP_SLOTS`] = 16, the size
-//! one SSE2 register classifies per instruction). The `ablation_fp`
-//! binary sweeps 4/8/16/32 to show why 16 is the sweet spot: smaller
-//! groups probe more often, larger ones scan scalar (no single-register
-//! compare) and evict more payload per miss.
+//! `G` is a const parameter (default [`GROUP_SLOTS`] = 16, the size one
+//! SSE2 register classifies per instruction). The `ablation_fp` binary
+//! sweeps 4/8/16/32 to show why 16 is the sweet spot: smaller groups probe
+//! more often, larger ones scan scalar (no single-register compare) and
+//! evict more payload per miss.
 
-use crate::open_addressing::{two_pass, LoadMode, Plain, Volatile};
-use crate::simd::{prefetch_read, scan_tags, ProbeKind, TagScan, EMPTY_TAG, TOMBSTONE_TAG};
-use crate::{
-    check_capacity_bits, is_reserved_key, HashTable, InsertOutcome, TableError, EMPTY_KEY,
-};
-use hashfn::{fold_to_bits, HashFamily, HashFn64};
+use crate::open_addressing::{Grouped, OpenAddressing, Soa};
 
 /// Slots per probe group: what one SSE2 byte-compare classifies.
 pub const GROUP_SLOTS: usize = 16;
 
-/// Where a fingerprint probe stopped.
-enum Probe {
-    /// The key lives in `slot`; `group_empties` is the EMPTY-lane mask
-    /// of that slot's group, so delete can apply the tombstone-vs-clear
-    /// rule without rescanning the group it just probed.
-    Found { slot: usize, group_empties: u32 },
-    /// The key is absent; `free` is the slot an insert should take (first
-    /// tombstone on the probe path, else the first empty slot of the
-    /// terminating group).
-    Absent { free: usize },
-    /// Every group was scanned without an empty slot (table saturated
-    /// with entries and tombstones, key absent).
-    Exhausted { first_tombstone: Option<usize> },
-}
-
 /// Bucketized open addressing over a 1-byte tag array and an SoA
-/// key/value payload. `FPMult` in the builder grid is
+/// key/value payload, 17 B per slot. `FPMult` in the builder grid is
 /// `FingerprintTable<MultShift>`.
-#[derive(Clone)]
-pub struct FingerprintTable<H: HashFn64, const GROUP: usize = GROUP_SLOTS> {
-    /// One control byte per slot: 7-bit fingerprint, [`EMPTY_TAG`], or
-    /// [`TOMBSTONE_TAG`]. Contiguous, so probing touches 1/16th the bytes
-    /// of a key scan.
-    tags: Box<[u8]>,
-    keys: Box<[u64]>,
-    values: Box<[u64]>,
-    /// `log2` of the slot count.
-    bits: u8,
-    group_mask: usize,
-    hash: H,
-    len: usize,
-    tombstones: usize,
-    probe_kind: ProbeKind,
-}
-
-impl<H: HashFamily, const GROUP: usize> FingerprintTable<H, GROUP> {
-    /// Create a table with `2^bits` slots and a hash function drawn from
-    /// seed `seed` (scalar tag scanning).
-    pub fn with_seed(bits: u8, seed: u64) -> Self {
-        Self::with_hash(bits, H::from_seed(seed))
-    }
-
-    /// Like [`FingerprintTable::with_seed`] with SIMD tag scanning (one
-    /// SSE2 compare per 16-slot group on x86-64; scalar elsewhere).
-    pub fn with_seed_simd(bits: u8, seed: u64) -> Self {
-        let mut t = Self::with_hash(bits, H::from_seed(seed));
-        t.probe_kind = ProbeKind::Simd;
-        t
-    }
-}
-
-impl<H: HashFn64, const GROUP: usize> FingerprintTable<H, GROUP> {
-    /// Create a table with `2^bits` slots using an explicit hash
-    /// function. `bits` must cover at least one group
-    /// (`2^bits >= GROUP`), and `GROUP` must be a power of two in
-    /// `4..=32`.
-    pub fn with_hash(bits: u8, hash: H) -> Self {
-        const { assert!(GROUP.is_power_of_two() && GROUP >= 4 && GROUP <= 32) };
-        let cap = check_capacity_bits(bits);
-        assert!(cap >= GROUP, "capacity 2^{bits} is smaller than one {GROUP}-slot group");
-        Self {
-            tags: vec![EMPTY_TAG; cap].into_boxed_slice(),
-            keys: vec![EMPTY_KEY; cap].into_boxed_slice(),
-            values: vec![0; cap].into_boxed_slice(),
-            bits,
-            group_mask: cap / GROUP - 1,
-            hash,
-            len: 0,
-            tombstones: 0,
-            probe_kind: ProbeKind::Scalar,
-        }
-    }
-
-    /// Switch between scalar and SIMD tag scanning.
-    pub fn set_probe_kind(&mut self, kind: ProbeKind) {
-        self.probe_kind = kind;
-    }
-
-    /// The probe kind in use.
-    pub fn probe_kind(&self) -> ProbeKind {
-        self.probe_kind
-    }
-
-    /// The hash function in use.
-    pub fn hash_fn(&self) -> &H {
-        &self.hash
-    }
-
-    /// Number of tombstone slots currently in the table.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones
-    }
-
-    /// Direct tag-array access for statistics and tests.
-    pub fn raw_tags(&self) -> &[u8] {
-        &self.tags
-    }
-
-    /// Home group and 7-bit fingerprint of `key`: the group comes from
-    /// the top hash bits (the crate-wide convention), the fingerprint
-    /// from the low 7 — disjoint bit ranges, so tags stay informative
-    /// within a group.
-    #[inline(always)]
-    fn home(&self, key: u64) -> (usize, u8) {
-        let h = self.hash.hash(key);
-        let group_bits = self.bits - GROUP.trailing_zeros() as u8;
-        (fold_to_bits(h, group_bits), (h & 0x7F) as u8)
-    }
-
-    /// Pass 1 of the batch operations: hash `key` and prefetch its home
-    /// group's tag line (harmless for the never-probed reserved keys).
-    #[inline(always)]
-    fn prepare(&self, key: u64) -> (usize, u8) {
-        let (group, tag) = self.home(key);
-        prefetch_read(&self.tags[group * GROUP] as *const u8);
-        (group, tag)
-    }
-
-    #[inline(always)]
-    fn group_scan(&self, group: usize, tag: u8) -> TagScan {
-        let base = group * GROUP;
-        scan_tags(&self.tags[base..base + GROUP], tag, self.probe_kind)
-    }
-
-    /// Probe for `key` group by group from its home group.
-    fn probe(&self, home_group: usize, tag: u8, key: u64) -> Probe {
-        let mut group = home_group;
-        let mut first_tombstone = None;
-        for _ in 0..=self.group_mask {
-            let base = group * GROUP;
-            let scan = self.group_scan(group, tag);
-            // Tag matches are candidates; the key array arbitrates (a
-            // 7-bit fingerprint false-positives at rate ~2^-7 per
-            // occupied slot).
-            let mut m = scan.matches;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                if self.keys[base + lane] == key {
-                    return Probe::Found { slot: base + lane, group_empties: scan.empties };
-                }
-                m &= m - 1;
-            }
-            if first_tombstone.is_none() && scan.tombstones != 0 {
-                first_tombstone = Some(base + scan.tombstones.trailing_zeros() as usize);
-            }
-            if scan.empties != 0 {
-                let empty = base + scan.empties.trailing_zeros() as usize;
-                return Probe::Absent { free: first_tombstone.unwrap_or(empty) };
-            }
-            group = (group + 1) & self.group_mask;
-        }
-        Probe::Exhausted { first_tombstone }
-    }
-
-    /// Rebuild the table in place (same capacity, same hash function),
-    /// dropping all tombstones — the LP remedy, shared verbatim.
-    ///
-    /// Literally in place: live entries are snapshotted, the *existing*
-    /// tag array is cleared and all three arrays are refilled, so no
-    /// allocation ever moves — the in-bounds guarantee optimistic readers
-    /// need (see [`crate::optimistic`]).
-    pub fn rehash_in_place(&mut self) {
-        let live: Vec<(u64, u64)> = self
-            .tags
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t < EMPTY_TAG)
-            .map(|(i, _)| (self.keys[i], self.values[i]))
-            .collect();
-        self.tags.fill(EMPTY_TAG);
-        self.keys.fill(EMPTY_KEY);
-        self.len = 0;
-        self.tombstones = 0;
-        for (k, v) in live {
-            // Distinct keys into an equally-sized empty table: cannot
-            // fail or replace.
-            let _ = self.insert(k, v);
-        }
-    }
-
-    /// Blocked-insert remedy: tombstones are reclaimable capacity —
-    /// rehash them away and retry (at most once) before reporting a full
-    /// table.
-    fn reclaim_or_full(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        if self.tombstones == 0 {
-            return Err(TableError::TableFull);
-        }
-        self.rehash_in_place();
-        self.insert(key, value)
-    }
-
-    fn place(&mut self, slot: usize, tag: u8, key: u64, value: u64) {
-        self.tags[slot] = tag;
-        self.keys[slot] = key;
-        self.values[slot] = value;
-        self.len += 1;
-    }
-
-    /// [`HashTable::insert`] with a precomputed home group and fingerprint.
-    fn insert_from(
-        &mut self,
-        (home_group, tag): (usize, u8),
-        key: u64,
-        value: u64,
-    ) -> Result<InsertOutcome, TableError> {
-        if is_reserved_key(key) {
-            return Err(TableError::ReservedKey);
-        }
-        match self.probe(home_group, tag, key) {
-            Probe::Found { slot, .. } => {
-                let old = std::mem::replace(&mut self.values[slot], value);
-                Ok(InsertOutcome::Replaced(old))
-            }
-            Probe::Absent { free } => {
-                if self.tags[free] == TOMBSTONE_TAG {
-                    self.tombstones -= 1;
-                } else if self.len + self.tombstones >= self.tags.len() - 1 {
-                    // Keep one empty slot table-wide as the probe
-                    // terminator, exactly like the per-slot schemes.
-                    return self.reclaim_or_full(key, value);
-                }
-                self.place(free, tag, key, value);
-                Ok(InsertOutcome::Inserted)
-            }
-            Probe::Exhausted { first_tombstone } => match first_tombstone {
-                Some(slot) => {
-                    self.tombstones -= 1;
-                    self.place(slot, tag, key, value);
-                    Ok(InsertOutcome::Inserted)
-                }
-                None => self.reclaim_or_full(key, value),
-            },
-        }
-    }
-
-    /// The lookup kernel: probe group by group from `home_group` until
-    /// `key`, a group with an EMPTY tag, or every group has been scanned.
-    /// Returns the value if found, and the number of *groups* examined —
-    /// one tag scan is one step, matching what a miss actually costs.
-    ///
-    /// Tag, key and value are loaded at different instants, so under
-    /// [`Volatile`] any torn combination implies a racing writer, which
-    /// the caller's seqlock validation detects.
-    ///
-    /// # Safety
-    /// `home_group <= group_mask`. Under [`Volatile`] the arrays may be
-    /// concurrently written (the answer is then only a candidate for the
-    /// caller's validation); under [`Plain`] they must not be.
-    #[inline(always)]
-    unsafe fn lookup_kernel<M: LoadMode>(
-        &self,
-        (home_group, tag): (usize, u8),
-        key: u64,
-    ) -> (Option<u64>, usize) {
-        let (tags, keys, values) = (self.tags.as_ptr(), self.keys.as_ptr(), self.values.as_ptr());
-        let mut group = home_group;
-        for examined in 1..=self.group_mask + 1 {
-            let base = group * GROUP;
-            // SAFETY: in-bounds — `group <= group_mask`, so the GROUP tags
-            // from `base` lie inside the arrays (none of which is ever
-            // reallocated), and `lane < GROUP` because `scan_tags` sets
-            // one bit per scanned tag. Termination — the loop is bounded
-            // by the group count, not by "some group has an EMPTY".
-            // Raced data is only compared and returned.
-            let group_tags: [u8; GROUP] = unsafe { M::load(tags.add(base).cast()) };
-            let scan = scan_tags(&group_tags, tag, self.probe_kind);
-            // Tag matches are candidates; the key array arbitrates.
-            let mut m = scan.matches;
-            while m != 0 {
-                let slot = base + m.trailing_zeros() as usize;
-                // SAFETY: `slot < base + GROUP`, see above.
-                if unsafe { M::load(keys.add(slot)) } == key {
-                    // SAFETY: same slot.
-                    return (Some(unsafe { M::load(values.add(slot)) }), examined);
-                }
-                m &= m - 1;
-            }
-            if scan.empties != 0 {
-                return (None, examined);
-            }
-            group = (group + 1) & self.group_mask;
-        }
-        (None, self.group_mask + 1)
-    }
-
-    /// [`HashTable::lookup`] with a precomputed home group and fingerprint,
-    /// in load mode `M`. Reserved keys miss without a probe.
-    ///
-    /// # Safety
-    /// As [`FingerprintTable::lookup_kernel`]; `home` must come from
-    /// [`FingerprintTable::home`].
-    #[inline(always)]
-    unsafe fn lookup_from<M: LoadMode>(&self, home: (usize, u8), key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        // SAFETY: the caller's contract, passed through.
-        unsafe { self.lookup_kernel::<M>(home, key).0 }
-    }
-
-    /// [`HashTable::lookup_batch`] in load mode `M`: the locked and the
-    /// lock-free batch are this one function.
-    ///
-    /// # Safety
-    /// As [`FingerprintTable::lookup_kernel`].
-    #[inline(always)]
-    unsafe fn lookup_batch_in<M: LoadMode>(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass(self, keys, out, Self::prepare, |t, k, home| {
-            // SAFETY: `prepare` returns `home(k)`; the rest is the caller's
-            // contract.
-            unsafe { t.lookup_from::<M>(home, k) }
-        });
-    }
-
-    /// [`HashTable::delete`] with a precomputed home group and fingerprint.
-    fn delete_from(&mut self, (home_group, tag): (usize, u8), key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        let Probe::Found { slot, group_empties } = self.probe(home_group, tag, key) else {
-            return None;
-        };
-        let value = self.values[slot];
-        // Optimized tombstones at group granularity: a group that still
-        // has an EMPTY tag never let any probe continue past it (empties
-        // only ever appear in groups that already had one), so clearing
-        // the slot cannot disconnect later groups. An empty-free group
-        // must tombstone. The probe already scanned this group — its
-        // EMPTY mask rides along in `Probe::Found`.
-        if group_empties != 0 {
-            self.tags[slot] = EMPTY_TAG;
-        } else {
-            self.tags[slot] = TOMBSTONE_TAG;
-            self.tombstones += 1;
-        }
-        self.keys[slot] = EMPTY_KEY;
-        self.len -= 1;
-        Some(value)
-    }
-}
-
-impl<H: HashFn64, const GROUP: usize> HashTable for FingerprintTable<H, GROUP> {
-    fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        self.insert_from(self.home(key), key, value)
-    }
-
-    #[inline]
-    fn lookup(&self, key: u64) -> Option<u64> {
-        // SAFETY: `&self` — no writer.
-        unsafe { self.lookup_from::<Plain>(self.home(key), key) }
-    }
-
-    fn lookup_probed(&self, key: u64) -> (Option<u64>, usize) {
-        if is_reserved_key(key) {
-            return (None, 1);
-        }
-        // SAFETY: `&self` — no writer.
-        unsafe { self.lookup_kernel::<Plain>(self.home(key), key) }
-    }
-
-    fn delete(&mut self, key: u64) -> Option<u64> {
-        self.delete_from(self.home(key), key)
-    }
-
-    fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        // SAFETY: `&self` — no writer.
-        unsafe { self.lookup_batch_in::<Plain>(keys, out) }
-    }
-
-    fn insert_batch(
-        &mut self,
-        items: &[(u64, u64)],
-        out: &mut [Result<InsertOutcome, TableError>],
-    ) {
-        let prepare = |t: &Self, (k, _)| t.prepare(k);
-        two_pass(self, items, out, prepare, |t, (k, v), home| t.insert_from(home, k, v));
-    }
-
-    fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass(self, keys, out, Self::prepare, |t, k, home| t.delete_from(home, k));
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn capacity(&self) -> usize {
-        self.tags.len()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        // 17 B per slot: 1 tag + 8 key + 8 value (vs 16 B/slot for the
-        // LP layouts — the tag array is the 6.25% premium that buys
-        // group-at-a-time probing).
-        self.tags.len() + (self.keys.len() + self.values.len()) * std::mem::size_of::<u64>()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        for (i, &t) in self.tags.iter().enumerate() {
-            if t < EMPTY_TAG {
-                f(self.keys[i], self.values[i]);
-            }
-        }
-    }
-
-    fn display_name(&self) -> String {
-        let group = if GROUP == GROUP_SLOTS { String::new() } else { format!("G{GROUP}") };
-        match self.probe_kind {
-            ProbeKind::Scalar => format!("FP{group}{}", H::name()),
-            ProbeKind::Simd => format!("FP{group}{}SIMD", H::name()),
-        }
-    }
-}
-
-/// None of the three arrays moves after construction (`rehash_in_place`
-/// rebuilds inside the existing allocations), so the lock-free batch is
-/// the locked one with volatile loads in the group kernel.
-impl<H: HashFn64, const GROUP: usize> crate::optimistic::ReadView for FingerprintTable<H, GROUP> {
-    fn supports_optimistic(&self) -> bool {
-        true
-    }
-
-    unsafe fn lookup_batch_optimistic(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
-        // SAFETY: the caller keeps the table alive and validates.
-        unsafe { self.lookup_batch_in::<Volatile>(keys, out) };
-        true
-    }
-}
+pub type FingerprintTable<H, const G: usize = GROUP_SLOTS> = OpenAddressing<H, Soa, Grouped<G>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::{EMPTY_TAG, TOMBSTONE_TAG};
     use crate::tests_common::*;
-    use crate::TOMBSTONE_KEY;
-    use hashfn::{MultShift, Murmur};
+    use crate::{HashTable, InsertOutcome, TableError, EMPTY_KEY, TOMBSTONE_KEY};
+    use hashfn::{fold_to_bits, HashFn64, MultShift, Murmur};
 
     fn scalar(bits: u8) -> FingerprintTable<Murmur> {
         FingerprintTable::with_seed(bits, 42)
@@ -490,29 +64,6 @@ mod tests {
 
     fn simd(bits: u8) -> FingerprintTable<Murmur> {
         FingerprintTable::with_seed_simd(bits, 42)
-    }
-
-    #[test]
-    fn roundtrip_both_kinds() {
-        check_roundtrip(&mut scalar(8));
-        check_roundtrip(&mut simd(8));
-    }
-
-    #[test]
-    fn replace_semantics_both_kinds() {
-        check_replace_semantics(&mut scalar(8));
-        check_replace_semantics(&mut simd(8));
-    }
-
-    #[test]
-    fn reserved_keys_both_kinds() {
-        check_reserved_keys(&mut scalar(4));
-        check_reserved_keys(&mut simd(4));
-    }
-
-    #[test]
-    fn for_each_visits_live_entries() {
-        check_for_each(&mut scalar(8));
     }
 
     #[test]
@@ -541,12 +92,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_ops_match_single_key_path() {
-        check_batch_matches_single(&mut scalar(9), &mut scalar(9), 0xF1AD);
-        check_batch_matches_single(&mut simd(9), &mut simd(9), 0xF1AE);
-    }
-
-    #[test]
     fn simd_and_scalar_tables_agree_step_by_step() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xF00);
@@ -570,15 +115,46 @@ mod tests {
         for k in 1..=150u64 {
             t.insert(k, k).unwrap();
         }
-        let mut live = 0;
-        for (i, &tag) in t.raw_tags().iter().enumerate() {
-            if tag < EMPTY_TAG {
-                live += 1;
-                let (_, expect) = t.home(t.keys[i]);
-                assert_eq!(tag, expect, "slot {i} tag is not its key's fingerprint");
-            }
+        for k in (1..=150u64).step_by(3) {
+            t.delete(k);
         }
-        assert_eq!(live, t.len());
+        for (i, (&tag, &key)) in t.raw_tags().iter().zip(t.raw_keys()).enumerate() {
+            // The key array mirrors the control tags; a live tag is the 7
+            // hash bits below the 8 home-slot bits.
+            let expect = match key {
+                EMPTY_KEY => EMPTY_TAG,
+                TOMBSTONE_KEY => TOMBSTONE_TAG,
+                _ => (fold_to_bits(t.hash_fn().hash(key), 8 + 7) & 0x7F) as u8,
+            };
+            assert_eq!(tag, expect, "slot {i}");
+        }
+        let count = |c: u8| t.raw_tags().iter().filter(|&&tag| tag == c).count();
+        assert_eq!(count(TOMBSTONE_TAG), t.tombstone_count());
+        assert_eq!(t.capacity() - count(EMPTY_TAG) - count(TOMBSTONE_TAG), t.len());
+    }
+
+    #[test]
+    fn multiply_shift_fingerprints_spread_over_grid_keys() {
+        // Grid keys have every byte in 1..=14. Multiply-shift's low hash
+        // bits depend only on the key's low bits, so a fingerprint taken
+        // from them reaches at most 14 of the 128 tags.
+        let grid_key = |mut i: u64| {
+            (0..8).fold(0u64, |k, b| {
+                let digit = i % 14;
+                i /= 14;
+                k | (digit + 1) << (8 * b)
+            })
+        };
+        let mut t: FingerprintTable<MultShift> = FingerprintTable::with_seed(16, 7);
+        for i in 0..(0.7 * 65536.0) as u64 {
+            t.insert(grid_key(i), i).unwrap();
+        }
+        let mut seen = [false; 128];
+        for &tag in t.raw_tags().iter().filter(|&&tag| tag < EMPTY_TAG) {
+            seen[tag as usize] = true;
+        }
+        let distinct = seen.iter().filter(|&&s| s).count();
+        assert!(distinct >= 100, "{distinct} distinct live tags of 128");
     }
 
     #[test]
@@ -648,12 +224,12 @@ mod tests {
 
     #[test]
     fn display_names() {
-        assert_eq!(scalar(4).display_name(), "FPMurmur");
-        assert_eq!(simd(4).display_name(), "FPMurmurSIMD");
-        let t: FingerprintTable<MultShift> = FingerprintTable::with_seed(4, 1);
-        assert_eq!(t.display_name(), "FPMult");
-        let t: FingerprintTable<MultShift, 8> = FingerprintTable::with_seed(4, 1);
-        assert_eq!(t.display_name(), "FPG8Mult");
+        // The shared checks cover the 16-slot names; a group size of its
+        // own shows in an infix.
+        assert_eq!(FingerprintTable::<MultShift, 4>::with_seed(4, 1).display_name(), "FPG4Mult");
+        assert_eq!(FingerprintTable::<MultShift, 8>::with_seed(4, 1).display_name(), "FPG8Mult");
+        let t = FingerprintTable::<MultShift, 32>::with_seed_simd(5, 1);
+        assert_eq!(t.display_name(), "FPG32MultSIMD");
     }
 
     #[test]

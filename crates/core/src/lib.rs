@@ -13,7 +13,7 @@
 //! | [`QuadraticProbing`] | QP | [`OpenAddressing`]`<H, Aos, Triangular>`: `h + i(i+1)/2`, full slot coverage, always-tombstone deletes |
 //! | [`RobinHood`] | RH | [`OpenAddressing`]`<H, Aos, Ordered>`: LP + displacement-ordered clusters, cache-line early abort, backward-shift deletes |
 //! | [`Cuckoo`] | CuckooH2/3/4 | k independently hashed sub-tables, kick-out chains, rehash on failure |
-//! | [`FingerprintTable`] | FP (beyond the paper) | bucketized 16-slot groups over a 1-byte tag array, SSE2 group probing |
+//! | [`FingerprintTable`] | FP (beyond the paper) | [`OpenAddressing`]`<H, Soa, Grouped<16>>`: 16-slot groups over a 1-byte tag array, SSE2 group probing |
 //!
 //! Every scheme is generic over the hash function (see the [`hashfn`]
 //! crate), giving the paper's scheme × function grid (e.g. `LPMult` is
@@ -34,7 +34,7 @@
 //! (§7). Layout and probe sequence are independent type parameters of
 //! [`OpenAddressing`] ([`open_addressing::Aos`] / [`open_addressing::Soa`]
 //! × [`open_addressing::Linear`] / [`open_addressing::Triangular`] /
-//! [`open_addressing::Ordered`]);
+//! [`open_addressing::Ordered`] / [`open_addressing::Grouped`]);
 //! [`LinearProbingSoA`] names the struct-of-arrays cell, and both linear
 //! layouts have AVX2-accelerated probing variants (see [`simd`]) used by
 //! the Figure 7 reproduction.
@@ -223,9 +223,9 @@ pub trait HashTable: optimistic::ReadView {
     fn lookup(&self, key: u64) -> Option<u64>;
 
     /// Look up `key` and also report how many probe steps the scheme
-    /// examined — slots for the linearly addressed schemes, 16-slot groups
-    /// for the fingerprint table, so the unit is scheme-relative (compare
-    /// against the *same* scheme's steady state, not across schemes).
+    /// examined: slots for the linearly addressed schemes, but groups (one
+    /// tag scan each) for the fingerprint table. The unit is scheme-relative
+    /// (compare against the *same* scheme's steady state only).
     ///
     /// An instrumented probe for measurement, not for the serving path:
     /// the benchmark's exact `core.kernel.probes_per_hit` and

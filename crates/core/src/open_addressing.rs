@@ -1,6 +1,7 @@
-//! One open-addressing table for every probing scheme of the paper that
-//! stores its entries in one slot array: linear probing in both layouts,
-//! quadratic probing and Robin Hood (paper §2.2–§2.4, §7).
+//! One open-addressing table for every probing scheme that stores its
+//! entries in one slot array: linear probing in both layouts, quadratic
+//! probing, Robin Hood (paper §2.2–§2.4, §7) and bucketized fingerprint
+//! probing (the SIMD follow-on to §7, see [`crate::fingerprint`]).
 //!
 //! The paper treats slot **layout** and **probe sequence** as independent
 //! dimensions, and so does [`OpenAddressing<H, L, S>`]:
@@ -19,12 +20,16 @@
 //!   of a power-of-two table exactly once in `l` probes (CLRS): it trades
 //!   locality for scattered collisions. [`Ordered`] is Robin Hood: the
 //!   linear order, with every cluster kept sorted by displacement.
+//!   [`Grouped`] probes `G`-slot groups in linear order, filtered by a
+//!   1-byte tag per slot that the table keeps beside its layout (17 B).
 //!
 //! [`LinearProbing`](crate::LinearProbing),
 //! [`LinearProbingSoA`](crate::LinearProbingSoA),
-//! [`QuadraticProbing`](crate::QuadraticProbing) and
-//! [`RobinHood`](crate::RobinHood) are aliases of the four exposed cells;
-//! `Soa × Triangular` and `Soa × Ordered` exist as types only.
+//! [`QuadraticProbing`](crate::QuadraticProbing),
+//! [`RobinHood`](crate::RobinHood) and
+//! [`FingerprintTable`](crate::FingerprintTable) are aliases of the five
+//! exposed cells; `Soa × Triangular`, `Soa × Ordered` and `Aos × Grouped`
+//! exist as types only.
 //!
 //! # Deletion
 //!
@@ -38,6 +43,14 @@
 //! under triangular probing the successor depends on the iteration at
 //! which a key reached the slot, so no local check can prove a chain stays
 //! connected and every delete tombstones.
+//!
+//! [`Step::GROUP`] `> 1` switches a table to a group-by-group mutating
+//! probe, the group kernel (below) and the optimized rule per group: a
+//! probe stops at the first group holding an empty tag, so a delete clears
+//! its slot if the group still holds an empty tag and tombstones it
+//! otherwise. Empties and tombstones go into the key array as well as the
+//! tag array, so rehashing, reclaiming and `for_each` are the per-slot
+//! code.
 //!
 //! # Robin Hood: the ordered step
 //!
@@ -71,11 +84,13 @@
 //! plain linear kernel to the first empty slot: every key lies in the
 //! contiguous run from its home slot, and a racing writer can leave
 //! displacements transiently out of order, so a lock-free probe must not
-//! trust them.
+//! trust them. A [`Grouped`] table's kernel, `lookup_grouped`, has the
+//! same load modes and bound; its step is one group of tags.
 
 use crate::optimistic::ReadView;
 use crate::simd::{
-    prefetch_read, scan_keys, scan_pairs, ProbeKind, ScanOutcome, ScanResult, PREFETCH_BATCH,
+    prefetch_read, scan_keys, scan_pairs, scan_tags, ProbeKind, ScanOutcome, ScanResult, TagScan,
+    EMPTY_TAG, PREFETCH_BATCH, TOMBSTONE_TAG,
 };
 use crate::{
     check_capacity_bits, home_slot, is_reserved_key, HashTable, InsertOutcome, Pair, TableError,
@@ -138,6 +153,7 @@ mod sealed {
     impl Sealed for super::Linear {}
     impl Sealed for super::Triangular {}
     impl Sealed for super::Ordered {}
+    impl<const G: usize> Sealed for super::Grouped<G> {}
 }
 
 /// Slot storage of an [`OpenAddressing`] table: `2^bits` key/value slots
@@ -323,24 +339,34 @@ impl Layout for Soa {
     }
 }
 
-/// The probe sequence of an [`OpenAddressing`] table.
+/// The probe sequence of an [`OpenAddressing`] table. The defaults are
+/// the plain linear order.
 pub trait Step: Clone + sealed::Sealed {
-    /// Prefix of the paper-style display name (`"LP"`, `"QP"` or `"RH"`).
+    /// Prefix of the paper-style display name (`"LP"`, `"QP"`, `"RH"` or
+    /// `"FP"` with its group size).
     const NAME: &'static str;
 
     /// Whether every key that passes through a slot continues to the same
     /// next slot — what makes the clear-if-next-empty delete sound (see
     /// the [module docs](self)).
-    const SHARED_SUCCESSOR: bool;
+    const SHARED_SUCCESSOR: bool = false;
 
     /// Whether clusters are kept sorted by displacement: Robin Hood's
     /// insert, delete and early-abort rules instead of tombstones (see the
     /// [module docs](self)). Only a linear order can be kept sorted.
-    const ORDERED: bool;
+    const ORDERED: bool = false;
+
+    /// Slots per probe group: 1 for the per-slot steps. Above 1 the table
+    /// keeps a tag per slot and probes group by group (see the
+    /// [module docs](self)).
+    const GROUP: usize = 1;
 
     /// The (unmasked) slot after `pos`, which was the `i`-th slot examined
     /// (`i` counts from 1). Must visit all `l` slots in `l` steps.
-    fn advance(pos: usize, i: usize) -> usize;
+    #[inline(always)]
+    fn advance(pos: usize, _i: usize) -> usize {
+        pos + 1
+    }
 }
 
 /// Linear probing: the next slot.
@@ -356,21 +382,25 @@ pub struct Triangular;
 #[derive(Clone, Copy)]
 pub struct Ordered;
 
+/// Bucketized fingerprint probing: `G`-slot groups (4, 8, 16 or 32) in
+/// linear order, each classified by one scan of its tags.
+#[derive(Clone, Copy)]
+pub struct Grouped<const G: usize>;
+
+/// The steps with a SIMD probe: [`Linear`] (AVX2 key scans) and
+/// [`Grouped`] (SSE2 tag scans). Sealed, as [`Step`] is.
+pub trait SimdStep: Step {}
+
+impl SimdStep for Linear {}
+impl<const G: usize> SimdStep for Grouped<G> {}
+
 impl Step for Linear {
     const NAME: &'static str = "LP";
     const SHARED_SUCCESSOR: bool = true;
-    const ORDERED: bool = false;
-
-    #[inline(always)]
-    fn advance(pos: usize, _i: usize) -> usize {
-        pos + 1
-    }
 }
 
 impl Step for Triangular {
     const NAME: &'static str = "QP";
-    const SHARED_SUCCESSOR: bool = false;
-    const ORDERED: bool = false;
 
     #[inline(always)]
     fn advance(pos: usize, i: usize) -> usize {
@@ -382,12 +412,23 @@ impl Step for Ordered {
     const NAME: &'static str = "RH";
     const SHARED_SUCCESSOR: bool = true;
     const ORDERED: bool = true;
-
-    #[inline(always)]
-    fn advance(pos: usize, _i: usize) -> usize {
-        pos + 1
-    }
 }
+
+impl<const G: usize> Step for Grouped<G> {
+    const NAME: &'static str = match G {
+        4 => "FPG4",
+        8 => "FPG8",
+        16 => "FP",
+        _ => "FPG32",
+    };
+    const GROUP: usize = match G {
+        4 | 8 | 16 | 32 => G,
+        _ => panic!("a probe group holds 4, 8, 16 or 32 slots"),
+    };
+}
+
+/// Hash bits of a grouped table's fingerprint.
+const TAG_BITS: u8 = 7;
 
 /// Entries per 64-byte cache line at 16 bytes per AoS slot: an [`Ordered`]
 /// table's locked lookups check the early abort once per this many slots.
@@ -468,6 +509,9 @@ pub(crate) fn two_pass<T: Deref, I: Copy, P: Copy + Default, O>(
 #[derive(Clone)]
 pub struct OpenAddressing<H: HashFn64, L: Layout, S: Step> {
     slots: L,
+    /// One control byte per slot when grouped — a 7-bit fingerprint,
+    /// [`EMPTY_TAG`] or [`TOMBSTONE_TAG`] — and empty otherwise.
+    tags: Box<[u8]>,
     bits: u8,
     mask: usize,
     hash: H,
@@ -485,10 +529,10 @@ impl<H: HashFamily, L: Layout, S: Step> OpenAddressing<H, L, S> {
     }
 }
 
-impl<H: HashFamily, L: Layout> OpenAddressing<H, L, Linear> {
+impl<H: HashFamily, L: Layout, S: SimdStep> OpenAddressing<H, L, S> {
     /// Like [`OpenAddressing::with_seed`], but probing compares four keys
     /// per step with AVX2 where available (paper §7, "LPAoSMultSIMD" /
-    /// "LPSoAMultSIMD").
+    /// "LPSoAMultSIMD"), or 16 tags per SSE2 compare when grouped.
     pub fn with_seed_simd(bits: u8, seed: u64) -> Self {
         let mut t = Self::with_seed(bits, seed);
         t.probe_kind = ProbeKind::Simd;
@@ -496,9 +540,8 @@ impl<H: HashFamily, L: Layout> OpenAddressing<H, L, Linear> {
     }
 }
 
-impl<H: HashFn64, L: Layout> OpenAddressing<H, L, Linear> {
-    /// Switch between scalar and SIMD probing (the SIMD scans exist for
-    /// the linear probe order only).
+impl<H: HashFn64, L: Layout, S: SimdStep> OpenAddressing<H, L, S> {
+    /// Switch between scalar and SIMD probing.
     pub fn set_probe_kind(&mut self, kind: ProbeKind) {
         self.probe_kind = kind;
     }
@@ -523,11 +566,21 @@ impl<H: HashFn64, S: Step> OpenAddressing<H, Soa, S> {
     }
 }
 
+impl<H: HashFn64, L: Layout, const G: usize> OpenAddressing<H, L, Grouped<G>> {
+    /// Direct tag-array access for statistics and tests.
+    pub fn raw_tags(&self) -> &[u8] {
+        &self.tags
+    }
+}
+
 impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
     /// Create a table with `2^bits` slots using an explicit hash function.
     pub fn with_hash(bits: u8, hash: H) -> Self {
         let cap = check_capacity_bits(bits);
+        assert!(cap >= S::GROUP, "capacity 2^{bits} is smaller than one {}-slot group", S::GROUP);
         Self {
+            // Tags first: allocation order decides which arrays glibc maps.
+            tags: vec![EMPTY_TAG; if S::GROUP > 1 { cap } else { 0 }].into_boxed_slice(),
             slots: L::with_capacity(cap),
             bits,
             mask: cap - 1,
@@ -550,19 +603,31 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
         self.tombstones
     }
 
+    /// `key`'s home slot, followed when grouped by its fingerprint: the
+    /// [`TAG_BITS`] hash bits just below the slot's.
     #[inline(always)]
     fn home(&self, key: u64) -> usize {
-        home_slot(&self.hash, key, self.bits)
+        home_slot(&self.hash, key, self.bits + if S::GROUP > 1 { TAG_BITS } else { 0 })
+    }
+
+    /// A grouped home's first slot of the home group, and its fingerprint.
+    #[inline(always)]
+    fn group_home(home: usize) -> (usize, u8) {
+        ((home >> TAG_BITS) & !(S::GROUP - 1), (home & ((1 << TAG_BITS) - 1)) as u8)
     }
 
     /// Pass 1 of the batch operations: hash `key` and prefetch its home
-    /// line. Reserved keys hash like any other; prefetching their (never
-    /// probed) home line is harmless.
+    /// line (of tags, when grouped). Reserved keys hash like any other;
+    /// prefetching their (never probed) home line is harmless.
     #[inline(always)]
     fn prepare(&self, key: u64) -> usize {
         let home = self.home(key);
-        // SAFETY: `home <= mask`, inside the slot array.
-        prefetch_read(unsafe { L::key_ptr(self.slots.raw(), home) });
+        if S::GROUP > 1 {
+            prefetch_read(&self.tags[Self::group_home(home).0]);
+        } else {
+            // SAFETY: `home <= mask`, inside the slot array.
+            prefetch_read(unsafe { L::key_ptr(self.slots.raw(), home) });
+        }
         home
     }
 
@@ -580,6 +645,7 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
             .map(|i| (self.slots.key(i), self.slots.value(i)))
             .collect();
         self.slots.clear();
+        self.tags.fill(EMPTY_TAG);
         self.len = 0;
         self.tombstones = 0;
         for (k, v) in live {
@@ -615,6 +681,9 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
     /// empty slot nor a tombstone.
     #[inline]
     fn find(&self, home: usize, key: u64) -> Result<usize, usize> {
+        if S::GROUP > 1 {
+            return self.find_grouped(home, key);
+        }
         if self.probe_kind == ProbeKind::Simd {
             let r = self.slots.scan_simd(home, key);
             return match r.outcome {
@@ -641,6 +710,110 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
         Err(first_tombstone)
     }
 
+    /// [`OpenAddressing::find`] for a grouped table: group by group from
+    /// the home group until a group holding an empty tag.
+    fn find_grouped(&self, home: usize, key: u64) -> Result<usize, usize> {
+        let (mut base, tag) = Self::group_home(home);
+        let mut first_tombstone = usize::MAX;
+        for _ in 0..(self.mask + 1) / S::GROUP {
+            let scan = scan_tags(&self.tags[base..base + S::GROUP], tag, self.probe_kind);
+            let mut m = scan.matches;
+            while m != 0 {
+                let pos = base + m.trailing_zeros() as usize;
+                if self.slots.key(pos) == key {
+                    return Ok(pos);
+                }
+                m &= m - 1;
+            }
+            if first_tombstone == usize::MAX && scan.tombstones != 0 {
+                first_tombstone = base + scan.tombstones.trailing_zeros() as usize;
+            }
+            if scan.empties != 0 {
+                let empty = base + scan.empties.trailing_zeros() as usize;
+                return Err(if first_tombstone != usize::MAX { first_tombstone } else { empty });
+            }
+            base = (base + S::GROUP) & self.mask;
+        }
+        Err(first_tombstone)
+    }
+
+    /// Scan the tags of the group starting at slot `base` for `tag`.
+    ///
+    /// # Safety
+    /// The table must be grouped and `base` a group start; under [`Plain`]
+    /// no writer may exist.
+    #[inline(always)]
+    unsafe fn scan_group<M: LoadMode>(&self, base: usize, tag: u8) -> TagScan {
+        // SAFETY: the caller's contract: `S::GROUP` tags from `base` lie
+        // inside the tag array, which is never reallocated.
+        unsafe {
+            let (tags, kind) = (self.tags.as_ptr().add(base), self.probe_kind);
+            // Stable Rust has no `[u8; S::GROUP]`: one arm per group size,
+            // folded away at compile time.
+            match S::GROUP {
+                4 => scan_tags(&M::load::<[u8; 4]>(tags.cast()), tag, kind),
+                8 => scan_tags(&M::load::<[u8; 8]>(tags.cast()), tag, kind),
+                16 => scan_tags(&M::load::<[u8; 16]>(tags.cast()), tag, kind),
+                _ => scan_tags(&M::load::<[u8; 32]>(tags.cast()), tag, kind),
+            }
+        }
+    }
+
+    /// The group kernel: probe group by group from `home`'s group until
+    /// `key`, a group holding an empty tag, or every group. Returns the
+    /// value if found, and the number of *groups* examined: one tag scan is
+    /// one step. Under [`Volatile`] a torn tag/key/value combination
+    /// implies a racing writer, which the caller's validation detects.
+    ///
+    /// # Safety
+    /// As [`OpenAddressing::lookup_from`], on a grouped table.
+    #[inline(always)]
+    unsafe fn lookup_grouped<M: LoadMode>(&self, home: usize, key: u64) -> (Option<u64>, usize) {
+        let raw = self.slots.raw();
+        let (mut base, tag) = Self::group_home(home);
+        let groups = (self.mask + 1) / S::GROUP;
+        for examined in 1..=groups {
+            // SAFETY: in-bounds — `base` is a group start, and `pos` below
+            // lies in its group (a scan sets one bit per tag). Termination —
+            // the loop is bounded by the group count. Raced data is only
+            // compared and returned.
+            let scan = unsafe { self.scan_group::<M>(base, tag) };
+            let mut m = scan.matches;
+            while m != 0 {
+                let pos = base + m.trailing_zeros() as usize;
+                // SAFETY: see above.
+                if unsafe { M::load(L::key_ptr(raw, pos)) } == key {
+                    // SAFETY: same slot.
+                    return (Some(unsafe { M::load(L::value_ptr(raw, pos)) }), examined);
+                }
+                m &= m - 1;
+            }
+            if scan.empties != 0 {
+                return (None, examined);
+            }
+            base = (base + S::GROUP) & self.mask;
+        }
+        (None, groups)
+    }
+
+    /// A lookup's capacity-bounded probe in load mode `M`.
+    ///
+    /// # Safety
+    /// As [`OpenAddressing::lookup_from`].
+    #[inline(always)]
+    unsafe fn probe<M: LoadMode>(&self, home: usize, key: u64) -> (Option<u64>, usize) {
+        // SAFETY: the arrays hold `mask + 1` slots, are never reallocated
+        // and live as long as the table; `home` came from `Self::home`, so
+        // its slot is `<= mask` and a grouped table's group start in range.
+        unsafe {
+            if S::GROUP > 1 {
+                self.lookup_grouped::<M>(home, key)
+            } else {
+                lookup_kernel::<L, S, M>(self.slots.raw(), self.mask, home, key)
+            }
+        }
+    }
+
     /// [`HashTable::insert`] with a precomputed `home` slot.
     fn insert_from(
         &mut self,
@@ -654,7 +827,10 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
         if S::ORDERED {
             return self.insert_ordered(home, key, value);
         }
-        if self.probe_kind == ProbeKind::Scalar && self.len + self.tombstones < self.mask {
+        if S::GROUP == 1
+            && self.probe_kind == ProbeKind::Scalar
+            && self.len + self.tombstones < self.mask
+        {
             // Hot path — more than one empty slot remains, so the walk
             // must reach one and storing into it cannot take the last
             // probe terminator: no bound and no capacity check per probe.
@@ -686,7 +862,12 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
             Ok(pos) => Ok(InsertOutcome::Replaced(self.slots.replace_value(pos, value))),
             Err(usize::MAX) => self.reclaim_or_full(home, key, value),
             Err(pos) => {
-                if self.slots.key(pos) == TOMBSTONE_KEY {
+                let tombstone = match S::GROUP {
+                    1 => self.slots.key(pos) == TOMBSTONE_KEY,
+                    // The probe loaded the tag's line, not the key's.
+                    _ => self.tags[pos] == TOMBSTONE_TAG,
+                };
+                if tombstone {
                     self.tombstones -= 1;
                 } else if self.len + self.tombstones >= self.mask {
                     // Filling the last empty slot would leave no probe
@@ -697,6 +878,9 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
                     return self.reclaim_or_full(home, key, value);
                 }
                 self.slots.set(pos, key, value);
+                if S::GROUP > 1 {
+                    self.tags[pos] = Self::group_home(home).1;
+                }
                 self.len += 1;
                 Ok(InsertOutcome::Inserted)
             }
@@ -720,16 +904,14 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
         if S::ORDERED && !M::RACING {
             return self.find_ordered(home, key).map(|pos| self.slots.value(pos));
         }
-        if !M::RACING && self.probe_kind == ProbeKind::Simd {
+        if S::GROUP == 1 && !M::RACING && self.probe_kind == ProbeKind::Simd {
             return match self.slots.scan_simd(home, key).outcome {
                 ScanOutcome::FoundKey(pos) => Some(self.slots.value(pos)),
                 _ => None,
             };
         }
-        // SAFETY: the arrays hold `mask + 1` slots, are never reallocated
-        // and live as long as the table; `home <= mask`. The kernel is
-        // capacity-bounded and dereferences nothing it loaded.
-        unsafe { lookup_kernel::<L, S, M>(self.slots.raw(), self.mask, home, key).0 }
+        // SAFETY: the caller's contract, passed through.
+        unsafe { self.probe::<M>(home, key).0 }
     }
 
     /// [`HashTable::lookup_batch`] in load mode `M`: the locked and the
@@ -757,12 +939,22 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
         let value = self.slots.value(pos);
         // Optimized tombstones (§2.2): only keep the cluster connected when
         // it actually continues past the deleted slot — decidable only
-        // where all keys share the slot's successor.
-        if S::SHARED_SUCCESSOR && self.slots.key(S::advance(pos, 1) & self.mask) == EMPTY_KEY {
+        // where all keys share the slot's successor, or, grouped, where
+        // the slot's group holds an empty tag.
+        let clear = if S::GROUP > 1 {
+            let base = pos & !(S::GROUP - 1);
+            self.tags[base..base + S::GROUP].contains(&EMPTY_TAG)
+        } else {
+            S::SHARED_SUCCESSOR && self.slots.key(S::advance(pos, 1) & self.mask) == EMPTY_KEY
+        };
+        if clear {
             self.slots.set_key(pos, EMPTY_KEY);
         } else {
             self.slots.set_key(pos, TOMBSTONE_KEY);
             self.tombstones += 1;
+        }
+        if S::GROUP > 1 {
+            self.tags[pos] = if clear { EMPTY_TAG } else { TOMBSTONE_TAG };
         }
         self.len -= 1;
         Some(value)
@@ -958,10 +1150,10 @@ impl<H: HashFn64, L: Layout, S: Step> HashTable for OpenAddressing<H, L, S> {
         if S::ORDERED {
             return self.probe_ordered(self.home(key), key);
         }
-        // Always the scalar kernel (the SIMD scans resolve whole windows,
-        // hiding per-slot steps).
-        // SAFETY: as in `lookup_from`, with no writer.
-        unsafe { lookup_kernel::<L, S, Plain>(self.slots.raw(), self.mask, self.home(key), key) }
+        // Always a counting kernel (the AVX2 key scans resolve whole
+        // windows, hiding per-slot steps).
+        // SAFETY: `&self` — no writer.
+        unsafe { self.probe::<Plain>(self.home(key), key) }
     }
 
     fn delete(&mut self, key: u64) -> Option<u64> {
@@ -995,7 +1187,7 @@ impl<H: HashFn64, L: Layout, S: Step> HashTable for OpenAddressing<H, L, S> {
     }
 
     fn memory_bytes(&self) -> usize {
-        (self.mask + 1) * std::mem::size_of::<Pair>()
+        (self.mask + 1) * std::mem::size_of::<Pair>() + self.tags.len()
     }
 
     fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
@@ -1014,7 +1206,8 @@ impl<H: HashFn64, L: Layout, S: Step> HashTable for OpenAddressing<H, L, S> {
 
     fn display_name(&self) -> String {
         let simd = if self.probe_kind == ProbeKind::Simd { "SIMD" } else { "" };
-        format!("{}{}{}{simd}", S::NAME, L::NAME, H::name())
+        // FP's names predate the layout infix: FP is SoA by definition.
+        format!("{}{}{}{simd}", S::NAME, if S::GROUP > 1 { "" } else { L::NAME }, H::name())
     }
 }
 
@@ -1039,17 +1232,19 @@ impl<H: HashFn64, L: Layout, S: Step> ReadView for OpenAddressing<H, L, S> {
 pub(crate) mod tests {
     use super::*;
     use crate::tests_common::*;
-    use crate::{LinearProbing, LinearProbingSoA, QuadraticProbing, RobinHood};
+    use crate::{FingerprintTable, LinearProbing, LinearProbingSoA, QuadraticProbing, RobinHood};
     use hashfn::{MultShift, Murmur};
 
     /// Every shared check of [`crate::tests_common`] on one exposed cell:
     /// `seeded` builds it with a seeded hash function, `weak` with the
     /// weak `MultShift::new(1)`, which sends every key below 2^56 to slot
-    /// 0 of a 256-slot table; `names` are their display names.
+    /// 0 of a 256-slot table; `names` are their display names and
+    /// `slot_bytes` the memory each slot costs.
     fn check_cell<T: HashTable, W: HashTable>(
         seeded: impl Fn(u8) -> T,
         weak: impl Fn(u8) -> W,
         names: [&str; 2],
+        slot_bytes: usize,
     ) {
         // Shown with a failure's captured output.
         eprintln!("cell {}", names[0]);
@@ -1063,12 +1258,12 @@ pub(crate) mod tests {
         assert_eq!(seeded(4).display_name(), names[0]);
         assert_eq!(weak(4).display_name(), names[1]);
         let t = seeded(10);
-        assert_eq!((t.capacity(), t.memory_bytes()), (1024, 1024 * 16), "{}: 16 B/slot", names[0]);
+        assert_eq!((t.capacity(), t.memory_bytes()), (1024, 1024 * slot_bytes), "{}", names[0]);
     }
 
-    fn simd<H: HashFn64, L: Layout>(
-        mut t: OpenAddressing<H, L, Linear>,
-    ) -> OpenAddressing<H, L, Linear> {
+    fn simd<H: HashFn64, L: Layout, S: SimdStep>(
+        mut t: OpenAddressing<H, L, S>,
+    ) -> OpenAddressing<H, L, S> {
         t.set_probe_kind(ProbeKind::Simd);
         t
     }
@@ -1080,31 +1275,49 @@ pub(crate) mod tests {
             |b| LinearProbing::<Murmur>::with_seed(b, 42),
             |b| LinearProbing::with_hash(b, weak()),
             ["LPMurmur", "LPMult"],
+            16,
         );
         check_cell(
             |b| LinearProbing::<Murmur>::with_seed_simd(b, 42),
             |b| simd(LinearProbing::with_hash(b, weak())),
             ["LPMurmurSIMD", "LPMultSIMD"],
+            16,
         );
         check_cell(
             |b| LinearProbingSoA::<Murmur>::with_seed(b, 42),
             |b| LinearProbingSoA::with_hash(b, weak()),
             ["LPSoAMurmur", "LPSoAMult"],
+            16,
         );
         check_cell(
             |b| LinearProbingSoA::<Murmur>::with_seed_simd(b, 42),
             |b| simd(LinearProbingSoA::with_hash(b, weak())),
             ["LPSoAMurmurSIMD", "LPSoAMultSIMD"],
+            16,
         );
         check_cell(
             |b| QuadraticProbing::<Murmur>::with_seed(b, 42),
             |b| QuadraticProbing::with_hash(b, weak()),
             ["QPMurmur", "QPMult"],
+            16,
         );
         check_cell(
             |b| RobinHood::<Murmur>::with_seed(b, 42),
             |b| RobinHood::with_hash(b, weak()),
             ["RHMurmur", "RHMult"],
+            16,
+        );
+        check_cell(
+            |b| FingerprintTable::<Murmur>::with_seed(b, 42),
+            |b| FingerprintTable::<MultShift>::with_hash(b, weak()),
+            ["FPMurmur", "FPMult"],
+            17,
+        );
+        check_cell(
+            |b| FingerprintTable::<Murmur>::with_seed_simd(b, 42),
+            |b| simd(FingerprintTable::<MultShift>::with_hash(b, weak())),
+            ["FPMurmurSIMD", "FPMultSIMD"],
+            17,
         );
     }
 
@@ -1118,26 +1331,31 @@ pub(crate) mod tests {
         assert!(out.iter().all(Option::is_none), "{}: {out:?}", t.display_name());
     }
 
+    /// Every slot holds a live key; a grouped table's tags are the keys'
+    /// fingerprints.
     pub(crate) fn saturated<L: Layout, S: Step>(bits: u8) -> OpenAddressing<MultShift, L, S> {
         let mut t = OpenAddressing::<MultShift, L, S>::with_seed(bits, 3);
         for i in 0..=t.mask {
-            t.slots.set_key(i, 1000 + i as u64);
+            let key = 1000 + i as u64;
+            t.slots.set_key(i, key);
+            if S::GROUP > 1 {
+                t.tags[i] = OpenAddressing::<MultShift, L, S>::group_home(t.home(key)).1;
+            }
         }
         t
     }
 
     fn check_saturated<L: Layout, S: Step>() {
-        // Capacity 2 is the smallest table; 64 spans several cache lines.
-        for bits in [1u8, 6] {
+        // One group (capacity 2 for the per-slot steps) is the smallest
+        // table; 64 slots span several cache lines and groups.
+        for bits in [S::GROUP.max(2).trailing_zeros() as u8, 6] {
             let t = saturated::<L, S>(bits);
             let cap = t.capacity();
             for key in [1u64, 7, 999] {
                 // SAFETY: `&t` — no writer; the arrays hold `cap` slots.
-                let (hit, steps) = unsafe {
-                    lookup_kernel::<L, S, Volatile>(t.slots.raw(), t.mask, t.home(key), key)
-                };
-                assert_eq!(hit, None);
-                assert_eq!(steps, cap, "{}: a saturated miss examines every slot once", S::NAME);
+                let (hit, steps) = unsafe { t.probe::<Volatile>(t.home(key), key) };
+                // A saturated miss examines every group (slot) once.
+                assert_eq!((hit, steps), (None, cap / S::GROUP), "{}", S::NAME);
             }
             // Reserved keys inside a batch stay inert: they must not match
             // the control values a racing writer may have left behind.
@@ -1161,6 +1379,8 @@ pub(crate) mod tests {
         // The unexposed cells ride along: the kernel is generic.
         check_saturated::<Soa, Triangular>();
         check_saturated::<Soa, Ordered>();
+        check_saturated::<Soa, Grouped<16>>();
+        check_saturated::<Soa, Grouped<4>>();
     }
 
     #[test]
@@ -1201,5 +1421,7 @@ pub(crate) mod tests {
         check(LinearProbingSoA::<MultShift>::with_seed_simd(8, 1));
         check(QuadraticProbing::<MultShift>::with_seed(8, 1));
         check(RobinHood::<MultShift>::with_seed(8, 1));
+        check(FingerprintTable::<MultShift>::with_seed(8, 1));
+        check(FingerprintTable::<MultShift>::with_seed_simd(8, 1));
     }
 }

@@ -580,6 +580,7 @@ impl<T: HashTable> ShardedTable<T> {
 
     /// Live entries per shard (locks each shard briefly; a snapshot, not
     /// an atomic view).
+    #[cfg(test)]
     pub fn shard_lens(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.read_locked().len()).collect()
     }

@@ -894,6 +894,7 @@ impl<T: ConcurrentTable + 'static> DurableTable<T> {
     }
 
     /// Wait for any in-flight background snapshot to finish.
+    #[cfg(test)]
     pub fn join_background_snapshot(&self) {
         if let Some(h) = lock(&self.snap_thread).take() {
             let _ = h.join();

@@ -125,6 +125,7 @@ pub fn avalanche_bias<H: HashFn64>(h: &H, samples: &[u64]) -> f64 {
 /// Avalanche bias restricted to the top `bits` output bits — the ones hash
 /// tables in this workspace actually consume. Multiply-shift is much
 /// better here than its full-width bias suggests.
+#[cfg(test)]
 pub fn avalanche_bias_top_bits<H: HashFn64>(h: &H, samples: &[u64], bits: u8) -> f64 {
     assert!((1..=64).contains(&bits));
     let mut flip_counts = vec![[0u32; 64]; bits as usize];
