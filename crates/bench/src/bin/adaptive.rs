@@ -16,9 +16,10 @@
 //!   rejects a 16-slot group per SIMD tag compare).
 //!
 //! A static table must commit to one side of that shift. The adaptive
-//! table ([`MigrationPolicy::Adaptive`]) starts as LPMult, judges each
-//! window of its own counters (miss ratio, write ratio — both deltas
-//! since the last check — and load factor), re-runs the decision graph
+//! table ([`DynamicTable::with_migration`] with `Some(CONTROLLER)`)
+//! starts as LPMult, judges each window of its own counters (miss ratio,
+//! write ratio — both deltas since the last check — and load factor),
+//! re-runs the decision graph
 //! online, and live-migrates to FPMult at the first check of phase B —
 //! draining ≤ `step` old-generation entries per mutating op, never
 //! blocking lookups. Reported per table:
@@ -47,8 +48,7 @@
 use bench::{emit, parse_args};
 use metrics::{LatencyHistogram, ReportTable, Series, Throughput};
 use sevendim_core::{
-    AdaptiveConfig, DynamicTable, GrowthPolicy, HashTable, MigrationPolicy, TableBuilder,
-    TableScheme,
+    AdaptiveConfig, DynamicTable, GrowthPolicy, HashTable, TableBuilder, TableScheme,
 };
 use std::time::Instant;
 
@@ -196,7 +196,7 @@ fn run_adaptive(w: &Workload) -> (PhaseOut, AdaptiveDetail) {
         0xADA9_71FE,
         0.9, // growth is not this bench's story; the switch keeps the same bits
         GrowthPolicy::Incremental { step: DRAIN_STEP },
-        MigrationPolicy::Adaptive(CONTROLLER),
+        Some(CONTROLLER),
     );
     let source = table.inner().display_name();
     let mut detail = AdaptiveDetail {

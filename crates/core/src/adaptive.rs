@@ -11,7 +11,7 @@
 use crate::decision::Mutability;
 use crate::{TableScheme, TableStats, WorkloadProfile};
 
-/// Tuning for [`MigrationPolicy::Adaptive`](crate::MigrationPolicy::Adaptive).
+/// Tuning for an adaptive table ([`crate::TableBuilder::adaptive`]).
 /// The defaults re-evaluate every 4 Ki mutating ops and hold 16 Ki ops of
 /// hysteresis after each switch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

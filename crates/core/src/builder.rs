@@ -30,10 +30,11 @@
 //! unit tests and the SIMD ablations want concrete types); the builder is
 //! the *runtime* grid the query and workload layers drive.
 
+use crate::adaptive::AdaptiveConfig;
 use crate::budget::chained_directory_bits;
 use crate::chained::{Chained, Directory, Inline, Links};
 use crate::decision::{recommend, WorkloadProfile};
-use crate::dynamic::{DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};
+use crate::dynamic::{DynamicTable, GrowthPolicy, TableFactory};
 use crate::sharded::ShardedTable;
 use crate::simd::ProbeKind;
 use crate::{
@@ -185,11 +186,11 @@ pub struct TableBuilder {
     wal_dir: Option<PathBuf>,
     fsync_policy: FsyncPolicy,
     snapshot_every: Option<u64>,
-    migration_policy: MigrationPolicy,
+    adaptive: Option<AdaptiveConfig>,
 }
 
-/// Growth threshold a [`TableBuilder::migration`] build falls back to
-/// when [`TableBuilder::grow_at`] was not set: a migrating table is a
+/// Growth threshold a [`TableBuilder::adaptive`] build falls back to
+/// when [`TableBuilder::grow_at`] was not set: an adaptive table is a
 /// [`DynamicTable`] and so can always also grow — 0.85 keeps even the
 /// densest target scheme serviceable without forcing early doublings.
 pub const DEFAULT_MIGRATION_GROW_AT: f64 = 0.85;
@@ -212,7 +213,7 @@ impl TableBuilder {
             wal_dir: None,
             fsync_policy: FsyncPolicy::Always,
             snapshot_every: None,
-            migration_policy: MigrationPolicy::Grow,
+            adaptive: None,
         }
     }
 
@@ -322,7 +323,7 @@ impl TableBuilder {
     /// [sharded module docs](crate::sharded)). Only affects
     /// [`TableBuilder::shards`]/[`TableBuilder::concurrency`] builds —
     /// unsharded tables have no lock to skip. Combined with
-    /// [`TableBuilder::grow_at`] or a migration policy, a shard's doubling
+    /// [`TableBuilder::grow_at`] or [`TableBuilder::adaptive`], a shard's doubling
     /// or switch may race a lock-free reader; each read call then pins the
     /// global epoch, and a replaced generation is freed once no reader
     /// that could still probe it is pinned (see [`crate::epoch`] for the
@@ -361,28 +362,20 @@ impl TableBuilder {
         self
     }
 
-    /// Set the migration policy of the built table (default
-    /// [`MigrationPolicy::Grow`]: generations open only to double).
-    /// [`MigrationPolicy::Switch`] re-homes the contents into a
-    /// different scheme at the same capacity on the first mutating
-    /// operation; [`MigrationPolicy::Adaptive`] watches the live
-    /// workload and re-evaluates the paper's Figure-8 decision graph
-    /// against it, switching schemes when the observed profile says so.
-    /// A non-[`Grow`](MigrationPolicy::Grow) policy always wraps the
-    /// build in a [`DynamicTable`], even without
-    /// [`TableBuilder::grow_at`] (growth then defaults to
-    /// [`DEFAULT_MIGRATION_GROW_AT`]). Composes with
-    /// [`TableBuilder::shards`] (each shard migrates independently) and
-    /// [`TableBuilder::incremental`] (the switch drains a bounded number
-    /// of entries per mutating op instead of stopping the world).
-    pub fn migration(mut self, policy: MigrationPolicy) -> Self {
-        self.migration_policy = policy;
+    /// Let the built table adapt (by default it only grows): every
+    /// `cfg.check_every` mutating operations it re-evaluates the paper's
+    /// Figure-8 decision graph against the workload it observed, and
+    /// switches scheme at the same capacity when the graph disagrees with
+    /// the current one. An adaptive build always wraps in a
+    /// [`DynamicTable`], even without [`TableBuilder::grow_at`] (growth
+    /// then defaults to [`DEFAULT_MIGRATION_GROW_AT`]). Composes with
+    /// [`TableBuilder::shards`] (each shard adapts independently) and
+    /// [`TableBuilder::incremental`] (a switch drains a bounded number of
+    /// entries per mutating op instead of stopping the world). An
+    /// explicit switch is [`DynamicTable::switch_to`].
+    pub fn adaptive(mut self, cfg: AdaptiveConfig) -> Self {
+        self.adaptive = Some(cfg);
         self
-    }
-
-    /// Shorthand for `migration(MigrationPolicy::Adaptive(AdaptiveConfig::default()))`.
-    pub fn adaptive(self) -> Self {
-        self.migration(MigrationPolicy::Adaptive(crate::AdaptiveConfig::default()))
     }
 
     /// Write a snapshot (and truncate the log) after every `records`
@@ -411,11 +404,6 @@ impl TableBuilder {
     /// [`TableBuilder::grow_at`] set).
     pub fn growth_policy(&self) -> GrowthPolicy {
         self.growth_policy
-    }
-
-    /// The configured migration policy ([`TableBuilder::migration`]).
-    pub fn migration_kind(&self) -> MigrationPolicy {
-        self.migration_policy
     }
 
     /// The configured WAL directory ([`TableBuilder::wal`]), if any.
@@ -454,7 +442,7 @@ impl TableBuilder {
         if self.shard_bits > 0 {
             return Ok(Box::new(self.try_build_sharded()?));
         }
-        if self.grow_threshold.is_some() || self.migration_policy != MigrationPolicy::Grow {
+        if self.grow_threshold.is_some() || self.adaptive.is_some() {
             let threshold = self.grow_threshold.unwrap_or(DEFAULT_MIGRATION_GROW_AT);
             let factory = Self { grow_threshold: None, chained_budget: None, ..self.clone() };
             return Ok(Box::new(DynamicTable::with_migration(
@@ -463,7 +451,7 @@ impl TableBuilder {
                 self.seed,
                 threshold,
                 self.growth_policy,
-                self.migration_policy,
+                self.adaptive,
             )));
         }
         self.build_static()
@@ -1006,76 +994,20 @@ mod tests {
     }
 
     #[test]
-    fn migration_switch_through_builder_keeps_model_semantics() {
-        // A builder-made table under a pending cross-scheme switch must
-        // stay map-correct through the drain — the differential covers
-        // the pre-switch, mid-drain, and post-drain states.
-        let mut t = TableBuilder::new(TableScheme::LinearProbing)
-            .bits(8)
-            .seed(3)
-            .incremental(2)
-            .migration(MigrationPolicy::Switch(TableScheme::Fingerprint))
-            .build();
-        check_against_model(&mut t, 3000, 0x51C);
-        assert!(
-            t.display_name().starts_with("FP"),
-            "switch must have landed, got {}",
-            t.display_name()
-        );
-    }
-
-    #[test]
     fn migration_knob_wraps_without_grow_at() {
-        let b = TableBuilder::new(TableScheme::LinearProbing)
+        // An adaptive build is a growing table even without `grow_at`:
+        // a static 64-slot table would refuse the 65th key.
+        let mut t = TableBuilder::new(TableScheme::LinearProbing)
             .bits(6)
-            .migration(MigrationPolicy::Switch(TableScheme::RobinHood));
-        assert_eq!(b.migration_kind(), MigrationPolicy::Switch(TableScheme::RobinHood));
-        let mut t = b.build();
-        t.insert(1, 1).unwrap();
-        assert!(t.display_name().starts_with("RH"), "got {}", t.display_name());
-        // Growth still works, at the fallback threshold.
-        for k in 2..=500u64 {
+            .adaptive(AdaptiveConfig::default())
+            .build();
+        for k in 1..=500u64 {
             t.insert(k, k).unwrap();
         }
-        assert!(t.load_factor() <= DEFAULT_MIGRATION_GROW_AT + 1e-9);
-        assert!(t.capacity() > 64, "fallback growth threshold never triggered");
-        // The adaptive shorthand round-trips through the accessor.
-        let a = TableBuilder::new(TableScheme::LinearProbing).adaptive();
-        assert!(matches!(a.migration_kind(), MigrationPolicy::Adaptive(_)));
-    }
-
-    #[test]
-    fn sharded_migration_switches_every_shard_independently() {
-        use crate::sharded::ConcurrentTable;
-        let t = TableBuilder::new(TableScheme::LinearProbing)
-            .bits(10)
-            .seed(5)
-            .shards(2)
-            .incremental(4)
-            .migration(MigrationPolicy::Switch(TableScheme::RobinHood))
-            .build_sharded();
-        let items: Vec<(u64, u64)> = (1..=2000u64).map(|k| (k, k * 3)).collect();
-        let mut out = vec![Ok(InsertOutcome::Inserted); items.len()];
-        t.insert_batch_shared(&items, &mut out);
-        assert!(out.iter().all(|o| o.is_ok()));
-        // Enough further mutations reach every shard to finish each
-        // shard's drain.
-        for k in 2001..=4000u64 {
-            t.insert_shared(k, k * 3).unwrap();
-        }
-        t.for_each_shard(|i, shard| {
-            assert!(
-                shard.display_name().starts_with("RH"),
-                "shard {i} never switched: {}",
-                shard.display_name()
-            );
-        });
-        let stats = t.stats_shared();
-        assert_eq!(stats.scheme_switches, t.num_shards() as u64);
-        assert_eq!(stats.inserts, 4000);
-        for k in (1..=4000u64).step_by(97) {
-            assert_eq!(t.lookup_shared(k), Some(k * 3), "key {k} lost in a shard switch");
-        }
+        // At the fallback threshold (`DEFAULT_MIGRATION_GROW_AT`, 0.85)
+        // the 55th, 109th, 218th and 436th keys each double the table.
+        assert_eq!(t.capacity(), 1024);
+        assert_eq!(t.table_stats().unwrap().rehashes, 4);
     }
 
     #[test]

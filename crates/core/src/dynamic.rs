@@ -67,27 +67,25 @@
 //! kick chain fails, which depends on the slot layout, and paying the
 //! drain up front lays slots out in a different order.)
 //!
-//! # Migration policies: generations beyond growth
+//! # Scheme changes: generations beyond growth
 //!
 //! The two-generation machinery is scheme-agnostic — nothing about the
 //! drain requires the next generation to be a *bigger table of the same
-//! scheme*. A [`MigrationPolicy`] decides *what* the next generation is
-//! (orthogonal to [`GrowthPolicy`], which decides *how* entries move):
+//! scheme*. A table that only grows keeps its scheme. It changes scheme
+//! in one of two ways, at the current capacity, moving entries per its
+//! [`GrowthPolicy`]; growth afterwards continues in the new scheme:
 //!
-//! * [`MigrationPolicy::Grow`] — doubled capacity, same scheme, on the
-//!   load-factor trigger (the original behaviour, and the default).
-//! * [`MigrationPolicy::Switch`] — a one-shot live migration to a
-//!   different [`TableScheme`] at the current capacity; growth
-//!   afterwards continues in the new scheme.
-//! * [`MigrationPolicy::Adaptive`] — a feedback controller: every
-//!   `check_every` mutating ops the table takes the deltas of its own
-//!   counters ([`crate::stats::RuntimeStats`]) since the last check —
+//! * [`DynamicTable::switch_to`] — an explicit live migration.
+//! * The adaptive controller of a table built with
+//!   `Some(`[`AdaptiveConfig`]`)` ([`DynamicTable::with_migration`]):
+//!   every `check_every` mutating ops the table takes the deltas of its
+//!   own counters ([`crate::stats::RuntimeStats`]) since the last check —
 //!   lookups, misses, writes — adds its load factor, re-runs the paper's
 //!   Figure 8 decision graph against that *observed* profile
-//!   ([`crate::profile_choice`]), and live-migrates whenever the graph
-//!   disagrees with the current scheme (LP→FP when misses dominate,
-//!   back toward LP/RH when hits do, with the chained-budget fallbacks
-//!   `profile_choice` already encodes).
+//!   ([`crate::profile_choice`]), and calls `switch_to` whenever the
+//!   graph disagrees with the current scheme (LP→FP when misses
+//!   dominate, back toward LP/RH when hits do, with the chained-budget
+//!   fallbacks `profile_choice` already encodes).
 //!
 //! Cross-scheme generations reuse every invariant of incremental growth:
 //! at most two generations, lookups/deletes consult both, the drain is
@@ -155,25 +153,6 @@ pub enum GrowthPolicy {
     },
 }
 
-/// *What* the next generation is — the migration engine's policy knob,
-/// orthogonal to [`GrowthPolicy`] (which decides *how* entries move).
-/// See the [module docs](self).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum MigrationPolicy {
-    /// Same scheme, doubled capacity, on the load-factor trigger — the
-    /// original growth-only behaviour and the default.
-    Grow,
-    /// One live migration to this scheme at the current capacity, begun
-    /// by the first mutating operation; growth afterwards continues in
-    /// the new scheme. Silently stays put when the factory cannot
-    /// represent the scheme (see [`TableFactory::for_scheme`]).
-    Switch(TableScheme),
-    /// Watch live signals and re-run the Figure 8 decision graph against
-    /// the observed profile, migrating whenever it disagrees with the
-    /// current scheme.
-    Adaptive(AdaptiveConfig),
-}
-
 /// Fixed-point bits of the growth-threshold representation (Q32).
 const THRESHOLD_FP_BITS: u32 = 32;
 
@@ -236,18 +215,16 @@ pub struct DynamicTable<F: TableFactory> {
     /// is pure integer math).
     threshold_fp: u64,
     policy: GrowthPolicy,
-    migration: MigrationPolicy,
-    /// One-shot [`MigrationPolicy::Switch`] target, consumed by the first
-    /// mutating operation (construction stays allocation-cheap and the
-    /// switch itself rides the ordinary drain machinery).
-    pending_switch: Option<TableScheme>,
+    /// The adaptive controller's tuning; `None` for a table that only
+    /// grows.
+    adaptive: Option<AdaptiveConfig>,
     /// Relaxed-atomic lookup, miss, insert and delete counts, shared with
     /// the lock-free read path.
     stats: RuntimeStats,
     /// Cross-scheme migrations begun so far.
     scheme_switches: usize,
-    /// The [`MigrationPolicy::Adaptive`] controller's clock and memory
-    /// (idle under the other policies).
+    /// The adaptive controller's clock and memory (idle without
+    /// `adaptive`).
     controller: AdaptiveController,
     rehash_count: usize,
 }
@@ -309,8 +286,7 @@ impl<F: TableFactory> DynamicTable<F> {
             grow_threshold,
             threshold_fp,
             policy,
-            migration: MigrationPolicy::Grow,
-            pending_switch: None,
+            adaptive: None,
             stats: RuntimeStats::default(),
             scheme_switches: 0,
             controller: AdaptiveController::default(),
@@ -318,22 +294,19 @@ impl<F: TableFactory> DynamicTable<F> {
         }
     }
 
-    /// [`DynamicTable::with_policy`] with an explicit [`MigrationPolicy`]
-    /// — the full migration-engine constructor.
+    /// [`DynamicTable::with_policy`] that also adapts when `adaptive` is
+    /// `Some`: the controller re-runs the Figure 8 decision graph against
+    /// the observed workload and switches scheme when it disagrees (see
+    /// the [module docs](self)).
     pub fn with_migration(
         factory: F,
         bits: u8,
         seed: u64,
         grow_threshold: f64,
         policy: GrowthPolicy,
-        migration: MigrationPolicy,
+        adaptive: Option<AdaptiveConfig>,
     ) -> Self {
-        let mut table = Self::with_policy(factory, bits, seed, grow_threshold, policy);
-        table.migration = migration;
-        if let MigrationPolicy::Switch(scheme) = migration {
-            table.pending_switch = Some(scheme);
-        }
-        table
+        Self { adaptive, ..Self::with_policy(factory, bits, seed, grow_threshold, policy) }
     }
 
     /// The wrapped table (the current generation; during an incremental
@@ -355,11 +328,6 @@ impl<F: TableFactory> DynamicTable<F> {
     /// The growth policy.
     pub fn growth_policy(&self) -> GrowthPolicy {
         self.policy
-    }
-
-    /// The migration policy.
-    pub fn migration_policy(&self) -> MigrationPolicy {
-        self.migration
     }
 
     /// Cross-scheme migrations begun so far (growth doublings are counted
@@ -520,16 +488,11 @@ impl<F: TableFactory> DynamicTable<F> {
     }
 
     /// Policy hook for `ops` mutating operations (1 from the single-key
-    /// paths, the run length from the batch paths): consume a one-shot
-    /// pending [`MigrationPolicy::Switch`], or tick the adaptive
-    /// controller and act on its verdict — a switch that starts also
-    /// starts the controller's cooldown.
+    /// paths, the run length from the batch paths): tick the adaptive
+    /// controller, if any, and act on its verdict — a switch that starts
+    /// also starts the controller's cooldown.
     fn policy_tick(&mut self, ops: u64) -> Result<(), TableError> {
-        if let Some(scheme) = self.pending_switch.take() {
-            self.switch_to(scheme)?;
-            return Ok(());
-        }
-        let MigrationPolicy::Adaptive(cfg) = self.migration else {
+        let Some(cfg) = self.adaptive else {
             return Ok(());
         };
         // `observe` only runs with no drain in flight, when the current
@@ -728,16 +691,16 @@ impl<F: TableFactory> DynamicTable<F> {
         })
     }
 
-    /// Insert a *headroom run*: at most [`DynamicTable::headroom`] items
-    /// with no [`MigrationPolicy::Switch`] pending, so no element can
-    /// cross the growth threshold and the whole run goes to the current
-    /// generation's (prefetching) `insert_batch` in one call, after the
-    /// run's tick and drain budget are paid in one step.
+    /// Insert a *headroom run*: at most [`DynamicTable::headroom`] items,
+    /// so no element can cross the growth threshold and the whole run
+    /// goes to the current generation's (prefetching) `insert_batch` in
+    /// one call, after the run's tick and drain budget are paid in one
+    /// step.
     fn insert_run(&mut self, items: &[(u64, u64)], out: &mut [Result<InsertOutcome, TableError>]) {
         // Reserved keys are inert in the single-key path: they owe nothing.
         let ops = items.iter().filter(|&&(k, _)| !is_reserved_key(k)).count();
         if self.pay_for_inserts(ops).is_err() {
-            // The drain or a policy switch met a factory memory budget.
+            // The drain or a controller's switch met a factory memory budget.
             // Cold: let every element meet it on its own.
             for (o, &(k, v)) in out.iter_mut().zip(items) {
                 *o = self.insert(k, v);
@@ -862,14 +825,6 @@ fn misses_in(out: &[Option<u64>]) -> u64 {
 ///   caller of [`ReadView::lookup_batch_optimistic`] pins before it loads
 ///   a published address.
 impl<F: TableFactory> ReadView for DynamicTable<F> {
-    fn supports_optimistic(&self) -> bool {
-        // SAFETY: the published pointer addresses the current generation.
-        // A caller with a plain `&self` excludes every writer, so that is
-        // the live `inner`; the sharded read path pins first, so a
-        // generation unpublished meanwhile is retired, not freed.
-        unsafe { (*self.inner_published.load(Ordering::SeqCst)).supports_optimistic() }
-    }
-
     unsafe fn lookup_batch_optimistic(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
         // Probe the published current generation, then re-probe the
         // misses against the published draining generation. A swap racing
@@ -976,11 +931,11 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
         // the inner kernel takes it in one call. Only the element that
         // meets `h == 0` needs the single-key path's replacement check —
         // it may grow the table, and the next run is cut against the new
-        // generation — as does the one that begins a pending switch.
+        // generation.
         let mut at = 0;
         while at < items.len() {
             let headroom = self.headroom();
-            if headroom == 0 || self.pending_switch.is_some() {
+            if headroom == 0 {
                 out[at] = self.insert(items[at].0, items[at].1);
                 at += 1;
             } else {
@@ -1484,7 +1439,9 @@ mod tests {
     fn retired_generations_accumulate_and_reclaim() {
         let mut t =
             DynamicTable::new(factory(TableScheme::LinearProbing, HashKind::Murmur), 4, 1, 0.5);
-        assert!(t.supports_optimistic(), "an LP generation supports lock-free reads");
+        // SAFETY: no writer runs, and `&t` keeps every generation alive.
+        let probed = unsafe { t.lookup_batch_optimistic(&[1], &mut [None]) };
+        assert!(probed, "an LP generation supports lock-free reads");
         // A reader pinned before the growth keeps every generation it
         // replaces.
         let pin = hold_pin();
@@ -1571,10 +1528,9 @@ mod tests {
     #[test]
     fn unsupported_scheme_disables_dynamic_optimism() {
         let t = DynamicTable::new(factory(TableScheme::Chained8, HashKind::Murmur), 6, 1, 0.5);
-        assert!(
-            !t.supports_optimistic(),
-            "chained inner tables must keep the dynamic wrapper pessimistic"
-        );
+        // SAFETY: no writer runs, and `&t` keeps every generation alive.
+        let probed = unsafe { t.lookup_batch_optimistic(&[1], &mut [None]) };
+        assert!(!probed, "chained inner tables must keep the dynamic wrapper pessimistic");
     }
 
     /// A builder-backed dynamic table — the only factory whose
@@ -1583,9 +1539,9 @@ mod tests {
         scheme: TableScheme,
         bits: u8,
         policy: GrowthPolicy,
-        migration: MigrationPolicy,
+        adaptive: Option<AdaptiveConfig>,
     ) -> DynamicTable<TableBuilder> {
-        DynamicTable::with_migration(TableBuilder::new(scheme), bits, 7, 0.9, policy, migration)
+        DynamicTable::with_migration(TableBuilder::new(scheme), bits, 7, 0.9, policy, adaptive)
     }
 
     #[test]
@@ -1594,7 +1550,7 @@ mod tests {
             TableScheme::LinearProbing,
             10,
             GrowthPolicy::Incremental { step: 2 },
-            MigrationPolicy::Grow,
+            None,
         );
         for k in 1..=500u64 {
             t.insert(k, k * 3).unwrap();
@@ -1632,12 +1588,7 @@ mod tests {
 
     #[test]
     fn switch_to_all_at_once_is_a_stop_the_world_rebuild() {
-        let mut t = builder_table(
-            TableScheme::LinearProbing,
-            8,
-            GrowthPolicy::AllAtOnce,
-            MigrationPolicy::Grow,
-        );
+        let mut t = builder_table(TableScheme::LinearProbing, 8, GrowthPolicy::AllAtOnce, None);
         for k in 1..=100u64 {
             t.insert(k, k).unwrap();
         }
@@ -1653,46 +1604,16 @@ mod tests {
     #[test]
     fn switch_to_refuses_pointless_or_infeasible_targets() {
         // Already that scheme.
-        let mut t = builder_table(
-            TableScheme::RobinHood,
-            8,
-            GrowthPolicy::AllAtOnce,
-            MigrationPolicy::Grow,
-        );
+        let mut t = builder_table(TableScheme::RobinHood, 8, GrowthPolicy::AllAtOnce, None);
         t.insert(1, 1).unwrap();
         assert_eq!(t.switch_to(TableScheme::RobinHood), Ok(false));
         // A fingerprint target below one 16-slot group.
-        let mut small = builder_table(
-            TableScheme::LinearProbing,
-            3,
-            GrowthPolicy::AllAtOnce,
-            MigrationPolicy::Grow,
-        );
+        let mut small = builder_table(TableScheme::LinearProbing, 3, GrowthPolicy::AllAtOnce, None);
         assert_eq!(small.switch_to(TableScheme::Fingerprint), Ok(false));
         // A factory that cannot re-target (one fixed to a table type).
         let mut fixed = DynamicTable::new(BudgetedChained8 { budget_bytes: usize::MAX }, 8, 1, 0.9);
         assert_eq!(fixed.switch_to(TableScheme::Fingerprint), Ok(false));
         assert_eq!(t.scheme_switches() + small.scheme_switches() + fixed.scheme_switches(), 0);
-    }
-
-    #[test]
-    fn pending_switch_fires_on_first_mutating_op() {
-        let mut t = builder_table(
-            TableScheme::LinearProbing,
-            8,
-            GrowthPolicy::AllAtOnce,
-            MigrationPolicy::Switch(TableScheme::Fingerprint),
-        );
-        assert_eq!(t.migration_policy(), MigrationPolicy::Switch(TableScheme::Fingerprint));
-        assert!(t.inner().display_name().starts_with("LP"), "switch is lazy until a mutation");
-        assert_eq!(t.scheme_switches(), 0);
-        t.insert(1, 10).unwrap();
-        assert!(t.inner().display_name().starts_with("FP"));
-        assert_eq!(t.scheme_switches(), 1);
-        assert_eq!(t.lookup(1), Some(10), "the triggering insert must land in the new scheme");
-        // One-shot: later mutations do not re-switch.
-        t.insert(2, 20).unwrap();
-        assert_eq!(t.scheme_switches(), 1);
     }
 
     /// Small controller windows so tests converge in a few hundred ops: at
@@ -1706,7 +1627,7 @@ mod tests {
             TableScheme::LinearProbing,
             10,
             GrowthPolicy::Incremental { step: 8 },
-            MigrationPolicy::Adaptive(TEST_ADAPTIVE),
+            Some(TEST_ADAPTIVE),
         );
         // Build phase: ~59% load, no lookups yet.
         for k in 1..=600u64 {
@@ -1753,7 +1674,7 @@ mod tests {
             TableScheme::LinearProbing,
             10,
             GrowthPolicy::Incremental { step: 8 },
-            MigrationPolicy::Adaptive(TEST_ADAPTIVE),
+            Some(TEST_ADAPTIVE),
         );
         for k in 1..=300u64 {
             t.insert(k, k).unwrap();
@@ -1783,7 +1704,7 @@ mod tests {
             TableScheme::Fingerprint,
             10,
             GrowthPolicy::Incremental { step: 8 },
-            MigrationPolicy::Adaptive(TEST_ADAPTIVE),
+            Some(TEST_ADAPTIVE),
         );
         // ~29% load — the graph's low-load band, where successful reads
         // recommend plain linear probing.
@@ -1823,7 +1744,7 @@ mod tests {
             TableScheme::LinearProbing,
             10,
             GrowthPolicy::Incremental { step: 64 },
-            MigrationPolicy::Adaptive(cfg),
+            Some(cfg),
         );
         for k in 1..=600u64 {
             t.insert(k, k).unwrap();
@@ -1844,7 +1765,7 @@ mod tests {
             TableScheme::LinearProbing,
             10,
             GrowthPolicy::Incremental { step: 4 },
-            MigrationPolicy::Grow,
+            None,
         );
         for k in 1..=500u64 {
             t.insert(k, k).unwrap();
@@ -1880,7 +1801,7 @@ mod tests {
             TableScheme::LinearProbing,
             4,
             GrowthPolicy::Incremental { step: 1 },
-            MigrationPolicy::Grow,
+            None,
         );
         for k in 1..=15u64 {
             t.insert(k, k).unwrap();
@@ -2300,30 +2221,6 @@ mod tests {
     }
 
     #[test]
-    fn a_pending_switch_is_consumed_by_the_first_batched_insert() {
-        for policy in [GrowthPolicy::AllAtOnce, GrowthPolicy::Incremental { step: 2 }] {
-            let table = || {
-                builder_table(
-                    TableScheme::LinearProbing,
-                    8,
-                    policy,
-                    MigrationPolicy::Switch(TableScheme::Fingerprint),
-                )
-            };
-            let (mut batched, mut single) = (table(), table());
-            // A reserved key does not count as the first mutation.
-            let items: Vec<(u64, u64)> =
-                std::iter::once((crate::EMPTY_KEY, 0)).chain((1..=40u64).map(|k| (k, k))).collect();
-            insert_both(&mut batched, &mut single, &items);
-            assert!(batched.inner().display_name().starts_with("FP"));
-            assert_eq!((batched.scheme_switches(), single.scheme_switches()), (1, 1));
-            for k in 1..=40u64 {
-                assert_eq!(batched.lookup(k), Some(k));
-            }
-        }
-    }
-
-    #[test]
     fn an_insert_only_stream_counts_no_lookups() {
         // The replacement check of an insert that meets the threshold is
         // not a user lookup: it must not reach the counters the adaptive
@@ -2351,7 +2248,7 @@ mod tests {
                 TableScheme::LinearProbing,
                 10,
                 GrowthPolicy::Incremental { step: 4 },
-                MigrationPolicy::Adaptive(cfg),
+                Some(cfg),
             );
             t.controller.cooldown_left = 1000;
             t
@@ -2375,12 +2272,7 @@ mod tests {
 
     #[test]
     fn runtime_stats_flow_through_the_dynamic_wrapper() {
-        let mut t = builder_table(
-            TableScheme::LinearProbing,
-            8,
-            GrowthPolicy::AllAtOnce,
-            MigrationPolicy::Grow,
-        );
+        let mut t = builder_table(TableScheme::LinearProbing, 8, GrowthPolicy::AllAtOnce, None);
         for k in 1..=50u64 {
             t.insert(k, k).unwrap();
         }

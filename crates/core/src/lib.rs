@@ -70,7 +70,7 @@ pub use builder::{profile_choice, BoxedTable, FsyncPolicy, HashKind, TableBuilde
 pub use chained::{Chained, ChainedTable24, ChainedTable8};
 pub use cuckoo::Cuckoo;
 pub use decision::{recommend, WorkloadProfile};
-pub use dynamic::{DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};
+pub use dynamic::{DynamicTable, GrowthPolicy, TableFactory};
 pub use fingerprint::{FingerprintTable, GROUP_SLOTS};
 pub use linear_probing::LinearProbing;
 pub use lp_soa::LinearProbingSoA;

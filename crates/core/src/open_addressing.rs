@@ -1217,10 +1217,6 @@ impl<H: HashFn64, L: Layout, S: Step> HashTable for OpenAddressing<H, L, S> {
 /// volatile — key and value at different instants, but a torn pairing
 /// implies a racing writer, which the caller's seqlock validation detects.
 impl<H: HashFn64, L: Layout, S: Step> ReadView for OpenAddressing<H, L, S> {
-    fn supports_optimistic(&self) -> bool {
-        true
-    }
-
     unsafe fn lookup_batch_optimistic(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
         // SAFETY: the caller keeps the table alive and validates.
         unsafe { self.lookup_batch_in::<Volatile>(keys, out) };

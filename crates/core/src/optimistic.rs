@@ -13,8 +13,8 @@
 //! torn slot is only ever *data the validation step throws away*, never a
 //! pointer that gets dereferenced. The trait is a supertrait of
 //! [`HashTable`](crate::HashTable), with conservative defaults — a scheme
-//! that doesn't opt in simply reports `supports_optimistic() == false`
-//! and every read of it goes through the lock.
+//! that doesn't opt in keeps the default probe, which bails (returns
+//! `false`) on every call, and every read of it goes through the lock.
 //!
 //! The lock-free probe is not a second algorithm. The open-addressing
 //! tables (Robin Hood included) instantiate the one capacity-bounded lookup
@@ -80,26 +80,19 @@ pub const OPTIMISTIC_RETRIES: usize = 2;
 /// the seqlock protocol (see the [module docs](self)).
 ///
 /// Every method has a conservative default, so implementing the trait is
-/// opt-in per scheme: `supports_optimistic()` defaults to `false` and
-/// [`ReadView::lookup_batch_optimistic`] to "bail to the locked path".
+/// opt-in per scheme: [`ReadView::lookup_batch_optimistic`] defaults to
+/// "bail to the locked path".
 pub trait ReadView {
-    /// Whether [`ReadView::lookup_batch_optimistic`] can do better than
-    /// bailing.
-    ///
-    /// For growing tables this is the current generation's answer: a
-    /// [`DynamicTable`](crate::DynamicTable) that switches scheme may gain
-    /// or lose it.
-    fn supports_optimistic(&self) -> bool {
-        false
-    }
-
     /// Probe for `keys[i]` into `out[i]` for every `i` without any
     /// synchronization, tolerating a racing writer.
     ///
     /// Returns `false` to bail (`out` is then unspecified and the caller
     /// must use the locked path), or `true` with *candidate* answers that
     /// are only correct if the caller's seqlock validation proves no
-    /// writer ran during the probe.
+    /// writer ran during the probe. A table that cannot probe under a
+    /// racing writer bails on every call; a
+    /// [`DynamicTable`](crate::DynamicTable) bails when a generation it
+    /// publishes does, so a scheme switch may gain or lose the path.
     ///
     /// # Safety
     ///
@@ -140,10 +133,6 @@ pub trait ReadView {
 /// `impl HashTable for Box<T>` blanket so builder-produced trait objects
 /// keep their optimistic path.
 impl<T: ReadView + ?Sized> ReadView for Box<T> {
-    fn supports_optimistic(&self) -> bool {
-        (**self).supports_optimistic()
-    }
-
     unsafe fn lookup_batch_optimistic(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
         // SAFETY: the caller's contract, passed through to the boxed view.
         unsafe { (**self).lookup_batch_optimistic(keys, out) }
@@ -189,7 +178,6 @@ mod tests {
     #[test]
     fn defaults_are_conservative() {
         let p = Plain;
-        assert!(!p.supports_optimistic());
         // SAFETY: the default probe reads nothing.
         assert!(!unsafe { p.lookup_batch_optimistic(&[7], &mut [None]) });
         assert_eq!(p.retired_bytes(), 0);
@@ -198,7 +186,6 @@ mod tests {
     #[test]
     fn boxed_view_forwards() {
         let b: Box<dyn HashTable + Send> = Box::new(Plain);
-        assert!(!b.supports_optimistic());
         // SAFETY: the default probe reads nothing.
         assert!(!unsafe { b.lookup_batch_optimistic(&[7], &mut [None]) });
     }

@@ -39,8 +39,8 @@
 //! call first pins the epoch once ([`crate::epoch`]), so a generation a
 //! growing shard retires mid-probe stays allocated until the call
 //! returns; a call that finds every epoch slot busy reads under the locks.
-//! Tables that cannot probe safely under a racing writer simply report
-//! `supports_optimistic() == false` and keep the locked path. See
+//! Tables that cannot probe safely under a racing writer bail out of
+//! [`ReadView::lookup_batch_optimistic`] and keep the locked path. See
 //! [`crate::optimistic`] for the soundness rules and the memory-ordering
 //! argument, and [`ShardedTable::set_optimistic_reads`] for the toggle.
 //!
@@ -324,8 +324,8 @@ impl<T: HashTable> Shard<T> {
     /// one stamp — one [`ReadView`] call — and validate once. `true` means
     /// `out` holds *validated* answers (as good as locked reads); `false`
     /// (with `out` in an unspecified state) means the caller must redo the
-    /// sub-batch under the lock — the table doesn't support optimistic
-    /// probing, the probe bailed, or a writer raced every attempt. The
+    /// sub-batch under the lock — the probe bailed (the table cannot
+    /// probe lock-free) or a writer raced every attempt. The
     /// caller's epoch pin keeps every generation the probe can reach
     /// allocated (see [`crate::epoch`]).
     fn try_optimistic_batch(
@@ -334,13 +334,12 @@ impl<T: HashTable> Shard<T> {
         keys: &[u64],
         out: &mut [Option<u64>],
     ) -> bool {
-        // SAFETY: `supports_optimistic` only reads state that is never
-        // written during a shared phase (scheme constants) or a generation
-        // pointer published atomically, which the pin keeps allocated.
+        // SAFETY: the shard outlives this call, so the reference never
+        // dangles, and it serves nothing but the `ReadView` probe below,
+        // whose contract tolerates a racing writer. It is not aliasing-clean:
+        // a writer may hold `&mut` to the same table while it lives, which
+        // the seqlock tolerates in practice but Rust's rules do not allow.
         let data = unsafe { &*self.data.get() };
-        if !data.supports_optimistic() {
-            return false;
-        }
         for _ in 0..OPTIMISTIC_RETRIES {
             let stamp = self.seq.load(Ordering::Acquire);
             if stamp & 1 == 1 {
@@ -562,8 +561,9 @@ impl<T: HashTable> ShardedTable<T> {
         self.optimistic = on;
     }
 
-    /// Whether the lock-free read path is enabled (it still only applies
-    /// to shards whose tables report `supports_optimistic()`).
+    /// Whether the lock-free read path is enabled (a shard whose table
+    /// bails out of [`ReadView::lookup_batch_optimistic`] still reads
+    /// under its lock).
     pub fn optimistic_reads(&self) -> bool {
         self.optimistic
     }
@@ -787,8 +787,8 @@ impl<T: HashTable + Send> ConcurrentTable for ShardedTable<T> {
 }
 
 /// The sharded wrapper is itself never a shard, so it keeps the
-/// conservative `supports_optimistic() == false` (optimism happens *per
-/// shard*, inside the `ConcurrentTable` methods). Its retired bytes are
+/// conservative default probe, which bails (optimism happens *per shard*,
+/// inside the `ConcurrentTable` methods). Its retired bytes are
 /// the shards' sum: generations a pinned lock-free reader may still be
 /// probing, each freed by its shard's first mutating operation after the
 /// pin is released.
@@ -1254,10 +1254,6 @@ mod tests {
     struct CountedProbes(LinearProbing<MurmurHash>, AtomicU64);
 
     impl ReadView for CountedProbes {
-        fn supports_optimistic(&self) -> bool {
-            true
-        }
-
         unsafe fn lookup_batch_optimistic(&self, keys: &[u64], out: &mut [Option<u64>]) -> bool {
             self.1.fetch_add(1, Ordering::Relaxed);
             // SAFETY: the caller's contract, passed through.
@@ -1340,7 +1336,7 @@ mod tests {
     /// shard.
     #[test]
     fn an_adaptive_flip_flop_under_racing_readers_keeps_at_most_a_generation_per_shard() {
-        use crate::{AdaptiveConfig, MigrationPolicy, TableBuilder, TableScheme};
+        use crate::{AdaptiveConfig, TableBuilder, TableScheme};
         use std::sync::atomic::AtomicBool;
         const RESIDENT: u64 = 2400; // about 59 % of each 2^10-slot shard
         let mut t = TableBuilder::new(TableScheme::LinearProbing)
@@ -1348,7 +1344,7 @@ mod tests {
             .seed(0xF11F)
             .shards(2)
             .incremental(8)
-            .migration(MigrationPolicy::Adaptive(AdaptiveConfig { check_every: 16, cooldown: 64 }))
+            .adaptive(AdaptiveConfig { check_every: 16, cooldown: 64 })
             .build_sharded();
         assert!(t.optimistic_reads());
         for k in 1..=RESIDENT {

@@ -1614,7 +1614,7 @@ mod tests {
 
     #[test]
     fn snapshot_mid_scheme_switch_is_complete_and_recovers() {
-        use sevendim_core::{AdaptiveConfig, MigrationPolicy};
+        use sevendim_core::AdaptiveConfig;
         let dir = tmp_dir("switch-snap");
         // One shard, 256 slots at ~59% load, step-1 drain: once the
         // adaptive controller re-targets the scheme, the migration stays
@@ -1624,7 +1624,7 @@ mod tests {
             .bits(8)
             .wal(&dir)
             .incremental(1)
-            .migration(MigrationPolicy::Adaptive(AdaptiveConfig { check_every: 16, cooldown: 64 }));
+            .adaptive(AdaptiveConfig { check_every: 16, cooldown: 64 });
         {
             let (t, _) = DurableTable::open(&b).unwrap();
             for k in 1..=150u64 {

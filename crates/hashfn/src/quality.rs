@@ -3,9 +3,10 @@
 //! The paper's §4.4 and §5.2 reason about hash *quality* (robustness across
 //! input distributions) versus *speed*. This module provides the
 //! measurement side: bucket-occupancy chi-square statistics, collision
-//! counting against the binomial expectation, and avalanche tests. The
-//! benchmark harness uses it to reproduce the qualitative ranking
-//! Mult < MultAdd < Murmur ≈ Tab (robustness) on non-uniform inputs.
+//! counting against the binomial expectation, and avalanche tests. It is
+//! the measurement behind this module's own §5.2 hash-quality tests (Mult
+//! spreads dense keys super-uniformly, Murmur randomizes them, Murmur and
+//! Tab avalanche where Mult does not); nothing outside them calls it.
 
 use crate::{fold_to_bits, HashFn64};
 

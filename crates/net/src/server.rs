@@ -122,8 +122,8 @@ pub struct ServerStats {
     pub last_io_error: Option<io::ErrorKind>,
     /// Runtime statistics of the served table (merged over shards via
     /// [`ConcurrentTable::stats_shared`]): lookup, miss, insert and delete
-    /// counts, and — when the table runs a
-    /// [`MigrationPolicy`](sevendim_core::MigrationPolicy) — rehash and
+    /// counts, and — when the table grows or adapts
+    /// ([`DynamicTable`](sevendim_core::DynamicTable)) — rehash and
     /// scheme-switch counts. All zeros for tables that do not track
     /// runtime stats. Only filled on the aggregate [`ServerHandle::stats`]
     /// snapshot, not in [`ServerHandle::stats_per_worker`] (the table is
@@ -781,17 +781,14 @@ mod tests {
 
     #[test]
     fn server_keeps_serving_through_a_live_scheme_switch() {
-        use sevendim_core::{AdaptiveConfig, MigrationPolicy};
+        use sevendim_core::AdaptiveConfig;
         // One shard, 256 slots at ~59% load, step-1 drain: the adaptive
         // switch stays in flight for hundreds of ops once triggered.
         let table: Arc<dyn ConcurrentTable> = Arc::new(
             TableBuilder::new(TableScheme::LinearProbing)
                 .bits(8)
                 .incremental(1)
-                .migration(MigrationPolicy::Adaptive(AdaptiveConfig {
-                    check_every: 16,
-                    cooldown: 64,
-                }))
+                .adaptive(AdaptiveConfig { check_every: 16, cooldown: 64 })
                 .build_sharded(),
         );
         let handle = KvServer::builder().threads(1).spawn("127.0.0.1:0", table).expect("spawn");

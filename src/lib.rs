@@ -102,9 +102,9 @@ pub mod prelude {
     pub use sevendim_core::{
         decision::Mutability, recommend, AdaptiveConfig, BoxedTable, ChainedTable24, ChainedTable8,
         ConcurrentTable, Cuckoo, DynamicTable, FingerprintTable, FsyncPolicy, GrowthPolicy,
-        HashKind, HashTable, InsertOutcome, LinearProbing, LinearProbingSoA, MigrationPolicy,
-        QuadraticProbing, ReadView, RobinHood, ShardedTable, TableBuilder, TableError, TableScheme,
-        TableStats, WorkloadProfile,
+        HashKind, HashTable, InsertOutcome, LinearProbing, LinearProbingSoA, QuadraticProbing,
+        ReadView, RobinHood, ShardedTable, TableBuilder, TableError, TableScheme, TableStats,
+        WorkloadProfile,
     };
     pub use sevendim_durable::{DurableSharded, DurableTable, RecoveryReport, WalError};
     #[cfg(target_os = "linux")]
@@ -115,6 +115,12 @@ pub mod prelude {
     pub use sevendim_net::KvClient;
     pub use workloads::{Distribution, RwConfig, RwStream, WormConfig, WormKeys};
 }
+
+/// README's Rust examples, compiled and run as doctests so they cannot
+/// drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 #[cfg(test)]
 mod tests {

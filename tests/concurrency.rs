@@ -515,7 +515,7 @@ fn sharded_optimistic_reads_drive_every_shard_from_lp_to_fp() {
         .seed(0xADA7)
         .shards(SHARD_BITS)
         .incremental(8)
-        .migration(MigrationPolicy::Adaptive(AdaptiveConfig { check_every: 16, cooldown: 64 }))
+        .adaptive(AdaptiveConfig { check_every: 16, cooldown: 64 })
         .build_sharded();
     assert!(table.optimistic_reads());
     for k in 1..=RESIDENT {

@@ -49,14 +49,7 @@ fn key_of(i: u64) -> u64 {
 fn dynamic(scheme: TableScheme, growth: GrowthPolicy) -> DynamicTable<TableBuilder> {
     // High threshold: growth stays out of the way, the switch is the
     // only migration in play and keeps the same capacity.
-    DynamicTable::with_migration(
-        TableBuilder::new(scheme),
-        BITS,
-        0x517C4,
-        0.95,
-        growth,
-        MigrationPolicy::Grow,
-    )
+    DynamicTable::with_policy(TableBuilder::new(scheme), BITS, 0x517C4, 0.95, growth)
 }
 
 /// Element-wise equality of table, stop-the-world twin, and model over

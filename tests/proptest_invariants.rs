@@ -271,22 +271,14 @@ fn check_switch_twin(
     ops: &[Op],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let factory = TableBuilder::new(scheme).hash(HashKind::Murmur);
-    let mut inc = DynamicTable::with_migration(
+    let mut inc = DynamicTable::with_policy(
         factory.clone(),
         4,
         0x9077,
         0.7,
         GrowthPolicy::Incremental { step },
-        MigrationPolicy::Grow,
     );
-    let mut aao = DynamicTable::with_migration(
-        factory,
-        4,
-        0x9077,
-        0.7,
-        GrowthPolicy::AllAtOnce,
-        MigrationPolicy::Grow,
-    );
+    let mut aao = DynamicTable::with_policy(factory, 4, 0x9077, 0.7, GrowthPolicy::AllAtOnce);
     for (i, op) in ops.iter().enumerate() {
         if i == switch_at % ops.len() {
             let switched = inc.switch_to(target).unwrap();
@@ -357,23 +349,25 @@ proptest! {
     }
 }
 
-/// A sharded table whose shards each carry a pending
-/// [`MigrationPolicy::Switch`] — with growth (`grow_at(0.5)`) and the
-/// switch drain (step 1) overlapping, optimistic reads on or off — must
-/// stay conformant with a `HashMap` model through the shared-reference
-/// single-key API at every step.
-fn check_sharded_switch(
+/// A one-shard sharded table of `scheme`, built directly (fingerprint
+/// with its SIMD tag scan), growing from 64 slots at half load with a
+/// step-1 incremental drain (`grow_at(0.5)`, `incremental(1)`) and with
+/// optimistic reads on or off, must stay conformant with a `HashMap`
+/// model through the shared-reference single-key API at every step: the
+/// lock-free reads run mid-drain, across both generations. No scheme
+/// switch happens here; `check_switch_twin` covers `switch_to`.
+fn check_sharded_growth(
     optimistic: bool,
-    target: TableScheme,
+    scheme: TableScheme,
     ops: &[Op],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let sharded = TableBuilder::new(TableScheme::LinearProbing)
+    let sharded = TableBuilder::new(scheme)
         .hash(HashKind::Murmur)
+        .simd(scheme == TableScheme::Fingerprint)
         .bits(6)
         .seed(0x5A17)
         .grow_at(0.5)
         .incremental(1)
-        .migration(MigrationPolicy::Switch(target))
         .optimistic_reads(optimistic)
         .shards(1)
         .build_sharded();
@@ -410,7 +404,7 @@ proptest! {
         target_ix in 0..SWITCH_TARGETS.len(),
         optimistic in any::<bool>(),
     ) {
-        check_sharded_switch(optimistic, SWITCH_TARGETS[target_ix], &ops)?;
+        check_sharded_growth(optimistic, SWITCH_TARGETS[target_ix], &ops)?;
     }
 }
 
