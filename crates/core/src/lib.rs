@@ -206,7 +206,11 @@ impl std::error::Error for TableError {}
 /// open-addressing tables override them with a two-pass hash-then-probe
 /// implementation that precomputes home slots and issues software
 /// prefetches so independent cache misses overlap (see
-/// [`simd::prefetch_read`]).
+/// [`simd::prefetch_read`]). The one batch form with no single-key twin
+/// is [`HashTable::upsert_batch`], a group-by's update (insert, or fold
+/// into the present value): its default is the element-wise `lookup` +
+/// `insert` loop, and open addressing runs it as one probe per item
+/// through its insert kernel.
 ///
 /// # Optimistic reads
 ///
@@ -277,6 +281,32 @@ pub trait HashTable: optimistic::ReadView {
         assert_eq!(keys.len(), out.len(), "delete_batch: keys and out lengths differ");
         for (o, &k) in out.iter_mut().zip(keys) {
             *o = self.delete(k);
+        }
+    }
+
+    /// Upsert every `(key, value)` of `items` in order, recording each
+    /// outcome in `out[i]`: if `key` is present with value `old`, store
+    /// `combine(old, value)` and report [`InsertOutcome::Replaced`]`(old)`;
+    /// otherwise store `value` and report [`InsertOutcome::Inserted`].
+    /// Exactly the element-wise [`HashTable::lookup`] +
+    /// [`HashTable::insert`] loop, which is the default (later elements
+    /// still run after an earlier element fails; a reserved key is
+    /// refused and changes nothing).
+    ///
+    /// # Panics
+    /// Panics if `items.len() != out.len()`.
+    fn upsert_batch(
+        &mut self,
+        items: &[(u64, u64)],
+        combine: &dyn Fn(u64, u64) -> u64,
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) {
+        assert_eq!(items.len(), out.len(), "upsert_batch: items and out lengths differ");
+        for (o, &(k, v)) in out.iter_mut().zip(items) {
+            *o = match self.lookup(k) {
+                Some(old) => self.insert(k, combine(old, v)),
+                None => self.insert(k, v),
+            };
         }
     }
 
@@ -355,6 +385,15 @@ impl<T: HashTable + ?Sized> HashTable for Box<T> {
 
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
         (**self).delete_batch(keys, out)
+    }
+
+    fn upsert_batch(
+        &mut self,
+        items: &[(u64, u64)],
+        combine: &dyn Fn(u64, u64) -> u64,
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) {
+        (**self).upsert_batch(items, combine, out)
     }
 
     fn len(&self) -> usize {

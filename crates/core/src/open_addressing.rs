@@ -666,12 +666,27 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
         home: usize,
         key: u64,
         value: u64,
+        combine: &impl Fn(u64, u64) -> u64,
     ) -> Result<InsertOutcome, TableError> {
         if self.tombstones == 0 {
             return Err(TableError::TableFull);
         }
         self.rehash_in_place();
-        self.insert_from(home, key, value)
+        self.upsert_from(home, key, value, combine)
+    }
+
+    /// Fold `value` into the live entry at `pos` with `combine`, reporting
+    /// the value it held.
+    #[inline(always)]
+    fn combine_at(
+        &mut self,
+        pos: usize,
+        value: u64,
+        combine: &impl Fn(u64, u64) -> u64,
+    ) -> InsertOutcome {
+        let old = self.slots.value(pos);
+        self.slots.replace_value(pos, combine(old, value));
+        InsertOutcome::Replaced(old)
     }
 
     /// The mutating operations' probe: `Ok(slot)` if `key` is present, else
@@ -815,17 +830,32 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
     }
 
     /// [`HashTable::insert`] with a precomputed `home` slot.
+    #[inline]
     fn insert_from(
         &mut self,
         home: usize,
         key: u64,
         value: u64,
     ) -> Result<InsertOutcome, TableError> {
+        self.upsert_from(home, key, value, &|_, v| v)
+    }
+
+    /// The mutating kernel: one probe from the precomputed `home` slot
+    /// that stores `value` under a fresh `key`, or `combine(old, value)`
+    /// over a present one. An insert is the upsert whose combine keeps the
+    /// new value.
+    fn upsert_from(
+        &mut self,
+        home: usize,
+        key: u64,
+        value: u64,
+        combine: &impl Fn(u64, u64) -> u64,
+    ) -> Result<InsertOutcome, TableError> {
         if is_reserved_key(key) {
             return Err(TableError::ReservedKey);
         }
         if S::ORDERED {
-            return self.insert_ordered(home, key, value);
+            return self.upsert_ordered(home, key, value, combine);
         }
         if S::GROUP == 1
             && self.probe_kind == ProbeKind::Scalar
@@ -850,7 +880,7 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
                     return Ok(InsertOutcome::Inserted);
                 }
                 if k == key {
-                    return Ok(InsertOutcome::Replaced(self.slots.replace_value(pos, value)));
+                    return Ok(self.combine_at(pos, value, combine));
                 }
                 if k == TOMBSTONE_KEY && first_tombstone == usize::MAX {
                     first_tombstone = pos;
@@ -859,8 +889,8 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
             }
         }
         match self.find(home, key) {
-            Ok(pos) => Ok(InsertOutcome::Replaced(self.slots.replace_value(pos, value))),
-            Err(usize::MAX) => self.reclaim_or_full(home, key, value),
+            Ok(pos) => Ok(self.combine_at(pos, value, combine)),
+            Err(usize::MAX) => self.reclaim_or_full(home, key, value, combine),
             Err(pos) => {
                 let tombstone = match S::GROUP {
                     1 => self.slots.key(pos) == TOMBSTONE_KEY,
@@ -875,7 +905,7 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
                     // tables must. Tombstones elsewhere in the table are
                     // reclaimable capacity, though: rehash them away and
                     // retry before declaring the table full.
-                    return self.reclaim_or_full(home, key, value);
+                    return self.reclaim_or_full(home, key, value, combine);
                 }
                 self.slots.set(pos, key, value);
                 if S::GROUP > 1 {
@@ -969,22 +999,23 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
         (pos + self.mask + 1 - self.home(key)) & self.mask
     }
 
-    /// [`Ordered`] insert: Robin Hood's swap chain. The table keeps one
-    /// slot empty as the probe terminator; at that fill only replacements
+    /// [`Ordered`] upsert: Robin Hood's swap chain. The table keeps one
+    /// slot empty as the probe terminator; at that fill only present keys
     /// succeed.
-    fn insert_ordered(
+    fn upsert_ordered(
         &mut self,
         home: usize,
         key: u64,
         value: u64,
+        combine: &impl Fn(u64, u64) -> u64,
     ) -> Result<InsertOutcome, TableError> {
         if self.len >= self.mask {
             return match self.find_ordered(home, key) {
-                Some(pos) => Ok(InsertOutcome::Replaced(self.slots.replace_value(pos, value))),
+                Some(pos) => Ok(self.combine_at(pos, value, combine)),
                 None => Err(TableError::TableFull),
             };
         }
-        // Phase 1: look for the key itself (a duplicate is replaced) until
+        // Phase 1: look for the key itself (a duplicate is combined) until
         // an empty slot or a richer resident — by the cluster order the key
         // cannot lie beyond either.
         let mut pos = home;
@@ -997,7 +1028,7 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
                 return Ok(InsertOutcome::Inserted);
             }
             if k == key {
-                return Ok(InsertOutcome::Replaced(self.slots.replace_value(pos, value)));
+                return Ok(self.combine_at(pos, value, combine));
             }
             if self.distance_from_home(pos) < dist {
                 break;
@@ -1172,6 +1203,16 @@ impl<H: HashFn64, L: Layout, S: Step> HashTable for OpenAddressing<H, L, S> {
     ) {
         let prepare = |t: &Self, (k, _)| t.prepare(k);
         two_pass(self, items, out, prepare, |t, (k, v), home| t.insert_from(home, k, v));
+    }
+
+    fn upsert_batch(
+        &mut self,
+        items: &[(u64, u64)],
+        combine: &dyn Fn(u64, u64) -> u64,
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) {
+        let prepare = |t: &Self, (k, _)| t.prepare(k);
+        two_pass(self, items, out, prepare, |t, (k, v), home| t.upsert_from(home, k, v, &combine));
     }
 
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {

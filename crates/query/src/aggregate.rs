@@ -2,10 +2,10 @@
 //! like AVERAGE, SUM, MIN, MAX, and COUNT").
 //!
 //! A group-by over `(group_key, value)` tuples maintains one running
-//! aggregate per group in a hash table: each tuple costs one lookup and
-//! one insert-or-update — which is why the paper's indexing workload
-//! "resembles very closely" aggregation, and why the scheme/function
-//! choice transfers directly.
+//! aggregate per group in a hash table: each tuple costs one upsert — find
+//! its group or the slot for a new one, then fold — which is why the
+//! paper's indexing workload "resembles very closely" aggregation, and why
+//! the scheme/function choice transfers directly.
 
 use sevendim_core::{HashTable, InsertOutcome, TableBuilder, TableError};
 
@@ -31,22 +31,13 @@ impl AggFn {
         }
     }
 
-    fn combine(&self, acc: u64, value: u64) -> u64 {
-        match self {
-            AggFn::Sum => acc.wrapping_add(value),
-            AggFn::Min => acc.min(value),
-            AggFn::Max => acc.max(value),
-            AggFn::Count => acc + 1,
-        }
-    }
-
     /// Merge a partial aggregate into a running aggregate. All four
     /// functions are commutative semigroup folds, so
     /// `merge(fold(a), fold(b)) == fold(a ++ b)` — the algebraic fact
-    /// both the vectorized [`group_aggregate`] (chunk-local partials) and
-    /// the parallel [`group_aggregate_parallel`] (per-thread partials)
-    /// rest on. For COUNT the partial is itself a count, hence addition
-    /// rather than increment.
+    /// both [`group_aggregate`] (each row is the one-row partial
+    /// `init(value)`) and the parallel [`group_aggregate_parallel`]
+    /// (per-thread partials) rest on. For COUNT the partial is itself a
+    /// count, hence addition rather than increment.
     pub fn merge(&self, acc: u64, partial: u64) -> u64 {
         match self {
             AggFn::Sum | AggFn::Count => acc.wrapping_add(partial),
@@ -56,9 +47,9 @@ impl AggFn {
     }
 }
 
-/// Rows per vectorized group-by chunk. The chunk-local dedup scans a
-/// linear array of distinct keys, so the chunk must stay small enough for
-/// that array to live in L1 and the scan to stay cheap.
+/// Rows per vectorized group-by chunk: the length of the stack arrays
+/// that carry a chunk's upserts and their outcomes (2 KiB together), so
+/// the operator keeps no scratch on the heap.
 pub const AGG_BATCH: usize = 64;
 
 /// Group `rows` by key and fold each group with `f`, using `table` as the
@@ -66,54 +57,27 @@ pub const AGG_BATCH: usize = 64;
 /// unspecified order.
 ///
 /// Vectorized execution: rows are consumed in [`AGG_BATCH`]-sized chunks.
-/// Each chunk is first folded into chunk-local partial aggregates (one
-/// per distinct key in the chunk — repeated group keys, the common case,
-/// collapse here for free), then the distinct keys hit the table with one
-/// [`HashTable::lookup_batch`] and one [`HashTable::insert_batch`], so
-/// the state-table cache misses of a whole chunk overlap instead of
-/// serializing — the access-pattern restructuring the paper argues query
-/// processing is really about (§1, §4).
+/// Each chunk becomes one [`HashTable::upsert_batch`] of `(key,
+/// init(value))` folded with [`AggFn::merge`] — one probe per row that
+/// finds the group or the slot for a new one — so the state-table cache
+/// misses of a whole chunk overlap instead of serializing: the
+/// access-pattern restructuring the paper argues query processing is
+/// really about (§1, §4). The only allocation is the returned `Vec`.
 pub fn group_aggregate<T: HashTable>(
     table: &mut T,
     rows: &[(u64, u64)],
     f: AggFn,
 ) -> Result<Vec<(u64, u64)>, TableError> {
     assert!(table.is_empty(), "group_aggregate expects a fresh state table");
-    let mut keys: Vec<u64> = Vec::with_capacity(AGG_BATCH);
-    let mut partials: Vec<u64> = Vec::with_capacity(AGG_BATCH);
-    let mut accs: Vec<Option<u64>> = Vec::new();
-    let mut updates: Vec<(u64, u64)> = Vec::with_capacity(AGG_BATCH);
-    let mut outcomes: Vec<Result<InsertOutcome, TableError>> = Vec::new();
+    let merge = |acc, partial| f.merge(acc, partial);
+    let mut items = [(0u64, 0u64); AGG_BATCH];
+    let mut outcomes = [Ok(InsertOutcome::Inserted); AGG_BATCH];
     for chunk in rows.chunks(AGG_BATCH) {
-        // Pass 1: fold the chunk locally, one partial per distinct key.
-        keys.clear();
-        partials.clear();
-        for &(key, value) in chunk {
-            match keys.iter().position(|&k| k == key) {
-                Some(i) => partials[i] = f.combine(partials[i], value),
-                None => {
-                    keys.push(key);
-                    partials.push(f.init(value));
-                }
-            }
+        let (items, outcomes) = (&mut items[..chunk.len()], &mut outcomes[..chunk.len()]);
+        for (item, &(key, value)) in items.iter_mut().zip(chunk) {
+            *item = (key, f.init(value));
         }
-        // Pass 2: one batched read and one batched write per chunk.
-        accs.clear();
-        accs.resize(keys.len(), None);
-        table.lookup_batch(&keys, &mut accs);
-        updates.clear();
-        updates.extend(keys.iter().zip(&partials).zip(&accs).map(|((&k, &p), acc)| {
-            (
-                k,
-                match acc {
-                    Some(acc) => f.merge(*acc, p),
-                    None => p,
-                },
-            )
-        }));
-        outcomes.clear();
-        outcomes.resize(updates.len(), Ok(InsertOutcome::Inserted));
-        table.insert_batch(&updates, &mut outcomes);
+        table.upsert_batch(items, &merge, outcomes);
         if let Some(e) = outcomes.iter().find_map(|o| o.err()) {
             return Err(e);
         }
@@ -126,7 +90,8 @@ pub fn group_aggregate<T: HashTable>(
 /// Parallel group-by: split `rows` into `threads` contiguous chunks, fold
 /// each chunk into a thread-local state table with [`group_aggregate`]
 /// (no sharing, no locks), then merge the per-thread partial aggregates
-/// into one result table with [`AggFn::merge`].
+/// into one result table with one [`HashTable::upsert_batch`] per thread,
+/// folding with [`AggFn::merge`].
 ///
 /// This is the standard two-phase parallel aggregation: it is exact for
 /// every [`AggFn`] because all four are commutative semigroup folds —
@@ -166,14 +131,14 @@ pub fn group_aggregate_parallel(
             .collect();
         handles.into_iter().map(|h| h.join().expect("aggregate thread panicked")).collect()
     });
+    let merge = |acc, partial| f.merge(acc, partial);
     let mut table = builder.try_build()?;
     for thread_partials in partials {
-        for (key, partial) in thread_partials? {
-            let merged = match table.lookup(key) {
-                Some(acc) => f.merge(acc, partial),
-                None => partial,
-            };
-            table.insert(key, merged)?;
+        let thread_partials = thread_partials?;
+        let mut outcomes = vec![Ok(InsertOutcome::Inserted); thread_partials.len()];
+        table.upsert_batch(&thread_partials, &merge, &mut outcomes);
+        if let Some(e) = outcomes.into_iter().find_map(Result::err) {
+            return Err(e);
         }
     }
     let mut out = Vec::with_capacity(table.len());
@@ -214,7 +179,9 @@ mod tests {
     fn reference(rows: &[(u64, u64)], f: AggFn) -> HashMap<u64, u64> {
         let mut m: HashMap<u64, u64> = HashMap::new();
         for &(k, v) in rows {
-            m.entry(k).and_modify(|acc| *acc = f.combine(*acc, v)).or_insert_with(|| f.init(v));
+            m.entry(k)
+                .and_modify(|acc| *acc = f.merge(*acc, f.init(v)))
+                .or_insert_with(|| f.init(v));
         }
         m
     }
@@ -337,8 +304,8 @@ mod tests {
     #[test]
     fn groups_straddling_chunk_boundaries_merge_correctly() {
         // Every group reappears in every AGG_BATCH-sized chunk, and the
-        // number of distinct keys exceeds one chunk — the two shapes that
-        // stress the partial-aggregate merge path.
+        // number of distinct keys exceeds one chunk — so a chunk both
+        // folds into groups earlier chunks made and makes new ones.
         let rows: Vec<(u64, u64)> = (0..4096u64).map(|i| (i % 150 + 1, i)).collect();
         for f in [AggFn::Sum, AggFn::Min, AggFn::Max, AggFn::Count] {
             let expect = reference(&rows, f);

@@ -23,13 +23,20 @@
 //! `HashMap` model *and* with a twin table driven through the single-key
 //! path, and batches crossing the capacity boundary must report the same
 //! per-element `TableFull` errors the sequential path reports.
+//!
+//! `upsert_batch` has no single-key form, so its oracle's twin is the
+//! element-wise `lookup` + `insert` loop the trait defines it as: on
+//! static, growing and sharded builds of every scheme, at the capacity
+//! boundary, through the tombstone-reclaiming retry and along Robin
+//! Hood's displacement chain.
 
 mod tests_common;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use seven_dim_hashing::prelude::*;
+use seven_dim_hashing::tables::simd::PREFETCH_BATCH;
 use seven_dim_hashing::tables::{EMPTY_KEY, MAX_KEY, TOMBSTONE_KEY};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Slots per open-addressing table (2^11). The 800-key universe tops out
 /// at ~39% load, inside every scheme's comfort zone (CuckooH2 included).
@@ -734,4 +741,305 @@ fn simd_and_scalar_probing_tables_agree_step_by_step() {
         assert_eq!(scalar.len(), simd.len(), "AoS step {step}: len");
         assert_eq!(soa_scalar.len(), soa_simd.len(), "SoA step {step}: len");
     }
+}
+
+/// The upserts' fold: neither commutative nor idempotent, so an
+/// argument swap, a skipped fold or a doubled one all show.
+fn fold(acc: u64, v: u64) -> u64 {
+    acc.wrapping_mul(31) ^ v
+}
+
+type Outcomes = Vec<Result<InsertOutcome, TableError>>;
+
+/// What `upsert_batch` is defined as: `lookup`, then `insert` of the
+/// fold or of the value, element by element.
+fn upsert_twin<T: HashTable + ?Sized>(table: &mut T, items: &[(u64, u64)]) -> Outcomes {
+    items
+        .iter()
+        .map(|&(k, v)| match table.lookup(k) {
+            Some(old) => table.insert(k, fold(old, v)),
+            None => table.insert(k, v),
+        })
+        .collect()
+}
+
+/// One `upsert_batch` on `batched` and its twin on `twin`; the outcomes
+/// must agree element-wise. Returns them.
+fn upsert_both<T: HashTable + ?Sized>(
+    batched: &mut T,
+    twin: &mut T,
+    items: &[(u64, u64)],
+    context: &str,
+) -> Outcomes {
+    let mut out = vec![Ok(InsertOutcome::Inserted); items.len()];
+    batched.upsert_batch(items, &fold, &mut out);
+    let expect = upsert_twin(twin, items);
+    for (i, (got, want)) in out.iter().zip(&expect).enumerate() {
+        assert_eq!(got, want, "{context}: upsert_batch[{i}] ({:#x})", items[i].0);
+    }
+    out
+}
+
+fn contents<T: HashTable + ?Sized>(table: &T) -> BTreeMap<u64, u64> {
+    let mut seen = BTreeMap::new();
+    table.for_each(&mut |k, v| assert!(seen.insert(k, v).is_none(), "for_each visited {k} twice"));
+    seen
+}
+
+/// Random `upsert_batch` calls (with deletes between them, so upserts
+/// land on tombstones and freed slots) against the twin and a `HashMap`
+/// model. Half of each batch draws from four hot keys, so a key repeats
+/// inside one prefetch window — the second upsert must fold into what
+/// the first stored — and reserved keys are sprinkled in.
+fn upsert_oracle(desc: &TableBuilder, keys: &[u64], seed: u64) {
+    let (mut batched, mut twin) = (desc.build(), desc.build());
+    let name = format!("{} (shards {})", desc.label(), desc.shard_bits());
+    let initial_capacity = batched.capacity();
+    let mut model: HashMap<u64, u64> = HashMap::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+
+    // The same key three times in one window.
+    let k = keys[0];
+    let out = upsert_both(&mut batched, &mut twin, &[(k, 1), (k, 2), (k, 3)], &name);
+    let second = fold(1, 2);
+    let expect =
+        [InsertOutcome::Inserted, InsertOutcome::Replaced(1), InsertOutcome::Replaced(second)];
+    assert_eq!(out, expect.map(Ok), "{name}: one key thrice in a window");
+    model.insert(k, fold(second, 3));
+
+    let mut next_fresh = 1;
+    for round in 0..150 {
+        let hot: Vec<u64> = (0..4).map(|_| keys[rng.gen_range(0..next_fresh)]).collect();
+        let len = rng.gen_range(0..4 * PREFETCH_BATCH);
+        let items: Vec<(u64, u64)> = (0..len)
+            .map(|_| {
+                let k = match rng.gen_range(0..32u8) {
+                    0 => EMPTY_KEY,
+                    1 => TOMBSTONE_KEY,
+                    2..=15 => hot[rng.gen_range(0..hot.len())],
+                    _ if next_fresh < keys.len() && rng.gen_bool(0.5) => {
+                        next_fresh += 1;
+                        keys[next_fresh - 1]
+                    }
+                    _ => keys[rng.gen_range(0..next_fresh)],
+                };
+                (k, rng.gen::<u64>())
+            })
+            .collect();
+        let context = format!("{name} round {round}");
+        let out = upsert_both(&mut batched, &mut twin, &items, &context);
+        for (i, &(k, v)) in items.iter().enumerate() {
+            let expect = if k >= TOMBSTONE_KEY {
+                Err(TableError::ReservedKey)
+            } else {
+                Ok(match model.get(&k).copied() {
+                    Some(old) => {
+                        model.insert(k, fold(old, v));
+                        InsertOutcome::Replaced(old)
+                    }
+                    None => {
+                        model.insert(k, v);
+                        InsertOutcome::Inserted
+                    }
+                })
+            };
+            assert_eq!(out[i], expect, "{context}: upsert_batch[{i}] ({k:#x}) vs model");
+        }
+        assert_eq!(batched.len(), model.len(), "{context}: len");
+        if round % 3 == 2 {
+            let victims: Vec<u64> = (0..8).map(|_| keys[rng.gen_range(0..next_fresh)]).collect();
+            let (mut a, mut b) = (vec![None; victims.len()], vec![None; victims.len()]);
+            batched.delete_batch(&victims, &mut a);
+            twin.delete_batch(&victims, &mut b);
+            assert_eq!(a, b, "{context}: delete_batch");
+            for k in &victims {
+                model.remove(k);
+            }
+        }
+    }
+    let expect: BTreeMap<u64, u64> = model.into_iter().collect();
+    assert_eq!(contents(&batched), expect, "{name}: final contents");
+    assert_eq!(contents(&twin), expect, "{name}: twin's final contents");
+    if initial_capacity < keys.len() {
+        assert!(
+            batched.capacity() >= initial_capacity * 4,
+            "{name}: upserts must cross at least two growth generations (capacity {})",
+            batched.capacity()
+        );
+    }
+}
+
+/// The three key distributions, 800 keys each.
+fn upsert_key_sets(seed: u64) -> Vec<Vec<u64>> {
+    [Distribution::Dense, Distribution::Grid, Distribution::Sparse]
+        .into_iter()
+        .map(|dist| dist.generate(UNIVERSE, seed))
+        .collect()
+}
+
+#[test]
+fn upsert_batch_matches_lookup_insert_on_static_tables() {
+    for (i, scheme) in tests_common::all_schemes().into_iter().enumerate() {
+        for cell in tests_common::scheme_cells(scheme, HashKind::Mult, BITS, 0x5E + i as u64) {
+            for (j, keys) in upsert_key_sets(0x0B5 + i as u64).iter().enumerate() {
+                upsert_oracle(&cell, keys, 0x1A + 7 * i as u64 + j as u64);
+            }
+        }
+    }
+}
+
+/// Every upsert after the first doubling lands while a generation drains
+/// (`incremental(1)` moves one entry per op), so folds meet keys still in
+/// the old generation.
+#[test]
+fn upsert_batch_matches_lookup_insert_on_growing_tables() {
+    for (i, scheme) in tests_common::all_schemes().into_iter().enumerate() {
+        let desc = TableBuilder::new(scheme)
+            .hash(HashKind::Mult)
+            .bits(6)
+            .seed(0x6E + i as u64)
+            .grow_at(0.7)
+            .incremental(1);
+        for (j, keys) in upsert_key_sets(0x6B5 + i as u64).iter().enumerate() {
+            upsert_oracle(&desc, keys, 0x2B + 7 * i as u64 + j as u64);
+        }
+    }
+}
+
+#[test]
+fn upsert_batch_matches_lookup_insert_on_sharded_tables() {
+    for (i, scheme) in tests_common::all_schemes().into_iter().enumerate() {
+        let desc = TableBuilder::new(scheme).hash(HashKind::Mult).bits(BITS).seed(0x7E).shards(2);
+        for (j, keys) in upsert_key_sets(0x7B5 + i as u64).iter().enumerate() {
+            upsert_oracle(&desc, keys, 0x3C + 7 * i as u64 + j as u64);
+        }
+    }
+}
+
+/// Fill to `capacity - 1` live keys by upsert, then one batch past it: a
+/// fresh key is refused with `TableFull` and changes nothing, while a
+/// present key still folds — also when it repeats in the batch.
+fn upsert_at_capacity<T: HashTable>(mut batched: T, mut twin: T) {
+    let name = batched.display_name();
+    let n = batched.capacity() as u64 - 1;
+    let fill: Vec<(u64, u64)> = (1..=n).map(|k| (k, k * 10)).collect();
+    upsert_both(&mut batched, &mut twin, &fill, &format!("{name}: fill"));
+    let items = [(n + 1, 1), (1, 5), (n + 2, 2), (1, 6)];
+    let out = upsert_both(&mut batched, &mut twin, &items, &format!("{name}: overfill"));
+    let expect = [
+        Err(TableError::TableFull),
+        Ok(InsertOutcome::Replaced(10)),
+        Err(TableError::TableFull),
+        Ok(InsertOutcome::Replaced(fold(10, 5))),
+    ];
+    assert_eq!(out, expect, "{name}: overfill outcomes");
+    assert_eq!(batched.len(), n as usize, "{name}: a refused upsert changed len");
+    assert_eq!(contents(&batched), contents(&twin), "{name}: contents at capacity");
+}
+
+#[test]
+fn upsert_batch_at_capacity_reports_table_full() {
+    upsert_at_capacity(LinearProbing::<Murmur>::with_seed(4, 1), LinearProbing::with_seed(4, 1));
+    upsert_at_capacity(
+        LinearProbing::<Murmur>::with_seed_simd(4, 2),
+        LinearProbing::with_seed_simd(4, 2),
+    );
+    upsert_at_capacity(
+        LinearProbingSoA::<MultShift>::with_seed(6, 3),
+        LinearProbingSoA::with_seed(6, 3),
+    );
+    upsert_at_capacity(
+        QuadraticProbing::<Murmur>::with_seed(6, 4),
+        QuadraticProbing::with_seed(6, 4),
+    );
+    upsert_at_capacity(RobinHood::<MultShift>::with_seed(6, 5), RobinHood::with_seed(6, 5));
+    upsert_at_capacity(
+        FingerprintTable::<Murmur>::with_seed(4, 6),
+        FingerprintTable::with_seed(4, 6),
+    );
+    upsert_at_capacity(
+        FingerprintTable::<MultShift>::with_seed_simd(6, 7),
+        FingerprintTable::with_seed_simd(6, 7),
+    );
+}
+
+/// Delete-then-upsert at maximum load: two tombstones and one empty slot.
+/// A fresh key whose probe meets the empty slot before either tombstone
+/// cannot take it (the table keeps one terminator), so the upsert
+/// rehashes the tombstones away and retries. That key is found by trial
+/// on a clone: only the retry leaves no tombstone behind. The batch then
+/// upserts it twice, so the retry's insert is folded into at once.
+fn upsert_reclaims_at_max_load<T: HashTable + Clone>(table: T, tombstones: impl Fn(&T) -> usize) {
+    let name = table.display_name();
+    let (mut batched, mut twin) = (table.clone(), table);
+    let n = batched.capacity() as u64 - 1;
+    let fill: Vec<(u64, u64)> = (1..=n).map(|k| (k, k)).collect();
+    upsert_both(&mut batched, &mut twin, &fill, &format!("{name}: fill"));
+    // Deleting a key with an empty successor clears its slot instead, and
+    // the table would drop below maximum load: skip such keys.
+    for k in 1..=n {
+        if tombstones(&batched) == 2 {
+            break;
+        }
+        let mut trial = batched.clone();
+        trial.delete(k);
+        if tombstones(&trial) > tombstones(&batched) {
+            batched.delete(k);
+            twin.delete(k);
+        }
+    }
+    assert_eq!(tombstones(&batched), 2, "{name}: two tombstones at max load");
+    let fresh = (n + 1..n + 10_000)
+        .find(|&k| {
+            let mut trial = batched.clone();
+            trial.insert(k, 0).is_ok() && tombstones(&trial) == 0
+        })
+        .expect("some fresh key probes the empty slot first");
+    let items = [(fresh, 7), (1_000_000, 9), (fresh, 8), (n, 3)];
+    let out = upsert_both(&mut batched, &mut twin, &items, &format!("{name}: reclaim"));
+    assert_eq!(out[0], Ok(InsertOutcome::Inserted), "{name}: reclaiming upsert");
+    assert_eq!(out[2], Ok(InsertOutcome::Replaced(7)), "{name}: fold after the retry");
+    assert_eq!(tombstones(&batched), 0, "{name}: the retry rehashed the tombstones away");
+    assert_eq!(batched.lookup(fresh), Some(fold(7, 8)), "{name}: folded value");
+    assert_eq!(contents(&batched), contents(&twin), "{name}: contents after the retry");
+}
+
+#[test]
+fn upsert_batch_reclaims_tombstones_at_max_load() {
+    upsert_reclaims_at_max_load(LinearProbing::<Murmur>::with_seed(4, 1), |t| t.tombstone_count());
+    upsert_reclaims_at_max_load(LinearProbing::<Murmur>::with_seed_simd(5, 2), |t| {
+        t.tombstone_count()
+    });
+    upsert_reclaims_at_max_load(QuadraticProbing::<MultShift>::with_seed(4, 3), |t| {
+        t.tombstone_count()
+    });
+    upsert_reclaims_at_max_load(FingerprintTable::<Murmur>::with_seed(6, 4), |t| {
+        t.tombstone_count()
+    });
+    upsert_reclaims_at_max_load(FingerprintTable::<MultShift>::with_seed_simd(6, 5), |t| {
+        t.tombstone_count()
+    });
+}
+
+/// Robin Hood at 95% load: fresh keys displace richer residents down a
+/// chain, and folds must find keys wherever the chains moved them. The
+/// cluster order must hold after every batch.
+#[test]
+fn upsert_batch_follows_robin_hood_displacement_chains() {
+    let (mut batched, mut twin) =
+        (RobinHood::<MultShift>::with_seed(8, 9), RobinHood::<MultShift>::with_seed(8, 9));
+    let mut rng = StdRng::seed_from_u64(0x2B);
+    let keys = Distribution::Sparse.generate(243, 0x2C);
+    for (round, chunk) in keys.chunks(27).enumerate() {
+        let mut items: Vec<(u64, u64)> = chunk.iter().map(|&k| (k, rng.gen())).collect();
+        items.extend((0..9).map(|_| (keys[rng.gen_range(0..keys.len())], rng.gen())));
+        upsert_both(&mut batched, &mut twin, &items, &format!("RH round {round}"));
+        batched.check_invariant().unwrap_or_else(|e| panic!("RH round {round}: {e}"));
+    }
+    let longest = (0..batched.capacity())
+        .filter(|&pos| batched.raw_slots()[pos].is_occupied())
+        .map(|pos| batched.displacement_at(pos))
+        .max();
+    assert!(longest >= Some(3), "RH: 95% load must displace entries (longest {longest:?})");
+    assert_eq!(contents(&batched), contents(&twin), "RH: final contents");
 }
