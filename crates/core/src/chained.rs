@@ -391,10 +391,12 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A
         self.footprint(self.chained)
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        for slot in self.directory.iter() {
+    fn walk(&self, from: usize, f: &mut dyn FnMut(usize, u64, u64) -> bool) {
+        for (i, slot) in self.directory.iter().enumerate().skip(from) {
             for e in self.bucket_entries(slot) {
-                f(e.key, e.value);
+                if !f(i, e.key, e.value) {
+                    return;
+                }
             }
         }
     }
@@ -465,12 +467,23 @@ mod tests {
 
     #[test]
     fn h8_for_each() {
-        check_for_each(&mut t8(8));
+        check_walk(&mut t8(8));
     }
 
     #[test]
     fn h24_for_each() {
-        check_for_each(&mut t24(8));
+        check_walk(&mut t24(8));
+    }
+
+    #[test]
+    fn a_walk_resumes_as_overflow_entries_move_inline() {
+        // Ten entries per bucket of a 4-slot inline directory: deleting a
+        // bucket's inline entry promotes an overflow entry into it.
+        let mut t = t24(2);
+        for k in 1..=40u64 {
+            t.insert(k, k * 3).unwrap();
+        }
+        check_walk_resumes(&mut t, 3);
     }
 
     #[test]

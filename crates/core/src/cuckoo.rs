@@ -358,9 +358,11 @@ impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
         self.slots.len() * std::mem::size_of::<Pair>()
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        for p in self.slots.iter().filter(|p| p.is_occupied()) {
-            f(p.key, p.value);
+    fn walk(&self, from: usize, f: &mut dyn FnMut(usize, u64, u64) -> bool) {
+        for (i, p) in self.slots.iter().enumerate().skip(from) {
+            if p.is_occupied() && !f(i, p.key, p.value) {
+                return;
+            }
         }
     }
 
@@ -532,7 +534,7 @@ mod tests {
 
     #[test]
     fn for_each_visits_all_live_entries() {
-        check_for_each(&mut table(8));
+        check_walk(&mut table(8));
     }
 
     #[test]

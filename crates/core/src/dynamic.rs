@@ -25,10 +25,11 @@
 //!   over all inserts, while up to `step` old-generation entries migrate
 //!   per subsequent mutating operation (a batch call pays `step × len`
 //!   in one step: `delete_batch` for the batch, `insert_batch` for each
-//!   headroom run). The drain moves a budget in runs of up to 64 entries,
-//!   one `delete_batch` out of the old generation and one `insert_batch`
-//!   into the new one per run, so the moves go through the same
-//!   prefetching kernels as the workload's own batches.
+//!   headroom run). The drain walks the old generation from a cursor
+//!   ([`HashTable::walk`]) — nothing is copied — and moves a budget in
+//!   runs of up to 64 entries, one `delete_batch` out of it and one
+//!   `insert_batch` into the new one per run, so the moves go through the
+//!   same prefetching kernels as the workload's own batches.
 //!   Lookups and deletes consult both generations, so the
 //!   table stays element-wise identical to an `AllAtOnce` twin at every
 //!   intermediate state. With `step ≥ 1` the old generation always drains
@@ -172,18 +173,16 @@ fn crosses_threshold(threshold_fp: u64, len_after: usize, cap: usize) -> bool {
     len_after > growth_limit(threshold_fp, cap)
 }
 
-/// The draining generation of an in-flight incremental migration.
-///
-/// The table is boxed so its address stays stable while it drains: the
-/// optimistic-read path publishes that address through an [`AtomicPtr`]
-/// and probes it without any lock.
+/// The draining generation of an in-flight incremental migration, and the
+/// only record of what is left to move. The table is boxed so its address
+/// stays stable while it drains: the optimistic-read path publishes that
+/// address through an [`AtomicPtr`] and probes it without any lock.
 struct OldGeneration<T> {
     table: Box<T>,
-    /// Keys captured through [`HashTable::for_each`] when the migration
-    /// began, drained LIFO from the tail. Keys the workload deletes
-    /// mid-migration simply miss on pop; values are re-read through the
-    /// live table at drain time so updates are never lost.
-    pending: Vec<u64>,
+    /// The [`HashTable::walk`] unit the next drain run starts at: the
+    /// first unit the last run visited. Every unit before it is empty,
+    /// unless a refused move was restored there (see `migrate_step`).
+    cursor: usize,
 }
 
 /// A table that doubles its capacity when the load factor would cross a
@@ -235,7 +234,7 @@ pub struct DynamicTable<F: TableFactory> {
 const MAX_BITS: u8 = 32;
 
 /// Refuse a generation of `2^bits` slots beyond [`MAX_BITS`] — before
-/// anything for it, the entry snapshot included, is allocated.
+/// anything for it is allocated or any entry is walked.
 fn assert_within_ceiling(bits: u8) {
     assert!(bits <= MAX_BITS, "dynamic table exceeded 2^{MAX_BITS} slots");
 }
@@ -347,17 +346,12 @@ impl<F: TableFactory> DynamicTable<F> {
         self.old.as_ref().map_or(0, |g| g.table.len())
     }
 
-    /// Live entries across both generations.
-    fn total_len(&self) -> usize {
-        self.inner.len() + self.old.as_ref().map_or(0, |g| g.table.len())
-    }
-
     /// Fresh keys the table can still take before one would cross the
     /// growth threshold. While this is `n`, no run of `n` inserts — fresh
     /// keys or replacements — can trigger growth, which is what lets
     /// [`HashTable::insert_batch`] hand whole runs to the inner kernel.
     fn headroom(&self) -> usize {
-        growth_limit(self.threshold_fp, self.inner.capacity()).saturating_sub(self.total_len())
+        growth_limit(self.threshold_fp, self.inner.capacity()).saturating_sub(self.len())
     }
 
     /// Whether `key` is live in either generation — the replacement check
@@ -421,35 +415,29 @@ impl<F: TableFactory> DynamicTable<F> {
     fn grow(&mut self) -> Result<(), TableError> {
         match self.policy {
             GrowthPolicy::AllAtOnce => self.rebuild(self.bits + 1, 0),
-            GrowthPolicy::Incremental { .. } => self.start_migration(),
+            GrowthPolicy::Incremental { .. } => self.begin_generation(self.bits + 1, None),
         }
-    }
-
-    /// Begin a two-generation growth migration into a doubled table of
-    /// the current scheme.
-    fn start_migration(&mut self) -> Result<(), TableError> {
-        self.begin_generation(self.bits + 1, None)
     }
 
     /// Begin a two-generation migration: allocate a fresh generation of
     /// `2^bits` slots — re-targeting the factory first when `factory` is
-    /// given (a cross-scheme switch) — snapshot the old generation's
-    /// keys, and hand all inserts to the new table. If a previous
-    /// migration is still draining (possible only when deletes starved
-    /// the drain budget, or a switch landed mid-growth), it is finished
-    /// first so at most two generations ever exist.
+    /// given (a cross-scheme switch) — hand all inserts to it, and leave
+    /// the old table to drain in place from unit 0. If a previous
+    /// migration is still draining (a switch landed mid-growth, or a
+    /// budget refused a move), it is finished first so at most two
+    /// generations ever exist.
     fn begin_generation(&mut self, bits: u8, factory: Option<F>) -> Result<(), TableError> {
         assert_within_ceiling(bits);
-        self.finish_migration()?;
+        while self.old.is_some() {
+            self.migrate_step(usize::MAX)?;
+        }
         if let Some(f) = factory {
             self.factory = f;
         }
         let fresh = Box::new(self.factory.build(bits, self.generation_seed(bits, 0)));
         let old_table = std::mem::replace(&mut self.inner, fresh);
         self.publish_inner();
-        let mut pending = Vec::with_capacity(old_table.len());
-        old_table.for_each(&mut |k, _| pending.push(k));
-        self.old = Some(OldGeneration { table: old_table, pending });
+        self.old = Some(OldGeneration { table: old_table, cursor: 0 });
         self.publish_old();
         self.bits = bits;
         self.rehash_count += 1;
@@ -507,17 +495,16 @@ impl<F: TableFactory> DynamicTable<F> {
         Ok(())
     }
 
-    /// Migrate up to `budget` old-generation keys into the current
-    /// generation, a run of up to [`DRAIN_RUN`] at a time: a run pops its
-    /// keys, takes them out of the draining generation with one
-    /// `delete_batch` and puts the ones it found into the current
-    /// generation with one `insert_batch` — the hash-and-prefetch kernels,
-    /// so the run's cache misses overlap instead of queueing. Both batches
-    /// keep pop order, so each generation sees the same operations, in the
-    /// same order, as a key-at-a-time drain. Keys already deleted (or
-    /// replaced — which moves them to the new generation) by the workload
-    /// miss and still consume budget; popping them is O(1) against the
-    /// O(probe) of a real move, so the bound holds either way.
+    /// Migrate up to `budget` old-generation entries, a run of up to
+    /// [`DRAIN_RUN`] at a time: a run walks the draining generation from
+    /// its cursor, takes what it met out with one `delete_batch` and puts
+    /// it into the current generation with one `insert_batch` — the
+    /// hash-and-prefetch kernels, so the run's cache misses overlap. The
+    /// cursor then rests on the run's first unit, which the next walk
+    /// re-reads from L1 (the [`HashTable::walk`] contract: no delete moves
+    /// an entry before the run's first unit). The budget counts moved
+    /// entries, so the drain still ends before the next doubling; it ends
+    /// when the old generation is empty.
     fn migrate_step(&mut self, budget: usize) -> Result<(), TableError> {
         let mut keys = [0u64; DRAIN_RUN];
         let mut found = [None; DRAIN_RUN];
@@ -527,52 +514,49 @@ impl<F: TableFactory> DynamicTable<F> {
         while left > 0 {
             let Some(gen) = self.old.as_mut() else { return Ok(()) };
             let want = left.min(DRAIN_RUN);
-            let n = want.min(gen.pending.len());
-            let tail = gen.pending.len() - n;
-            for (slot, key) in keys.iter_mut().zip(gen.pending.drain(tail..).rev()) {
-                *slot = key;
-            }
+            let (mut n, mut first) = (0, None);
+            gen.table.walk(gen.cursor, &mut |unit, key, value| {
+                first.get_or_insert(unit);
+                (keys[n], moves[n]) = (key, (key, value));
+                n += 1;
+                n < want
+            });
+            let Some(first) = first else {
+                if gen.table.is_empty() {
+                    // The workload deleted what was left.
+                    self.drop_old();
+                    return Ok(());
+                }
+                // A refused move was restored behind the cursor (or made
+                // the table rehash in place): start over at unit 0.
+                assert!(gen.cursor > 0, "the draining generation's walk misses its entries");
+                gen.cursor = 0;
+                continue;
+            };
+            gen.cursor = first;
             left -= n;
             gen.table.delete_batch(&keys[..n], &mut found[..n]);
-            let mut m = 0;
-            for (&key, &value) in keys[..n].iter().zip(&found[..n]) {
-                if let Some(value) = value {
-                    moves[m] = (key, value);
-                    m += 1;
-                }
-            }
-            self.inner.insert_batch(&moves[..m], &mut placed[..m]);
-            if let Some(e) = placed[..m].iter().find_map(|o| o.err()) {
-                // Restore every refused entry, newest first so the next
-                // pop order is unchanged, then recover: capacity pressure
-                // in the new generation (cuckoo cycles) merges both
-                // generations through the stop-the-world fallback;
+            debug_assert!(found[..n].iter().zip(&moves[..n]).all(|(f, m)| *f == Some(m.1)));
+            self.inner.insert_batch(&moves[..n], &mut placed[..n]);
+            if let Some(e) = placed[..n].iter().find_map(|o| o.err()) {
+                // Restore every refused entry, then recover: capacity
+                // pressure in the new generation (cuckoo cycles) merges
+                // both generations through the stop-the-world fallback;
                 // anything else (a factory's memory budget) propagates.
                 // Entries the run placed stay moved.
-                for (&(key, value), o) in moves[..m].iter().zip(&placed[..m]).rev() {
-                    if o.is_err() {
-                        let _ = gen.table.insert(key, value);
-                        gen.pending.push(key);
-                    }
+                let refused = moves[..n].iter().zip(&placed[..n]).filter(|(_, o)| o.is_err());
+                for (&(key, value), _) in refused {
+                    let _ = gen.table.insert(key, value);
                 }
                 return match e {
                     TableError::TableFull | TableError::CuckooFailure => self.rebuild(self.bits, 1),
                     e => Err(e),
                 };
             }
-            if n < want || gen.table.is_empty() {
-                debug_assert!(gen.table.is_empty(), "pending drained but old generation not empty");
+            if gen.table.is_empty() {
                 self.drop_old();
                 return Ok(());
             }
-        }
-        Ok(())
-    }
-
-    /// Drain the old generation completely (no-op when not migrating).
-    fn finish_migration(&mut self) -> Result<(), TableError> {
-        while self.old.is_some() {
-            self.migrate_step(usize::MAX)?;
         }
         Ok(())
     }
@@ -585,42 +569,49 @@ impl<F: TableFactory> DynamicTable<F> {
     /// policy's escape hatch. A factory memory budget that cannot hold
     /// the entries propagates as an error, leaving the table untouched —
     /// growing *more* on a budget failure would loop forever while
-    /// allocating more memory. The entries go in through `insert_batch`
-    /// in [`DRAIN_RUN`]-entry runs, in capture order; the first refusal
-    /// in a run decides, as it would one entry at a time.
+    /// allocating more memory. Both generations stay untouched until the
+    /// swap, so each attempt walks them again; nothing is copied.
     fn rebuild(&mut self, start_bits: u8, start_attempt: u64) -> Result<(), TableError> {
         assert_within_ceiling(start_bits);
-        let mut entries = Vec::with_capacity(self.len());
-        self.for_each(&mut |k, v| entries.push((k, v)));
-        let mut placed = [Ok(InsertOutcome::Inserted); DRAIN_RUN];
-        let mut bits = start_bits;
-        let mut attempt = start_attempt;
-        'outer: loop {
+        let (mut bits, mut attempt) = (start_bits, start_attempt);
+        let bigger = loop {
             let mut bigger = self.factory.build(bits, self.generation_seed(bits, attempt));
-            for run in entries.chunks(DRAIN_RUN) {
-                let placed = &mut placed[..run.len()];
-                bigger.insert_batch(run, placed);
-                match placed.iter().find_map(|o| o.err()) {
-                    None => {}
-                    Some(e @ TableError::MemoryBudgetExceeded) => return Err(e),
-                    Some(_) => {
-                        attempt += 1;
-                        if attempt.is_multiple_of(3) {
-                            bits += 1;
-                            assert_within_ceiling(bits);
-                        }
-                        continue 'outer;
-                    }
-                }
+            match self.stream_into(&mut bigger) {
+                Ok(()) => break bigger,
+                Err(e @ TableError::MemoryBudgetExceeded) => return Err(e),
+                Err(_) => attempt += 1,
             }
-            let prev = std::mem::replace(&mut self.inner, Box::new(bigger));
-            self.publish_inner();
-            self.drop_old();
-            self.retire(prev);
-            self.bits = bits;
-            self.rehash_count += 1;
-            return Ok(());
-        }
+            if attempt.is_multiple_of(3) {
+                bits += 1;
+                assert_within_ceiling(bits);
+            }
+        };
+        let prev = std::mem::replace(&mut self.inner, Box::new(bigger));
+        self.publish_inner();
+        self.drop_old();
+        self.retire(prev);
+        self.bits = bits;
+        self.rehash_count += 1;
+        Ok(())
+    }
+
+    /// Insert both generations into `to` in walk order, in [`DRAIN_RUN`]
+    /// `insert_batch` runs on the stack; a run's first refusal stops it.
+    fn stream_into(&self, to: &mut F::Table) -> Result<(), TableError> {
+        let (mut run, mut n, mut result) = ([(0u64, 0u64); DRAIN_RUN], 0, Ok(()));
+        let mut placed = [Ok(InsertOutcome::Inserted); DRAIN_RUN];
+        let mut flush = |run: &[(u64, u64)]| {
+            to.insert_batch(run, &mut placed[..run.len()]);
+            placed[..run.len()].iter().find_map(|o| o.err()).map_or(Ok(()), Err)
+        };
+        self.walk(0, &mut |_, key, value| {
+            (run[n], n) = ((key, value), n + 1);
+            if n == DRAIN_RUN {
+                (n, result) = (0, flush(&run));
+            }
+            result.is_ok()
+        });
+        result.and_then(|()| flush(&run[..n]))
     }
 
     /// The incremental drain budget for one operation (0 under
@@ -650,7 +641,7 @@ impl<F: TableFactory> DynamicTable<F> {
         // Grow *before* the threshold is crossed. Lookups of existing keys
         // (replacements) never trigger growth, matching the paper's
         // element-count-based rehash policy.
-        if crosses_threshold(self.threshold_fp, self.total_len() + 1, self.inner.capacity())
+        if crosses_threshold(self.threshold_fp, self.len() + 1, self.inner.capacity())
             && !self.contains(key)
         {
             self.grow()?;
@@ -965,7 +956,7 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
     }
 
     fn len(&self) -> usize {
-        self.total_len()
+        self.inner.len() + self.migration_backlog()
     }
 
     fn capacity(&self) -> usize {
@@ -975,16 +966,21 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
         self.inner.capacity()
     }
 
+    /// Both generations and the parked retirees; the drain keeps no copy
+    /// of its own.
     fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
-            + self.old.as_ref().map_or(0, |g| g.table.memory_bytes() + 8 * g.pending.capacity())
+            + self.old.as_ref().map_or(0, |g| g.table.memory_bytes())
             + self.retired_bytes()
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        self.inner.for_each(f);
-        if let Some(gen) = self.old.as_ref() {
-            gen.table.for_each(f);
+    /// Unit 0 is the current generation, unit 1 the draining one.
+    fn walk(&self, from: usize, f: &mut dyn FnMut(usize, u64, u64) -> bool) {
+        let old = self.old.as_ref().map(|g| &*g.table);
+        for (unit, part) in std::iter::once(&*self.inner).chain(old).enumerate().skip(from) {
+            if !crate::walk_part(part, unit, f) {
+                return;
+            }
         }
     }
 
@@ -1012,6 +1008,18 @@ mod tests {
     /// The one production factory, pinned to a scheme × hash cell.
     fn factory(scheme: TableScheme, hash: HashKind) -> TableBuilder {
         TableBuilder::new(scheme).hash(hash)
+    }
+
+    /// The draining generation's `(unit, key)` pairs in the order the
+    /// drain reaches them.
+    fn drain_order<F: TableFactory>(t: &DynamicTable<F>) -> Vec<(usize, u64)> {
+        let gen = t.old.as_ref().expect("a migration is in flight");
+        let mut order = Vec::new();
+        gen.table.walk(gen.cursor, &mut |unit, k, _| {
+            order.push((unit, k));
+            true
+        });
+        order
     }
 
     #[test]
@@ -1198,8 +1206,8 @@ mod tests {
         t.insert(17, 17).unwrap();
         assert!(t.is_migrating(), "crossing the threshold must start a migration");
         assert_eq!((t.capacity(), t.len(), t.migration_backlog()), (64, 17, 16));
-        // The order the drain pops the captured keys in.
-        let order: Vec<u64> = t.old.as_ref().unwrap().pending.iter().rev().copied().collect();
+        // The order the drain reaches the draining generation's keys in.
+        let order: Vec<u64> = drain_order(&t).into_iter().map(|(_, k)| k).collect();
         let in_old = |t: &DynamicTable<TableBuilder>, k: u64| {
             t.old.as_ref().is_some_and(|g| g.table.lookup(k).is_some())
         };
@@ -1208,12 +1216,10 @@ mod tests {
         // after its own run moves the next STEP keys.
         let mut op = 0;
         while t.is_migrating() {
-            // Mid-drain the table holds both generations and the capture's
-            // buffer, and has retired nothing yet.
-            let gen = t.old.as_ref().unwrap();
-            let bytes =
-                t.inner.memory_bytes() + gen.table.memory_bytes() + 8 * gen.pending.capacity();
-            assert_eq!(t.memory_bytes(), bytes, "op {op}: memory_bytes must charge the capture");
+            // Mid-drain the table holds both generations, no copy of
+            // either, and has retired nothing yet.
+            let old_bytes = t.old.as_ref().unwrap().table.memory_bytes();
+            assert_eq!(t.memory_bytes(), t.inner.memory_bytes() + old_bytes, "op {op}");
             let backlog = t.migration_backlog();
             let victim = order[order.len() - 1 - op];
             if op % 2 == 0 {
@@ -1221,16 +1227,16 @@ mod tests {
             } else {
                 assert_eq!(t.insert(victim, victim + 100), Ok(InsertOutcome::Replaced(victim)));
             }
-            // Each op retires STEP pending keys and its victim, so the
-            // capture is spent after ceil(16 / (STEP + 1)) = 4 ops; the
-            // fifth op's run finds the old generation empty and drops it.
+            // Each op moves STEP keys and removes its victim, so the old
+            // generation is empty after ceil(16 / (STEP + 1)) = 4 ops; the
+            // fifth op's run finds it empty and drops it.
             let fell = backlog - t.migration_backlog();
             if op < 4 {
                 assert_eq!(fell, STEP + 1, "op {op}: the run's budget plus its own key");
                 let (moved, left) = ((op + 1) * STEP, order.len() - (op + 1));
                 for (i, &k) in order.iter().enumerate() {
                     let pending = (moved..left).contains(&i);
-                    assert_eq!(in_old(&t, k), pending, "op {op}: key {k} at pop {i}");
+                    assert_eq!(in_old(&t, k), pending, "op {op}: key {k} at walk step {i}");
                 }
             } else {
                 assert_eq!(fell, 0, "op {op}");
@@ -1249,6 +1255,56 @@ mod tests {
         }
         assert_eq!(op, 16usize.div_ceil(STEP + 1) + 1, "the drain ended early or late");
         assert_eq!(t.len(), 17 - 3);
+    }
+
+    #[test]
+    fn robin_hood_deletes_mid_drain_keep_every_entry() {
+        // Backward-shift deletes move entries inside the draining
+        // generation, around the cursor the drain resumes at: every op is
+        // checked against a model until the drain ends, and no entry may
+        // fall behind the cursor (the restart at unit 0 is for refused
+        // moves only, and would hide a cursor that skips entries).
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut t = DynamicTable::with_policy(
+            factory(TableScheme::RobinHood, HashKind::Murmur),
+            8,
+            3,
+            0.9,
+            GrowthPolicy::Incremental { step: 1 },
+        );
+        let mut model = std::collections::HashMap::new();
+        let mut key = 0u64;
+        while !t.is_migrating() {
+            key += 1;
+            t.insert(key, key * 3).unwrap();
+            model.insert(key, key * 3);
+        }
+        assert_eq!(t.migration_backlog(), 230, "0.9 of 256 slots drain one per op");
+        let mut rng = StdRng::seed_from_u64(0xB5);
+        let mut ops = 0;
+        while t.is_migrating() {
+            if ops % 3 == 2 {
+                key += 1;
+                assert_eq!(t.insert(key, key * 3), Ok(InsertOutcome::Inserted), "op {ops}");
+                model.insert(key, key * 3);
+            } else {
+                let victim = rng.gen_range(1..=key + 8);
+                assert_eq!(t.delete(victim), model.remove(&victim), "op {ops}: delete {victim}");
+            }
+            assert_eq!(t.len(), model.len(), "op {ops}");
+            for (&k, &v) in &model {
+                assert_eq!(t.lookup(k), Some(v), "op {ops}: key {k}");
+            }
+            if t.is_migrating() {
+                let behind = t.migration_backlog() - drain_order(&t).len();
+                assert_eq!(behind, 0, "op {ops}: entries behind the drain's cursor");
+            }
+            ops += 1;
+            assert!(ops < 1000, "the drain never ended");
+        }
+        let mut seen = std::collections::HashMap::new();
+        t.for_each(&mut |k, v| assert!(seen.insert(k, v).is_none(), "key {k} twice"));
+        assert_eq!(seen, model);
     }
 
     #[test]
@@ -1939,11 +1995,10 @@ mod tests {
         let (mut batched, mut single) = (table(), table());
         let fill: Vec<(u64, u64)> = (1..=33u64).map(|k| (k, k * 10)).collect();
         insert_both(&mut batched, &mut single, &fill);
-        // The drain pops from the back, so the front of the pending list
-        // outlives the two steps this batch pays for.
-        let old = batched.old.as_ref().expect("the 33rd insert opens a migration");
-        let key = old.pending[0];
-        assert_eq!(old.table.lookup(key), Some(key * 10));
+        // The key the drain reaches last outlives the two steps this batch
+        // pays for.
+        let (_, key) = *drain_order(&batched).last().expect("the 33rd insert opens a migration");
+        assert_eq!(batched.old.as_ref().unwrap().table.lookup(key), Some(key * 10));
         let out = insert_both(&mut batched, &mut single, &[(key, 1), (key, 2)]);
         assert_eq!(out, [Ok(InsertOutcome::Replaced(key * 10)), Ok(InsertOutcome::Replaced(1))]);
         assert_eq!(batched.old.as_ref().unwrap().table.lookup(key), None, "copy claimed");
@@ -2046,8 +2101,8 @@ mod tests {
         fn memory_bytes(&self) -> usize {
             self.0.memory_bytes()
         }
-        fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-            self.0.for_each(f)
+        fn walk(&self, from: usize, f: &mut dyn FnMut(usize, u64, u64) -> bool) {
+            self.0.walk(from, f)
         }
         fn display_name(&self) -> String {
             self.0.display_name()
@@ -2069,7 +2124,7 @@ mod tests {
 
     /// A generation that claims `2^bits` slots and four entries, and holds
     /// nothing: a 2^32-slot table without its 64 GiB. Only what the growth
-    /// trigger reads works; a snapshot or an insert panics.
+    /// trigger reads works; a walk or an insert panics.
     struct Colossal(u8);
 
     impl crate::ReadView for Colossal {}
@@ -2093,8 +2148,8 @@ mod tests {
         fn memory_bytes(&self) -> usize {
             0
         }
-        fn for_each(&self, _: &mut dyn FnMut(u64, u64)) {
-            panic!("snapshot of a colossal table");
+        fn walk(&self, _: usize, _: &mut dyn FnMut(usize, u64, u64) -> bool) {
+            panic!("walk of a colossal table");
         }
         fn display_name(&self) -> String {
             "Colossal".into()
@@ -2118,8 +2173,8 @@ mod tests {
     fn doubling_past_the_largest_capacity_panics_before_allocating() {
         // A threshold of 1e-9 puts the trigger at four entries of 2^32
         // slots, so the fifth must double. The default (stop-the-world)
-        // growth snapshots every entry before it builds; the ceiling must
-        // refuse first.
+        // growth walks every entry into the table it builds; the ceiling
+        // must refuse first.
         let mut t = DynamicTable::new(ColossalFactory, 32, 1, 1e-9);
         let _ = t.insert(1, 1);
     }
@@ -2127,8 +2182,8 @@ mod tests {
     #[test]
     fn a_move_refused_mid_run_rebuilds_without_losing_an_entry() {
         // A 32-slot generation holds the jinxed key; the 64-slot one it
-        // drains into refuses it. One op's budget (64) pops the whole
-        // capture as one run, with the jinxed key inside it.
+        // drains into refuses it. One op's budget (64) walks the whole
+        // generation as one run, with the jinxed key's slot inside it.
         let mut t = DynamicTable::with_policy(
             JinxedFactory { refuses_at: 64 },
             5,
@@ -2140,9 +2195,10 @@ mod tests {
         for &k in &keys {
             t.insert(k, k * 10).unwrap();
         }
-        let old = t.old.as_ref().expect("the 29th insert opens a migration");
-        let at = old.pending.iter().position(|&k| k == JINXED_KEY).unwrap();
-        assert!(at > 0 && at + 1 < old.pending.len(), "pop {at} is not mid-run");
+        let order = drain_order(&t);
+        let (slot, _) = *order.iter().find(|&&(_, k)| k == JINXED_KEY).unwrap();
+        let (first, last) = (order[0].0, order[order.len() - 1].0);
+        assert!(first < slot && slot < last, "slot {slot} is not mid-run ({first}..={last})");
         assert_eq!((t.capacity(), t.rehash_count()), (64, 1));
         // The run refuses the jinxed key; the rebuild fallback merges both
         // generations and retries until a generation takes it: two
@@ -2178,10 +2234,28 @@ mod tests {
         assert_eq!(t.insert(30, 30), Err(TableError::MemoryBudgetExceeded));
         assert!(t.is_migrating());
         assert_eq!(t.migration_backlog(), 7, "the run's 21 placed moves stay moved");
-        assert_eq!(t.old.as_ref().unwrap().pending.len(), 7, "the refused keys are pending again");
         assert_eq!(t.len(), 29);
         for k in 1..=30u64 {
             assert_eq!(t.lookup(k), (k < 30).then_some(k), "key {k}");
+        }
+        // Make room for the seven: one batch deletes seven moved keys (its
+        // own drain run is refused again first, and restores again).
+        let moved: Vec<u64> =
+            (1..=29u64).filter(|&k| t.inner.lookup(k).is_some()).take(7).collect();
+        let mut out = [None; 7];
+        t.delete_batch(&moved, &mut out);
+        assert!(out.iter().zip(&moved).all(|(o, &k)| *o == Some(k)));
+        assert_eq!(t.migration_backlog(), 7);
+        // A chained restore lands in its own bucket, at or after the
+        // cursor; a probing table's can land on a tombstone behind it. Put
+        // the cursor past every restored key, as such a restore leaves it:
+        // the next operation's drain must restart at unit 0 to find them.
+        t.old.as_mut().unwrap().cursor = 1 << 20;
+        assert_eq!(t.delete(ABSENT_KEY), None);
+        assert!(!t.is_migrating(), "the restart drained the restored keys");
+        assert_eq!(t.len(), 22);
+        for k in 1..=29u64 {
+            assert_eq!(t.lookup(k), (!moved.contains(&k)).then_some(k), "key {k}");
         }
     }
 
@@ -2199,9 +2273,9 @@ mod tests {
         let (mut batched, mut single) = (table(), table());
         let fill: Vec<(u64, u64)> = (1..=9u64).map(|k| (k, k * 10)).collect();
         insert_both(&mut batched, &mut single, &fill);
-        let old = batched.old.as_ref().expect("the 9th insert opens a migration");
-        assert!(old.pending.len() > 4, "the batch below must not drain everything");
-        let unmoved = old.pending[0];
+        let order = drain_order(&batched);
+        assert!(order.len() > 4, "the batch below must not drain everything");
+        let (_, unmoved) = order[order.len() - 1];
         // One run, 32 slots: the jinxed key fails in it, after an element
         // whose draining copy must be claimed before the rebuild merges
         // the generations, and before duplicates of both keys.

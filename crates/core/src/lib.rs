@@ -333,8 +333,30 @@ pub trait HashTable: optimistic::ReadView {
     /// the quantity plotted in the paper's Figure 3 / Figure 5(d–f).
     fn memory_bytes(&self) -> usize;
 
-    /// Visit every live entry. Iteration order is unspecified.
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64));
+    /// Visit the live entries of units `from..` in unit order, passing
+    /// each entry's unit, key and value to `f`; stop as soon as `f`
+    /// returns `false`. A unit is a slot for open addressing and cuckoo,
+    /// a directory bucket for chained tables, and a part for the wrappers
+    /// (a shard of [`ShardedTable`], a generation of [`DynamicTable`]:
+    /// 0 the current one, 1 the draining one). Order within a unit is
+    /// unspecified.
+    ///
+    /// The walk is resumable: resuming at a unit visits whatever that
+    /// unit still holds. So a caller that stops a walk, deletes the
+    /// entries it was shown, and resumes at the first unit it visited
+    /// meets every remaining entry exactly once: deletes that move
+    /// entries (Robin Hood's backward shift, a chained bucket promoting
+    /// its overflow) move none to a unit before the first one a deleted
+    /// entry occupied. This is how a draining generation is read in place.
+    fn walk(&self, from: usize, f: &mut dyn FnMut(usize, u64, u64) -> bool);
+
+    /// Visit every live entry: [`HashTable::walk`] from unit 0.
+    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
+        self.walk(0, &mut |_, k, v| {
+            f(k, v);
+            true
+        })
+    }
 
     /// Display name in the paper's naming style, e.g. `"LPMult"`.
     fn display_name(&self) -> String;
@@ -416,8 +438,8 @@ impl<T: HashTable + ?Sized> HashTable for Box<T> {
         (**self).memory_bytes()
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        (**self).for_each(f)
+    fn walk(&self, from: usize, f: &mut dyn FnMut(usize, u64, u64) -> bool) {
+        (**self).walk(from, f)
     }
 
     fn display_name(&self) -> String {
@@ -427,6 +449,21 @@ impl<T: HashTable + ?Sized> HashTable for Box<T> {
     fn table_stats(&self) -> Option<stats::TableStats> {
         (**self).table_stats()
     }
+}
+
+/// [`HashTable::walk`] over all of `part` as unit `unit` of a wrapper
+/// whose units are its parts. Returns `false` once `f` stopped the walk.
+pub(crate) fn walk_part<T: HashTable + ?Sized>(
+    part: &T,
+    unit: usize,
+    f: &mut dyn FnMut(usize, u64, u64) -> bool,
+) -> bool {
+    let mut more = true;
+    part.walk(0, &mut |_, k, v| {
+        more = f(unit, k, v);
+        more
+    });
+    more
 }
 
 /// Derive the home slot of `key` in a `2^bits`-slot table using hash

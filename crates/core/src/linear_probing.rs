@@ -201,11 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_all_live_entries() {
-        check_for_each(&mut table(8));
-    }
-
-    #[test]
     fn model_test_against_std_hashmap() {
         check_against_model(&mut table(10), 5000, 0xC0FFEE);
     }

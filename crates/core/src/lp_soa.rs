@@ -56,11 +56,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_live_entries() {
-        check_for_each(&mut scalar(8));
-    }
-
-    #[test]
     fn model_test_scalar() {
         check_against_model(&mut scalar(10), 5000, 0x50A);
     }

@@ -169,7 +169,7 @@ mod tests {
         fn memory_bytes(&self) -> usize {
             0
         }
-        fn for_each(&self, _f: &mut dyn FnMut(u64, u64)) {}
+        fn walk(&self, _: usize, _: &mut dyn FnMut(usize, u64, u64) -> bool) {}
         fn display_name(&self) -> String {
             "Plain".into()
         }

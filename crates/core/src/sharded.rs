@@ -843,9 +843,11 @@ impl<T: HashTable + Send> HashTable for ShardedTable<T> {
         self.shards.iter().map(|s| s.read_locked().memory_bytes()).sum()
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        for shard in self.shards.iter() {
-            shard.read_locked().for_each(f);
+    fn walk(&self, from: usize, f: &mut dyn FnMut(usize, u64, u64) -> bool) {
+        for (i, shard) in self.shards.iter().enumerate().skip(from) {
+            if !crate::walk_part(&*shard.read_locked(), i, f) {
+                return;
+            }
         }
     }
 
@@ -947,7 +949,7 @@ mod tests {
         let mut t = sharded_lp(2);
         crate::tests_common::check_reserved_keys(&mut t);
         let mut t = sharded_lp(2);
-        crate::tests_common::check_for_each(&mut t);
+        crate::tests_common::check_walk(&mut t);
     }
 
     #[test]
@@ -1199,7 +1201,7 @@ mod tests {
         fn memory_bytes(&self) -> usize {
             0
         }
-        fn for_each(&self, _f: &mut dyn FnMut(u64, u64)) {}
+        fn walk(&self, _: usize, _: &mut dyn FnMut(usize, u64, u64) -> bool) {}
         fn display_name(&self) -> String {
             "Panicky".into()
         }
@@ -1280,8 +1282,8 @@ mod tests {
         fn memory_bytes(&self) -> usize {
             self.0.memory_bytes()
         }
-        fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-            self.0.for_each(f)
+        fn walk(&self, from: usize, f: &mut dyn FnMut(usize, u64, u64) -> bool) {
+            self.0.walk(from, f)
         }
         fn display_name(&self) -> String {
             self.0.display_name()

@@ -53,8 +53,10 @@ pub fn check_reserved_keys<T: HashTable>(t: &mut T) {
     assert_eq!(t.delete(TOMBSTONE_KEY), None);
 }
 
-/// `for_each` must visit exactly the live entries.
-pub fn check_for_each<T: HashTable>(t: &mut T) {
+/// `for_each` must visit exactly the live entries; `walk` from unit 0
+/// must visit the same ones in non-decreasing unit order, and resume
+/// (see [`check_walk_resumes`]).
+pub fn check_walk<T: HashTable>(t: &mut T) {
     for k in 1..=50u64 {
         t.insert(k, k + 1000).unwrap();
     }
@@ -69,6 +71,46 @@ pub fn check_for_each<T: HashTable>(t: &mut T) {
     for k in 11..=50u64 {
         assert_eq!(seen.get(&k), Some(&(k + 1000)));
     }
+    assert_eq!(walk_from(t, 0), seen, "walk(0) and for_each disagree");
+    check_walk_resumes(t, 7);
+}
+
+/// Everything `walk(from)` visits, asserting units never decrease and no
+/// key comes twice.
+pub fn walk_from<T: HashTable>(t: &T, from: usize) -> HashMap<u64, u64> {
+    let (mut seen, mut last) = (HashMap::new(), from);
+    t.walk(from, &mut |unit, k, v| {
+        assert!(unit >= last, "walk went back from unit {last} to {unit}");
+        last = unit;
+        assert!(seen.insert(k, v).is_none(), "walk visited key {k} twice");
+        true
+    });
+    seen
+}
+
+/// The drain's use of `walk`, until the table is empty: stop a walk
+/// after `k` entries, delete them, and resume at the first unit it
+/// visited — which must then meet every remaining entry exactly once,
+/// whatever the deletes moved.
+pub fn check_walk_resumes<T: HashTable>(t: &mut T, k: usize) {
+    let mut left = walk_from(t, 0);
+    let mut cursor = 0;
+    while !left.is_empty() {
+        let (mut run, mut first) = (Vec::new(), None);
+        t.walk(cursor, &mut |unit, key, value| {
+            first.get_or_insert(unit);
+            run.push((key, value));
+            run.len() < k
+        });
+        assert!(run.len() <= k, "the walk went on after `f` returned false");
+        cursor = first.expect("a walk from the cursor met nothing, yet entries remain");
+        for (key, value) in run {
+            assert_eq!(left.remove(&key), Some(value), "walk visited {key} absent or stale");
+            assert_eq!(t.delete(key), Some(value));
+        }
+        assert_eq!(walk_from(t, cursor), left, "resuming at unit {cursor} lost or duplicated");
+    }
+    assert!(t.is_empty());
 }
 
 /// Batch operations must agree element-wise with the single-key path.

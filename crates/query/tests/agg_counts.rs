@@ -157,8 +157,8 @@ impl<T: HashTable> HashTable for Counted<T> {
         self.inner.memory_bytes()
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        self.inner.for_each(f)
+    fn walk(&self, from: usize, f: &mut dyn FnMut(usize, u64, u64) -> bool) {
+        self.inner.walk(from, f)
     }
 
     fn display_name(&self) -> String {
