@@ -6,7 +6,11 @@
 //! resident is kicked out and re-inserted into the *next* sub-table,
 //! continuing round-robin ("in iteration i, table j = i mod K is probed")
 //! until an empty slot is found or a fixed iteration limit is reached. On
-//! limit, the whole table is rehashed with freshly sampled functions.
+//! limit, the whole table is rehashed with freshly sampled functions: the
+//! chain is unwound, and a fresh table of the same size with the new
+//! functions takes every entry and is swapped in only if it takes them
+//! all. A slot array's functions therefore never change while it holds
+//! entries, and a cycle that fails leaves the table as it was.
 //!
 //! Lookups touch at most `K` slots — constant time independent of load
 //! factor, which is why CuckooH4 wins the paper's very-high-load lookup
@@ -26,8 +30,8 @@ use rand::{rngs::StdRng, SeedableRng};
 /// rehashing (the paper's "fixed amount of iterations").
 pub const DEFAULT_MAX_KICKS: usize = 500;
 
-/// Default number of full-table rehash attempts (each with fresh hash
-/// functions) before an insert gives up with
+/// Default number of fresh tables (each with newly drawn hash functions)
+/// a cycle tries before an insert gives up with
 /// [`TableError::CuckooFailure`].
 pub const DEFAULT_MAX_REHASH_ATTEMPTS: usize = 8;
 
@@ -100,12 +104,12 @@ impl<H: HashFamily, const K: usize> Cuckoo<H, K> {
         self.max_kicks = kicks.max(1);
     }
 
-    /// Override the rehash-attempt bound.
+    /// Override how many fresh tables a cycle tries.
     pub fn set_max_rehash_attempts(&mut self, attempts: usize) {
         self.max_rehash_attempts = attempts;
     }
 
-    /// How many full-table rehashes (function resamplings) have happened.
+    /// How many fresh tables cycles have tried (successful or not).
     pub fn rehash_count(&self) -> usize {
         self.rehash_count
     }
@@ -138,10 +142,6 @@ impl<H: HashFamily, const K: usize> Cuckoo<H, K> {
     /// Direct slot access for statistics and tests.
     pub fn raw_slots(&self) -> &[Pair] {
         &self.slots
-    }
-
-    fn collect_entries(&self) -> Vec<Pair> {
-        self.slots.iter().filter(|p| p.is_occupied()).copied().collect()
     }
 
     /// Run a kick chain trying to place `pair`, recording every swap in
@@ -178,47 +178,44 @@ impl<H: HashFamily, const K: usize> Cuckoo<H, K> {
         displaced
     }
 
-    /// Rebuild the table from `entries` using the current hash functions.
-    /// Returns `false` (leaving the slot array in an unspecified but
-    /// entry-safe state — `entries` remains the source of truth) if some
-    /// kick chain hits the limit.
-    fn rebuild(&mut self, entries: &[Pair]) -> bool {
-        self.slots.fill(Pair::empty());
-        for &e in entries {
-            if let Some(_displaced) = self.try_place(e) {
-                return false;
+    /// The cycle of paper §2.5, after the failed chain is unwound: build a
+    /// fresh table of the same size whose `K` functions are the next ones
+    /// drawn from `rng`, walk every entry and then `pair` into it, and
+    /// become it on success — slot array and functions together. A failed
+    /// candidate is dropped and the next one drawn, at most
+    /// `max_rehash_attempts` times; the untouched table is its own
+    /// snapshot, so a slot array's functions never change while it holds
+    /// entries. The candidate borrows `kick_trace`, so a cycle allocates
+    /// one slot array and nothing else.
+    fn rehash(&mut self, pair: Pair) -> Result<(), TableError> {
+        for _ in 0..self.max_rehash_attempts {
+            self.rehash_count += 1;
+            let hashes = std::array::from_fn(|_| H::sample(&mut self.rng));
+            let mut fresh = Self {
+                slots: vec![Pair::empty(); self.slots.len()].into_boxed_slice(),
+                hashes,
+                len: self.len + 1,
+                rng: self.rng.clone(),
+                kick_trace: std::mem::take(&mut self.kick_trace),
+                ..*self
+            };
+            let live = self.slots.iter().filter(|p| p.is_occupied());
+            if live.chain([&pair]).all(|&e| fresh.try_place(e).is_none()) {
+                *self = fresh;
+                return Ok(());
             }
+            self.kick_trace = fresh.kick_trace;
         }
-        true
-    }
-
-    fn resample_functions(&mut self) {
-        for h in self.hashes.iter_mut() {
-            *h = H::sample(&mut self.rng);
-        }
-        self.rehash_count += 1;
-    }
-
-    /// Full rehash loop over an explicit entry set; `true` on success.
-    fn rehash_with(&mut self, entries: &[Pair], attempts: usize) -> bool {
-        for _ in 0..attempts {
-            self.resample_functions();
-            if self.rebuild(entries) {
-                return true;
-            }
-        }
-        false
+        Err(TableError::CuckooFailure)
     }
 }
 
-/// Cuckoo resamples its hash functions in place on a failed kick chain,
-/// so a lock-free reader could probe with one half of an old function and
-/// one half of a new one — and kick chains relocate unrelated entries
-/// mid-probe. Both are detectable by seqlock validation, but the paper's
-/// cuckoo workloads are insert-heavy (where optimistic reads buy
-/// nothing), so cuckoo keeps the conservative
-/// [`ReadView`](crate::optimistic::ReadView) defaults: every shared read
-/// goes through the lock.
+/// A cycle swaps in a whole new slot array (and its functions), which a
+/// lock-free reader could still be probing, and kick chains relocate
+/// unrelated entries mid-probe. A bare cuckoo therefore keeps the
+/// conservative [`ReadView`](crate::optimistic::ReadView) defaults: every
+/// shared read goes through the lock. (The paper's cuckoo workloads are
+/// insert-heavy, where optimistic reads buy nothing.)
 impl<H: HashFamily, const K: usize> crate::optimistic::ReadView for Cuckoo<H, K> {}
 
 impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
@@ -243,26 +240,13 @@ impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
                 Ok(InsertOutcome::Inserted)
             }
             Some(displaced) => {
-                // Cycle detected. First restore the pre-insert placement
-                // (exactly — by unwinding the recorded kicks), then attempt
-                // full rehashes with fresh functions. Snapshotting the
-                // restored state means a total rehash failure degrades to a
-                // clean `CuckooFailure` with the table untouched — it can
-                // never corrupt or lose entries.
+                // Cycle detected. Restore the pre-insert placement exactly
+                // (by unwinding the recorded kicks), then move to a fresh
+                // table; if none takes every entry, the table is untouched
+                // and the insert fails cleanly.
                 let pair = self.unwind_kicks(displaced);
                 debug_assert_eq!(pair.key, key, "unwinding must return the new pair");
-                let snapshot_slots = self.slots.clone();
-                let snapshot_hashes = self.hashes.clone();
-                let mut entries = self.collect_entries();
-                entries.push(pair);
-                let attempts = self.max_rehash_attempts;
-                if self.rehash_with(&entries, attempts) {
-                    self.len = entries.len();
-                    return Ok(InsertOutcome::Inserted);
-                }
-                self.slots = snapshot_slots;
-                self.hashes = snapshot_hashes;
-                Err(TableError::CuckooFailure)
+                self.rehash(pair).map(|()| InsertOutcome::Inserted)
             }
         }
     }
@@ -328,10 +312,10 @@ impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
         items: &[(u64, u64)],
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        // Prefetch-only pass: an insert can resample every hash function
-        // (full rehash on a cycle), so candidate slots cannot be reused
-        // across elements — but warming the K lines each insert touches
-        // first still overlaps the misses of the common no-kick case.
+        // Prefetch-only pass: a cycle swaps in a fresh table with new
+        // functions, so candidate slots cannot be reused across elements —
+        // but warming the K lines each insert touches first still overlaps
+        // the misses of the common no-kick case.
         two_pass(
             self,
             items,
@@ -502,6 +486,43 @@ mod tests {
         let mut count = 0;
         t.for_each(&mut |_, _| count += 1);
         assert_eq!(count, t.len());
+    }
+
+    #[test]
+    fn a_cuckoo_failure_leaves_the_slots_byte_identical() {
+        // Every failed candidate is dropped: the refused insert leaves the
+        // slot array, and so every entry's place, exactly as it found them.
+        let mut t: CuckooH2<MultShift> = Cuckoo::with_seed(8, 11);
+        t.set_max_rehash_attempts(2);
+        for k in 1..=256u64 {
+            let (before, len, rehashes) = (t.raw_slots().to_vec(), t.len(), t.rehash_count());
+            match t.insert(k, k * 5) {
+                Ok(_) => continue,
+                Err(TableError::CuckooFailure) => {}
+                Err(e) => panic!("unexpected error {e}"),
+            }
+            assert_eq!(t.raw_slots(), &before[..], "key {k}: the refusal moved a slot");
+            assert_eq!(t.len(), len);
+            assert_eq!(t.rehash_count(), rehashes + 2, "both fresh tables were tried");
+            assert_eq!(t.lookup(k), None);
+            for j in 1..k {
+                assert_eq!(t.lookup(j), Some(j * 5), "key {j} lost after the refusal of {k}");
+            }
+            return;
+        }
+        panic!("cuckoo-2 at 2 attempts never refused an insert up to full load");
+    }
+
+    #[test]
+    fn fresh_table_swaps_keep_the_model() {
+        // Four kicks per chain: cycles at half load, so every model check
+        // runs across swapped-in tables.
+        for seed in 0..8 {
+            let mut t = Cuckoo::<Murmur, 4>::with_seed(8, seed);
+            t.set_max_kicks(4);
+            check_against_model(&mut t, 10_000, 0x5A9 ^ seed);
+            assert!(t.rehash_count() > 0, "seed {seed}: no cycle to test");
+        }
     }
 
     #[test]

@@ -40,6 +40,10 @@
 //!   the operation stream (*Dynamic External Hashing* shows that stall
 //!   dominating the dynamic cost model).
 //!
+//! A doubling and a scheme switch take one path, and only its first step
+//! reads the policy. A generation that refuses an entry is rebuilt
+//! stop-the-world under either policy.
+//!
 //! The threshold trigger itself is pure integer math: the `f64` threshold
 //! is converted once to Q32 fixed point, and `len + 1 > threshold × cap`
 //! is evaluated as a `u128` product — exact at every capacity a growing
@@ -102,7 +106,9 @@ use crate::adaptive::{AdaptiveConfig, AdaptiveController};
 use crate::epoch;
 use crate::optimistic::ReadView;
 use crate::stats::{RuntimeStats, TableStats};
-use crate::{is_reserved_key, HashTable, InsertOutcome, TableError, TableScheme};
+use crate::{
+    is_reserved_key, walk_runs, HashTable, InsertOutcome, TableError, TableScheme, WALK_RUN,
+};
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Builds fresh tables of one scheme at a requested capacity; used by
@@ -238,12 +244,6 @@ const MAX_BITS: u8 = 32;
 fn assert_within_ceiling(bits: u8) {
     assert!(bits <= MAX_BITS, "dynamic table exceeded 2^{MAX_BITS} slots");
 }
-
-/// Most entries one drain or rebuild run moves. The batch kernels hash and
-/// prefetch [`PREFETCH_BATCH`](crate::simd::PREFETCH_BATCH)-entry windows,
-/// so a run is four windows; its keys, values and outcomes live on the
-/// stack.
-const DRAIN_RUN: usize = 64;
 
 impl<F: TableFactory> DynamicTable<F> {
     /// Create with initial capacity `2^bits`, growing when an insert would
@@ -411,21 +411,12 @@ impl<F: TableFactory> DynamicTable<F> {
         }
     }
 
-    /// Policy dispatch for a threshold-triggered doubling.
-    fn grow(&mut self) -> Result<(), TableError> {
-        match self.policy {
-            GrowthPolicy::AllAtOnce => self.rebuild(self.bits + 1, 0),
-            GrowthPolicy::Incremental { .. } => self.begin_generation(self.bits + 1, None),
-        }
-    }
-
-    /// Begin a two-generation migration: allocate a fresh generation of
-    /// `2^bits` slots — re-targeting the factory first when `factory` is
-    /// given (a cross-scheme switch) — hand all inserts to it, and leave
-    /// the old table to drain in place from unit 0. If a previous
-    /// migration is still draining (a switch landed mid-growth, or a
-    /// budget refused a move), it is finished first so at most two
-    /// generations ever exist.
+    /// Move to a generation of `2^bits` slots, re-targeting the factory
+    /// first when `factory` is given (a cross-scheme switch): the one place
+    /// the [`GrowthPolicy`] picks the mechanism. `AllAtOnce` fills it now
+    /// ([`DynamicTable::rebuild`]). Incremental growth hands it all inserts
+    /// and leaves the old table to drain in place from unit 0, finishing
+    /// any earlier drain first so at most two generations ever exist.
     fn begin_generation(&mut self, bits: u8, factory: Option<F>) -> Result<(), TableError> {
         assert_within_ceiling(bits);
         while self.old.is_some() {
@@ -433,6 +424,9 @@ impl<F: TableFactory> DynamicTable<F> {
         }
         if let Some(f) = factory {
             self.factory = f;
+        }
+        if self.policy == GrowthPolicy::AllAtOnce {
+            return self.rebuild(bits, 0);
         }
         let fresh = Box::new(self.factory.build(bits, self.generation_seed(bits, 0)));
         let old_table = std::mem::replace(&mut self.inner, fresh);
@@ -449,9 +443,8 @@ impl<F: TableFactory> DynamicTable<F> {
     /// is impossible or pointless: the factory cannot represent the
     /// scheme, the table already is that scheme, or the capacity is below
     /// the target scheme's minimum (fingerprint groups need `2^4` slots).
-    /// Under [`GrowthPolicy::AllAtOnce`] the switch is a stop-the-world
-    /// rebuild; under incremental growth it drains like any other
-    /// generation change.
+    /// The switch moves entries like a doubling does, per the
+    /// [`GrowthPolicy`].
     pub fn switch_to(&mut self, scheme: TableScheme) -> Result<bool, TableError> {
         if self.factory.scheme() == Some(scheme) {
             return Ok(false);
@@ -462,15 +455,7 @@ impl<F: TableFactory> DynamicTable<F> {
         if scheme == TableScheme::Fingerprint && (1usize << self.bits) < crate::GROUP_SLOTS {
             return Ok(false);
         }
-        match self.policy {
-            GrowthPolicy::AllAtOnce => {
-                self.factory = factory;
-                self.rebuild(self.bits, 0)?;
-            }
-            GrowthPolicy::Incremental { .. } => {
-                self.begin_generation(self.bits, Some(factory))?;
-            }
-        }
+        self.begin_generation(self.bits, Some(factory))?;
         self.scheme_switches += 1;
         Ok(true)
     }
@@ -496,7 +481,7 @@ impl<F: TableFactory> DynamicTable<F> {
     }
 
     /// Migrate up to `budget` old-generation entries, a run of up to
-    /// [`DRAIN_RUN`] at a time: a run walks the draining generation from
+    /// [`WALK_RUN`] at a time: a run walks the draining generation from
     /// its cursor, takes what it met out with one `delete_batch` and puts
     /// it into the current generation with one `insert_batch` — the
     /// hash-and-prefetch kernels, so the run's cache misses overlap. The
@@ -506,14 +491,14 @@ impl<F: TableFactory> DynamicTable<F> {
     /// entries, so the drain still ends before the next doubling; it ends
     /// when the old generation is empty.
     fn migrate_step(&mut self, budget: usize) -> Result<(), TableError> {
-        let mut keys = [0u64; DRAIN_RUN];
-        let mut found = [None; DRAIN_RUN];
-        let mut moves = [(0u64, 0u64); DRAIN_RUN];
-        let mut placed = [Ok(InsertOutcome::Inserted); DRAIN_RUN];
+        let mut keys = [0u64; WALK_RUN];
+        let mut found = [None; WALK_RUN];
+        let mut moves = [(0u64, 0u64); WALK_RUN];
+        let mut placed = [Ok(InsertOutcome::Inserted); WALK_RUN];
         let mut left = budget;
         while left > 0 {
             let Some(gen) = self.old.as_mut() else { return Ok(()) };
-            let want = left.min(DRAIN_RUN);
+            let want = left.min(WALK_RUN);
             let (mut n, mut first) = (0, None);
             gen.table.walk(gen.cursor, &mut |unit, key, value| {
                 first.get_or_insert(unit);
@@ -565,8 +550,8 @@ impl<F: TableFactory> DynamicTable<F> {
     /// fresh table of at least `2^start_bits` slots, retrying with fresh
     /// seeds — and eventually more bits — when the rebuild itself fails
     /// (possible for Cuckoo tables at unlucky seeds). This is both the
-    /// [`GrowthPolicy::AllAtOnce`] growth path and the incremental
-    /// policy's escape hatch. A factory memory budget that cannot hold
+    /// [`GrowthPolicy::AllAtOnce`] arm of `begin_generation` and every
+    /// policy's refusal path. A factory memory budget that cannot hold
     /// the entries propagates as an error, leaving the table untouched —
     /// growing *more* on a budget failure would loop forever while
     /// allocating more memory. Both generations stay untouched until the
@@ -595,23 +580,14 @@ impl<F: TableFactory> DynamicTable<F> {
         Ok(())
     }
 
-    /// Insert both generations into `to` in walk order, in [`DRAIN_RUN`]
-    /// `insert_batch` runs on the stack; a run's first refusal stops it.
+    /// Insert both generations into `to` in walk order, one `insert_batch`
+    /// per [`walk_runs`] run; a run's first refusal stops it.
     fn stream_into(&self, to: &mut F::Table) -> Result<(), TableError> {
-        let (mut run, mut n, mut result) = ([(0u64, 0u64); DRAIN_RUN], 0, Ok(()));
-        let mut placed = [Ok(InsertOutcome::Inserted); DRAIN_RUN];
-        let mut flush = |run: &[(u64, u64)]| {
+        let mut placed = [Ok(InsertOutcome::Inserted); WALK_RUN];
+        walk_runs(self, |run| {
             to.insert_batch(run, &mut placed[..run.len()]);
             placed[..run.len()].iter().find_map(|o| o.err()).map_or(Ok(()), Err)
-        };
-        self.walk(0, &mut |_, key, value| {
-            (run[n], n) = ((key, value), n + 1);
-            if n == DRAIN_RUN {
-                (n, result) = (0, flush(&run));
-            }
-            result.is_ok()
-        });
-        result.and_then(|()| flush(&run[..n]))
+        })
     }
 
     /// The incremental drain budget for one operation (0 under
@@ -644,7 +620,7 @@ impl<F: TableFactory> DynamicTable<F> {
         if crosses_threshold(self.threshold_fp, self.len() + 1, self.inner.capacity())
             && !self.contains(key)
         {
-            self.grow()?;
+            self.begin_generation(self.bits + 1, None)?;
         }
         // Insert into the current generation *first*: if it fails, the
         // table is untouched (claiming the key from the draining
@@ -659,7 +635,9 @@ impl<F: TableFactory> DynamicTable<F> {
                     // Capacity pressure the threshold missed (e.g. cuckoo
                     // cycles below threshold): rebuild and retry. The
                     // rebuild merges any draining generation, so a retried
-                    // insert reports replacements naturally.
+                    // insert reports replacements naturally. It doubles: a
+                    // cuckoo refuses only after its cycle has tried
+                    // `max_rehash_attempts` fresh tables at this size.
                     self.rebuild(self.bits + 1, 0)?;
                 }
                 // A reserved key was rejected above; a memory budget that

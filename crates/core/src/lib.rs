@@ -167,8 +167,9 @@ pub enum TableError {
     /// A chained table would exceed its memory budget (paper §4.5) by
     /// allocating another entry.
     MemoryBudgetExceeded,
-    /// Cuckoo insertion failed even after the configured number of full
-    /// rehash attempts with fresh hash functions.
+    /// Cuckoo insertion failed: a kick chain hit its limit, and none of the
+    /// configured number of fresh tables (each with newly drawn hash
+    /// functions) took every entry.
     CuckooFailure,
 }
 
@@ -464,6 +465,29 @@ pub(crate) fn walk_part<T: HashTable + ?Sized>(
         more
     });
     more
+}
+
+/// Most pairs one [`walk_runs`] run holds: four
+/// [`PREFETCH_BATCH`](simd::PREFETCH_BATCH) windows of a batch kernel.
+pub const WALK_RUN: usize = 64;
+
+/// Walk every entry of `table` in runs of up to [`WALK_RUN`] pairs
+/// gathered on the stack, handing each run to `f`: how a batch kernel
+/// (`insert_batch`, `upsert_batch`) takes in a whole table without a copy
+/// of it. The first error `f` returns stops the walk and is returned.
+pub fn walk_runs<T: HashTable + ?Sized>(
+    table: &T,
+    mut f: impl FnMut(&[(u64, u64)]) -> Result<(), TableError>,
+) -> Result<(), TableError> {
+    let (mut run, mut n, mut result) = ([(0u64, 0u64); WALK_RUN], 0, Ok(()));
+    table.walk(0, &mut |_, key, value| {
+        (run[n], n) = ((key, value), n + 1);
+        if n == WALK_RUN {
+            (n, result) = (0, f(&run));
+        }
+        result.is_ok()
+    });
+    result.and_then(|()| f(&run[..n]))
 }
 
 /// Derive the home slot of `key` in a `2^bits`-slot table using hash

@@ -6,10 +6,16 @@
 //! of the keys would be 8 B × 45,875 and a copy of the pairs 16 B ×
 //! 45,875.
 //!
+//! A cuckoo cycle obeys the same rule at one size: it builds one fresh
+//! slot array with new functions and walks the table into it, so it
+//! allocates that array and nothing else — no clone of the old array, no
+//! list of its entries.
+//!
 //! This binary installs a global allocator that counts the bytes each
 //! thread asks for, so the tests may run in parallel.
 
-use sevendim_core::{DynamicTable, GrowthPolicy, HashTable, TableBuilder, TableScheme};
+use hashfn::MultShift;
+use sevendim_core::{Cuckoo, DynamicTable, GrowthPolicy, HashTable, TableBuilder, TableScheme};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -66,8 +72,8 @@ fn allocated_by<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (ALLOCATED.with(Cell::get) - before, r)
 }
 
-/// What growth may allocate beyond the new generation's slot array: the
-/// boxes around it, nothing proportional to the entries.
+/// What growth (or a cuckoo cycle) may allocate beyond the new slot
+/// array: the boxes around it, nothing proportional to the entries.
 const SLACK: usize = 1024;
 
 /// Entries a 2^16-slot generation holds at a 0.7 threshold.
@@ -134,6 +140,33 @@ fn a_stop_the_world_rebuild_allocates_only_the_new_generation() {
     assert_only_the_new_generation(&t, bytes, "the rebuild");
     assert_eq!(t.len(), FULL as usize + 1);
     for k in (1..=FULL).step_by(97) {
+        assert_eq!(t.lookup(k), Some(k * 3));
+    }
+}
+
+#[test]
+fn a_cuckoo_cycle_allocates_one_slot_array() {
+    let mut t = Cuckoo::<MultShift, 4>::with_seed(16, 0xC1C1E);
+    let slots = t.memory_bytes();
+    assert_eq!(slots, 16 << 16, "a 2^16-slot cuckoo");
+    let mut key = 0u64;
+    let bytes = loop {
+        key += 1;
+        let (bytes, outcome) = allocated_by(|| t.insert(key, key * 3));
+        assert!(outcome.is_ok(), "key {key} refused at len {}", t.len());
+        match t.rehash_count() {
+            0 => assert_eq!(bytes, 0, "key {key} allocated without a cycle"),
+            1 => break bytes,
+            n => panic!("key {key}'s cycle took {n} fresh tables; this seed tests the first"),
+        }
+    };
+    assert!(
+        bytes <= slots + SLACK,
+        "the cycle at len {} allocated {bytes} B for a {slots} B slot array ({} B beyond it)",
+        t.len(),
+        bytes.saturating_sub(slots)
+    );
+    for k in (1..=key).step_by(97) {
         assert_eq!(t.lookup(k), Some(k * 3));
     }
 }

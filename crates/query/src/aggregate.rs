@@ -7,7 +7,9 @@
 //! paper's indexing workload "resembles very closely" aggregation, and why
 //! the scheme/function choice transfers directly.
 
-use sevendim_core::{HashTable, InsertOutcome, TableBuilder, TableError};
+use sevendim_core::{
+    walk_runs, BoxedTable, HashTable, InsertOutcome, TableBuilder, TableError, WALK_RUN,
+};
 
 /// The distributive aggregates the paper lists (AVERAGE is algebraic and
 /// handled by [`group_average`]).
@@ -69,6 +71,20 @@ pub fn group_aggregate<T: HashTable>(
     f: AggFn,
 ) -> Result<Vec<(u64, u64)>, TableError> {
     assert!(table.is_empty(), "group_aggregate expects a fresh state table");
+    fold_rows(table, rows, f)?;
+    let mut out = Vec::with_capacity(table.len());
+    table.for_each(&mut |k, v| out.push((k, v)));
+    Ok(out)
+}
+
+/// The vectorized fold of [`group_aggregate`]: one `upsert_batch` of `(key,
+/// init(value))` per [`AGG_BATCH`]-row chunk, stopping at the first
+/// refusal.
+fn fold_rows<T: HashTable + ?Sized>(
+    table: &mut T,
+    rows: &[(u64, u64)],
+    f: AggFn,
+) -> Result<(), TableError> {
     let merge = |acc, partial| f.merge(acc, partial);
     let mut items = [(0u64, 0u64); AGG_BATCH];
     let mut outcomes = [Ok(InsertOutcome::Inserted); AGG_BATCH];
@@ -82,16 +98,15 @@ pub fn group_aggregate<T: HashTable>(
             return Err(e);
         }
     }
-    let mut out = Vec::with_capacity(table.len());
-    table.for_each(&mut |k, v| out.push((k, v)));
-    Ok(out)
+    Ok(())
 }
 
 /// Parallel group-by: split `rows` into `threads` contiguous chunks, fold
-/// each chunk into a thread-local state table with [`group_aggregate`]
-/// (no sharing, no locks), then merge the per-thread partial aggregates
-/// into one result table with one [`HashTable::upsert_batch`] per thread,
-/// folding with [`AggFn::merge`].
+/// each chunk into a thread-local state table the way [`group_aggregate`]
+/// does (no sharing, no locks), then walk each thread's table into one
+/// result table in [`walk_runs`] runs, one [`HashTable::upsert_batch`]
+/// each, folding with [`AggFn::merge`]. No partial is copied out of its
+/// table.
 ///
 /// This is the standard two-phase parallel aggregation: it is exact for
 /// every [`AggFn`] because all four are commutative semigroup folds —
@@ -102,9 +117,10 @@ pub fn group_aggregate<T: HashTable>(
 /// can contain every group — a shrunken local table would overflow on
 /// inputs the sequential path handles. Memory is therefore up to
 /// `threads ×` the sequential table (the classic space cost of
-/// partial-aggregate parallelism); thread-local tables are unsharded —
-/// locking a private table buys nothing. Output order is unspecified,
-/// like [`group_aggregate`].
+/// partial-aggregate parallelism); each local table is freed once it is
+/// merged, and thread-local tables are unsharded — locking a private
+/// table buys nothing. Output order is unspecified, like
+/// [`group_aggregate`].
 pub fn group_aggregate_parallel(
     builder: &TableBuilder,
     rows: &[(u64, u64)],
@@ -118,28 +134,29 @@ pub fn group_aggregate_parallel(
     }
     let local_builder = builder.clone().shards(0);
     let chunk_len = rows.len().div_ceil(threads);
-    let partials: Vec<Result<Vec<(u64, u64)>, TableError>> = std::thread::scope(|scope| {
+    let locals: Vec<Result<BoxedTable, TableError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = rows
             .chunks(chunk_len)
             .map(|chunk| {
                 let local_builder = &local_builder;
                 scope.spawn(move || {
                     let mut local = local_builder.try_build()?;
-                    group_aggregate(&mut local, chunk, f)
+                    fold_rows(&mut local, chunk, f)?;
+                    Ok(local)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("aggregate thread panicked")).collect()
     });
     let merge = |acc, partial| f.merge(acc, partial);
+    let mut outcomes = [Ok(InsertOutcome::Inserted); WALK_RUN];
     let mut table = builder.try_build()?;
-    for thread_partials in partials {
-        let thread_partials = thread_partials?;
-        let mut outcomes = vec![Ok(InsertOutcome::Inserted); thread_partials.len()];
-        table.upsert_batch(&thread_partials, &merge, &mut outcomes);
-        if let Some(e) = outcomes.into_iter().find_map(Result::err) {
-            return Err(e);
-        }
+    for local in locals {
+        walk_runs(&*local?, |run| {
+            let outcomes = &mut outcomes[..run.len()];
+            table.upsert_batch(run, &merge, outcomes);
+            outcomes.iter().find_map(|o| o.err()).map_or(Ok(()), Err)
+        })?;
     }
     let mut out = Vec::with_capacity(table.len());
     table.for_each(&mut |k, v| out.push((k, v)));

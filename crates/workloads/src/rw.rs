@@ -25,7 +25,7 @@
 use hashfn::Murmur;
 use metrics::Throughput;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use sevendim_core::{ConcurrentTable, HashTable, InsertOutcome, TableError};
+use sevendim_core::{HashTable, InsertOutcome, TableError};
 
 /// One operation of the RW stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,8 +101,7 @@ fn key_is_legal(k: u64) -> bool {
 /// per-output lane of [`ESCAPE_REGION`] (stride 3 keeps the lanes
 /// disjoint) stays injective over all counters; the escape inputs sit
 /// above every regular `counter + 1`, so the retried keys cannot collide
-/// with any other counter's key — including other threads' disjoint
-/// [`RwStream::for_thread`] regions. The previous escape re-mixed
+/// with any other counter's key. The previous escape re-mixed
 /// `k ^ CONST`, whose preimage could be another counter (breaking the
 /// keys-never-repeat guarantee) or itself illegal.
 fn fresh_key(counter: u64) -> u64 {
@@ -140,28 +139,6 @@ impl RwStream {
             next_miss: MISS_REGION,
             generated: 0,
         }
-    }
-
-    /// Like [`RwStream::new`], but drawing keys from a region of the
-    /// counter space private to `thread` — streams for different thread
-    /// indices can never generate the same key, so `T` streams can drive
-    /// one shared table concurrently with every per-stream expectation
-    /// (deletes hit, misses miss) still holding. The operation mix is
-    /// reseeded per thread, so the streams are also statistically
-    /// independent.
-    ///
-    /// Each region spans `2^54` insert counters and `2^54` miss counters;
-    /// up to 256 threads are supported.
-    pub fn for_thread(cfg: RwConfig, thread: usize) -> Self {
-        assert!(thread < 256, "thread regions support up to 256 threads, got index {thread}");
-        let region = (thread as u64) << 54;
-        let mut stream = Self::new(RwConfig {
-            seed: cfg.seed ^ (thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ..cfg
-        });
-        stream.next_insert = region;
-        stream.next_miss = MISS_REGION | region;
-        stream
     }
 
     /// The keys to insert before measurement begins (also recorded in the
@@ -258,58 +235,20 @@ struct RunBuffers {
     values: Vec<Option<u64>>,
 }
 
-/// The three batch entry points a run maps to, abstracted over *how* the
-/// table is reached: exclusively ([`run_chunk`], `&mut T`) or shared
-/// across threads ([`run_chunk_shared`], `&T` behind per-shard locks).
-/// One adapter trait keeps the run segmentation and the model checks in a
-/// single implementation.
-trait RwExec {
-    fn exec_inserts(&mut self, items: &[(u64, u64)], out: &mut [Result<InsertOutcome, TableError>]);
-    fn exec_deletes(&mut self, keys: &[u64], out: &mut [Option<u64>]);
-    fn exec_lookups(&mut self, keys: &[u64], out: &mut [Option<u64>]);
-}
-
-struct MutExec<'a, T: HashTable>(&'a mut T);
-
-impl<T: HashTable> RwExec for MutExec<'_, T> {
-    fn exec_inserts(
-        &mut self,
-        items: &[(u64, u64)],
-        out: &mut [Result<InsertOutcome, TableError>],
-    ) {
-        self.0.insert_batch(items, out)
-    }
-
-    fn exec_deletes(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        self.0.delete_batch(keys, out)
-    }
-
-    fn exec_lookups(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        self.0.lookup_batch(keys, out)
-    }
-}
-
-struct SharedExec<'a, T: ConcurrentTable + ?Sized>(&'a T);
-
-impl<T: ConcurrentTable + ?Sized> RwExec for SharedExec<'_, T> {
-    fn exec_inserts(
-        &mut self,
-        items: &[(u64, u64)],
-        out: &mut [Result<InsertOutcome, TableError>],
-    ) {
-        self.0.insert_batch_shared(items, out)
-    }
-
-    fn exec_deletes(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        self.0.delete_batch_shared(keys, out)
-    }
-
-    fn exec_lookups(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        self.0.lookup_batch_shared(keys, out)
-    }
-}
-
-fn run_chunk_with(exec: &mut dyn RwExec, ops: &[RwOp]) -> Result<Throughput, TableError> {
+/// Execute a chunk against a table, verifying every operation's outcome
+/// against the model's expectation. Returns the chunk throughput.
+///
+/// The stream is executed through the batch API: maximal runs of
+/// same-kind operations (both lookup flavours count as one kind) become
+/// one `*_batch` call each. Batches preserve element order and are
+/// semantically identical to the single-key loop, and operations of
+/// *different* kinds are never reordered — a `LookupHit` of a key
+/// inserted earlier in the same chunk still sees it — so the executed
+/// stream is exactly the generated one. The paper's RW mix yields long
+/// lookup runs at low update percentages (where batching pays most) and
+/// short runs when updates dominate, mirroring how a real engine can only
+/// batch between write barriers.
+pub fn run_chunk<T: HashTable>(table: &mut T, ops: &[RwOp]) -> Result<Throughput, TableError> {
     let mut failure = Ok(());
     let mut checksum = 0u64;
     let mut buf = RunBuffers {
@@ -327,7 +266,7 @@ fn run_chunk_with(exec: &mut dyn RwExec, ops: &[RwOp]) -> Result<Throughput, Tab
                 end += 1;
             }
             let run = &ops[start..end];
-            if let Err(e) = execute_run(exec, kind, run, &mut buf, &mut checksum) {
+            if let Err(e) = execute_run(table, kind, run, &mut buf, &mut checksum) {
                 failure = Err(e);
                 return;
             }
@@ -336,35 +275,6 @@ fn run_chunk_with(exec: &mut dyn RwExec, ops: &[RwOp]) -> Result<Throughput, Tab
     });
     std::hint::black_box(checksum);
     failure.map(|()| throughput)
-}
-
-/// Execute a chunk against a table, verifying every operation's outcome
-/// against the model's expectation. Returns the chunk throughput.
-///
-/// The stream is executed through the batch API: maximal runs of
-/// same-kind operations (both lookup flavours count as one kind) become
-/// one `*_batch` call each. Batches preserve element order and are
-/// semantically identical to the single-key loop, and operations of
-/// *different* kinds are never reordered — a `LookupHit` of a key
-/// inserted earlier in the same chunk still sees it — so the executed
-/// stream is exactly the generated one. The paper's RW mix yields long
-/// lookup runs at low update percentages (where batching pays most) and
-/// short runs when updates dominate, mirroring how a real engine can only
-/// batch between write barriers.
-pub fn run_chunk<T: HashTable>(table: &mut T, ops: &[RwOp]) -> Result<Throughput, TableError> {
-    run_chunk_with(&mut MutExec(table), ops)
-}
-
-/// [`run_chunk`] against a concurrently shared table: the batch calls go
-/// through [`ConcurrentTable`]'s `&self` operations, so any number of
-/// threads can execute their own streams against one table. Per-stream
-/// expectations stay checkable as long as the streams' key populations
-/// are disjoint — which [`RwStream::for_thread`] guarantees.
-pub fn run_chunk_shared<T: ConcurrentTable + ?Sized>(
-    table: &T,
-    ops: &[RwOp],
-) -> Result<Throughput, TableError> {
-    run_chunk_with(&mut SharedExec(table), ops)
 }
 
 /// [`run_chunk`] with per-operation latency instrumentation: the chunk
@@ -427,8 +337,8 @@ pub fn run_chunk_instrumented<T: HashTable>(
     failure.map(|()| throughput)
 }
 
-fn execute_run(
-    exec: &mut dyn RwExec,
+fn execute_run<T: HashTable>(
+    table: &mut T,
     kind: OpKind,
     run: &[RwOp],
     buf: &mut RunBuffers,
@@ -443,7 +353,7 @@ fn execute_run(
             }));
             buf.outcomes.clear();
             buf.outcomes.resize(run.len(), Ok(InsertOutcome::Inserted));
-            exec.exec_inserts(&buf.items, &mut buf.outcomes);
+            table.insert_batch(&buf.items, &mut buf.outcomes);
             if let Some(e) = buf.outcomes.iter().find_map(|o| o.err()) {
                 return Err(e);
             }
@@ -456,7 +366,7 @@ fn execute_run(
             }));
             buf.values.clear();
             buf.values.resize(run.len(), None);
-            exec.exec_deletes(&buf.keys, &mut buf.values);
+            table.delete_batch(&buf.keys, &mut buf.values);
             for (op, v) in run.iter().zip(&buf.values) {
                 debug_assert!(v.is_some(), "delete of live key missed: {op:?}");
                 let _ = (op, v);
@@ -470,7 +380,7 @@ fn execute_run(
             }));
             buf.values.clear();
             buf.values.resize(run.len(), None);
-            exec.exec_lookups(&buf.keys, &mut buf.values);
+            table.lookup_batch(&buf.keys, &mut buf.values);
             for (op, v) in run.iter().zip(&buf.values) {
                 match op {
                     RwOp::LookupHit(k) => {
@@ -490,78 +400,6 @@ fn execute_run(
         }
     }
     Ok(())
-}
-
-/// Run the RW workload against one shared table from `threads` worker
-/// threads, each driving its own disjoint-key [`RwStream`] (see
-/// [`RwStream::for_thread`]) through [`run_chunk_shared`].
-///
-/// `cfg.operations` and `cfg.initial_keys` are the *totals*, split evenly
-/// across threads, so sweeping `threads` at a fixed config measures
-/// scaling of the same amount of work. All threads pre-populate their
-/// share unmeasured, rendezvous at a barrier, then execute their streams;
-/// the returned [`Throughput`] is total operations over the wall-clock
-/// time of the slowest thread — aggregate system throughput, the y-axis
-/// of a thread-scaling plot.
-///
-/// The table must distribute concurrent callers to be worth measuring —
-/// a [`ShardedTable`](sevendim_core::ShardedTable) built with
-/// [`TableBuilder::shards`](sevendim_core::TableBuilder::shards) +
-/// `grow_at` reproduces the paper's growing-table setting with per-shard
-/// growth.
-pub fn run_concurrent<T: ConcurrentTable>(
-    table: &T,
-    cfg: &RwConfig,
-    threads: usize,
-) -> Result<Throughput, TableError> {
-    let threads = threads.max(1);
-    let share = |total: usize, t: usize| total / threads + usize::from(t < total % threads);
-    // The coordinator is the barrier's extra participant: it times the
-    // whole parallel region on its own clock. (Per-thread clocks started
-    // after the barrier undercount on oversubscribed machines — a thread
-    // descheduled before reading its start time reports a shorter span
-    // than it really occupied, inflating aggregate throughput.)
-    let barrier = std::sync::Barrier::new(threads + 1);
-    let (results, elapsed) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let (table, barrier) = (&table, &barrier);
-                let cfg = RwConfig {
-                    initial_keys: share(cfg.initial_keys, t),
-                    operations: share(cfg.operations, t),
-                    ..*cfg
-                };
-                scope.spawn(move || {
-                    let mut stream = RwStream::for_thread(cfg, t);
-                    for key in stream.initial_keys() {
-                        table.insert_shared(key, key)?;
-                    }
-                    barrier.wait();
-                    let mut ops = 0u64;
-                    const CHUNK: usize = 1 << 13;
-                    while let Some(chunk) = stream.next_chunk(CHUNK) {
-                        ops += run_chunk_shared(*table, &chunk)?.ops;
-                    }
-                    Ok::<u64, TableError>(ops)
-                })
-            })
-            .collect();
-        // Clock starts *before* the coordinator enters the barrier: the
-        // workers cannot pass the barrier until the coordinator arrives,
-        // so the region is fully inside [start, join] whatever the
-        // scheduler does. (Starting it after the wait undercounts when
-        // the coordinator is descheduled while workers run.)
-        let start = std::time::Instant::now();
-        barrier.wait();
-        let results: Vec<Result<u64, TableError>> =
-            handles.into_iter().map(|h| h.join().expect("RW worker thread panicked")).collect();
-        (results, start.elapsed())
-    });
-    let mut total_ops = 0u64;
-    for r in results {
-        total_ops += r?;
-    }
-    Ok(Throughput::new(total_ops, elapsed))
 }
 
 #[cfg(test)]
@@ -616,7 +454,7 @@ mod tests {
         }
         // The escape region really is disjoint from every regular
         // finalizer input a stream can produce.
-        const { assert!(ESCAPE_REGION > (1u64 << 62) + (255u64 << 54) + (1 << 54)) };
+        const { assert!(ESCAPE_REGION > 1 << 63) };
     }
 
     #[test]
@@ -718,63 +556,6 @@ mod tests {
         }
         assert_eq!(total_ops, 20_000);
         assert_eq!(table.len(), s.live_len());
-    }
-
-    #[test]
-    fn thread_streams_draw_disjoint_keys() {
-        let mut seen = HashSet::new();
-        for thread in 0..4usize {
-            let mut s = RwStream::for_thread(cfg(50), thread);
-            for k in s.initial_keys() {
-                assert!(seen.insert(k), "thread {thread} repeated initial key {k}");
-            }
-            while let Some(chunk) = s.next_chunk(4096) {
-                for op in chunk {
-                    if let RwOp::Insert(k) | RwOp::LookupMiss(k) = op {
-                        assert!(seen.insert(k), "thread {thread} repeated key {k}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_driver_executes_full_stream() {
-        let table = TableBuilder::new(TableScheme::LinearProbing)
-            .bits(13)
-            .seed(9)
-            .shards(3)
-            .grow_at(0.7)
-            .build_sharded();
-        let cfg = RwConfig { initial_keys: 2000, operations: 30_000, update_pct: 50, seed: 5 };
-        let t = run_concurrent(&table, &cfg, 4).unwrap();
-        assert_eq!(t.ops, 30_000);
-        assert!(t.m_ops_per_sec() > 0.0);
-        // Live entries = initial keys + net inserts, all still reachable
-        // (debug_asserts inside run_chunk_shared verified each op).
-        assert!(table.len_shared() >= 2000);
-    }
-
-    #[test]
-    fn shared_and_exclusive_chunk_execution_agree() {
-        let mut s = RwStream::new(cfg(50));
-        let shared = TableBuilder::new(TableScheme::RobinHood)
-            .bits(12)
-            .seed(4)
-            .shards(2)
-            .grow_at(0.7)
-            .build_sharded();
-        let mut exclusive =
-            TableBuilder::new(TableScheme::RobinHood).bits(12).seed(4).grow_at(0.7).build();
-        for k in s.initial_keys() {
-            shared.insert_shared(k, k).unwrap();
-            exclusive.insert(k, k).unwrap();
-        }
-        while let Some(chunk) = s.next_chunk(1024) {
-            run_chunk_shared(&shared, &chunk).unwrap();
-            run_chunk(&mut exclusive, &chunk).unwrap();
-            assert_eq!(shared.len_shared(), exclusive.len());
-        }
     }
 
     #[test]

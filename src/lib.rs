@@ -18,7 +18,7 @@
 //! |---|---|---|
 //! | [`hash`] | `hashfn` | Multiply-shift, multiply-add-shift, tabulation, Murmur3 finalizer; quality statistics |
 //! | [`tables`] | `sevendim-core` | ChainedH8/H24, LP (AoS + SoA, scalar + AVX2), QP, RH, CuckooH2/3/4, bucketized fingerprint (FP, SSE2 tag scans); growing wrapper; sharded concurrent wrapper; displacement/cluster stats; Figure 8 decision graph |
-//! | [`workload`] | `workloads` | dense/sparse/grid distributions; WORM and RW drivers (single- and multi-threaded) |
+//! | [`workload`] | `workloads` | dense/sparse/grid distributions; WORM and RW runners |
 //! | [`measure`] | `metrics` | throughput, multi-seed statistics, latency histograms, figure-shaped report tables |
 //! | [`ops`] | `query` | hash join, group-by aggregation |
 //! | [`net`] | `sevendim-net` | networked KV service: epoll event loop, `7DKV` binary protocol, pipelined client (Linux) |

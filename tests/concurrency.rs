@@ -12,16 +12,16 @@
 //! * **batch routing** — the same equivalence through the radix-
 //!   partitioned `*_batch` path, random batch sizes with reserved keys
 //!   sprinkled in;
-//! * **multi-thread smoke** — T threads over disjoint key ranges and over
-//!   the RW stream driver against one shared table, verifying nothing is
-//!   lost, duplicated, or torn.
+//! * **multi-thread smoke** — T threads over disjoint key ranges, and
+//!   through an RW mix that checks every outcome against each thread's own
+//!   model, against one shared table, verifying nothing is lost,
+//!   duplicated, or torn.
 
 mod tests_common;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use seven_dim_hashing::prelude::*;
 use seven_dim_hashing::tables::{EMPTY_KEY, TOMBSTONE_KEY};
-use seven_dim_hashing::workload::rw::run_concurrent;
 use std::time::{Duration, Instant};
 
 /// Capacity exponent of the *unsharded* table; the sharded twin splits
@@ -238,11 +238,101 @@ fn threads_with_disjoint_ranges_lose_nothing() {
     }
 }
 
-/// The multi-threaded RW driver over a per-shard-growing table: the full
-/// configured stream executes (every per-thread expectation checked by
-/// `run_chunk_shared`'s debug asserts), across a thread sweep.
+/// One thread's share of the RW mix on a shared table: `initial` inserts,
+/// then `ops` operations in batches of 1..=32 through the shared batch
+/// paths — inserts of fresh keys and replacements, deletes of live and
+/// absent keys, lookups of both — on keys only this thread uses. Every
+/// outcome is checked against the thread's own `HashMap`, which is
+/// returned.
+fn rw_thread(
+    table: &impl ConcurrentTable,
+    thread: u64,
+    initial: usize,
+    ops: usize,
+) -> std::collections::HashMap<u64, u64> {
+    let mut rng = StdRng::seed_from_u64(0x5CA1E ^ thread);
+    let tag = (thread + 1) << 48;
+    let (mut model, mut live, mut next) = (std::collections::HashMap::new(), Vec::new(), 0u64);
+    let mut fresh = || {
+        next += 1;
+        tag | next
+    };
+    // Never inserted: fresh keys stay below bit 40 of the thread's tag.
+    let absent = |rng: &mut StdRng| tag | (1 << 40) | rng.gen::<u32>() as u64;
+    for _ in 0..initial {
+        let key = fresh();
+        assert_eq!(table.insert_shared(key, key), Ok(InsertOutcome::Inserted));
+        model.insert(key, key);
+        live.push(key);
+    }
+    let mut done = 0;
+    while done < ops {
+        let n = rng.gen_range(1..=32usize).min(ops - done);
+        done += n;
+        match rng.gen_range(0..10) {
+            // 40 % inserts, a quarter of them replacing a live key.
+            0..=3 => {
+                let items: Vec<(u64, u64)> = (0..n)
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 if !live.is_empty() => (live[rng.gen_range(0..live.len())], rng.gen()),
+                        _ => {
+                            let key = fresh();
+                            live.push(key);
+                            (key, key)
+                        }
+                    })
+                    .collect();
+                let mut out = vec![Ok(InsertOutcome::Inserted); n];
+                table.insert_batch_shared(&items, &mut out);
+                for (&(key, value), o) in items.iter().zip(&out) {
+                    let expect = model
+                        .insert(key, value)
+                        .map_or(InsertOutcome::Inserted, InsertOutcome::Replaced);
+                    assert_eq!(*o, Ok(expect), "thread {thread}: insert {key}");
+                }
+            }
+            // 10 % deletes, one in eight of an absent key.
+            4 => {
+                let keys: Vec<u64> = (0..n)
+                    .map(|_| match rng.gen_range(0..8) {
+                        0 => absent(&mut rng),
+                        _ if live.is_empty() => absent(&mut rng),
+                        _ => live.swap_remove(rng.gen_range(0..live.len())),
+                    })
+                    .collect();
+                let mut out = vec![None; n];
+                table.delete_batch_shared(&keys, &mut out);
+                for (key, o) in keys.iter().zip(&out) {
+                    assert_eq!(*o, model.remove(key), "thread {thread}: delete {key}");
+                }
+            }
+            // 50 % lookups, a quarter of them misses.
+            _ => {
+                let keys: Vec<u64> = (0..n)
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 => absent(&mut rng),
+                        _ if live.is_empty() => absent(&mut rng),
+                        _ => live[rng.gen_range(0..live.len())],
+                    })
+                    .collect();
+                let mut out = vec![None; n];
+                table.lookup_batch_shared(&keys, &mut out);
+                for (key, o) in keys.iter().zip(&out) {
+                    assert_eq!(*o, model.get(key).copied(), "thread {thread}: lookup {key}");
+                }
+            }
+        }
+    }
+    model
+}
+
+/// The RW mix from several threads over one per-shard-growing table: each
+/// thread checks every outcome on its own keys (see [`rw_thread`]), and
+/// afterwards the table holds exactly the union of the threads' models.
 #[test]
 fn concurrent_rw_driver_sweeps_threads() {
+    const INITIAL: usize = 3000;
+    const OPS: usize = 40_000;
     for threads in [1, 2, 4] {
         let table = TableBuilder::new(TableScheme::LinearProbing)
             .bits(13)
@@ -250,10 +340,21 @@ fn concurrent_rw_driver_sweeps_threads() {
             .concurrency(threads)
             .grow_at(0.7)
             .build_sharded();
-        let cfg = RwConfig { initial_keys: 3000, operations: 40_000, update_pct: 50, seed: 11 };
-        let t = run_concurrent(&table, &cfg, threads).unwrap();
-        assert_eq!(t.ops, 40_000, "{threads} threads: stream truncated");
-        assert!(table.len_shared() >= cfg.initial_keys, "{threads} threads: keys lost");
+        let models: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads as u64)
+                .map(|t| {
+                    let table = &table;
+                    scope.spawn(move || rw_thread(table, t, INITIAL / threads, OPS / threads))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("RW thread panicked")).collect()
+        });
+        let expect: usize = models.iter().map(|m| m.len()).sum();
+        assert_eq!(table.len_shared(), expect, "{threads} threads: entries lost or duplicated");
+        for (k, v) in models.iter().flatten() {
+            assert_eq!(table.lookup_shared(*k), Some(*v), "{threads} threads: key {k}");
+        }
+        assert!(table.stats_shared().rehashes > 0, "{threads} threads: the table never grew");
         // Growth stayed per-shard: no shard exceeds its threshold.
         table.for_each_shard(|i, shard| {
             assert!(shard.load_factor() <= 0.7 + 1e-9, "shard {i} over threshold");
