@@ -24,10 +24,20 @@
 //! Per-op latencies are recorded with [`metrics::LatencyHistogram`]
 //! (log-linear buckets, ≤ 12.5% error). The stream executes through the
 //! single-key API: per-op latency needs per-op boundaries.
+//!
+//! A stream's "growth max" under AllAtOnce is one sample, its last
+//! doubling, and swings from run to run. Beside it each scheme reports
+//! the **median doubling pause**: [`PAUSES`] fresh tables of that
+//! doubling's size, each filled to its threshold and timed over the one
+//! insert that doubles it.
 
 use bench::{emit, grid_builder, parse_args};
+use hashfn::Murmur;
 use metrics::{LatencyHistogram, ReportTable, Series, Throughput};
-use sevendim_core::{DynamicTable, GrowthPolicy, HashKind, HashTable, TableBuilder, TableScheme};
+use sevendim_core::{
+    DynamicTable, GrowthPolicy, HashKind, HashTable, InsertOutcome, TableBuilder, TableScheme,
+};
+use std::time::Instant;
 use workloads::{
     rw::{run_chunk_instrumented, RwStream},
     RwConfig,
@@ -99,6 +109,35 @@ fn run_cell(factory: TableBuilder, policy: GrowthPolicy, cfg: RwConfig) -> CellO
     }
 }
 
+/// Stop-the-world doublings timed per scheme for the median pause.
+const PAUSES: u64 = 12;
+
+/// The median, in nanoseconds, of [`PAUSES`] stop-the-world doublings of
+/// a `2^bits`-slot table: each a fresh table (and seed) filled just under
+/// its growth threshold in one batch, then timed per single-key insert
+/// until one doubles it.
+fn median_doubling_pause(factory: &TableBuilder, bits: u8) -> u64 {
+    let below = (GROW_THRESHOLD * (1u64 << bits) as f64) as u64 - 1;
+    let fill: Vec<(u64, u64)> = (1..below).map(|i| (Murmur::fmix64(i), i)).collect();
+    let mut out = vec![Ok(InsertOutcome::Inserted); fill.len()];
+    let mut pauses: Vec<u64> = (0..PAUSES)
+        .map(|rep| {
+            let mut table = DynamicTable::new(factory.clone(), bits, 0x9A05E ^ rep, GROW_THRESHOLD);
+            table.insert_batch(&fill, &mut out);
+            assert_eq!(table.rehash_count(), 0, "the fill must stay under the threshold");
+            (below..)
+                .find_map(|i| {
+                    let t0 = Instant::now();
+                    table.insert(Murmur::fmix64(i), i).expect("insert");
+                    (table.rehash_count() == 1).then(|| t0.elapsed().as_nanos() as u64)
+                })
+                .expect("the threshold is reached")
+        })
+        .collect();
+    pauses.sort_unstable();
+    pauses[pauses.len() / 2]
+}
+
 fn micros(nanos: u64) -> f64 {
     nanos as f64 / 1e3
 }
@@ -140,8 +179,13 @@ fn main() {
             "mixed",
         );
         let mut headline: Vec<(String, u64, f64)> = Vec::new();
+        let mut last_doubling = 0;
         for &(name, policy) in &POLICIES {
             let out = run_cell(factory.clone(), policy, cfg);
+            if policy == GrowthPolicy::AllAtOnce {
+                // The stream's last doubling ends at its final capacity.
+                last_doubling = out.final_capacity.trailing_zeros() as u8 - 1;
+            }
             panel.push(Series::new(
                 name,
                 vec![
@@ -172,6 +216,12 @@ fn main() {
                 100.0 * mops / aao_mops
             );
         }
+        let pause = median_doubling_pause(&factory, last_doubling);
+        println!(
+            "AllAtOnce: median doubling pause {:.1} ms over {PAUSES} doublings of 2^{last_doubling} \
+             slots (\"growth max\" is one)",
+            pause as f64 / 1e6
+        );
         println!();
     }
 }

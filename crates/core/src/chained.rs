@@ -260,22 +260,24 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> Chained<H, D, A> {
         });
         D::head(slot).filter(|h| h.key != EMPTY_KEY).into_iter().chain(chain)
     }
-}
 
-/// Chained tables allocate and free per-entry heap nodes, so a lock-free
-/// reader could chase a link into freed memory — no optimistic support;
-/// the conservative [`ReadView`](crate::optimistic::ReadView) defaults
-/// route every shared read through the lock.
-impl<H: HashFn64, D: Directory, A: EntryAllocator> crate::optimistic::ReadView
-    for Chained<H, D, A>
-{
-}
-
-impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A> {
-    fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
+    /// The write kernel, one walk over the key's bucket: store `value`
+    /// under a fresh `key`, or `combine(old, value)` over a present one.
+    /// An insert is the upsert whose combine keeps the new value.
+    fn upsert(
+        &mut self,
+        key: u64,
+        value: u64,
+        combine: &impl Fn(u64, u64) -> u64,
+    ) -> Result<InsertOutcome, TableError> {
         if is_reserved_key(key) {
             return Err(TableError::ReservedKey);
         }
+        let fold = |e: &mut Entry| {
+            let old = e.value;
+            e.value = combine(old, value);
+            Ok(InsertOutcome::Replaced(old))
+        };
         let bucket = self.bucket(key);
         let slot = &mut self.directory[bucket];
         if let Some(head) = D::head_mut(slot) {
@@ -286,16 +288,15 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A
                 return Ok(InsertOutcome::Inserted);
             }
             if head.key == key {
-                return Ok(InsertOutcome::Replaced(std::mem::replace(&mut head.value, value)));
+                return fold(head);
             }
         }
-        // Walk the chain: replace on match, remember the tail for append.
+        // Walk the chain: fold on match, remember the tail for append.
         let mut tail: Option<EntryRef> = None;
         let mut cur = D::first(slot);
         while let Some(r) = cur {
             if self.alloc.get(r).key == key {
-                let e = self.alloc.get_mut(r);
-                return Ok(InsertOutcome::Replaced(std::mem::replace(&mut e.value, value)));
+                return fold(self.alloc.get_mut(r));
             }
             tail = Some(r);
             cur = self.alloc.get(r).next;
@@ -313,6 +314,21 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A
         self.len += 1;
         self.chained += 1;
         Ok(InsertOutcome::Inserted)
+    }
+}
+
+/// Chained tables allocate and free per-entry heap nodes, so a lock-free
+/// reader could chase a link into freed memory — no optimistic support;
+/// the conservative [`ReadView`](crate::optimistic::ReadView) defaults
+/// route every shared read through the lock.
+impl<H: HashFn64, D: Directory, A: EntryAllocator> crate::optimistic::ReadView
+    for Chained<H, D, A>
+{
+}
+
+impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A> {
+    fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
+        self.upsert(key, value, &|_, v| v)
     }
 
     #[inline]
@@ -377,6 +393,18 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A
             cur = e.next;
         }
         None
+    }
+
+    fn upsert_batch(
+        &mut self,
+        items: &[(u64, u64)],
+        combine: &dyn Fn(u64, u64) -> u64,
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) {
+        assert_eq!(items.len(), out.len(), "upsert_batch: items and out lengths differ");
+        for (o, &(k, v)) in out.iter_mut().zip(items) {
+            *o = self.upsert(k, v, &combine);
+        }
     }
 
     fn len(&self) -> usize {

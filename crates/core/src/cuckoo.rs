@@ -208,26 +208,26 @@ impl<H: HashFamily, const K: usize> Cuckoo<H, K> {
         }
         Err(TableError::CuckooFailure)
     }
-}
 
-/// A cycle swaps in a whole new slot array (and its functions), which a
-/// lock-free reader could still be probing, and kick chains relocate
-/// unrelated entries mid-probe. A bare cuckoo therefore keeps the
-/// conservative [`ReadView`](crate::optimistic::ReadView) defaults: every
-/// shared read goes through the lock. (The paper's cuckoo workloads are
-/// insert-heavy, where optimistic reads buy nothing.)
-impl<H: HashFamily, const K: usize> crate::optimistic::ReadView for Cuckoo<H, K> {}
-
-impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
-    fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
+    /// The write kernel: store `value` under a fresh `key`, or
+    /// `combine(old, value)` over a present one. An insert is the upsert
+    /// whose combine keeps the new value.
+    fn upsert(
+        &mut self,
+        key: u64,
+        value: u64,
+        combine: &impl Fn(u64, u64) -> u64,
+    ) -> Result<InsertOutcome, TableError> {
         if is_reserved_key(key) {
             return Err(TableError::ReservedKey);
         }
         // Map semantics: check all K candidate slots for the key first.
         for t in 0..K {
             let pos = self.slot_of(t, key);
-            if self.slots[pos].key == key {
-                let old = std::mem::replace(&mut self.slots[pos].value, value);
+            let slot = &mut self.slots[pos];
+            if slot.key == key {
+                let old = slot.value;
+                slot.value = combine(old, value);
                 return Ok(InsertOutcome::Replaced(old));
             }
         }
@@ -249,6 +249,20 @@ impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
                 self.rehash(pair).map(|()| InsertOutcome::Inserted)
             }
         }
+    }
+}
+
+/// A cycle swaps in a whole new slot array (and its functions), which a
+/// lock-free reader could still be probing, and kick chains relocate
+/// unrelated entries mid-probe. A bare cuckoo therefore keeps the
+/// conservative [`ReadView`](crate::optimistic::ReadView) defaults: every
+/// shared read goes through the lock. (The paper's cuckoo workloads are
+/// insert-heavy, where optimistic reads buy nothing.)
+impl<H: HashFamily, const K: usize> crate::optimistic::ReadView for Cuckoo<H, K> {}
+
+impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
+    fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
+        self.upsert(key, value, &|_, v| v)
     }
 
     #[inline]
@@ -307,21 +321,22 @@ impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
         });
     }
 
-    fn insert_batch(
+    fn upsert_batch(
         &mut self,
         items: &[(u64, u64)],
+        combine: &dyn Fn(u64, u64) -> u64,
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
         // Prefetch-only pass: a cycle swaps in a fresh table with new
         // functions, so candidate slots cannot be reused across elements —
-        // but warming the K lines each insert touches first still overlaps
+        // but warming the K lines each write touches first still overlaps
         // the misses of the common no-kick case.
         two_pass(
             self,
             items,
             out,
             |t, (k, _)| t.prefetch_candidates(k),
-            |t, (k, v), _| t.insert(k, v),
+            |t, (k, v), _| t.upsert(k, v, &combine),
         );
     }
 
@@ -515,11 +530,12 @@ mod tests {
 
     #[test]
     fn fresh_table_swaps_keep_the_model() {
-        // Four kicks per chain: cycles at half load, so every model check
-        // runs across swapped-in tables.
+        // Eight kicks per chain: cycles at the model check's 70 % load, so
+        // every model check runs across swapped-in tables, and no cycle
+        // refuses.
         for seed in 0..8 {
             let mut t = Cuckoo::<Murmur, 4>::with_seed(8, seed);
-            t.set_max_kicks(4);
+            t.set_max_kicks(8);
             check_against_model(&mut t, 10_000, 0x5A9 ^ seed);
             assert!(t.rehash_count() > 0, "seed {seed}: no cycle to test");
         }

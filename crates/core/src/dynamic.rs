@@ -24,7 +24,7 @@
 //!   a growth step: the doubling allocates the next generation and takes
 //!   over all inserts, while up to `step` old-generation entries migrate
 //!   per subsequent mutating operation (a batch call pays `step × len`
-//!   in one step: `delete_batch` for the batch, `insert_batch` for each
+//!   in one step: `delete_batch` for the batch, `upsert_batch` for each
 //!   headroom run). The drain walks the old generation from a cursor
 //!   ([`HashTable::walk`]) — nothing is copied — and moves a budget in
 //!   runs of up to 64 entries, one `delete_batch` out of it and one
@@ -50,24 +50,29 @@
 //! table can reach (2^32 slots, where growth stops), while `f64`
 //! comparisons can misplace the trigger by an entry.
 //!
-//! # Batched inserts: headroom runs
+//! # Batched writes: headroom runs
 //!
-//! An insert is the one operation that can grow the table, and a growth
+//! A write is the one operation that can grow the table, and a growth
 //! step invalidates whatever a batch kernel precomputed. But the trigger
 //! is a count: with `h = floor(threshold × capacity) − len` entries of
-//! *headroom*, no sequence of `h` inserts can cross the threshold — a
+//! *headroom*, no sequence of `h` writes can cross the threshold — a
 //! fresh key uses one entry, a replacement none. So
-//! [`HashTable::insert_batch`] cuts a batch into **headroom runs** of
-//! `min(h, remaining)` items. A run pays its policy tick and drain budget
-//! once, goes to the current generation's `insert_batch` (the
-//! hash-then-prefetch kernels) in one call, and claims replaced values
-//! from the draining generation with one `delete_batch` over the keys
-//! that came back `Inserted`. The element that meets `h == 0` takes the
-//! single-key `insert`, which does the replacement check and may grow;
-//! the next run is cut against the new generation. Growth therefore
-//! fires on exactly the element it fires on one key at a time, and
-//! outcomes, `len`, `capacity` and the rehash count after a batch equal
-//! those of single-key calls. (One exception, for capacity and rehash
+//! [`HashTable::upsert_batch`], and with it `insert_batch`, its keep-new
+//! case, cuts a batch into **headroom runs** of `min(h, remaining)` items.
+//! A run pays its policy tick and drain budget once and goes to the
+//! current generation's `upsert_batch` (the hash-then-prefetch kernels).
+//! While a drain is in flight the run **claims first**: one `delete_batch`
+//! of its keys takes their copies out of the draining generation, each
+//! found value is folded into its item (which then reports
+//! `Replaced(old)`), and only then does the kernel run, so a key that
+//! repeats within the run folds onto the claimed value. At `h == 0` the
+//! run is the one element that may cross the threshold: as in the
+//! single-key `insert`, a replacement check (one probe of each
+//! generation) tells whether it is fresh, a fresh key grows the table
+//! first, and the next run is cut against the new generation. Growth
+//! therefore fires on exactly the element it fires on one key at a time,
+//! and outcomes, `len`, `capacity` and the rehash count after a batch
+//! equal those of single-key calls. (One exception, for capacity and rehash
 //! count only: a cuckoo table pushed past its load limit rebuilds when a
 //! kick chain fails, which depends on the slot layout, and paying the
 //! drain up front lays slots out in a different order.)
@@ -150,7 +155,7 @@ pub enum GrowthPolicy {
     /// generation, then every mutating operation drains up to `step`
     /// old-generation entries until the old generation is empty; a batch
     /// call pays for its elements in one step (`step × len` per
-    /// `delete_batch`, per headroom run of an `insert_batch`). `step`
+    /// `delete_batch`, per headroom run of a batched write). `step`
     /// must be ≥ 1 — that rate already guarantees the drain finishes
     /// before the next doubling can trigger, and a run never holds more
     /// inserts than the threshold leaves room for.
@@ -347,19 +352,11 @@ impl<F: TableFactory> DynamicTable<F> {
     }
 
     /// Fresh keys the table can still take before one would cross the
-    /// growth threshold. While this is `n`, no run of `n` inserts — fresh
+    /// growth threshold. While this is `n`, no run of `n` writes — fresh
     /// keys or replacements — can trigger growth, which is what lets
-    /// [`HashTable::insert_batch`] hand whole runs to the inner kernel.
+    /// [`HashTable::upsert_batch`] hand whole runs to the inner kernel.
     fn headroom(&self) -> usize {
         growth_limit(self.threshold_fp, self.inner.capacity()).saturating_sub(self.len())
-    }
-
-    /// Whether `key` is live in either generation — the replacement check
-    /// of an insert that meets the threshold. Not a user lookup, so it
-    /// bypasses the runtime counters.
-    fn contains(&self, key: u64) -> bool {
-        self.inner.lookup(key).is_some()
-            || self.old.as_ref().is_some_and(|g| g.table.lookup(key).is_some())
     }
 
     /// Seed for a generation rebuilt at `bits` on retry `attempt`.
@@ -482,17 +479,16 @@ impl<F: TableFactory> DynamicTable<F> {
 
     /// Migrate up to `budget` old-generation entries, a run of up to
     /// [`WALK_RUN`] at a time: a run walks the draining generation from
-    /// its cursor, takes what it met out with one `delete_batch` and puts
-    /// it into the current generation with one `insert_batch` — the
-    /// hash-and-prefetch kernels, so the run's cache misses overlap. The
-    /// cursor then rests on the run's first unit, which the next walk
-    /// re-reads from L1 (the [`HashTable::walk`] contract: no delete moves
-    /// an entry before the run's first unit). The budget counts moved
-    /// entries, so the drain still ends before the next doubling; it ends
-    /// when the old generation is empty.
+    /// its cursor and writes what it met through
+    /// [`DynamicTable::write_run`], which claims it out with one
+    /// `delete_batch` and puts it into the current generation with one
+    /// `upsert_batch` — the hash-and-prefetch kernels, so the run's cache
+    /// misses overlap. The cursor then rests on the run's first unit,
+    /// which the next walk re-reads from L1 (the [`HashTable::walk`]
+    /// contract: no delete moves an entry before the run's first unit).
+    /// The budget counts moved entries, so the drain still ends before the
+    /// next doubling; it ends when the old generation is empty.
     fn migrate_step(&mut self, budget: usize) -> Result<(), TableError> {
-        let mut keys = [0u64; WALK_RUN];
-        let mut found = [None; WALK_RUN];
         let mut moves = [(0u64, 0u64); WALK_RUN];
         let mut placed = [Ok(InsertOutcome::Inserted); WALK_RUN];
         let mut left = budget;
@@ -502,7 +498,7 @@ impl<F: TableFactory> DynamicTable<F> {
             let (mut n, mut first) = (0, None);
             gen.table.walk(gen.cursor, &mut |unit, key, value| {
                 first.get_or_insert(unit);
-                (keys[n], moves[n]) = (key, (key, value));
+                moves[n] = (key, value);
                 n += 1;
                 n < want
             });
@@ -520,24 +516,15 @@ impl<F: TableFactory> DynamicTable<F> {
             };
             gen.cursor = first;
             left -= n;
-            gen.table.delete_batch(&keys[..n], &mut found[..n]);
-            debug_assert!(found[..n].iter().zip(&moves[..n]).all(|(f, m)| *f == Some(m.1)));
-            self.inner.insert_batch(&moves[..n], &mut placed[..n]);
+            // Capacity pressure in the new generation (cuckoo cycles) has
+            // merged both generations through the stop-the-world fallback;
+            // a factory's memory budget left its refused entries where
+            // they were and propagates. Entries the run placed stay moved.
+            self.write_run(&moves[..n], &|_, v| v, &mut placed[..n]);
             if let Some(e) = placed[..n].iter().find_map(|o| o.err()) {
-                // Restore every refused entry, then recover: capacity
-                // pressure in the new generation (cuckoo cycles) merges
-                // both generations through the stop-the-world fallback;
-                // anything else (a factory's memory budget) propagates.
-                // Entries the run placed stay moved.
-                let refused = moves[..n].iter().zip(&placed[..n]).filter(|(_, o)| o.is_err());
-                for (&(key, value), _) in refused {
-                    let _ = gen.table.insert(key, value);
-                }
-                return match e {
-                    TableError::TableFull | TableError::CuckooFailure => self.rebuild(self.bits, 1),
-                    e => Err(e),
-                };
+                return Err(e);
             }
+            let Some(gen) = self.old.as_mut() else { return Ok(()) };
             if gen.table.is_empty() {
                 self.drop_old();
                 return Ok(());
@@ -599,9 +586,9 @@ impl<F: TableFactory> DynamicTable<F> {
         }
     }
 
-    /// What `ops` inserts owe before they touch the table: the policy
-    /// tick and `step × ops` of the incremental drain.
-    fn pay_for_inserts(&mut self, ops: usize) -> Result<(), TableError> {
+    /// What `ops` mutating operations owe before they touch the table:
+    /// the policy tick and `step × ops` of the incremental drain.
+    fn pay(&mut self, ops: usize) -> Result<(), TableError> {
         self.policy_tick(ops as u64)?;
         if self.old.is_some() {
             self.migrate_step(self.step_budget().saturating_mul(ops))?;
@@ -609,95 +596,108 @@ impl<F: TableFactory> DynamicTable<F> {
         Ok(())
     }
 
-    /// The insert proper, for a non-reserved key whose tick and drain
-    /// step are already paid: grow if this key would cross the threshold,
-    /// insert into the current generation (rebuilding on capacity pressure
-    /// the threshold missed), and claim any draining-generation copy.
-    fn insert_paid(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        // Grow *before* the threshold is crossed. Lookups of existing keys
-        // (replacements) never trigger growth, matching the paper's
-        // element-count-based rehash policy.
+    /// Grow *before* a fresh key crosses the threshold. A replacement
+    /// never grows, matching the paper's element-count-based rehash
+    /// policy. The replacement check probes each generation directly: it
+    /// is not a user lookup, so the runtime counters do not see it.
+    fn grow_for(&mut self, key: u64) -> Result<(), TableError> {
         if crosses_threshold(self.threshold_fp, self.len() + 1, self.inner.capacity())
-            && !self.contains(key)
+            && !is_reserved_key(key)
+            && self.inner.lookup(key).is_none()
+            && self.old.as_ref().is_none_or(|g| g.table.lookup(key).is_none())
         {
             self.begin_generation(self.bits + 1, None)?;
         }
-        // Insert into the current generation *first*: if it fails, the
-        // table is untouched (claiming the key from the draining
-        // generation before a fallible insert would lose the entry on the
-        // error path). Only on success is any old-generation copy of the
-        // key claimed, restoring generation disjointness and supplying
-        // the replaced value.
+        Ok(())
+    }
+
+    /// The single-key insert, its tick and drain step paid: grow if the
+    /// key would cross the threshold, insert into the current generation
+    /// (rebuilding on capacity pressure the threshold missed — it doubles,
+    /// as in [`DynamicTable::write_run`]), and only then claim any
+    /// draining-generation copy, so a refused insert leaves it in place.
+    fn insert_paid(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
+        self.grow_for(key)?;
         let outcome = loop {
             match self.inner.insert(key, value) {
                 Ok(outcome) => break outcome,
-                Err(TableError::TableFull) | Err(TableError::CuckooFailure) => {
-                    // Capacity pressure the threshold missed (e.g. cuckoo
-                    // cycles below threshold): rebuild and retry. The
-                    // rebuild merges any draining generation, so a retried
-                    // insert reports replacements naturally. It doubles: a
-                    // cuckoo refuses only after its cycle has tried
-                    // `max_rehash_attempts` fresh tables at this size.
+                Err(TableError::TableFull | TableError::CuckooFailure) => {
                     self.rebuild(self.bits + 1, 0)?;
                 }
-                // A reserved key was rejected above; a memory budget that
-                // refuses the insert must reach the caller — growing on
-                // it would allocate more while already over budget.
                 Err(e) => return Err(e),
             }
         };
-        let prev_old = self.old.as_mut().and_then(|g| g.table.delete(key));
-        Ok(match prev_old {
-            Some(prev) => {
-                debug_assert_eq!(
-                    outcome,
-                    InsertOutcome::Inserted,
-                    "key was in both generations at once"
-                );
-                InsertOutcome::Replaced(prev)
-            }
+        Ok(match self.old.as_mut().and_then(|g| g.table.delete(key)) {
+            Some(prev) => InsertOutcome::Replaced(prev),
             None => outcome,
         })
     }
 
-    /// Insert a *headroom run*: at most [`DynamicTable::headroom`] items,
-    /// so no element can cross the growth threshold and the whole run
-    /// goes to the current generation's (prefetching) `insert_batch` in
-    /// one call, after the run's tick and drain budget are paid in one
-    /// step.
-    fn insert_run(&mut self, items: &[(u64, u64)], out: &mut [Result<InsertOutcome, TableError>]) {
-        // Reserved keys are inert in the single-key path: they owe nothing.
-        let ops = items.iter().filter(|&&(k, _)| !is_reserved_key(k)).count();
-        if self.pay_for_inserts(ops).is_err() {
-            // The drain or a controller's switch met a factory memory budget.
-            // Cold: let every element meet it on its own.
-            for (o, &(k, v)) in out.iter_mut().zip(items) {
-                *o = self.insert(k, v);
-            }
-            return;
-        }
-        self.stats.record_inserts(ops as u64);
-        debug_assert!(items.len() <= self.headroom(), "run longer than its headroom");
+    /// Write a paid run that cannot cross the growth threshold through the
+    /// current generation's `upsert_batch`. While a drain is in flight,
+    /// each [`WALK_RUN`] items claim first: one `delete_batch` takes their
+    /// keys' copies out of the draining generation, and each found value is
+    /// folded into its item, which reports `Replaced(old)` (claiming after
+    /// the kernel could not fold a key that repeats within the run). A
+    /// cuckoo cycle's refusal takes the refused item and all after it back
+    /// out, claims included, rebuilds, and replays them in order.
+    fn write_run(
+        &mut self,
+        items: &[(u64, u64)],
+        combine: &dyn Fn(u64, u64) -> u64,
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) {
+        // Filled only while a drain is in flight.
+        let (mut keys, mut claims, mut folded);
         let mut from = 0;
         while from < items.len() {
-            let (items, out) = (&items[from..], &mut out[from..]);
-            self.inner.insert_batch(items, out);
-            // Capacity pressure below the threshold (a cuckoo cycle): the
-            // single-key path rebuilds and retries at that element, and
-            // everything after it lands in the rebuilt table.
-            let failed = out
+            let (chunk, claimed): (_, &mut [Option<u64>]) = match self.old.as_mut() {
+                None => (&items[from..], &mut []),
+                Some(gen) => {
+                    (keys, claims, folded) =
+                        ([0u64; WALK_RUN], [None; WALK_RUN], [(0, 0); WALK_RUN]);
+                    let chunk = &items[from..items.len().min(from + WALK_RUN)];
+                    let n = chunk.len();
+                    for (k, &(key, _)) in keys.iter_mut().zip(chunk) {
+                        *k = key;
+                    }
+                    gen.table.delete_batch(&keys[..n], &mut claims[..n]);
+                    for ((f, &(k, v)), c) in folded.iter_mut().zip(chunk).zip(&claims[..n]) {
+                        *f = (k, c.map_or(v, |old| combine(old, v)));
+                    }
+                    (&folded[..n], &mut claims[..n])
+                }
+            };
+            let out = &mut out[from..from + chunk.len()];
+            self.inner.upsert_batch(chunk, combine, out);
+            let refused = out
                 .iter()
                 .position(|o| matches!(o, Err(TableError::TableFull | TableError::CuckooFailure)));
-            let done = failed.unwrap_or(items.len());
-            // Before any rebuild: it merges the generations, which must
-            // be disjoint.
-            self.claim_replaced(&items[..done], &mut out[..done]);
-            let Some(at) = failed else { break };
-            // The kernel ran on past the failure. Take those elements
-            // back out, newest first, so the retry and the rest of the
-            // run replay in order (a later duplicate of the failed key
-            // must replace it, not be replaced by it).
-            for (&(key, _), o) in items[at + 1..].iter().zip(&out[at + 1..]).rev() {
+            let done = refused.unwrap_or(chunk.len());
+            for ((o, c), &(key, _)) in out[..done].iter_mut().zip(&*claimed).zip(chunk) {
+                match (*c, *o) {
+                    (Some(old), Ok(_)) => {
+                        debug_assert!(*o == Ok(InsertOutcome::Inserted), "key in both generations");
+                        *o = Ok(InsertOutcome::Replaced(old));
+                    }
+                    // A memory budget refused the write: the claimed copy
+                    // goes back, as if never claimed.
+                    (Some(old), Err(_)) => {
+                        let gen = self.old.as_mut().expect("claimed from a draining generation");
+                        let _ = gen.table.insert(key, old);
+                    }
+                    (None, _) => {}
+                }
+            }
+            let Some(at) = refused else {
+                from += chunk.len();
+                continue;
+            };
+            // The kernel ran on past the refusal. Take those elements
+            // back out, newest first, so the refused one and the rest
+            // replay in order (a later duplicate of the refused key must
+            // replace it, not be replaced by it).
+            for (i, (&(key, _), o)) in chunk.iter().zip(&*out).enumerate().skip(at).rev() {
                 match *o {
                     Ok(InsertOutcome::Inserted) => {
                         self.inner.delete(key);
@@ -708,39 +708,18 @@ impl<F: TableFactory> DynamicTable<F> {
                     }
                     Err(_) => {}
                 }
+                if let (Some(&Some(old)), Some(gen)) = (claimed.get(i), self.old.as_mut()) {
+                    let _ = gen.table.insert(key, old);
+                }
             }
-            out[at] = self.insert_paid(items[at].0, items[at].1);
-            from += at + 1;
-        }
-    }
-
-    /// Second-generation pass of a run of inserts: a key the current
-    /// generation reported `Inserted` may still have a copy in the
-    /// draining one. One `delete_batch` over those keys claims the copies
-    /// (restoring generation disjointness) and turns their outcomes into
-    /// `Replaced(prev)` — [`retry_misses`] for inserts.
-    fn claim_replaced(
-        &mut self,
-        items: &[(u64, u64)],
-        out: &mut [Result<InsertOutcome, TableError>],
-    ) {
-        let Some(gen) = self.old.as_mut() else { return };
-        const CHUNK: usize = 64;
-        const FRESH: Result<InsertOutcome, TableError> = Ok(InsertOutcome::Inserted);
-        let (mut keys, mut prev) = ([0u64; CHUNK], [None; CHUNK]);
-        for (ic, oc) in items.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let mut n = 0;
-            for (&(k, _), _) in ic.iter().zip(oc.iter()).filter(|(_, o)| **o == FRESH) {
-                keys[n] = k;
-                n += 1;
-            }
-            if n == 0 {
-                continue;
-            }
-            gen.table.delete_batch(&keys[..n], &mut prev[..n]);
-            for (o, p) in oc.iter_mut().filter(|o| **o == FRESH).zip(&prev[..n]) {
-                if let Some(p) = *p {
-                    *o = Ok(InsertOutcome::Replaced(p));
+            // The rebuild merges the (again disjoint) generations. It
+            // doubles: a cuckoo refuses only after its cycle has tried
+            // `max_rehash_attempts` fresh tables at this size.
+            match self.rebuild(self.bits + 1, 0) {
+                Ok(()) => from += at,
+                Err(e) => {
+                    out[at] = Err(e);
+                    from += at + 1;
                 }
             }
         }
@@ -840,7 +819,7 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
         }
         self.free_retired();
         self.stats.record_inserts(1);
-        self.pay_for_inserts(1)?;
+        self.pay(1)?;
         self.insert_paid(key, value)
     }
 
@@ -872,7 +851,7 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
     // straight to the inner table's (prefetching) overrides whenever no
     // migration is in flight; mid-migration they run the two-pass on the
     // new generation and re-probe only the misses against the old one.
-    // Inserts can grow it, so `insert_batch` cuts the batch into headroom
+    // Writes can grow it, so `upsert_batch` cuts the batch into headroom
     // runs first (see its comment).
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
         // Stats cost per *batch*, not per key: one or two fetch_adds at
@@ -887,31 +866,41 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
         self.stats.record_lookups(keys.len() as u64, misses_in(out));
     }
 
-    fn insert_batch(
+    fn upsert_batch(
         &mut self,
         items: &[(u64, u64)],
+        combine: &dyn Fn(u64, u64) -> u64,
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        assert_eq!(items.len(), out.len(), "insert_batch: items and out lengths differ");
+        assert_eq!(items.len(), out.len(), "upsert_batch: items and out lengths differ");
         self.free_retired();
         // Cut the batch into headroom runs (module docs): with `h`
-        // entries of headroom no `h` inserts can cross the growth
-        // threshold, so the per-key check is a no-op for a whole run and
-        // the inner kernel takes it in one call. Only the element that
-        // meets `h == 0` needs the single-key path's replacement check —
-        // it may grow the table, and the next run is cut against the new
-        // generation.
+        // entries of headroom no `h` writes can cross the growth
+        // threshold, so the inner kernel takes a whole run in one call.
+        // At `h == 0` the run is the one element that may cross it.
         let mut at = 0;
         while at < items.len() {
-            let headroom = self.headroom();
-            if headroom == 0 {
-                out[at] = self.insert(items[at].0, items[at].1);
+            let end = items.len().min(at + self.headroom().max(1));
+            let (run, out) = (&items[at..end], &mut out[at..end]);
+            // Reserved keys are inert: they owe no tick and no drain step,
+            // and never grow the table.
+            let key = run[0].0;
+            let ops = run.iter().filter(|&&(k, _)| !is_reserved_key(k)).count();
+            if let Err(e) = self.pay(ops) {
+                // The drain or a controller's switch met a factory memory
+                // budget: the element fails with it, as one key would.
+                out[0] = Err(if is_reserved_key(key) { TableError::ReservedKey } else { e });
                 at += 1;
-            } else {
-                let end = items.len().min(at + headroom);
-                self.insert_run(&items[at..end], &mut out[at..end]);
-                at = end;
+                continue;
             }
+            at = end;
+            self.stats.record_inserts(ops as u64);
+            if let Err(e) = self.grow_for(key) {
+                out[0] = Err(e);
+                continue;
+            }
+            debug_assert!(run.len() <= self.headroom().max(1), "run longer than its headroom");
+            self.write_run(run, combine, out);
         }
     }
 
@@ -1095,7 +1084,8 @@ mod tests {
     #[test]
     fn model_semantics_preserved_across_growth() {
         let mut t = DynamicTable::new(factory(TableScheme::Quadratic, HashKind::Murmur), 4, 5, 0.7);
-        check_against_model(&mut t, 4000, 0xD1);
+        check_against_model_over(&mut t, 4000, 0xD1, 1024);
+        assert!(t.rehash_count() >= 5, "the model stream must grow the table");
     }
 
     #[test]
@@ -1108,7 +1098,8 @@ mod tests {
                 0.7,
                 GrowthPolicy::Incremental { step },
             );
-            check_against_model(&mut t, 4000, 0xD1);
+            check_against_model_over(&mut t, 4000, 0xD1, 1024);
+            assert!(t.rehash_count() >= 5, "step {step}: the model stream must grow the table");
         }
     }
 
@@ -1442,6 +1433,32 @@ mod tests {
             assert!(t.lookup(k).is_some(), "key {k} lost by a failed replacement");
         }
         assert_eq!(t.len(), len_before, "failed replacements changed len");
+    }
+
+    #[test]
+    fn a_budget_refusing_a_claimed_write_keeps_its_draining_copy() {
+        // The batch claims first: a key's draining copy leaves before the
+        // kernel writes it, so a write the budget refuses must put the
+        // copy back (the scenario of the single-key test above).
+        let factory = BudgetedChained8 { budget_bytes: (1 << 7) * 8 + 60 * 24 };
+        let mut t =
+            DynamicTable::with_policy(factory, 6, 1, 0.5, GrowthPolicy::Incremental { step: 1 });
+        let mut live = 0u64;
+        while t.insert(live + 1, live + 1).is_ok() {
+            live += 1;
+        }
+        assert!(t.is_migrating(), "scenario must hit the budget mid-migration");
+        // Room for one more entry, which the next write's one-entry drain
+        // step takes; then the claimed key cannot be written.
+        let moved = (1..=live).find(|&k| t.inner.lookup(k).is_some()).expect("a moved key");
+        assert_eq!(t.delete(moved), Some(moved));
+        let (_, unmoved) = *drain_order(&t).last().expect("entries left to drain");
+        let len = t.len();
+        let mut out = [Ok(InsertOutcome::Inserted)];
+        t.upsert_batch(&[(unmoved, 5)], &|old, v| old + v, &mut out);
+        assert_eq!(out, [Err(TableError::MemoryBudgetExceeded)]);
+        assert_eq!(t.lookup(unmoved), Some(unmoved), "the refused write lost its key");
+        assert_eq!(t.len(), len);
     }
 
     #[test]
@@ -2064,6 +2081,20 @@ mod tests {
             }
             self.0.insert(key, value)
         }
+        fn upsert_batch(
+            &mut self,
+            items: &[(u64, u64)],
+            combine: &dyn Fn(u64, u64) -> u64,
+            out: &mut [Result<InsertOutcome, TableError>],
+        ) {
+            for (item, o) in items.chunks(1).zip(out.chunks_mut(1)) {
+                if item[0].0 == JINXED_KEY && self.0.capacity() == self.1 {
+                    o[0] = Err(TableError::CuckooFailure);
+                } else {
+                    self.0.upsert_batch(item, combine, o);
+                }
+            }
+        }
         fn lookup(&self, key: u64) -> Option<u64> {
             self.0.lookup(key)
         }
@@ -2110,6 +2141,14 @@ mod tests {
     impl HashTable for Colossal {
         fn insert(&mut self, _: u64, _: u64) -> Result<InsertOutcome, TableError> {
             panic!("insert into a colossal table");
+        }
+        fn upsert_batch(
+            &mut self,
+            _: &[(u64, u64)],
+            _: &dyn Fn(u64, u64) -> u64,
+            _: &mut [Result<InsertOutcome, TableError>],
+        ) {
+            panic!("upsert into a colossal table");
         }
         fn lookup(&self, _: u64) -> Option<u64> {
             None

@@ -203,15 +203,16 @@ impl std::error::Error for TableError {}
 /// Query processing feeds tables keys in bulk (join probes, group-by
 /// updates), so every operation also exists in a `*_batch` form that is
 /// **semantically identical** to calling the single-key form element by
-/// element, in order. The defaults are exactly that loop; the
-/// open-addressing tables override them with a two-pass hash-then-probe
-/// implementation that precomputes home slots and issues software
-/// prefetches so independent cache misses overlap (see
-/// [`simd::prefetch_read`]). The one batch form with no single-key twin
-/// is [`HashTable::upsert_batch`], a group-by's update (insert, or fold
-/// into the present value): its default is the element-wise `lookup` +
-/// `insert` loop, and open addressing runs it as one probe per item
-/// through its insert kernel.
+/// element, in order. The read and delete defaults are exactly that loop;
+/// the open-addressing and cuckoo tables override them with a two-pass
+/// hash-then-probe implementation that precomputes candidate slots and
+/// issues software prefetches so independent cache misses overlap (see
+/// [`simd::prefetch_read`]).
+///
+/// Writes have one batched form, [`HashTable::upsert_batch`], which every
+/// table implements: a group-by's update (insert, or fold into the present
+/// value) in one probe per item. [`HashTable::insert_batch`] is its
+/// keep-new case, so each table has one batched write path.
 ///
 /// # Optimistic reads
 ///
@@ -258,7 +259,8 @@ pub trait HashTable: optimistic::ReadView {
     /// Insert every `(key, value)` of `items` in order, recording each
     /// outcome in `out[i]`, exactly as if [`HashTable::insert`] had been
     /// called element by element (later elements still run after an
-    /// earlier element fails).
+    /// earlier element fails): the [`HashTable::upsert_batch`] that keeps
+    /// the new value.
     ///
     /// # Panics
     /// Panics if `items.len() != out.len()`.
@@ -267,10 +269,7 @@ pub trait HashTable: optimistic::ReadView {
         items: &[(u64, u64)],
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        assert_eq!(items.len(), out.len(), "insert_batch: items and out lengths differ");
-        for (o, &(k, v)) in out.iter_mut().zip(items) {
-            *o = self.insert(k, v);
-        }
+        self.upsert_batch(items, &|_, v| v, out)
     }
 
     /// Delete `keys[i]` into `out[i]` for every `i`, exactly as if
@@ -289,8 +288,8 @@ pub trait HashTable: optimistic::ReadView {
     /// outcome in `out[i]`: if `key` is present with value `old`, store
     /// `combine(old, value)` and report [`InsertOutcome::Replaced`]`(old)`;
     /// otherwise store `value` and report [`InsertOutcome::Inserted`].
-    /// Exactly the element-wise [`HashTable::lookup`] +
-    /// [`HashTable::insert`] loop, which is the default (later elements
+    /// Element-wise, the same as [`HashTable::lookup`] followed by
+    /// [`HashTable::insert`], but in one probe per item (later elements
     /// still run after an earlier element fails; a reserved key is
     /// refused and changes nothing).
     ///
@@ -301,15 +300,7 @@ pub trait HashTable: optimistic::ReadView {
         items: &[(u64, u64)],
         combine: &dyn Fn(u64, u64) -> u64,
         out: &mut [Result<InsertOutcome, TableError>],
-    ) {
-        assert_eq!(items.len(), out.len(), "upsert_batch: items and out lengths differ");
-        for (o, &(k, v)) in out.iter_mut().zip(items) {
-            *o = match self.lookup(k) {
-                Some(old) => self.insert(k, combine(old, v)),
-                None => self.insert(k, v),
-            };
-        }
-    }
+    );
 
     /// Number of live entries.
     fn len(&self) -> usize;
@@ -372,9 +363,11 @@ pub trait HashTable: optimistic::ReadView {
     }
 }
 
-/// Boxed tables are tables: every call — including the batch forms, so a
-/// `Box<dyn HashTable>` still reaches the prefetching overrides through
-/// the vtable — delegates to the boxed value. This is what lets
+/// Boxed tables are tables: every method some table overrides — including
+/// the batch forms, so a `Box<dyn HashTable>` still reaches the
+/// prefetching kernels through the vtable — delegates to the boxed value;
+/// the rest (`insert_batch` over the forwarded `upsert_batch`, `is_empty`,
+/// `load_factor`, `for_each`) are the provided ones. This is what lets
 /// [`TableBuilder`]-built trait objects flow through every generic
 /// workload driver unchanged.
 impl<T: HashTable + ?Sized> HashTable for Box<T> {
@@ -398,14 +391,6 @@ impl<T: HashTable + ?Sized> HashTable for Box<T> {
         (**self).lookup_batch(keys, out)
     }
 
-    fn insert_batch(
-        &mut self,
-        items: &[(u64, u64)],
-        out: &mut [Result<InsertOutcome, TableError>],
-    ) {
-        (**self).insert_batch(items, out)
-    }
-
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
         (**self).delete_batch(keys, out)
     }
@@ -423,16 +408,8 @@ impl<T: HashTable + ?Sized> HashTable for Box<T> {
         (**self).len()
     }
 
-    fn is_empty(&self) -> bool {
-        (**self).is_empty()
-    }
-
     fn capacity(&self) -> usize {
         (**self).capacity()
-    }
-
-    fn load_factor(&self) -> f64 {
-        (**self).load_factor()
     }
 
     fn memory_bytes(&self) -> usize {

@@ -829,17 +829,6 @@ impl<H: HashFn64, L: Layout, S: Step> OpenAddressing<H, L, S> {
         }
     }
 
-    /// [`HashTable::insert`] with a precomputed `home` slot.
-    #[inline]
-    fn insert_from(
-        &mut self,
-        home: usize,
-        key: u64,
-        value: u64,
-    ) -> Result<InsertOutcome, TableError> {
-        self.upsert_from(home, key, value, &|_, v| v)
-    }
-
     /// The mutating kernel: one probe from the precomputed `home` slot
     /// that stores `value` under a fresh `key`, or `combine(old, value)`
     /// over a present one. An insert is the upsert whose combine keeps the
@@ -1165,7 +1154,7 @@ impl<H: HashFn64, L: Layout> OpenAddressing<H, L, Ordered> {
 
 impl<H: HashFn64, L: Layout, S: Step> HashTable for OpenAddressing<H, L, S> {
     fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        self.insert_from(self.home(key), key, value)
+        self.upsert_from(self.home(key), key, value, &|_, v| v)
     }
 
     #[inline]
@@ -1194,15 +1183,6 @@ impl<H: HashFn64, L: Layout, S: Step> HashTable for OpenAddressing<H, L, S> {
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
         // SAFETY: `&self` — no writer.
         unsafe { self.lookup_batch_in::<Plain>(keys, out) }
-    }
-
-    fn insert_batch(
-        &mut self,
-        items: &[(u64, u64)],
-        out: &mut [Result<InsertOutcome, TableError>],
-    ) {
-        let prepare = |t: &Self, (k, _)| t.prepare(k);
-        two_pass(self, items, out, prepare, |t, (k, v), home| t.insert_from(home, k, v));
     }
 
     fn upsert_batch(

@@ -154,6 +154,14 @@ mod tests {
         fn insert(&mut self, _k: u64, _v: u64) -> Result<InsertOutcome, TableError> {
             Ok(InsertOutcome::Inserted)
         }
+        fn upsert_batch(
+            &mut self,
+            _: &[(u64, u64)],
+            _: &dyn Fn(u64, u64) -> u64,
+            out: &mut [Result<InsertOutcome, TableError>],
+        ) {
+            out.fill(Ok(InsertOutcome::Inserted));
+        }
         fn lookup(&self, _k: u64) -> Option<u64> {
             None
         }

@@ -660,6 +660,34 @@ impl<T: HashTable> ShardedTable<T> {
         }
     }
 
+    /// The one batched write: [`HashTable::upsert_batch`] through a shared
+    /// reference, one locked sub-batch per shard.
+    fn upsert_batch_shared(
+        &self,
+        items: &[(u64, u64)],
+        combine: &dyn Fn(u64, u64) -> u64,
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) {
+        assert_eq!(items.len(), out.len(), "upsert_batch: items and out lengths differ");
+        if self.shards.len() == 1 {
+            return self.shards[0].write().upsert_batch(items, combine, out);
+        }
+        let mut guard = self.take_scratch();
+        let s: &mut Scratch = &mut guard;
+        self.partition(items.len(), s, |i| items[i].0);
+        s.items.clear();
+        s.items.extend(s.perm.iter().map(|&p| items[p as usize]));
+        s.outcomes.clear();
+        s.outcomes.resize(items.len(), Ok(InsertOutcome::Inserted));
+        self.for_each_subrange(&s.starts, |shard, lo, hi| {
+            let (items, out) = (&s.items[lo..hi], &mut s.outcomes[lo..hi]);
+            self.shards[shard].write().upsert_batch(items, combine, out);
+        });
+        for (&p, &o) in s.perm.iter().zip(&s.outcomes) {
+            out[p as usize] = o;
+        }
+    }
+
     /// Look up one per-shard sub-batch: optimistically when pinned, under
     /// the shard lock otherwise (or when validation keeps failing).
     fn lookup_subrange(
@@ -728,23 +756,7 @@ impl<T: HashTable + Send> ConcurrentTable for ShardedTable<T> {
         items: &[(u64, u64)],
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        assert_eq!(items.len(), out.len(), "insert_batch: items and out lengths differ");
-        if self.shards.len() == 1 {
-            return self.shards[0].write().insert_batch(items, out);
-        }
-        let mut guard = self.take_scratch();
-        let s: &mut Scratch = &mut guard;
-        self.partition(items.len(), s, |i| items[i].0);
-        s.items.clear();
-        s.items.extend(s.perm.iter().map(|&p| items[p as usize]));
-        s.outcomes.clear();
-        s.outcomes.resize(items.len(), Ok(InsertOutcome::Inserted));
-        self.for_each_subrange(&s.starts, |shard, lo, hi| {
-            self.shards[shard].write().insert_batch(&s.items[lo..hi], &mut s.outcomes[lo..hi]);
-        });
-        for (&p, &o) in s.perm.iter().zip(&s.outcomes) {
-            out[p as usize] = o;
-        }
+        self.upsert_batch_shared(items, &|_, v| v, out)
     }
 
     fn delete_batch_shared(&self, keys: &[u64], out: &mut [Option<u64>]) {
@@ -819,12 +831,13 @@ impl<T: HashTable + Send> HashTable for ShardedTable<T> {
         self.lookup_batch_shared(keys, out)
     }
 
-    fn insert_batch(
+    fn upsert_batch(
         &mut self,
         items: &[(u64, u64)],
+        combine: &dyn Fn(u64, u64) -> u64,
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        self.insert_batch_shared(items, out)
+        self.upsert_batch_shared(items, combine, out)
     }
 
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
@@ -1183,6 +1196,14 @@ mod tests {
         fn insert(&mut self, _k: u64, _v: u64) -> Result<InsertOutcome, TableError> {
             Ok(InsertOutcome::Inserted)
         }
+        fn upsert_batch(
+            &mut self,
+            _: &[(u64, u64)],
+            _: &dyn Fn(u64, u64) -> u64,
+            out: &mut [Result<InsertOutcome, TableError>],
+        ) {
+            out.fill(Ok(InsertOutcome::Inserted));
+        }
         fn lookup(&self, _k: u64) -> Option<u64> {
             None
         }
@@ -1266,6 +1287,14 @@ mod tests {
     impl HashTable for CountedProbes {
         fn insert(&mut self, k: u64, v: u64) -> Result<InsertOutcome, TableError> {
             self.0.insert(k, v)
+        }
+        fn upsert_batch(
+            &mut self,
+            items: &[(u64, u64)],
+            combine: &dyn Fn(u64, u64) -> u64,
+            out: &mut [Result<InsertOutcome, TableError>],
+        ) {
+            self.0.upsert_batch(items, combine, out)
         }
         fn lookup(&self, k: u64) -> Option<u64> {
             self.0.lookup(k)

@@ -187,29 +187,62 @@ pub fn check_batch_matches_single_over<T: HashTable>(
 
 /// Randomized differential test against `std::collections::HashMap`.
 ///
-/// Drives `ops` random operations (insert-heavy, with deletes and lookups
-/// of both present and absent keys from a small key universe to force
-/// collisions and reuse) and checks every observable result against the
-/// model.
+/// Drives `ops` random operations and checks every observable result
+/// against the model: single-key inserts, deletes and lookups of present
+/// and absent keys, and batches of up to eight writes — an `insert_batch`
+/// or an `upsert_batch`, whose last item repeats its first key. The key
+/// universe is the starting capacity, so the model settles at its load
+/// cap — 70 % of the capacity, plus the one entry that crosses a growth
+/// threshold there — since inserts outnumber deletes 5 to 2. That is
+/// where probe runs are long and cuckoo chains cycle.
 pub fn check_against_model<T: HashTable>(t: &mut T, ops: usize, seed: u64) {
+    let universe = t.capacity().max(16) as u64;
+    check_against_model_over(t, ops, seed, universe);
+}
+
+/// [`check_against_model`] over keys `1..=universe` — pick one far above
+/// a growing table's starting capacity and it grows, and batched writes
+/// land mid-drain.
+pub fn check_against_model_over<T: HashTable>(t: &mut T, ops: usize, seed: u64, universe: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut model: HashMap<u64, u64> = HashMap::new();
-    // Small universe => frequent duplicate inserts, deletes of present
-    // keys, tombstone churn.
-    let universe = (t.capacity() / 2).max(16) as u64;
+    // Not commutative, so a fold applied out of order shows.
+    let combine = |old: u64, v: u64| old.wrapping_mul(31).wrapping_add(v);
+    let (mut items, mut expect, mut out) = (Vec::new(), Vec::new(), Vec::new());
     for step in 0..ops {
         let key = rng.gen_range(1..=universe);
+        let cap = t.capacity() * 7 / 10;
         match rng.gen_range(0..10) {
-            // 50% inserts
+            // 50% writes: a single-key insert, or one time in five a batch
+            // of two to eight whose first and last items share a key
             0..=4 => {
-                if model.len() < t.capacity() * 7 / 10 {
+                let n = if rng.gen_range(0..5) == 0 { rng.gen_range(2..=8) } else { 1 };
+                let upsert = n > 1 && rng.gen::<bool>();
+                items.clear();
+                expect.clear();
+                for i in 0..n {
+                    let k = if i == 0 || i + 1 == n { key } else { rng.gen_range(1..=universe) };
+                    if model.len() > cap && !model.contains_key(&k) {
+                        continue;
+                    }
                     let value = rng.gen::<u64>() >> 1;
-                    let expect = match model.insert(key, value) {
-                        None => InsertOutcome::Inserted,
-                        Some(old) => InsertOutcome::Replaced(old),
+                    let (stored, outcome) = match model.get(&k) {
+                        Some(&old) if upsert => (combine(old, value), InsertOutcome::Replaced(old)),
+                        Some(&old) => (value, InsertOutcome::Replaced(old)),
+                        None => (value, InsertOutcome::Inserted),
                     };
-                    assert_eq!(t.insert(key, value), Ok(expect), "step {step} insert {key}");
+                    model.insert(k, stored);
+                    items.push((k, value));
+                    expect.push(Ok(outcome));
                 }
+                out.clear();
+                out.resize(items.len(), Ok(InsertOutcome::Inserted));
+                match (&items[..], upsert) {
+                    (&[(k, v)], false) => out[0] = t.insert(k, v),
+                    (_, true) => t.upsert_batch(&items, &combine, &mut out),
+                    (_, false) => t.insert_batch(&items, &mut out),
+                }
+                assert_eq!(out, expect, "step {step} writes {items:?}, upsert {upsert}");
             }
             // 20% deletes
             5..=6 => {

@@ -7,7 +7,9 @@
 //! Computes `SELECT region, SUM(amount), MIN(amount), MAX(amount),
 //! COUNT(*), AVG(amount) FROM sales GROUP BY region` with a hash table as
 //! the aggregation state, then cross-checks every aggregate against a
-//! scalar re-computation.
+//! scalar re-computation. The SUM is then timed into four state tables —
+//! bare, growing, growing incrementally, and sharded — one
+//! `state <label> <ns/row>` row each.
 
 use seven_dim_hashing::prelude::*;
 use std::time::Instant;
@@ -58,6 +60,32 @@ fn main() {
     println!("{:<14} {:>10} {:>14.1}", "Avg", avgs.len(), n_rows as f64 / dt.as_secs_f64() / 1e6);
     let (k, v) = avgs.iter().find(|(k, _)| *k == 1).expect("group 1 exists");
     println!("\nspot check: AVG(amount) for region {k} = {v:.2}");
+
+    // The same SUM into the state tables an aggregation of unknown
+    // cardinality reaches for (LP, Mult): bare; growing, at a size where
+    // it never has to; growing incrementally from 64x smaller; and
+    // growing incrementally over four shards. Every wrapper writes each
+    // row through its inner tables' `upsert_batch`, one probe per row.
+    let lp = || TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Mult).seed(7);
+    let small = bits.saturating_sub(6).max(4);
+    let states = [
+        ("bare", lp().bits(bits)),
+        ("grow_at(0.7)", lp().bits(bits).grow_at(0.7)),
+        ("grow_at(0.7).incremental(64)", lp().bits(small).grow_at(0.7).incremental(64)),
+        (
+            "grow_at(0.7).incremental(64).shards(2)",
+            lp().bits(bits).grow_at(0.7).incremental(64).shards(2),
+        ),
+    ];
+    println!("\n{:<44} {:>8}", "SUM state table", "ns/row");
+    for (label, builder) in states {
+        let mut state = builder.build();
+        let t0 = Instant::now();
+        let result = group_aggregate(&mut state, &rows, AggFn::Sum).expect("aggregate");
+        let dt = t0.elapsed();
+        verify(&rows, &result, AggFn::Sum);
+        println!("state {label:<38} {:>8.1}", dt.as_secs_f64() * 1e9 / n_rows as f64);
+    }
 }
 
 fn verify(rows: &[(u64, u64)], result: &[(u64, u64)], agg: AggFn) {
