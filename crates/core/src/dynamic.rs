@@ -32,17 +32,21 @@
 //!   same prefetching kernels as the workload's own batches.
 //!   Lookups and deletes consult both generations, so the
 //!   table stays element-wise identical to an `AllAtOnce` twin at every
-//!   intermediate state. With `step ≥ 1` the old generation always drains
-//!   before the new one can reach its own threshold, so at most two
-//!   generations ever exist. This is the bounded-pause design of the
+//!   intermediate state. With `step ≥ 1` a doubling's drain ends before
+//!   the new generation can reach its own threshold, so between operations
+//!   at most two generations exist. This is the bounded-pause design of the
 //!   multilevel-table literature (*The Usefulness of Multilevel Hash
 //!   Tables*): probe a small fixed number of tables instead of stalling
 //!   the operation stream (*Dynamic External Hashing* shows that stall
 //!   dominating the dynamic cost model).
 //!
-//! A doubling and a scheme switch take one path, and only its first step
-//! reads the policy. A generation that refuses an entry is rebuilt
-//! stop-the-world under either policy.
+//! A doubling, a scheme switch and a generation that refuses an entry (a
+//! cuckoo cycle) all build the next generation in one constructor, the
+//! one place the policy picks the mechanism. It fills the fresh table with
+//! what must move now — the draining generation, if one exists, and under
+//! `AllAtOnce` the current one — and under `Incremental` hands the current
+//! one to the drain. So a switch or refusal mid-drain moves each entry
+//! once, and while it fills the fresh table three generations coexist.
 //!
 //! The threshold trigger itself is pure integer math: the `f64` threshold
 //! is converted once to Q32 fixed point, and `len + 1 > threshold × cap`
@@ -73,7 +77,7 @@
 //! therefore fires on exactly the element it fires on one key at a time,
 //! and outcomes, `len`, `capacity` and the rehash count after a batch
 //! equal those of single-key calls. (One exception, for capacity and rehash
-//! count only: a cuckoo table pushed past its load limit rebuilds when a
+//! count only: a cuckoo table pushed past its load limit doubles when a
 //! kick chain fails, which depends on the slot layout, and paying the
 //! drain up front lays slots out in a different order.)
 //!
@@ -319,7 +323,7 @@ impl<F: TableFactory> DynamicTable<F> {
         &self.inner
     }
 
-    /// Number of growth steps (started rehashes) so far.
+    /// Generations begun so far: doublings, refusals and scheme switches.
     pub fn rehash_count(&self) -> usize {
         self.rehash_count
     }
@@ -399,8 +403,8 @@ impl<F: TableFactory> DynamicTable<F> {
         }
     }
 
-    /// End the in-flight migration: unpublish and retire the drained
-    /// generation (no-op when none is in flight).
+    /// Unpublish and retire the draining generation, drained or streamed
+    /// into the current one (no-op when none is in flight).
     fn drop_old(&mut self) {
         if let Some(generation) = self.old.take() {
             self.publish_old();
@@ -408,28 +412,58 @@ impl<F: TableFactory> DynamicTable<F> {
         }
     }
 
-    /// Move to a generation of `2^bits` slots, re-targeting the factory
-    /// first when `factory` is given (a cross-scheme switch): the one place
-    /// the [`GrowthPolicy`] picks the mechanism. `AllAtOnce` fills it now
-    /// ([`DynamicTable::rebuild`]). Incremental growth hands it all inserts
-    /// and leaves the old table to drain in place from unit 0, finishing
-    /// any earlier drain first so at most two generations ever exist.
+    /// Build, fill and install the next generation, of at least `2^bits`
+    /// slots, re-targeting the factory when `factory` is given (a switch):
+    /// the one constructor behind a doubling, a switch and a refusal, and
+    /// the one place the [`GrowthPolicy`] picks the mechanism. The fill, one
+    /// `insert_batch` per [`walk_runs`] run, is what must move now: the
+    /// draining generation, if any, then dropped whole, and under
+    /// `AllAtOnce` the current one. Under `Incremental` the current one then
+    /// drains into the new one from unit 0.
+    ///
+    /// A failed fill retries with a fresh seed, and one more bit every third
+    /// attempt (cuckoo tables at unlucky seeds). A factory memory budget
+    /// propagates, leaving the table and its factory untouched: growing
+    /// *more* on a budget failure would loop forever. Nothing moves before
+    /// the swap, so each attempt walks the same generations; nothing is
+    /// copied.
     fn begin_generation(&mut self, bits: u8, factory: Option<F>) -> Result<(), TableError> {
-        assert_within_ceiling(bits);
-        while self.old.is_some() {
-            self.migrate_step(usize::MAX)?;
-        }
+        let all_at_once = self.policy == GrowthPolicy::AllAtOnce;
+        let movers = self.old.as_ref().map(|g| &*g.table);
+        let movers = movers.into_iter().chain(all_at_once.then_some(&*self.inner));
+        let target = factory.as_ref().unwrap_or(&self.factory);
+        let (mut bits, mut attempt) = (bits, 0);
+        let mut placed = [Ok(InsertOutcome::Inserted); WALK_RUN];
+        let fresh = loop {
+            assert_within_ceiling(bits);
+            let mut fresh = target.build(bits, self.generation_seed(bits, attempt));
+            let filled = movers.clone().try_for_each(|from| {
+                walk_runs(from, |run| {
+                    fresh.insert_batch(run, &mut placed[..run.len()]);
+                    placed[..run.len()].iter().find_map(|o| o.err()).map_or(Ok(()), Err)
+                })
+            });
+            match filled {
+                Ok(()) => break fresh,
+                Err(e @ TableError::MemoryBudgetExceeded) => return Err(e),
+                Err(_) => attempt += 1,
+            }
+            if attempt.is_multiple_of(3) {
+                bits += 1;
+            }
+        };
         if let Some(f) = factory {
             self.factory = f;
         }
-        if self.policy == GrowthPolicy::AllAtOnce {
-            return self.rebuild(bits, 0);
-        }
-        let fresh = Box::new(self.factory.build(bits, self.generation_seed(bits, 0)));
-        let old_table = std::mem::replace(&mut self.inner, fresh);
+        let prev = std::mem::replace(&mut self.inner, Box::new(fresh));
         self.publish_inner();
-        self.old = Some(OldGeneration { table: old_table, cursor: 0 });
-        self.publish_old();
+        self.drop_old();
+        if all_at_once {
+            self.retire(prev);
+        } else {
+            self.old = Some(OldGeneration { table: prev, cursor: 0 });
+            self.publish_old();
+        }
         self.bits = bits;
         self.rehash_count += 1;
         Ok(())
@@ -516,10 +550,11 @@ impl<F: TableFactory> DynamicTable<F> {
             };
             gen.cursor = first;
             left -= n;
-            // Capacity pressure in the new generation (cuckoo cycles) has
-            // merged both generations through the stop-the-world fallback;
-            // a factory's memory budget left its refused entries where
-            // they were and propagates. Entries the run placed stay moved.
+            // A cuckoo cycle in the current generation has begun a doubled
+            // one holding what was left here, and the refusing generation
+            // drains next, from unit 0; a factory's memory budget left its
+            // refused entries where they were and propagates. Entries the
+            // run placed stay moved.
             self.write_run(&moves[..n], &|_, v| v, &mut placed[..n]);
             if let Some(e) = placed[..n].iter().find_map(|o| o.err()) {
                 return Err(e);
@@ -531,50 +566,6 @@ impl<F: TableFactory> DynamicTable<F> {
             }
         }
         Ok(())
-    }
-
-    /// Stop-the-world rebuild of *everything* (both generations) into a
-    /// fresh table of at least `2^start_bits` slots, retrying with fresh
-    /// seeds — and eventually more bits — when the rebuild itself fails
-    /// (possible for Cuckoo tables at unlucky seeds). This is both the
-    /// [`GrowthPolicy::AllAtOnce`] arm of `begin_generation` and every
-    /// policy's refusal path. A factory memory budget that cannot hold
-    /// the entries propagates as an error, leaving the table untouched —
-    /// growing *more* on a budget failure would loop forever while
-    /// allocating more memory. Both generations stay untouched until the
-    /// swap, so each attempt walks them again; nothing is copied.
-    fn rebuild(&mut self, start_bits: u8, start_attempt: u64) -> Result<(), TableError> {
-        assert_within_ceiling(start_bits);
-        let (mut bits, mut attempt) = (start_bits, start_attempt);
-        let bigger = loop {
-            let mut bigger = self.factory.build(bits, self.generation_seed(bits, attempt));
-            match self.stream_into(&mut bigger) {
-                Ok(()) => break bigger,
-                Err(e @ TableError::MemoryBudgetExceeded) => return Err(e),
-                Err(_) => attempt += 1,
-            }
-            if attempt.is_multiple_of(3) {
-                bits += 1;
-                assert_within_ceiling(bits);
-            }
-        };
-        let prev = std::mem::replace(&mut self.inner, Box::new(bigger));
-        self.publish_inner();
-        self.drop_old();
-        self.retire(prev);
-        self.bits = bits;
-        self.rehash_count += 1;
-        Ok(())
-    }
-
-    /// Insert both generations into `to` in walk order, one `insert_batch`
-    /// per [`walk_runs`] run; a run's first refusal stops it.
-    fn stream_into(&self, to: &mut F::Table) -> Result<(), TableError> {
-        let mut placed = [Ok(InsertOutcome::Inserted); WALK_RUN];
-        walk_runs(self, |run| {
-            to.insert_batch(run, &mut placed[..run.len()]);
-            placed[..run.len()].iter().find_map(|o| o.err()).map_or(Ok(()), Err)
-        })
     }
 
     /// The incremental drain budget for one operation (0 under
@@ -613,8 +604,8 @@ impl<F: TableFactory> DynamicTable<F> {
 
     /// The single-key insert, its tick and drain step paid: grow if the
     /// key would cross the threshold, insert into the current generation
-    /// (rebuilding on capacity pressure the threshold missed — it doubles,
-    /// as in [`DynamicTable::write_run`]), and only then claim any
+    /// (beginning a doubled one on capacity pressure the threshold missed,
+    /// as [`DynamicTable::write_run`] does), and only then claim any
     /// draining-generation copy, so a refused insert leaves it in place.
     fn insert_paid(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
         self.grow_for(key)?;
@@ -622,7 +613,7 @@ impl<F: TableFactory> DynamicTable<F> {
             match self.inner.insert(key, value) {
                 Ok(outcome) => break outcome,
                 Err(TableError::TableFull | TableError::CuckooFailure) => {
-                    self.rebuild(self.bits + 1, 0)?;
+                    self.begin_generation(self.bits + 1, None)?;
                 }
                 Err(e) => return Err(e),
             }
@@ -640,7 +631,8 @@ impl<F: TableFactory> DynamicTable<F> {
     /// folded into its item, which reports `Replaced(old)` (claiming after
     /// the kernel could not fold a key that repeats within the run). A
     /// cuckoo cycle's refusal takes the refused item and all after it back
-    /// out, claims included, rebuilds, and replays them in order.
+    /// out, claims included, begins a doubled generation and replays them
+    /// there in order.
     fn write_run(
         &mut self,
         items: &[(u64, u64)],
@@ -712,10 +704,10 @@ impl<F: TableFactory> DynamicTable<F> {
                     let _ = gen.table.insert(key, old);
                 }
             }
-            // The rebuild merges the (again disjoint) generations. It
-            // doubles: a cuckoo refuses only after its cycle has tried
+            // The generations are disjoint again. The next one doubles: a
+            // cuckoo refuses only after its cycle has tried
             // `max_rehash_attempts` fresh tables at this size.
-            match self.rebuild(self.bits + 1, 0) {
+            match self.begin_generation(self.bits + 1, None) {
                 Ok(()) => from += at,
                 Err(e) => {
                     out[at] = Err(e);
@@ -1302,20 +1294,43 @@ mod tests {
 
     #[test]
     fn incremental_cuckoo_survives_generation_failures() {
-        // Cuckoo cycles inside the *new* generation force the rebuild
-        // escape hatch mid-migration; no entry may be lost.
-        let mut t = DynamicTable::with_policy(
-            factory(TableScheme::Cuckoo2, HashKind::Murmur),
-            4,
-            3,
-            0.45,
-            GrowthPolicy::Incremental { step: 1 },
-        );
-        for k in 1..=5_000u64 {
-            t.insert(k, k).unwrap();
-        }
+        // Cuckoo cycles inside the *new* generation force doublings below
+        // the threshold mid-migration; each drains the refusing generation
+        // like any other doubling, and no entry may be lost.
+        let table = |bits, threshold| {
+            DynamicTable::with_policy(
+                factory(TableScheme::Cuckoo2, HashKind::Murmur),
+                bits,
+                3,
+                threshold,
+                GrowthPolicy::Incremental { step: 1 },
+            )
+        };
+        // Insert keys 1..=n; returns the doublings that came below the
+        // threshold (grown, yet still within the old capacity's limit).
+        let fill = |t: &mut DynamicTable<TableBuilder>, n: u64| {
+            let mut refusals = 0;
+            for k in 1..=n {
+                let capacity = t.capacity();
+                t.insert(k, k).unwrap();
+                if t.capacity() > capacity && t.len() <= growth_limit(t.threshold_fp, capacity) {
+                    assert!(t.is_migrating(), "the refusal at key {k} stopped the world");
+                    refusals += 1;
+                }
+            }
+            refusals
+        };
+        let mut t = table(4, 0.45);
+        fill(&mut t, 5_000);
         assert_eq!(t.len(), 5000);
         for k in (1..=5_000u64).step_by(17) {
+            assert_eq!(t.lookup(k), Some(k));
+        }
+        // At 90 % a two-way cuckoo refuses long before the threshold.
+        let mut t = table(6, 0.9);
+        assert!(fill(&mut t, 20_000) > 0, "no generation ever refused a key");
+        assert_eq!(t.len(), 20_000);
+        for k in (1..=20_000u64).step_by(17) {
             assert_eq!(t.lookup(k), Some(k));
         }
     }
@@ -1844,10 +1859,43 @@ mod tests {
     }
 
     #[test]
+    fn a_switch_mid_drain_moves_each_entry_once() {
+        // The switch streams the growth's draining generation into the new
+        // one and leaves only the current generation to drain: each entry
+        // moves once. Finishing the growth drain first would move the
+        // draining entries into the current generation, then all of it
+        // again.
+        let mut t = DynamicTable::with_policy(
+            factory(TableScheme::LinearProbing, HashKind::Murmur),
+            10,
+            1,
+            0.7,
+            GrowthPolicy::Incremental { step: 1 },
+        );
+        let mut key = 0u64;
+        while t.rehash_count() == 0 {
+            key += 1;
+            t.insert(key, key * 3).unwrap();
+        }
+        for _ in 0..50 {
+            key += 1;
+            t.insert(key, key * 3).unwrap();
+        }
+        assert!(t.is_migrating(), "the growth drain must still be in flight");
+        let current = t.inner().len();
+        assert_eq!(t.switch_to(TableScheme::RobinHood), Ok(true));
+        assert_eq!(t.migration_backlog(), current, "only the current generation drains");
+        assert_eq!(t.len(), key as usize);
+        for k in 1..=key {
+            assert_eq!(t.lookup(k), Some(k * 3), "key {k} lost by the switch");
+        }
+    }
+
+    #[test]
     fn switch_during_growth_drain_finishes_the_growth_first() {
         // A switch landing while a growth migration is still draining
-        // must finish that drain stop-the-world before opening the new
-        // generation — at most two generations ever exist.
+        // moves what that drain has left into the new generation before
+        // opening it, so between operations at most two generations exist.
         let mut t = builder_table(
             TableScheme::LinearProbing,
             4,
@@ -2022,7 +2070,7 @@ mod tests {
         // Two-way cuckoo at a 90 % threshold fails kick chains long before
         // the threshold. Every key comes twice per batch, so whenever the
         // first copy is the one that fails, the second must still replace
-        // it (not the other way round) once the rebuild has made room.
+        // it (not the other way round) once a doubling has made room.
         // Outcomes, `len` and contents are compared; capacity is not:
         // which element's kick chain fails is a property of the slot
         // layout, and a batch that pays its drain up front (or runs past
@@ -2217,9 +2265,9 @@ mod tests {
         let (first, last) = (order[0].0, order[order.len() - 1].0);
         assert!(first < slot && slot < last, "slot {slot} is not mid-run ({first}..={last})");
         assert_eq!((t.capacity(), t.rehash_count()), (64, 1));
-        // The run refuses the jinxed key; the rebuild fallback merges both
-        // generations and retries until a generation takes it: two
-        // 64-slot seeds, then 128 slots.
+        // The run refuses the jinxed key, which begins a 128-slot
+        // generation holding what was left to drain; the refusing 64-slot
+        // one then drains within the same op's budget.
         assert_eq!(t.insert(2000, 20_000), Ok(InsertOutcome::Inserted));
         assert!(!t.is_migrating());
         assert_eq!((t.capacity(), t.rehash_count()), (128, 2), "the rebuild must fire");
@@ -2294,8 +2342,8 @@ mod tests {
         assert!(order.len() > 4, "the batch below must not drain everything");
         let (_, unmoved) = order[order.len() - 1];
         // One run, 32 slots: the jinxed key fails in it, after an element
-        // whose draining copy must be claimed before the rebuild merges
-        // the generations, and before duplicates of both keys.
+        // whose draining copy must be claimed before the next generation
+        // takes the draining one, and before duplicates of both keys.
         let items = [(unmoved, 1), (JINXED_KEY, 2), (JINXED_KEY, 3), (unmoved, 4)];
         assert!(batched.headroom() >= items.len());
         let out = insert_both(&mut batched, &mut single, &items);

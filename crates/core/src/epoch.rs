@@ -1,8 +1,8 @@
 //! Epoch-based reclamation of retired generations.
 //!
 //! A [`DynamicTable`](crate::DynamicTable) replaces whole generations:
-//! every doubling, rebuild and cross-scheme switch unpublishes one table
-//! and later drops it. Lock-free readers
+//! every doubling and cross-scheme switch unpublishes a table and later
+//! drops it. Lock-free readers
 //! ([`ReadView::lookup_batch_optimistic`](crate::ReadView::lookup_batch_optimistic))
 //! load a generation's address without any lock, so a generation may only
 //! be freed once no reader can still hold that address. This module keeps

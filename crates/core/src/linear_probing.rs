@@ -187,20 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_is_constant_16_bytes_per_slot() {
-        let t = table(10);
-        assert_eq!(t.memory_bytes(), 1024 * 16);
-        assert_eq!(t.capacity(), 1024);
-    }
-
-    #[test]
-    fn display_name_matches_paper_style() {
-        assert_eq!(table(4).display_name(), "LPMurmur");
-        let t: LinearProbing<MultShift> = LinearProbing::with_seed(4, 1);
-        assert_eq!(t.display_name(), "LPMult");
-    }
-
-    #[test]
     fn model_test_against_std_hashmap() {
         check_against_model(&mut table(10), 5000, 0xC0FFEE);
     }

@@ -1288,6 +1288,8 @@ pub(crate) mod tests {
     #[test]
     fn every_exposed_cell_passes_the_shared_checks() {
         let weak = || MultShift::new(1);
+        // Covers the retired `linear_probing::tests::{display_name_matches_paper_style,
+        // memory_is_constant_16_bytes_per_slot}`.
         check_cell(
             |b| LinearProbing::<Murmur>::with_seed(b, 42),
             |b| LinearProbing::with_hash(b, weak()),
@@ -1312,6 +1314,8 @@ pub(crate) mod tests {
             ["LPSoAMurmurSIMD", "LPSoAMultSIMD"],
             16,
         );
+        // Covers the retired `quadratic::tests::{model_test_against_std_hashmap,
+        // model_test_with_weak_hash_function, batch_ops_match_single_key_path}`.
         check_cell(
             |b| QuadraticProbing::<Murmur>::with_seed(b, 42),
             |b| QuadraticProbing::with_hash(b, weak()),

@@ -25,13 +25,8 @@ pub type QuadraticProbing<H> = OpenAddressing<H, Aos, Triangular>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests_common::*;
     use crate::{HashTable, InsertOutcome, TableError};
-    use hashfn::{MultShift, Murmur};
-
-    fn table(bits: u8) -> QuadraticProbing<Murmur> {
-        QuadraticProbing::with_seed(bits, 42)
-    }
+    use hashfn::MultShift;
 
     #[test]
     fn triangular_sequence_covers_all_slots() {
@@ -154,22 +149,5 @@ mod tests {
         for (k, v) in [(base, 1), (base + 1, 2), (base + 2, 3)] {
             assert_eq!(t.lookup(k), Some(v));
         }
-    }
-
-    #[test]
-    fn model_test_against_std_hashmap() {
-        check_against_model(&mut table(10), 5000, 0xBEEF);
-    }
-
-    #[test]
-    fn model_test_with_weak_hash_function() {
-        // Force heavy secondary clustering with multiplier 1 and dense keys.
-        let mut t: QuadraticProbing<MultShift> = QuadraticProbing::with_hash(8, MultShift::new(1));
-        check_against_model(&mut t, 4000, 0xDEAD);
-    }
-
-    #[test]
-    fn batch_ops_match_single_key_path() {
-        check_batch_matches_single(&mut table(9), &mut table(9), 0x9BA7);
     }
 }

@@ -170,8 +170,8 @@ pub struct TableStats {
     pub inserts: u64,
     /// Delete operations (single-key and batch elements).
     pub deletes: u64,
-    /// Completed generation rebuilds (growth or migration) this table has
-    /// started, from [`crate::DynamicTable::rehash_count`].
+    /// Generations (growth doublings and scheme switches) this table has
+    /// begun, from [`crate::DynamicTable::rehash_count`].
     pub rehashes: u64,
     /// Cross-scheme migrations the migration engine has begun.
     pub scheme_switches: u64,

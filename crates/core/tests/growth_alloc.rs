@@ -1,10 +1,11 @@
 //! Growth allocates the new generation and nothing else sized by the
 //! table: the draining generation is its own list of what is left to
-//! move, and a stop-the-world rebuild streams both generations into the
-//! new table. Measured on a linear-probing `DynamicTable` doubling from
-//! 2^16 to 2^17 slots at a 0.7 threshold (45,875 entries), where a copy
-//! of the keys would be 8 B × 45,875 and a copy of the pairs 16 B ×
-//! 45,875.
+//! move, and whatever must move at once — the current generation of a
+//! stop-the-world doubling, the draining one of a mid-drain switch — is
+//! walked into the new table through a stack buffer. Measured on a
+//! linear-probing `DynamicTable` doubling from 2^16 to 2^17 slots at a 0.7
+//! threshold (45,875 entries), where a copy of the keys would be
+//! 8 B × 45,875 and a copy of the pairs 16 B × 45,875.
 //!
 //! A cuckoo cycle obeys the same rule at one size: it builds one fresh
 //! slot array with new functions and walks the table into it, so it
@@ -99,8 +100,14 @@ fn filled(policy: GrowthPolicy) -> DynamicTable<TableBuilder> {
 /// the new 2^17-slot generation and at most [`SLACK`] beyond it.
 fn assert_only_the_new_generation(t: &DynamicTable<TableBuilder>, bytes: usize, what: &str) {
     assert_eq!((t.capacity(), t.rehash_count()), (1 << 17, 1), "{what}: the insert must double");
+    assert_only_a_2_17_slot_generation(t, bytes, what);
+}
+
+/// `bytes` must be the current 2^17-slot generation and at most [`SLACK`]
+/// beyond it.
+fn assert_only_a_2_17_slot_generation(t: &DynamicTable<TableBuilder>, bytes: usize, what: &str) {
     let generation = t.inner().memory_bytes();
-    assert_eq!(generation, 16 << 17, "a 2^17-slot LP generation");
+    assert_eq!(generation, 16 << 17, "a 2^17-slot generation");
     assert!(
         (generation..=generation + SLACK).contains(&bytes),
         "{what} allocated {bytes} B for a {generation} B generation ({} B beyond it)",
@@ -138,6 +145,23 @@ fn a_stop_the_world_rebuild_allocates_only_the_new_generation() {
     let (bytes, outcome) = allocated_by(|| t.insert(FULL + 1, 0));
     assert!(outcome.is_ok());
     assert_only_the_new_generation(&t, bytes, "the rebuild");
+    assert_eq!(t.len(), FULL as usize + 1);
+    for k in (1..=FULL).step_by(97) {
+        assert_eq!(t.lookup(k), Some(k * 3));
+    }
+}
+
+#[test]
+fn a_mid_drain_switch_allocates_only_the_new_generation() {
+    let mut t = filled(GrowthPolicy::Incremental { step: 8 });
+    t.insert(FULL + 1, 0).unwrap();
+    let backlog = t.migration_backlog();
+    assert!(backlog > 0, "the doubling's drain must be in flight");
+    // The switch walks the draining generation into the new one.
+    let (bytes, switched) = allocated_by(|| t.switch_to(TableScheme::RobinHood));
+    assert_eq!(switched, Ok(true));
+    assert_eq!(t.migration_backlog(), FULL as usize + 1 - backlog, "only the current drains");
+    assert_only_a_2_17_slot_generation(&t, bytes, "the switch");
     assert_eq!(t.len(), FULL as usize + 1);
     for k in (1..=FULL).step_by(97) {
         assert_eq!(t.lookup(k), Some(k * 3));

@@ -9,8 +9,9 @@
 //!
 //! * a `HashMap` model — ground truth for contents; and
 //! * a **stop-the-world twin**: the same source table, same fill, whose
-//!   switch ran under [`GrowthPolicy::AllAtOnce`] — the rebuild the
-//!   incremental drain must be observably indistinguishable from.
+//!   switch ran under [`GrowthPolicy::AllAtOnce`], filling the new
+//!   generation at once — what the incremental drain must be observably
+//!   indistinguishable from.
 //!
 //! After *every* operation all three agree on every key of the universe
 //! (present and absent) and on `len()`. The stream keeps mutating until
