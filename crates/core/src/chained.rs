@@ -30,6 +30,8 @@
 //! [`TableError::MemoryBudgetExceeded`].
 
 use crate::budget::{chained_directory_bits, expected_occupied_slots, CHAIN_ENTRY_BYTES};
+use crate::open_addressing::two_pass;
+use crate::simd::prefetch_read;
 use crate::{is_reserved_key, HashTable, InsertOutcome, MemoryBudget, TableError, EMPTY_KEY};
 use hashfn::{fold_to_bits, HashFamily, HashFn64};
 use slab_alloc::{Entry, EntryAllocator, EntryRef, SlabAllocator};
@@ -252,6 +254,19 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> Chained<H, D, A> {
         fold_to_bits(self.hash.hash(key), self.dir_bits)
     }
 
+    /// The batch driver's prepare stage: hash `key` to its directory slot
+    /// and prefetch that slot — its first and last byte, since a 24-byte
+    /// slot may straddle two cache lines. The directory never changes
+    /// size, so the slot stays the key's across writes.
+    #[inline(always)]
+    fn prepare(&self, key: u64) -> usize {
+        let bucket = self.bucket(key);
+        let slot = std::ptr::from_ref(&self.directory[bucket]);
+        prefetch_read(slot);
+        prefetch_read(slot.cast::<u8>().wrapping_add(D::SLOT_BYTES - 1));
+        bucket
+    }
+
     /// A bucket's entries in chain order: the inline one, then the links.
     #[inline(always)]
     fn bucket_entries<'a>(&'a self, slot: &'a D::Slot) -> impl Iterator<Item = &'a Entry> {
@@ -261,11 +276,12 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> Chained<H, D, A> {
         D::head(slot).filter(|h| h.key != EMPTY_KEY).into_iter().chain(chain)
     }
 
-    /// The write kernel, one walk over the key's bucket: store `value`
-    /// under a fresh `key`, or `combine(old, value)` over a present one.
-    /// An insert is the upsert whose combine keeps the new value.
-    fn upsert(
+    /// The write kernel, one walk over the key's bucket `bucket`: store
+    /// `value` under a fresh `key`, or `combine(old, value)` over a present
+    /// one. An insert is the upsert whose combine keeps the new value.
+    fn upsert_from(
         &mut self,
+        bucket: usize,
         key: u64,
         value: u64,
         combine: &impl Fn(u64, u64) -> u64,
@@ -278,7 +294,6 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> Chained<H, D, A> {
             e.value = combine(old, value);
             Ok(InsertOutcome::Replaced(old))
         };
-        let bucket = self.bucket(key);
         let slot = &mut self.directory[bucket];
         if let Some(head) = D::head_mut(slot) {
             if head.key == EMPTY_KEY {
@@ -315,25 +330,11 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> Chained<H, D, A> {
         self.chained += 1;
         Ok(InsertOutcome::Inserted)
     }
-}
 
-/// Chained tables allocate and free per-entry heap nodes, so a lock-free
-/// reader could chase a link into freed memory — no optimistic support;
-/// the conservative [`ReadView`](crate::optimistic::ReadView) defaults
-/// route every shared read through the lock.
-impl<H: HashFn64, D: Directory, A: EntryAllocator> crate::optimistic::ReadView
-    for Chained<H, D, A>
-{
-}
-
-impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A> {
-    fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        self.upsert(key, value, &|_, v| v)
-    }
-
+    /// [`HashTable::lookup`] in bucket `bucket`.
     #[inline]
-    fn lookup(&self, key: u64) -> Option<u64> {
-        let slot = &self.directory[self.bucket(key)];
+    fn lookup_from(&self, bucket: usize, key: u64) -> Option<u64> {
+        let slot = &self.directory[bucket];
         if let Some(head) = D::head(slot) {
             // An empty inline cell holds EMPTY_KEY, which must not match.
             if is_reserved_key(key) {
@@ -354,11 +355,11 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A
         None
     }
 
-    fn delete(&mut self, key: u64) -> Option<u64> {
+    /// [`HashTable::delete`] in bucket `bucket`.
+    fn delete_from(&mut self, bucket: usize, key: u64) -> Option<u64> {
         if is_reserved_key(key) {
             return None;
         }
-        let bucket = self.bucket(key);
         let slot = &mut self.directory[bucket];
         if let Some(head) = D::head_mut(slot).filter(|h| h.key == key) {
             let value = head.value;
@@ -394,6 +395,34 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A
         }
         None
     }
+}
+
+/// Chained tables allocate and free per-entry heap nodes, so a lock-free
+/// reader could chase a link into freed memory — no optimistic support;
+/// the conservative [`ReadView`](crate::optimistic::ReadView) defaults
+/// route every shared read through the lock.
+impl<H: HashFn64, D: Directory, A: EntryAllocator> crate::optimistic::ReadView
+    for Chained<H, D, A>
+{
+}
+
+impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A> {
+    fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
+        self.upsert_from(self.bucket(key), key, value, &|_, v| v)
+    }
+
+    #[inline]
+    fn lookup(&self, key: u64) -> Option<u64> {
+        self.lookup_from(self.bucket(key), key)
+    }
+
+    fn delete(&mut self, key: u64) -> Option<u64> {
+        self.delete_from(self.bucket(key), key)
+    }
+
+    fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
+        two_pass(self, keys, out, Self::prepare, |t, k, bucket| t.lookup_from(bucket, k));
+    }
 
     fn upsert_batch(
         &mut self,
@@ -401,10 +430,14 @@ impl<H: HashFn64, D: Directory, A: EntryAllocator> HashTable for Chained<H, D, A
         combine: &dyn Fn(u64, u64) -> u64,
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        assert_eq!(items.len(), out.len(), "upsert_batch: items and out lengths differ");
-        for (o, &(k, v)) in out.iter_mut().zip(items) {
-            *o = self.upsert(k, v, &combine);
-        }
+        let prepare = |t: &Self, (k, _)| t.prepare(k);
+        two_pass(self, items, out, prepare, |t, (k, v), bucket| {
+            t.upsert_from(bucket, k, v, &combine)
+        });
+    }
+
+    fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
+        two_pass(self, keys, out, Self::prepare, |t, k, bucket| t.delete_from(bucket, k));
     }
 
     fn len(&self) -> usize {
@@ -522,6 +555,19 @@ mod tests {
     #[test]
     fn h24_model_test() {
         check_against_model(&mut t24(6), 5000, 0xBB);
+    }
+
+    #[test]
+    fn h8_batch_ops_match_single_key_path() {
+        check_batch_matches_single(&mut t8(8), &mut t8(8), 0xCB8);
+        // Sixteen keys per bucket: repeats walk the same chain.
+        check_batch_matches_single(&mut t8(4), &mut t8(4), 0xCB84);
+    }
+
+    #[test]
+    fn h24_batch_ops_match_single_key_path() {
+        check_batch_matches_single(&mut t24(8), &mut t24(8), 0xCB24);
+        check_batch_matches_single(&mut t24(4), &mut t24(4), 0xCB244);
     }
 
     #[test]

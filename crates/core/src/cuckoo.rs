@@ -300,11 +300,11 @@ impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
 
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
         // Cuckoo is where batching shines brightest: each key has K
-        // *independent* candidate lines. Pass 1 hashes the window and
-        // prefetches the primary bucket (sub-table 0) *and* every
-        // alternate bucket, so pass 2's second hop — the alternate probes
-        // a primary miss must take — never stalls on a cold line. (A
-        // primary-only prefetch would serialize exactly the misses that
+        // *independent* candidate lines. The prepare stage hashes the key
+        // and prefetches the primary bucket (sub-table 0) *and* every
+        // alternate bucket, so the probe's second hop — the alternate
+        // probes a primary miss must take — never stalls on a cold line.
+        // (A primary-only prefetch would serialize exactly the misses that
         // dominate at high load, where most entries sit in sub-tables
         // 1..K after kick-outs.)
         two_pass(self, keys, out, Self::prefetch_candidates, |t, k, cand| {
@@ -327,10 +327,11 @@ impl<H: HashFamily, const K: usize> HashTable for Cuckoo<H, K> {
         combine: &dyn Fn(u64, u64) -> u64,
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        // Prefetch-only pass: a cycle swaps in a fresh table with new
-        // functions, so candidate slots cannot be reused across elements —
-        // but warming the K lines each write touches first still overlaps
-        // the misses of the common no-kick case.
+        // Prefetch-only prepare: a cycle swaps in a fresh table with new
+        // functions, so candidate slots prepared before an earlier item's
+        // write cannot be trusted by the probe — but warming the K lines
+        // each write touches still overlaps the misses of the common
+        // no-kick case.
         two_pass(
             self,
             items,

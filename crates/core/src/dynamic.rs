@@ -64,7 +64,7 @@
 //! [`HashTable::upsert_batch`], and with it `insert_batch`, its keep-new
 //! case, cuts a batch into **headroom runs** of `min(h, remaining)` items.
 //! A run pays its policy tick and drain budget once and goes to the
-//! current generation's `upsert_batch` (the hash-then-prefetch kernels).
+//! current generation's `upsert_batch` (the prefetching batch kernels).
 //! While a drain is in flight the run **claims first**: one `delete_batch`
 //! of its keys takes their copies out of the draining generation, each
 //! found value is folded into its item (which then reports
@@ -841,8 +841,8 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
 
     // Reads and deletes never grow the table, so whole batches delegate
     // straight to the inner table's (prefetching) overrides whenever no
-    // migration is in flight; mid-migration they run the two-pass on the
-    // new generation and re-probe only the misses against the old one.
+    // migration is in flight; mid-migration they run the batch kernel on
+    // the new generation and re-probe only the misses against the old one.
     // Writes can grow it, so `upsert_batch` cuts the batch into headroom
     // runs first (see its comment).
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {

@@ -204,10 +204,10 @@ impl std::error::Error for TableError {}
 /// updates), so every operation also exists in a `*_batch` form that is
 /// **semantically identical** to calling the single-key form element by
 /// element, in order. The read and delete defaults are exactly that loop;
-/// the open-addressing and cuckoo tables override them with a two-pass
-/// hash-then-probe implementation that precomputes candidate slots and
-/// issues software prefetches so independent cache misses overlap (see
-/// [`simd::prefetch_read`]).
+/// every table of this crate overrides them with a software pipeline that
+/// hashes each key and prefetches its first line
+/// [`PREFETCH_BATCH`](simd::PREFETCH_BATCH) items ahead of its probe, so
+/// independent cache misses overlap (see [`simd::prefetch_read`]).
 ///
 /// Writes have one batched form, [`HashTable::upsert_batch`], which every
 /// table implements: a group-by's update (insert, or fold into the present
@@ -444,8 +444,8 @@ pub(crate) fn walk_part<T: HashTable + ?Sized>(
     more
 }
 
-/// Most pairs one [`walk_runs`] run holds: four
-/// [`PREFETCH_BATCH`](simd::PREFETCH_BATCH) windows of a batch kernel.
+/// Most pairs one [`walk_runs`] run holds: four times a batch kernel's
+/// prefetch distance [`PREFETCH_BATCH`](simd::PREFETCH_BATCH).
 pub const WALK_RUN: usize = 64;
 
 /// Walk every entry of `table` in runs of up to [`WALK_RUN`] pairs

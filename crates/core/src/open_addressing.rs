@@ -473,16 +473,27 @@ pub(crate) unsafe fn lookup_kernel<L: Layout, S: Step, M: LoadMode>(
     }
 }
 
-/// The two-pass batch driver of every open-addressing table: pass 1 runs
-/// `prepare` (hash the key, prefetch its home cache line) over a window of
-/// [`PREFETCH_BATCH`] items, pass 2 runs `probe` from the precomputed
-/// positions — the misses of a whole window are then resolved in parallel
-/// by the memory subsystem instead of serially by the probe loop.
+/// The batch driver of every table: a software pipeline of distance
+/// `D` = [`PREFETCH_BATCH`]. Each item passes two stages: `prepare` hashes
+/// its key and prefetches the line its probe starts at, and `probe` runs
+/// the probe from what `prepare` returned. A prologue prepares items
+/// `0..D`; then each step prepares item `i + D`, if the batch has one, and
+/// probes item `i`. So `D` prefetches are in flight while each probe runs,
+/// from the batch's first item to its last, and the memory pipeline never
+/// drains mid-batch.
 ///
-/// `table` is `&Self` for reads and `&mut Self` for mutations. What
-/// `prepare` returns must stay valid across `probe` calls on earlier items
-/// of the window (slot writes and in-place rehashes preserve hash function
-/// and capacity, so a home slot does).
+/// The last `D` steps, which have nothing left to prepare, run in the same
+/// loop: a separate epilogue loop gives `probe` a second call site, and
+/// the compiler then stops inlining it, which made in-cache lookups and
+/// upserts 15–55 % slower per key on x86-64. The branch that skips their
+/// prepare is predicted.
+///
+/// `table` is `&Self` for reads and `&mut Self` for mutations, and only
+/// `probe` mutates. What `prepare` returns for item `i` must survive the
+/// `D` probes before it: slot writes and in-place rehashes keep the hash
+/// function and the capacity, so a home slot or a directory slot does.
+/// Cuckoo's upsert, whose cycle may swap in new functions, prepares only a
+/// prefetch and probes from scratch.
 #[inline(always)]
 pub(crate) fn two_pass<T: Deref, I: Copy, P: Copy + Default, O>(
     mut table: T,
@@ -491,15 +502,18 @@ pub(crate) fn two_pass<T: Deref, I: Copy, P: Copy + Default, O>(
     prepare: impl Fn(&T::Target, I) -> P,
     mut probe: impl FnMut(&mut T, I, P) -> O,
 ) {
+    const D: usize = PREFETCH_BATCH;
     assert_eq!(items.len(), out.len(), "batch: items and out lengths differ");
-    let mut prepared = [P::default(); PREFETCH_BATCH];
-    for (ic, oc) in items.chunks(PREFETCH_BATCH).zip(out.chunks_mut(PREFETCH_BATCH)) {
-        for (p, &item) in prepared.iter_mut().zip(ic) {
-            *p = prepare(&table, item);
+    let mut prepared = [P::default(); D];
+    for (p, &item) in prepared.iter_mut().zip(items) {
+        *p = prepare(&table, item);
+    }
+    for (i, (o, &item)) in out.iter_mut().zip(items).enumerate() {
+        let p = prepared[i % D];
+        if let Some(&next) = items.get(i + D) {
+            prepared[i % D] = prepare(&table, next);
         }
-        for ((o, &item), &p) in oc.iter_mut().zip(ic).zip(&prepared) {
-            *o = probe(&mut table, item, p);
-        }
+        *o = probe(&mut table, item, p);
     }
 }
 
@@ -1251,6 +1265,66 @@ pub(crate) mod tests {
     use crate::tests_common::*;
     use crate::{FingerprintTable, LinearProbing, LinearProbingSoA, QuadraticProbing, RobinHood};
     use hashfn::{MultShift, Murmur};
+
+    #[test]
+    fn the_batch_driver_keeps_the_prefetch_distance_in_flight() {
+        use std::cell::RefCell;
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Event {
+            Prepare(usize),
+            Probe(usize),
+        }
+        const D: usize = PREFETCH_BATCH;
+        for n in [0, 1, D - 1, D, D + 1, 3 * D + 5] {
+            let log = RefCell::new(Vec::new());
+            let items: Vec<usize> = (0..n).collect();
+            let mut out = vec![usize::MAX; n];
+            let prepare = |_: &(), i| {
+                log.borrow_mut().push(Event::Prepare(i));
+                i
+            };
+            two_pass(&(), &items, &mut out, prepare, |_, i, p| {
+                assert_eq!(p, i, "n = {n}: item {i} probed with item {p}'s preparation");
+                log.borrow_mut().push(Event::Probe(i));
+                i
+            });
+            assert_eq!(out, items, "n = {n}: outcomes out of place");
+            let log = log.into_inner();
+            let probes: Vec<usize> = log
+                .iter()
+                .filter_map(|&e| match e {
+                    Event::Probe(i) => Some(i),
+                    Event::Prepare(_) => None,
+                })
+                .collect();
+            assert_eq!(probes, items, "n = {n}: probes out of item order");
+            let at = |e| log.iter().position(|&x| x == e).unwrap();
+            for i in 0..n {
+                let prepared = log.iter().filter(|&&e| e == Event::Prepare(i)).count();
+                assert_eq!(prepared, 1, "n = {n}: item {i} prepared {prepared} times");
+                assert!(at(Event::Prepare(i)) < at(Event::Probe(i)), "n = {n}: {i} probed first");
+                if i + D < n {
+                    assert!(
+                        at(Event::Prepare(i + D)) < at(Event::Probe(i)),
+                        "n = {n}: item {} was not prepared before item {i}'s probe",
+                        i + D
+                    );
+                }
+            }
+            // Besides the item being probed, at most D wait prepared: the
+            // one prepared just before a probe is that probe's D-th.
+            let mut waiting = 0usize;
+            for e in &log {
+                match e {
+                    Event::Prepare(_) => waiting += 1,
+                    Event::Probe(i) => {
+                        waiting -= 1;
+                        assert!(waiting <= D, "n = {n}: {waiting} items wait at item {i}'s probe");
+                    }
+                }
+            }
+        }
+    }
 
     /// Every shared check of [`crate::tests_common`] on one exposed cell:
     /// `seeded` builds it with a seeded hash function, `weak` with the

@@ -19,9 +19,15 @@
 //! The lock-free probe is not a second algorithm. The open-addressing
 //! tables (Robin Hood included) instantiate the one capacity-bounded lookup
 //! kernel of [`crate::open_addressing`] with volatile loads, through the
-//! same hash-prefetch-probe batch driver their locked `lookup_batch`
-//! uses; the fingerprint table does the same with its group kernel. Whether
-//! a shard's reads are optimistic decides whether its mutex is taken, not
+//! same batch driver their locked `lookup_batch` uses; the fingerprint
+//! table does the same with its group kernel. That driver is a software
+//! pipeline: it hashes and prefetches key `i +`
+//! [`PREFETCH_BATCH`](crate::simd::PREFETCH_BATCH) just before it probes
+//! key `i`, so a sub-batch keeps that many misses in flight from its first
+//! key to its last. The pipeline only ever reads, so racing writers change
+//! nothing in it: a prefetch of a line a writer is changing is still only
+//! a hint, and every probed value is validated as before. Whether a
+//! shard's reads are optimistic decides whether its mutex is taken, not
 //! which probe code runs.
 //!
 //! # Statistics

@@ -66,8 +66,9 @@
 //! The `*_batch` operations radix-partition each batch by shard (one
 //! stable counting sort; the selector hash is computed once per element
 //! and cached for the scatter pass), run one sub-batch per shard —
-//! preserving the per-shard hash-then-prefetch path of the underlying
-//! tables — and scatter results back to the caller's element order.
+//! through the underlying table's prefetching batch kernel, whose
+//! pipeline runs over the whole sub-batch — and scatter results back to
+//! the caller's element order.
 //! Scratch buffers for the partition are pooled and reused across calls
 //! (the pool is bounded, and buffers grown by an outlier batch are
 //! trimmed on return), so steady-state batches allocate nothing. Because

@@ -4,6 +4,7 @@
 //! scenario that any conforming [`HashTable`] must pass, so the six schemes
 //! get identical semantic coverage without copy-pasted test bodies.
 
+use crate::simd::PREFETCH_BATCH;
 use crate::{HashTable, InsertOutcome, TableError, EMPTY_KEY, TOMBSTONE_KEY};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
@@ -126,9 +127,17 @@ pub fn check_batch_matches_single<T: HashTable>(batched: &mut T, single: &mut T,
     check_batch_matches_single_over(batched, single, seed, universe);
 }
 
+/// Distances at which every batch of [`check_batch_matches_single_over`]
+/// repeats a key: the item before, and around the batch driver's prefetch
+/// distance, where a later item is prepared before an earlier one with
+/// the same key is probed.
+const REPEAT_DISTANCES: [usize; 4] = [1, PREFETCH_BATCH - 1, PREFETCH_BATCH, PREFETCH_BATCH + 1];
+
 /// [`check_batch_matches_single`] over keys `1..=universe` — pick one far
 /// above a growing table's starting capacity and growth steps (and their
-/// mid-drain states) fall inside batches.
+/// mid-drain states) fall inside batches. Each batch repeats the key of
+/// item `2j` at item `2j + REPEAT_DISTANCES[j]` where it has one. Upserts
+/// sum, and their single-key twin is a lookup followed by an insert.
 pub fn check_batch_matches_single_over<T: HashTable>(
     batched: &mut T,
     single: &mut T,
@@ -136,41 +145,55 @@ pub fn check_batch_matches_single_over<T: HashTable>(
     universe: u64,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut keybuf = Vec::new();
-    let mut items = Vec::new();
+    let mut keys = Vec::new();
+    let sum = |old: u64, v: u64| old.wrapping_add(v);
     for round in 0..200 {
-        let batch_len = rng.gen_range(0..48usize);
-        let gen_key = |rng: &mut StdRng| match rng.gen_range(0..20u8) {
+        let batch_len = rng.gen_range(0..4 * PREFETCH_BATCH);
+        keys.clear();
+        keys.extend((0..batch_len).map(|_| match rng.gen_range(0..20u8) {
             // Reserved keys must flow through batches as inert elements.
             0 => EMPTY_KEY,
             1 => TOMBSTONE_KEY,
             _ => rng.gen_range(1..=universe),
-        };
-        match rng.gen_range(0..3u8) {
-            0 => {
-                items.clear();
-                items.extend((0..batch_len).map(|_| (gen_key(&mut rng), rng.gen::<u64>() >> 1)));
+        }));
+        for (j, d) in REPEAT_DISTANCES.into_iter().enumerate() {
+            if 2 * j + d < batch_len {
+                keys[2 * j + d] = keys[2 * j];
+            }
+        }
+        match rng.gen_range(0..4u8) {
+            op @ (0 | 1) => {
+                let items: Vec<(u64, u64)> =
+                    keys.iter().map(|&k| (k, rng.gen::<u64>() >> 1)).collect();
                 let mut out = vec![Ok(InsertOutcome::Inserted); batch_len];
-                batched.insert_batch(&items, &mut out);
+                if op == 0 {
+                    batched.insert_batch(&items, &mut out);
+                } else {
+                    batched.upsert_batch(&items, &sum, &mut out);
+                }
                 for (i, &(k, v)) in items.iter().enumerate() {
-                    assert_eq!(out[i], single.insert(k, v), "round {round} insert #{i} ({k})");
+                    let stored = match op {
+                        1 => single.lookup(k).map_or(v, |old| sum(old, v)),
+                        _ => v,
+                    };
+                    assert_eq!(
+                        out[i],
+                        single.insert(k, stored),
+                        "round {round} op {op} #{i} ({k})"
+                    );
                 }
             }
-            1 => {
-                keybuf.clear();
-                keybuf.extend((0..batch_len).map(|_| gen_key(&mut rng)));
+            2 => {
                 let mut out = vec![None; batch_len];
-                batched.delete_batch(&keybuf, &mut out);
-                for (i, &k) in keybuf.iter().enumerate() {
+                batched.delete_batch(&keys, &mut out);
+                for (i, &k) in keys.iter().enumerate() {
                     assert_eq!(out[i], single.delete(k), "round {round} delete #{i} ({k})");
                 }
             }
             _ => {
-                keybuf.clear();
-                keybuf.extend((0..batch_len).map(|_| gen_key(&mut rng)));
                 let mut out = vec![None; batch_len];
-                batched.lookup_batch(&keybuf, &mut out);
-                for (i, &k) in keybuf.iter().enumerate() {
+                batched.lookup_batch(&keys, &mut out);
+                for (i, &k) in keys.iter().enumerate() {
                     assert_eq!(out[i], single.lookup(k), "round {round} lookup #{i} ({k})");
                 }
             }

@@ -508,7 +508,8 @@ fn growth_grid_incremental_step16() {
 }
 
 /// A step of 17 makes drain budgets that are not multiples of the batch
-/// kernels' 16-key prefetch window, so drain runs end part-way into one.
+/// kernels' 16-key prefetch distance, so drain runs end part-way into
+/// the pipeline's steady state.
 #[test]
 fn growth_grid_incremental_step17() {
     growth_grid(0, 17);
@@ -789,7 +790,7 @@ fn contents<T: HashTable + ?Sized>(table: &T) -> BTreeMap<u64, u64> {
 /// Random `upsert_batch` calls (with deletes between them, so upserts
 /// land on tombstones and freed slots) against the twin and a `HashMap`
 /// model. Half of each batch draws from four hot keys, so a key repeats
-/// inside one prefetch window — the second upsert must fold into what
+/// inside the prefetch distance — the second upsert must fold into what
 /// the first stored — and reserved keys are sprinkled in.
 fn upsert_oracle(desc: &TableBuilder, keys: &[u64], seed: u64) {
     let (mut batched, mut twin) = (desc.build(), desc.build());
@@ -798,13 +799,13 @@ fn upsert_oracle(desc: &TableBuilder, keys: &[u64], seed: u64) {
     let mut model: HashMap<u64, u64> = HashMap::new();
     let mut rng = StdRng::seed_from_u64(seed);
 
-    // The same key three times in one window.
+    // The same key three times within the prefetch distance.
     let k = keys[0];
     let out = upsert_both(&mut batched, &mut twin, &[(k, 1), (k, 2), (k, 3)], &name);
     let second = fold(1, 2);
     let expect =
         [InsertOutcome::Inserted, InsertOutcome::Replaced(1), InsertOutcome::Replaced(second)];
-    assert_eq!(out, expect.map(Ok), "{name}: one key thrice in a window");
+    assert_eq!(out, expect.map(Ok), "{name}: one key thrice within the distance");
     model.insert(k, fold(second, 3));
 
     let mut next_fresh = 1;
